@@ -129,7 +129,6 @@ pub fn measure(
     let summary = ledger.summary();
     let cycle_rounds: Vec<u64> = ledger
         .records()
-        .iter()
         .filter(|r| r.is_correct())
         .map(|r| r.cycle_rounds)
         .collect();

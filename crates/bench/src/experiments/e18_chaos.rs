@@ -28,8 +28,9 @@ use crate::report::Table;
 use crate::runner::par_map;
 
 /// The soak grid: per topology, a clean control, a churned campaign, and
-/// a churned + corrupted one (the corrupted cell runs on the SoA engine
-/// so the grid also exercises the rebuild path of both backends).
+/// a churned + corrupted one (the corrupted cell runs on the non-default
+/// `AoS` engine so the grid also exercises the rebuild path of both
+/// backends).
 pub fn campaign_grid() -> Vec<CampaignConfig> {
     let families =
         [Topology::Ring { n: 8 }, Topology::Grid { w: 3, h: 3 }, Topology::Torus { w: 3, h: 3 }];
@@ -42,7 +43,7 @@ pub fn campaign_grid() -> Vec<CampaignConfig> {
         cells.push(churned.clone());
         let mut stormy = churned;
         stormy.corrupt_registers = 3;
-        stormy.engine = Engine::Soa;
+        stormy.engine = Engine::Aos;
         cells.push(stormy);
     }
     cells

@@ -3,7 +3,7 @@
 //! ```text
 //! pif-chaos soak   [--topology SPEC] [--seed X] [--epochs E]
 //!                  [--requests N] [--initiators K] [--shards S]
-//!                  [--daemon NAME] [--engine aos|soa] [--slo-k K]
+//!                  [--daemon NAME] [--engine soa|aos] [--slo-k K]
 //!                  [--churn-epochs E --churn-per-epoch M [--churn-seed X]]
 //!                  [--corrupt-registers K] [--json PATH]
 //! pif-chaos bench  [--seed X] [--out PATH]
@@ -14,7 +14,8 @@
 //!
 //! * `soak` runs one SLO-graded campaign (see `pif_chaos::slo`), prints
 //!   the availability grade, and fails on a snap violation or a
-//!   steady-state SLO miss.
+//!   steady-state SLO miss. `--engine` picks the step backend (default
+//!   `soa`).
 //! * `bench` sweeps {ring, grid, torus} × {clean, churn, churn+corrupt}
 //!   and writes the versioned `BENCH_chaos_slo.json` envelope.
 //! * `check` replays every cell in a recorded envelope from its seeds
@@ -84,7 +85,7 @@ fn campaign_from_args(args: &[String]) -> Result<CampaignConfig, ChaosError> {
     cfg.slo_k = parse_num(args, "--slo-k", cfg.slo_k)?;
     cfg.corrupt_registers = parse_num(args, "--corrupt-registers", 0)?;
     cfg.daemon = ServeDaemon::parse(opt(args, "--daemon").unwrap_or("synchronous"))?;
-    let engine_spec = opt(args, "--engine").unwrap_or("aos");
+    let engine_spec = opt(args, "--engine").unwrap_or(Engine::default().name());
     cfg.engine = Engine::parse(engine_spec)
         .ok_or_else(|| ChaosError::Report(format!("bad value for --engine: {engine_spec:?}")))?;
     let churn_epochs: u32 = parse_num(args, "--churn-epochs", 0)?;
@@ -152,7 +153,9 @@ fn soak(args: &[String]) -> Result<(), ChaosError> {
     grade(&cell)
 }
 
-/// The benchmark matrix: three families × {clean, churn, churn+corrupt}.
+/// The benchmark matrix: three families × {clean, churn, churn+corrupt};
+/// the churn+corrupt cells run on the non-default `AoS` engine, so the
+/// matrix exercises both backends.
 fn bench_suite(seed: u64) -> Vec<CampaignConfig> {
     let families =
         [Topology::Ring { n: 8 }, Topology::Grid { w: 3, h: 3 }, Topology::Torus { w: 3, h: 3 }];
@@ -165,7 +168,7 @@ fn bench_suite(seed: u64) -> Vec<CampaignConfig> {
         cells.push(churned.clone());
         let mut stormy = churned;
         stormy.corrupt_registers = 3;
-        stormy.engine = Engine::Soa;
+        stormy.engine = Engine::Aos;
         cells.push(stormy);
     }
     cells

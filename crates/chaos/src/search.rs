@@ -23,7 +23,8 @@
 use pif_core::analysis::classify;
 use pif_core::{initial, Phase, PifProtocol, PifState};
 use pif_daemon::daemons::{
-    AdversarialLifo, CentralRandom, CentralSequential, DistributedRandom, Synchronous,
+    AdversarialLifo, CentralRandom, CentralSequential, DistributedRandom, EnablementAges,
+    Synchronous,
 };
 use pif_daemon::{
     ActionId, Daemon, EnabledSet, MetricsObserver, PhaseTag, RunLimits, Simulator, StopPolicy,
@@ -107,7 +108,7 @@ pub fn correction_bound(l_max: u16) -> u64 {
 pub struct ScriptedAdversary {
     masks: Vec<u64>,
     cursor: usize,
-    ages: Vec<u64>,
+    ages: EnablementAges,
     fairness_bound: u64,
 }
 
@@ -119,7 +120,7 @@ impl ScriptedAdversary {
         ScriptedAdversary {
             masks,
             cursor: 0,
-            ages: vec![0; n],
+            ages: EnablementAges::new(n),
             fairness_bound: fairness_bound.max(1),
         }
     }
@@ -131,22 +132,12 @@ impl<S> Daemon<S> for ScriptedAdversary {
         if procs.is_empty() {
             return;
         }
-        // Continuous-enablement ages: disabled processors reset.
-        let mut is_enabled = vec![false; self.ages.len()];
-        for &p in procs {
-            is_enabled[p.index()] = true;
-            self.ages[p.index()] += 1;
-        }
-        for (i, age) in self.ages.iter_mut().enumerate() {
-            if !is_enabled[i] {
-                *age = 0;
-            }
-        }
+        self.ages.advance(enabled.states().len(), procs);
         let mask = self.masks[self.cursor % self.masks.len()];
         self.cursor += 1;
         for (i, &p) in procs.iter().enumerate() {
             let scripted = (mask >> (i % 64)) & 1 == 1;
-            let forced = self.ages[p.index()] >= self.fairness_bound;
+            let forced = self.ages.age(p) >= self.fairness_bound;
             if scripted || forced {
                 out.push((p, enabled.actions_of(p)[0]));
             }
@@ -156,12 +147,12 @@ impl<S> Daemon<S> for ScriptedAdversary {
             // (largest id on ties) so the selection is never empty.
             let p = *procs
                 .iter()
-                .max_by_key(|p| (self.ages[p.index()], p.0))
+                .max_by_key(|p| (self.ages.age(**p), p.0))
                 .expect("non-empty");
             out.push((p, enabled.actions_of(p)[0]));
         }
         for &(p, _) in out.iter() {
-            self.ages[p.index()] = 0;
+            self.ages.selected(p);
         }
     }
 
@@ -394,6 +385,39 @@ pub fn search(goal: Goal, g: &Graph, root: ProcId, seed: u64, config: &SearchCon
 mod tests {
     use super::*;
     use pif_graph::generators;
+
+    /// FNV-1a digest of the `(processor, action)` pairs `daemon` selects
+    /// over 3,000 steps on a 9x9 torus from a random configuration.
+    fn selection_digest(daemon: &mut dyn Daemon<PifState>) -> u64 {
+        let g = generators::torus(9, 9).unwrap();
+        let protocol = PifProtocol::new(ProcId(0), &g);
+        let init = initial::random_config(&g, &protocol, 0x005E_1EC7);
+        let mut sim = Simulator::new(g, protocol, init);
+        sim.set_validation(true);
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        for _ in 0..3_000 {
+            sim.step(daemon).unwrap();
+            for &(p, a) in sim.last_executed() {
+                for b in [u64::from(p.0), a.0 as u64] {
+                    h = (h ^ b).wrapping_mul(0x100_0000_01b3);
+                }
+            }
+        }
+        h
+    }
+
+    #[test]
+    fn adversary_selection_sequences_are_pinned() {
+        // Recorded when each adversary still kept its ages in an O(n)
+        // vector rebuilt every step; the fairness bound (40 < n = 81)
+        // makes forced selections part of both sequences.
+        let masks: Vec<u64> =
+            (1..=16u64).map(|i| i.wrapping_mul(0x9E37_79B9_7F4A_7C15).rotate_left(17)).collect();
+        let lifo = selection_digest(&mut AdversarialLifo::new(40, 3));
+        let scripted = selection_digest(&mut ScriptedAdversary::new(masks, 81, 40));
+        assert_eq!(lifo, 0x3ed8_d718_61d9_faeb);
+        assert_eq!(scripted, 0x1d1a_c3cb_5c9d_4bbe);
+    }
 
     fn small_config() -> SearchConfig {
         SearchConfig { depth: 24, population: 6, beam: 3, branch: 2, generations: 3, fairness_bound: 0 }

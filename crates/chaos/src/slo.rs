@@ -91,7 +91,8 @@ pub struct CampaignConfig {
 impl CampaignConfig {
     /// A small default scenario on the given topology: 2 initiators,
     /// 2 shards, 5 epochs of 16 requests, no churn or corruption, the
-    /// synchronous daemon on the `Aos` engine, and a `16 · diameter` SLO.
+    /// synchronous daemon on the default engine, and a `16 · diameter`
+    /// SLO.
     pub fn new(topology: Topology, seed: u64) -> Self {
         CampaignConfig {
             topology,
@@ -103,7 +104,7 @@ impl CampaignConfig {
             churn: None,
             corrupt_registers: 0,
             daemon: ServeDaemon::Synchronous,
-            engine: Engine::Aos,
+            engine: Engine::default(),
             slo_k: 16,
             step_limit: 100_000,
         }
@@ -527,7 +528,7 @@ pub fn run_campaign(cfg: &CampaignConfig) -> Result<ChaosCell, ChaosError> {
         let phases = service.phase_report();
         total_steps += phases.total_steps;
         total_rounds += phases.total_rounds;
-        epoch_records.push((epoch, slo_rounds, ledger.records().to_vec()));
+        epoch_records.push((epoch, slo_rounds, ledger.records().collect::<Vec<_>>()));
 
         // Carry the surviving lanes' replicas forward in base ids.
         carried = service

@@ -203,6 +203,64 @@ impl<S> Daemon<S> for DistributedRandom {
     }
 }
 
+/// Continuous-enablement ages, the bookkeeping of weakly fair
+/// adversaries: for each processor, how many consecutive selections it
+/// has been enabled at without being selected.
+///
+/// [`EnablementAges::advance`] costs O(|enabled|), not O(n), and never
+/// allocates once sized: instead of resetting every processor that left
+/// the enabled set, each processor remembers the selection it was last
+/// seen enabled at, and an age older than the previous selection reads
+/// as 0.
+#[derive(Clone, Debug, Default)]
+pub struct EnablementAges {
+    /// Age of each processor as of selection `seen[p]`.
+    ages: Vec<u64>,
+    /// The last selection at which each processor was enabled.
+    seen: Vec<u64>,
+    /// Selections advanced so far.
+    now: u64,
+}
+
+impl EnablementAges {
+    /// Ages for an `n`-processor network, all zero.
+    pub fn new(n: usize) -> Self {
+        EnablementAges { ages: vec![0; n], seen: vec![0; n], now: 0 }
+    }
+
+    /// Starts a selection on an `n`-processor network whose enabled
+    /// processors are `enabled`: each of them ages by one, every other
+    /// processor's age drops to 0. A change of `n` restarts every age.
+    pub fn advance(&mut self, n: usize, enabled: &[ProcId]) {
+        if self.ages.len() != n {
+            *self = EnablementAges::new(n);
+        }
+        self.now += 1;
+        for &p in enabled {
+            let i = p.index();
+            self.ages[i] = if self.seen[i] + 1 == self.now { self.ages[i] + 1 } else { 1 };
+            self.seen[i] = self.now;
+        }
+    }
+
+    /// The age of `p` at the current selection.
+    #[inline]
+    pub fn age(&self, p: ProcId) -> u64 {
+        if self.seen[p.index()] == self.now {
+            self.ages[p.index()]
+        } else {
+            0
+        }
+    }
+
+    /// Restarts the age of a selected processor: having moved, it is no
+    /// longer continuously enabled.
+    #[inline]
+    pub fn selected(&mut self, p: ProcId) {
+        self.ages[p.index()] = 0;
+    }
+}
+
 /// A greedy adversarial (but weakly fair) central daemon.
 ///
 /// Each step it selects the *most recently enabled* processor — i.e. it
@@ -213,8 +271,7 @@ impl<S> Daemon<S> for DistributedRandom {
 /// first).
 #[derive(Debug)]
 pub struct AdversarialLifo {
-    /// Consecutive steps each processor has been continuously enabled.
-    ages: Vec<u64>,
+    ages: EnablementAges,
     fairness_bound: u64,
     action_pick: ActionPick,
     rng: Option<StdRng>,
@@ -233,7 +290,7 @@ impl AdversarialLifo {
     pub fn new(fairness_bound: u64, seed: u64) -> Self {
         assert!(fairness_bound > 0, "fairness bound must be positive");
         AdversarialLifo {
-            ages: Vec::new(),
+            ages: EnablementAges::default(),
             fairness_bound,
             action_pick: ActionPick::Random,
             rng: Some(StdRng::seed_from_u64(seed)),
@@ -249,29 +306,14 @@ impl AdversarialLifo {
 
 impl<S> Daemon<S> for AdversarialLifo {
     fn select(&mut self, enabled: &EnabledSet<'_, S>, out: &mut Vec<(ProcId, ActionId)>) {
-        let n = enabled.states().len();
-        if self.ages.len() != n {
-            self.ages = vec![0; n];
-        }
         let procs = enabled.enabled_procs();
-        // Update continuous-enabled ages.
-        let mut is_enabled = vec![false; n];
-        for &p in procs {
-            is_enabled[p.index()] = true;
-        }
-        for (i, en) in is_enabled.iter().enumerate() {
-            if *en {
-                self.ages[i] += 1;
-            } else {
-                self.ages[i] = 0;
-            }
-        }
+        self.ages.advance(enabled.states().len(), procs);
         if procs.is_empty() {
             return;
         }
         // Forced selections keep the execution weakly fair.
         for &p in procs {
-            if self.ages[p.index()] >= self.fairness_bound {
+            if self.ages.age(p) >= self.fairness_bound {
                 out.push((p, pick(enabled.actions_of(p), self.action_pick, &mut self.rng)));
             }
         }
@@ -280,13 +322,12 @@ impl<S> Daemon<S> for AdversarialLifo {
             // the largest id to deviate from the natural order.
             let p = *procs
                 .iter()
-                .min_by_key(|p| (self.ages[p.index()], u32::MAX - p.0))
+                .min_by_key(|p| (self.ages.age(**p), u32::MAX - p.0))
                 .expect("non-empty");
             out.push((p, pick(enabled.actions_of(p), self.action_pick, &mut self.rng)));
         }
-        // Selected processors will no longer be "continuously enabled".
         for &(p, _) in out.iter() {
-            self.ages[p.index()] = 0;
+            self.ages.selected(p);
         }
     }
 

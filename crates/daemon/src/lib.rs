@@ -78,6 +78,7 @@
 
 mod bits;
 pub mod daemons;
+mod enabled;
 mod error;
 pub mod fairness;
 pub mod interference;
@@ -89,9 +90,10 @@ mod sim;
 pub mod trace;
 pub mod trace_io;
 
+pub use enabled::EnabledIndex;
 pub use error::SimError;
 pub use interference::{InterferenceEdge, InterferenceGraph};
-pub use metrics::{LatencyHistogram, MetricsObserver, PhaseReport};
+pub use metrics::{MetricsObserver, PhaseReport};
 pub use protocol::{
     ActionId, ActionSpec, Applicability, EnabledSet, PhaseTag, Protocol, ReadProbe, RegAccess,
     Scope, View,

@@ -2,91 +2,19 @@
 //!
 //! [`MetricsObserver`] classifies every executed action into the paper's
 //! PIF phases via [`Protocol::classify`] and accumulates per-phase move,
-//! step and round counters, per-processor correction (abnormal-behavior)
-//! counts, and a step-latency histogram. The phase lookup table is
-//! precomputed at construction, and all counters are fixed arrays or
-//! preallocated vectors, so observing a step performs **no heap
-//! allocation** — the observer is safe to attach to the simulator's
-//! allocation-free hot loop (pinned by `tests/alloc_steps.rs`).
+//! step and round counters and per-processor correction
+//! (abnormal-behavior) counts. The phase lookup table is precomputed at
+//! construction, and all counters are fixed arrays or preallocated
+//! vectors, so observing a step performs **no heap allocation** — the
+//! observer is safe to attach to the simulator's allocation-free hot loop
+//! (pinned by `tests/alloc_steps.rs`).
 //!
-//! The deterministic part of the metrics (everything except wall-clock
-//! latency) is exported as a [`PhaseReport`], which is `PartialEq` so a
-//! replayed run can be checked for *identical* phase behavior.
-
-use std::time::Instant;
+//! The metrics are exported as a [`PhaseReport`], which is `PartialEq` so
+//! a replayed run can be checked for *identical* phase behavior.
 
 use pif_graph::{Graph, ProcId};
 
 use crate::{Observer, PhaseTag, Protocol, StepDelta};
-
-/// Number of power-of-two latency buckets (covers 1 ns .. ~584 years).
-const LATENCY_BUCKETS: usize = 64;
-
-/// Power-of-two-bucketed histogram of per-step wall-clock latencies.
-///
-/// Bucket `i` counts observations whose latency in nanoseconds `d`
-/// satisfies `2^(i-1) < d <= 2^i` (bucket 0 counts `d <= 1`). Recording is
-/// allocation-free.
-#[derive(Clone, Debug)]
-pub struct LatencyHistogram {
-    buckets: [u64; LATENCY_BUCKETS],
-    observations: u64,
-}
-
-impl LatencyHistogram {
-    /// An empty histogram.
-    pub fn new() -> Self {
-        LatencyHistogram { buckets: [0; LATENCY_BUCKETS], observations: 0 }
-    }
-
-    /// Records one latency observation.
-    pub fn record(&mut self, nanos: u64) {
-        let bucket = if nanos <= 1 { 0 } else { 64 - (nanos - 1).leading_zeros() as usize };
-        self.buckets[bucket.min(LATENCY_BUCKETS - 1)] += 1;
-        self.observations += 1;
-    }
-
-    /// Number of recorded observations.
-    #[inline]
-    pub fn observations(&self) -> u64 {
-        self.observations
-    }
-
-    /// The raw bucket counts (bucket `i` holds latencies `<= 2^i` ns).
-    #[inline]
-    pub fn buckets(&self) -> &[u64] {
-        &self.buckets
-    }
-
-    /// Upper bound (in nanoseconds) of the bucket containing the `q`
-    /// quantile (`0.0..=1.0`) of observations, or `None` if empty.
-    pub fn quantile_upper_bound(&self, q: f64) -> Option<u64> {
-        if self.observations == 0 {
-            return None;
-        }
-        let rank = ((self.observations as f64) * q.clamp(0.0, 1.0)).ceil().max(1.0) as u64;
-        let mut seen = 0u64;
-        for (i, &c) in self.buckets.iter().enumerate() {
-            seen += c;
-            if seen >= rank {
-                return Some(1u64 << i);
-            }
-        }
-        Some(u64::MAX)
-    }
-
-    /// Clears all buckets.
-    pub fn reset(&mut self) {
-        self.buckets = [0; LATENCY_BUCKETS];
-        self.observations = 0;
-    }
-}
-
-impl Default for LatencyHistogram {
-    fn default() -> Self {
-        Self::new()
-    }
-}
 
 /// The deterministic phase metrics of a run: per-phase move/step/round
 /// counts, totals, and the abnormal-processor count. Comparable with `==`
@@ -134,7 +62,7 @@ impl PhaseReport {
 ///
 /// Construct with [`MetricsObserver::for_protocol`], attach to any run
 /// entry point (alone or via [`crate::Fanout`]), then read the results
-/// with [`MetricsObserver::report`] / [`MetricsObserver::latency`].
+/// with [`MetricsObserver::report`].
 ///
 /// ```
 /// use pif_daemon::daemons::Synchronous;
@@ -178,8 +106,6 @@ pub struct MetricsObserver {
     step_seen: [bool; PhaseTag::COUNT],
     /// Phases seen in the currently open round (cleared on completion).
     round_seen: [bool; PhaseTag::COUNT],
-    latency: LatencyHistogram,
-    last_step_at: Option<Instant>,
 }
 
 impl MetricsObserver {
@@ -196,8 +122,6 @@ impl MetricsObserver {
             correction_moves: vec![0; n],
             step_seen: [false; PhaseTag::COUNT],
             round_seen: [false; PhaseTag::COUNT],
-            latency: LatencyHistogram::new(),
-            last_step_at: None,
         }
     }
 
@@ -206,13 +130,6 @@ impl MetricsObserver {
     /// a trailing unfinished round is visible in the move/step counters.
     pub fn report(&self) -> PhaseReport {
         self.report.clone()
-    }
-
-    /// The wall-clock step-latency histogram (time between consecutive
-    /// observed steps; the first step of a run is not charged).
-    #[inline]
-    pub fn latency(&self) -> &LatencyHistogram {
-        &self.latency
     }
 
     /// Correction moves executed by processor `p`.
@@ -227,8 +144,6 @@ impl MetricsObserver {
         self.correction_moves.iter_mut().for_each(|c| *c = 0);
         self.step_seen = [false; PhaseTag::COUNT];
         self.round_seen = [false; PhaseTag::COUNT];
-        self.latency.reset();
-        self.last_step_at = None;
     }
 
     #[inline]
@@ -270,11 +185,6 @@ impl<P: Protocol> Observer<P> for MetricsObserver {
                 }
             }
         }
-        let now = Instant::now();
-        if let Some(prev) = self.last_step_at {
-            self.latency.record(now.duration_since(prev).as_nanos().min(u64::MAX as u128) as u64);
-        }
-        self.last_step_at = Some(now);
     }
 }
 
@@ -364,25 +274,6 @@ mod tests {
             metrics.report()
         };
         assert_eq!(run(), run());
-    }
-
-    #[test]
-    fn latency_histogram_buckets_and_quantiles() {
-        let mut h = LatencyHistogram::new();
-        assert_eq!(h.quantile_upper_bound(0.5), None);
-        h.record(1); // bucket 0
-        h.record(2); // bucket 1
-        h.record(3); // bucket 2
-        h.record(1024); // bucket 10
-        assert_eq!(h.observations(), 4);
-        assert_eq!(h.buckets()[0], 1);
-        assert_eq!(h.buckets()[1], 1);
-        assert_eq!(h.buckets()[2], 1);
-        assert_eq!(h.buckets()[10], 1);
-        assert_eq!(h.quantile_upper_bound(0.0), Some(1));
-        assert_eq!(h.quantile_upper_bound(1.0), Some(1024));
-        h.reset();
-        assert_eq!(h.observations(), 0);
     }
 
     #[test]

@@ -1,8 +1,7 @@
 use pif_graph::{Graph, ProcId};
 
-use crate::bits::BitSet;
 use crate::rounds::RoundCounter;
-use crate::{ActionId, Daemon, EnabledSet, Protocol, SimError, View};
+use crate::{ActionId, Daemon, EnabledIndex, EnabledSet, Protocol, SimError, View};
 
 /// Budget limits for a simulation run.
 ///
@@ -230,11 +229,8 @@ pub struct Simulator<P: Protocol> {
     states: Vec<P::State>,
     /// Enabled actions per processor, kept current.
     enabled: Vec<Vec<ActionId>>,
-    /// Processors with at least one enabled action, ascending; rebuilt from
-    /// `enabled_bits` only on membership changes.
-    enabled_procs: Vec<ProcId>,
-    /// Bitset mirror of `enabled_procs` for O(1) membership tests.
-    enabled_bits: BitSet,
+    /// Processors with at least one enabled action.
+    index: EnabledIndex,
     steps: u64,
     rounds: RoundCounter,
     /// Whether daemon selections are validated against the model contract.
@@ -273,22 +269,14 @@ impl<P: Protocol> Simulator<P> {
         for p in graph.procs() {
             protocol.enabled_actions(View::new(&graph, &init, p), &mut enabled[p.index()]);
         }
-        let mut enabled_bits = BitSet::new(n);
-        let mut enabled_procs = Vec::with_capacity(n);
-        for p in graph.procs() {
-            if !enabled[p.index()].is_empty() {
-                enabled_bits.insert(p.index());
-                enabled_procs.push(p);
-            }
-        }
+        let index = EnabledIndex::new(n, enabled.iter().map(|a| !a.is_empty()));
         let rounds = RoundCounter::new(enabled.iter().map(|a| !a.is_empty()));
         Simulator {
             graph,
             protocol,
             states: init,
             enabled,
-            enabled_procs,
-            enabled_bits,
+            index,
             steps: 0,
             rounds,
             validate: cfg!(debug_assertions),
@@ -426,13 +414,13 @@ impl<P: Protocol> Simulator<P> {
     /// any processor).
     #[inline]
     pub fn is_terminal(&self) -> bool {
-        self.enabled_procs.is_empty()
+        self.index.is_empty()
     }
 
     /// Processors currently enabled, ascending.
     #[inline]
     pub fn enabled_procs(&self) -> &[ProcId] {
-        &self.enabled_procs
+        self.index.procs()
     }
 
     /// Enabled actions of processor `p` in the current configuration.
@@ -483,7 +471,7 @@ impl<P: Protocol> Simulator<P> {
                 &self.graph,
                 &self.states,
                 &self.enabled,
-                &self.enabled_procs,
+                self.index.procs(),
                 self.steps,
             );
             daemon.select(&snapshot, &mut selection);
@@ -707,24 +695,15 @@ impl<P: Protocol> Simulator<P> {
             acts.clear();
             self.protocol.enabled_actions(View::new(&self.graph, &self.states, p), acts);
         }
-        self.enabled_bits.clear();
-        self.enabled_procs.clear();
-        for p in self.graph.procs() {
-            if !self.enabled[p.index()].is_empty() {
-                self.enabled_bits.insert(p.index());
-                self.enabled_procs.push(p);
-            }
-        }
+        self.index.reset(self.enabled.iter().map(|a| !a.is_empty()));
         self.selection.clear();
         self.rounds = RoundCounter::new(self.enabled.iter().map(|a| !a.is_empty()));
     }
 
     /// Recomputes enabled actions only where they can have changed: the
     /// executed processors and their neighbors (guards read only the local
-    /// neighborhood). Membership changes update the bitset and the round
-    /// counter's change feed; the ascending `enabled_procs` list is rebuilt
-    /// from the bitset (an `n/64`-word scan) only when membership actually
-    /// changed.
+    /// neighborhood). Membership flips feed both the round counter and the
+    /// enabled index.
     fn recompute_enabled_after(&mut self, executed: &[(ProcId, ActionId)]) {
         self.epoch += 1;
         let epoch = self.epoch;
@@ -742,29 +721,18 @@ impl<P: Protocol> Simulator<P> {
             }
         }
         self.changes.clear();
-        let mut membership_changed = false;
         for i in 0..self.dirty.len() {
             let p = self.dirty[i];
-            let was = self.enabled_bits.contains(p.index());
+            let was = self.index.contains(p);
             let acts = &mut self.enabled[p.index()];
             acts.clear();
             self.protocol.enabled_actions(View::new(&self.graph, &self.states, p), acts);
             let now = !self.enabled[p.index()].is_empty();
             if was != now {
-                membership_changed = true;
-                if now {
-                    self.enabled_bits.insert(p.index());
-                } else {
-                    self.enabled_bits.remove(p.index());
-                }
                 self.changes.push((p, now));
             }
         }
-        if membership_changed {
-            self.enabled_procs.clear();
-            let bits = &self.enabled_bits;
-            self.enabled_procs.extend(bits.iter().map(ProcId::from_index));
-        }
+        self.index.apply(&self.changes);
     }
 }
 

@@ -3,7 +3,7 @@
 //! ```text
 //! pif-serve soak  [--requests N] [--initiators K] [--shards S]
 //!                 [--topology SPEC] [--seed X] [--daemon NAME]
-//!                 [--engine aos|soa] [--transport mem|net]
+//!                 [--engine soa|aos] [--transport mem|net]
 //!                 [--net-drop R] [--net-dup R] [--net-reorder R]
 //!                 [--net-corrupt R]
 //!                 [--corrupt-after N --corrupt-registers K] [--json PATH]
@@ -13,7 +13,8 @@
 //!
 //! * `soak` runs one scenario (closed loop: the whole workload is
 //!   enqueued, then drained), prints the ledger summary, and fails on a
-//!   snap violation. `--transport net` serves every lane over the lossy
+//!   snap violation. `--engine` picks the shared-memory step backend
+//!   (default `soa`). `--transport net` serves every lane over the lossy
 //!   message-passing transport (`pif-net`), with per-link fault rates
 //!   from the `--net-*` flags; `--json` replay recording stays
 //!   mem-transport only (the envelope schema has no net section).
@@ -78,7 +79,7 @@ fn soak(args: &[String]) -> Result<(), ServeError> {
     let topology =
         Topology::parse(spec).map_err(|e| ServeError::Report(format!("bad topology: {e}")))?;
     let daemon = ServeDaemon::parse(opt(args, "--daemon").unwrap_or("synchronous"))?;
-    let engine_spec = opt(args, "--engine").unwrap_or("aos");
+    let engine_spec = opt(args, "--engine").unwrap_or(Engine::default().name());
     let engine = Engine::parse(engine_spec)
         .ok_or_else(|| ServeError::Report(format!("bad value for --engine: {engine_spec:?}")))?;
     let corrupt_after: Option<u64> = match opt(args, "--corrupt-after") {

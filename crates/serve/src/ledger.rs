@@ -17,6 +17,7 @@
 
 use pif_graph::ProcId;
 
+use crate::record_log::RecordLog;
 use crate::request::AggregateKind;
 use crate::{RequestId, ServeError};
 
@@ -186,9 +187,13 @@ impl LedgerSummary {
 }
 
 /// Append-only request ledger for one service.
+///
+/// Records are stored packed, in about a quarter of their in-memory
+/// size, and unpacked as they are read: the ledger is the one part of a
+/// long-lived service that grows with the requests it serves.
 #[derive(Clone, Debug, Default)]
 pub struct DeliveryLedger {
-    records: Vec<RequestRecord>,
+    log: RecordLog,
 }
 
 impl DeliveryLedger {
@@ -198,19 +203,25 @@ impl DeliveryLedger {
     }
 
     /// Appends one record.
-    pub fn push(&mut self, record: RequestRecord) {
-        self.records.push(record);
+    pub fn push(&mut self, record: &RequestRecord) {
+        self.log.push(record);
     }
 
-    /// All records, in completion order per shard (merged by shard order).
-    pub fn records(&self) -> &[RequestRecord] {
-        &self.records
+    /// Appends every record of `other`, in order.
+    pub(crate) fn append(&mut self, other: &DeliveryLedger) {
+        self.log.append(&other.log);
+    }
+
+    /// All records, in completion order per shard (merged by shard order),
+    /// unpacked one at a time.
+    pub fn records(&self) -> impl Iterator<Item = RequestRecord> + '_ {
+        self.log.iter()
     }
 
     /// Computes the aggregate verdicts.
     pub fn summary(&self) -> LedgerSummary {
         let mut s = LedgerSummary::default();
-        for r in &self.records {
+        for r in self.records() {
             s.total += 1;
             match &r.outcome {
                 RequestOutcome::Completed { pif1: true, pif2: true, .. } => s.completed_ok += 1,
@@ -234,10 +245,7 @@ impl DeliveryLedger {
     /// Counts shed records by cause, without touching the (report-stable)
     /// [`LedgerSummary`] field set.
     pub fn shed_by_cause(&self, cause: ShedCause) -> u64 {
-        self.records
-            .iter()
-            .filter(|r| r.outcome == RequestOutcome::Shed { cause })
-            .count() as u64
+        self.records().filter(|r| r.outcome == RequestOutcome::Shed { cause }).count() as u64
     }
 
     /// Asserts the operational snap-stabilization claim: every request
@@ -248,7 +256,7 @@ impl DeliveryLedger {
     ///
     /// [`ServeError::SnapViolation`] naming the first offending request.
     pub fn assert_snap(&self) -> Result<(), ServeError> {
-        for r in &self.records {
+        for r in self.records() {
             if r.covered_by_snap_claim() && !r.is_correct() {
                 return Err(ServeError::SnapViolation { request: r.id, initiator: r.initiator });
             }
@@ -290,8 +298,8 @@ mod tests {
     #[test]
     fn clean_ledger_summary() {
         let mut l = DeliveryLedger::new();
-        l.push(record(0, ok(), 0, 0));
-        l.push(record(1, ok(), 0, 0));
+        l.push(&record(0, ok(), 0, 0));
+        l.push(&record(1, ok(), 0, 0));
         let s = l.summary();
         assert!(s.is_clean());
         assert!(s.snap_holds());
@@ -303,8 +311,8 @@ mod tests {
     #[test]
     fn in_flight_failure_is_a_casualty_not_a_snap_violation() {
         let mut l = DeliveryLedger::new();
-        l.push(record(0, bad(), 0, 1)); // in flight when the fault hit
-        l.push(record(1, ok(), 1, 1)); // initiated after the fault
+        l.push(&record(0, bad(), 0, 1)); // in flight when the fault hit
+        l.push(&record(1, ok(), 1, 1)); // initiated after the fault
         let s = l.summary();
         assert_eq!(s.casualties, 1);
         assert_eq!(s.post_fault_total, 1);
@@ -317,7 +325,7 @@ mod tests {
     #[test]
     fn post_fault_failure_violates_snap() {
         let mut l = DeliveryLedger::new();
-        l.push(record(0, bad(), 1, 1));
+        l.push(&record(0, bad(), 1, 1));
         assert!(!l.summary().snap_holds());
         assert!(matches!(
             l.assert_snap(),
@@ -328,9 +336,9 @@ mod tests {
     #[test]
     fn shed_records_do_not_break_cleanliness() {
         let mut l = DeliveryLedger::new();
-        l.push(record(0, ok(), 0, 0));
-        l.push(record(1, RequestOutcome::Shed { cause: ShedCause::Displaced }, 0, 0));
-        l.push(record(2, RequestOutcome::Shed { cause: ShedCause::Retired }, 0, 0));
+        l.push(&record(0, ok(), 0, 0));
+        l.push(&record(1, RequestOutcome::Shed { cause: ShedCause::Displaced }, 0, 0));
+        l.push(&record(2, RequestOutcome::Shed { cause: ShedCause::Retired }, 0, 0));
         let s = l.summary();
         assert_eq!(s.shed, 2);
         assert_eq!(l.shed_by_cause(ShedCause::Displaced), 1);
@@ -342,7 +350,7 @@ mod tests {
     #[test]
     fn timeout_after_a_fault_counts_as_casualty() {
         let mut l = DeliveryLedger::new();
-        l.push(record(0, RequestOutcome::TimedOut, 0, 1));
+        l.push(&record(0, RequestOutcome::TimedOut, 0, 1));
         let s = l.summary();
         assert_eq!(s.timed_out, 1);
         assert_eq!(s.casualties, 1);
@@ -355,7 +363,7 @@ mod tests {
         // still dirties the ledger, but it must not be booked against
         // faults — that would inflate every SLO denominator downstream.
         let mut l = DeliveryLedger::new();
-        l.push(record(0, RequestOutcome::TimedOut, 0, 0));
+        l.push(&record(0, RequestOutcome::TimedOut, 0, 0));
         let s = l.summary();
         assert_eq!(s.timed_out, 1);
         assert_eq!(s.casualties, 0);

@@ -70,6 +70,7 @@ use pif_net::NetError;
 
 pub mod ledger;
 mod lane;
+mod record_log;
 pub mod report;
 pub mod request;
 pub mod service;

@@ -118,7 +118,7 @@ impl ServiceReport {
         let summary = ledger.summary();
         let phases: PhaseReport = service.phase_report();
         let completed_records = || {
-            ledger.records().iter().filter(|r| {
+            ledger.records().filter(|r| {
                 matches!(r.outcome, crate::RequestOutcome::Completed { .. })
             })
         };

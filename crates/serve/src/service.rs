@@ -144,7 +144,8 @@ pub struct ServeConfig {
     /// Per-processor feedback contributions (defaults to `index + 1`).
     pub contributions: Option<Vec<i64>>,
     /// Step backend every lane runs on (the engines are observably
-    /// equivalent, so this changes throughput, never outcomes).
+    /// equivalent, so this changes throughput, never outcomes; defaults
+    /// to [`Engine::default`]).
     pub engine: Engine,
     /// Optional message-passing transport: when set, lanes run over
     /// lossy links instead of the shared-memory `engine`.
@@ -177,7 +178,7 @@ impl ServeConfig {
             daemon: ServeDaemon::Synchronous,
             step_limit: 100_000,
             contributions: None,
-            engine: Engine::Aos,
+            engine: Engine::default(),
             net: None,
             graph: None,
             lane_states: None,
@@ -467,9 +468,7 @@ impl<M: Clone + PartialEq + fmt::Debug + Send> WaveService<M> {
     pub fn ledger(&self) -> DeliveryLedger {
         let mut ledger = DeliveryLedger::new();
         for shard in &self.shards {
-            for record in shard.records() {
-                ledger.push(record.clone());
-            }
+            ledger.append(shard.records());
         }
         ledger
     }
@@ -602,7 +601,7 @@ pub struct Scenario {
 ///
 /// Propagates service construction and run errors.
 pub fn run_scenario(scenario: &Scenario) -> Result<WaveService<u64>, ServeError> {
-    run_scenario_on(scenario, Engine::Aos)
+    run_scenario_on(scenario, Engine::default())
 }
 
 /// [`run_scenario`] with an explicit step backend. Scenarios are
@@ -634,7 +633,7 @@ pub fn run_scenario_net(
     scenario: &Scenario,
     net: NetLaneConfig,
 ) -> Result<WaveService<u64>, ServeError> {
-    run_scenario_with(scenario, Engine::Aos, Some(net))
+    run_scenario_with(scenario, Engine::default(), Some(net))
 }
 
 fn run_scenario_with(

@@ -13,7 +13,7 @@ use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
 use crate::lane::Lane;
-use crate::ledger::{RequestRecord, ShedCause};
+use crate::ledger::{DeliveryLedger, ShedCause};
 use crate::request::{Request, RequestId};
 use crate::service::{FaultSpec, ShedPolicy};
 use crate::ServeError;
@@ -35,7 +35,7 @@ pub(crate) struct Shard<M> {
     /// end as the completion count crosses each threshold).
     pending_faults: Vec<FaultSpec>,
     completed: u64,
-    records: Vec<RequestRecord>,
+    records: DeliveryLedger,
     error: Option<ServeError>,
 }
 
@@ -47,7 +47,7 @@ impl<M: Clone + PartialEq + fmt::Debug> Shard<M> {
             rng: StdRng::seed_from_u64(mix(seed ^ (index as u64).wrapping_mul(0x9E37))),
             pending_faults: Vec::new(),
             completed: 0,
-            records: Vec::new(),
+            records: DeliveryLedger::new(),
             error: None,
         }
     }
@@ -56,7 +56,7 @@ impl<M: Clone + PartialEq + fmt::Debug> Shard<M> {
         &self.lanes
     }
 
-    pub(crate) fn records(&self) -> &[RequestRecord] {
+    pub(crate) fn records(&self) -> &DeliveryLedger {
         &self.records
     }
 
@@ -95,7 +95,7 @@ impl<M: Clone + PartialEq + fmt::Debug> Shard<M> {
                             ShedCause::Displaced,
                             0,
                         );
-                        self.records.push(record);
+                        self.records.push(&record);
                     }
                 }
             }
@@ -110,7 +110,9 @@ impl<M: Clone + PartialEq + fmt::Debug> Shard<M> {
     pub(crate) fn retire_lane(&mut self, lane_idx: usize) -> u64 {
         let records = self.lanes[lane_idx].retire();
         let shed = records.len() as u64;
-        self.records.extend(records);
+        for record in &records {
+            self.records.push(record);
+        }
         shed
     }
 
@@ -136,7 +138,7 @@ impl<M: Clone + PartialEq + fmt::Debug> Shard<M> {
             match self.lanes[lane_idx].tick() {
                 Ok(Some(record)) => {
                     self.completed += 1;
-                    self.records.push(record);
+                    self.records.push(&record);
                 }
                 Ok(None) => {}
                 Err(e) => {

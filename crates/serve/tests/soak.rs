@@ -17,8 +17,8 @@ use pif_graph::{ProcId, Topology};
 use pif_net::FaultPlan;
 use pif_serve::{
     run_scenario, run_scenario_net, run_scenario_on, spread_initiators, AggregateKind, Engine,
-    FaultSpec, NetLaneConfig, Request, Scenario, ServeDaemon, ServeConfig, ServeError,
-    ServiceReport, ShedPolicy, WaveService,
+    FaultSpec, NetLaneConfig, Request, RequestRecord, Scenario, ServeDaemon, ServeConfig,
+    ServeError, ServiceReport, ShedPolicy, WaveService,
 };
 
 /// 10 000 requests, 4 initiators, 2 shards, pipelined back-to-back: the
@@ -66,7 +66,7 @@ fn clean_soak_ten_thousand_requests() {
     }
 
     // Both shards actually served work.
-    let mut shards_used: Vec<usize> = ledger.records().iter().map(|r| r.shard).collect();
+    let mut shards_used: Vec<usize> = ledger.records().map(|r| r.shard).collect();
     shards_used.sort_unstable();
     shards_used.dedup();
     assert!(shards_used.len() >= 2, "initiators all hashed to one shard");
@@ -192,8 +192,7 @@ fn drop_oldest_sheds_into_the_ledger() {
     let survivors: Vec<u64> = service
         .ledger()
         .records()
-        .iter()
-        .filter(|r| r.is_correct())
+        .filter(RequestRecord::is_correct)
         .map(|r| r.id.0)
         .collect();
     assert_eq!(survivors, vec![3, 4]);
@@ -251,33 +250,46 @@ fn reports_replay_deterministically_from_their_seed() {
 
 /// Both step engines serve the same scenario bit-identically: the `SoA`
 /// backend must be observably indistinguishable from the `AoS` one all the
-/// way up through lanes, shards, the ledger, and fault campaigns.
+/// way up through lanes, shards, the ledger, and fault campaigns —
+/// including on instances wider than one 64-bit word (chain:130, 12×12
+/// torus), where the enabled index spans several words.
 #[test]
 fn soa_engine_serves_identically_to_aos() {
-    for (daemon, fault) in [
-        (ServeDaemon::Synchronous, None),
-        (ServeDaemon::CentralRandom, Some((12u64, 6usize, 0x5EED_u64))),
-        (ServeDaemon::DistributedRandom, None),
+    for (topology, daemon, requests, fault) in [
+        (Topology::Torus { w: 3, h: 3 }, ServeDaemon::Synchronous, 60, None),
+        (
+            Topology::Torus { w: 3, h: 3 },
+            ServeDaemon::CentralRandom,
+            60,
+            Some((12u64, 6usize, 0x5EED_u64)),
+        ),
+        (Topology::Torus { w: 3, h: 3 }, ServeDaemon::DistributedRandom, 60, None),
+        (Topology::Chain { n: 130 }, ServeDaemon::Synchronous, 24, None),
+        (Topology::Torus { w: 12, h: 12 }, ServeDaemon::CentralRandom, 48, Some((12, 8, 0xC0FFEE))),
     ] {
+        let n = topology.build().unwrap().len();
         let scenario = Scenario {
-            topology: Topology::Torus { w: 3, h: 3 },
-            initiators: spread_initiators(9, 3),
+            topology,
+            initiators: spread_initiators(n, 3),
             shards: 2,
             seed: 19,
             daemon,
-            requests: 60,
+            requests,
             fault,
         };
         let aos = run_scenario_on(&scenario, Engine::Aos).unwrap();
         let soa = run_scenario_on(&scenario, Engine::Soa).unwrap();
         let ra = ServiceReport::capture(&aos, scenario.fault);
         let rs = ServiceReport::capture(&soa, scenario.fault);
-        assert!(
-            ra.deterministic_eq(&rs),
-            "{daemon:?}: engines diverged\naos: {ra:?}\nsoa: {rs:?}"
-        );
-        assert_eq!(aos.ledger().records(), soa.ledger().records(), "{daemon:?}");
+        let label = format!("{} {daemon:?}", scenario.topology);
+        assert!(ra.deterministic_eq(&rs), "{label}: engines diverged\naos: {ra:?}\nsoa: {rs:?}");
+        let records = |s: &WaveService<u64>| s.ledger().records().collect::<Vec<_>>();
+        assert_eq!(records(&aos), records(&soa), "{label}");
+        assert_eq!(aos.phase_report(), soa.phase_report(), "{label}");
         soa.ledger().assert_snap().unwrap();
+        if fault.is_some() {
+            assert!(rs.summary.post_fault_total > 0, "{label}: the campaign never fired");
+        }
     }
 }
 

@@ -10,12 +10,16 @@ use pif_graph::{Graph, ProcId};
 use crate::sim::SoaSimulator;
 
 /// Which step backend to run.
+///
+/// The default is [`Engine::Soa`]: the two backends produce identical
+/// executions (pinned by the differential tests and by replaying the
+/// `AoS`-recorded service benchmark on it), and `SoA` steps faster.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Default)]
 pub enum Engine {
     /// The generic array-of-structs simulator (`pif_daemon::Simulator`).
-    #[default]
     Aos,
     /// The packed structure-of-arrays backend ([`SoaSimulator`]).
+    #[default]
     Soa,
 }
 
@@ -284,7 +288,7 @@ mod tests {
             assert_eq!(Engine::parse(&e.name().to_uppercase()), Some(e));
         }
         assert_eq!(Engine::parse("simd"), None);
-        assert_eq!(Engine::default(), Engine::Aos);
+        assert_eq!(Engine::default(), Engine::Soa);
         assert_eq!(Engine::Soa.to_string(), "soa");
     }
 

@@ -28,7 +28,8 @@
 use pif_core::{PifProtocol, PifState};
 use pif_daemon::rounds::RoundCounter;
 use pif_daemon::{
-    ActionId, Daemon, EnabledSet, NoOpObserver, Observer, SimError, StepDelta, StepReport,
+    ActionId, Daemon, EnabledIndex, EnabledSet, NoOpObserver, Observer, SimError, StepDelta,
+    StepReport,
 };
 use pif_graph::{Graph, ProcId};
 
@@ -55,14 +56,11 @@ pub struct SoaSimulator {
     mirror: Vec<PifState>,
     /// Per-processor guard masks (bit `k` ⇔ `ActionId(k)` enabled).
     masks: Vec<u8>,
-    /// Enabled-membership plane (`masks[p] != 0`).
-    enabled_bits: Vec<u64>,
     /// Enabled actions per processor, materialized for the
     /// [`EnabledSet`] daemon contract; rewritten only when a mask changes.
     enabled: Vec<Vec<ActionId>>,
-    /// Processors with at least one enabled action, ascending; rebuilt from
-    /// the plane only on membership changes.
-    enabled_procs: Vec<ProcId>,
+    /// Processors with a non-zero mask.
+    index: EnabledIndex,
     steps: u64,
     rounds: RoundCounter,
     validate: bool,
@@ -100,16 +98,17 @@ impl SoaSimulator {
             cfg,
             mirror: init,
             masks: vec![0; n],
-            enabled_bits: vec![0; words],
-            enabled: (0..n).map(|_| Vec::with_capacity(crate::kernel::ACTION_BITS)).collect(),
-            enabled_procs: Vec::with_capacity(n),
+            // Action lists and step scratch grow on first use, as in the
+            // `AoS` simulator: no allocation per processor up front.
+            enabled: vec![Vec::new(); n],
+            index: EnabledIndex::new(n, std::iter::empty()),
             steps: 0,
             rounds: RoundCounter::new(std::iter::repeat_n(false, n)),
             validate: cfg!(debug_assertions),
-            selection: Vec::with_capacity(n),
-            old_states: Vec::with_capacity(n),
-            new_states: Vec::with_capacity(n),
-            before_scratch: Vec::with_capacity(n),
+            selection: Vec::new(),
+            old_states: Vec::new(),
+            new_states: Vec::new(),
+            before_scratch: Vec::new(),
             stamp: vec![0; n],
             epoch: 0,
             dirty: Vec::with_capacity(n),
@@ -167,13 +166,13 @@ impl SoaSimulator {
     /// Whether the current configuration is terminal.
     #[inline]
     pub fn is_terminal(&self) -> bool {
-        self.enabled_procs.is_empty()
+        self.index.is_empty()
     }
 
     /// Processors currently enabled, ascending.
     #[inline]
     pub fn enabled_procs(&self) -> &[ProcId] {
-        &self.enabled_procs
+        self.index.procs()
     }
 
     /// Enabled actions of processor `p` in the current configuration.
@@ -272,7 +271,7 @@ impl SoaSimulator {
                 &self.graph,
                 &self.mirror,
                 &self.enabled,
-                &self.enabled_procs,
+                self.index.procs(),
                 self.steps,
             );
             daemon.select(&snapshot, &mut selection);
@@ -344,12 +343,12 @@ impl SoaSimulator {
     /// daemon dispatch, snapshot, validation, or observer plumbing.
     /// Terminal configurations are a no-op returning an empty report.
     pub fn step_sync(&mut self) -> StepReport {
-        if self.enabled_procs.is_empty() {
+        if self.index.is_empty() {
             self.selection.clear();
             return StepReport { executed: 0, round_completed: false, terminal: true };
         }
         // Selection and evaluation fused in one pass over the enabled
-        // plane: every evaluation reads only the (unmodified) old
+        // list: every evaluation reads only the (unmodified) old
         // configuration, so composite atomicity is preserved — writes
         // happen in the separate apply pass below.
         let mut selection = std::mem::take(&mut self.selection);
@@ -358,15 +357,10 @@ impl SoaSimulator {
         new_states.clear();
         {
             let kernel = GuardKernel::new(&self.protocol, &self.graph);
-            for (wi, &word) in self.enabled_bits.iter().enumerate() {
-                let mut w = word;
-                while w != 0 {
-                    let p = wi * 64 + w.trailing_zeros() as usize;
-                    let a = ActionId(self.masks[p].trailing_zeros() as usize);
-                    new_states.push(kernel.execute(&self.cfg, p, a));
-                    selection.push((ProcId::from_index(p), a));
-                    w &= w - 1;
-                }
+            for &p in self.index.procs() {
+                let a = ActionId(self.masks[p.index()].trailing_zeros() as usize);
+                new_states.push(kernel.execute(&self.cfg, p.index(), a));
+                selection.push((p, a));
             }
         }
         let mut old_states = std::mem::take(&mut self.old_states);
@@ -385,7 +379,7 @@ impl SoaSimulator {
         self.selection = selection;
         self.old_states = old_states;
         self.new_states = new_states;
-        StepReport { executed, round_completed, terminal: self.enabled_procs.is_empty() }
+        StepReport { executed, round_completed, terminal: self.index.is_empty() }
     }
 
     /// Validates the model contract on a daemon selection (same checks and
@@ -423,8 +417,7 @@ impl SoaSimulator {
 
     /// Incremental post-step bookkeeping: re-evaluates the kernel only for
     /// executed processors and their neighbors, maintaining masks, action
-    /// lists, the membership plane, the ascending processor list (rebuilt
-    /// only on membership changes) and the sparse change feed for round
+    /// lists, the enabled index and the sparse change feed for round
     /// accounting — the same dirty-set discipline as the `AoS` simulator.
     fn recompute_dirty(&mut self, executed: &[(ProcId, ActionId)]) {
         let SoaSimulator {
@@ -432,9 +425,8 @@ impl SoaSimulator {
             protocol,
             cfg,
             masks,
-            enabled_bits,
             enabled,
-            enabled_procs,
+            index,
             stamp,
             epoch,
             dirty,
@@ -460,7 +452,6 @@ impl SoaSimulator {
         }
         changes.clear();
         let kernel = GuardKernel::new(protocol, graph);
-        let mut membership_changed = false;
         for &pi in dirty.iter() {
             let pi = pi as usize;
             let old = masks[pi];
@@ -476,29 +467,11 @@ impl SoaSimulator {
                 acts.push(ActionId(bits.trailing_zeros() as usize));
                 bits &= bits - 1;
             }
-            let was = old != 0;
-            let now = new != 0;
-            if was != now {
-                membership_changed = true;
-                let bit = 1u64 << (pi % 64);
-                if now {
-                    enabled_bits[pi / 64] |= bit;
-                } else {
-                    enabled_bits[pi / 64] &= !bit;
-                }
-                changes.push((ProcId::from_index(pi), now));
+            if (old != 0) != (new != 0) {
+                changes.push((ProcId::from_index(pi), new != 0));
             }
         }
-        if membership_changed {
-            enabled_procs.clear();
-            for (wi, &word) in enabled_bits.iter().enumerate() {
-                let mut w = word;
-                while w != 0 {
-                    enabled_procs.push(ProcId::from_index(wi * 64 + w.trailing_zeros() as usize));
-                    w &= w - 1;
-                }
-            }
-        }
+        index.apply(changes);
     }
 
     /// Whole-network guard evaluation, word-parallel (see the module docs):
@@ -512,9 +485,8 @@ impl SoaSimulator {
             protocol,
             cfg,
             masks,
-            enabled_bits,
             enabled,
-            enabled_procs,
+            index,
             selection,
             plane_claimed,
             plane_prepot,
@@ -564,10 +536,9 @@ impl SoaSimulator {
         // Normal and can only enable B-action, whose guard is
         // Leaf ∧ Pre_Potential ≠ ∅ — pure plane arithmetic. Participants
         // and the root take the scalar kernel.
-        enabled_procs.clear();
         let b_words = cfg.b_words();
         let f_words = cfg.f_words();
-        for wi in 0..enabled_bits.len() {
+        for wi in 0..plane_claimed.len() {
             let lo = wi * 64;
             let valid = if n - lo >= 64 { !0u64 } else { (1u64 << (n - lo)) - 1 };
             let mut scalar = (b_words[wi] | f_words[wi]) & valid;
@@ -590,27 +561,20 @@ impl SoaSimulator {
                 hard &= hard - 1;
             }
 
-            let mut en_word = 0u64;
             let mut all = valid;
             while all != 0 {
-                let bit = all.trailing_zeros() as usize;
-                let p = lo + bit;
-                let m = masks[p];
+                let p = lo + all.trailing_zeros() as usize;
                 let acts = &mut enabled[p];
                 acts.clear();
-                let mut bits = m;
+                let mut bits = masks[p];
                 while bits != 0 {
                     acts.push(ActionId(bits.trailing_zeros() as usize));
                     bits &= bits - 1;
                 }
-                if m != 0 {
-                    en_word |= 1 << bit;
-                    enabled_procs.push(ProcId::from_index(p));
-                }
                 all &= all - 1;
             }
-            enabled_bits[wi] = en_word;
         }
+        index.reset(masks.iter().map(|&m| m != 0));
         selection.clear();
         self.rounds = RoundCounter::new(masks.iter().map(|&m| m != 0));
     }
@@ -692,6 +656,48 @@ mod tests {
             let rs = soa.step(&mut d_soa).unwrap();
             assert_eq!(ra, rs);
             assert_agree(&aos, &soa);
+        }
+    }
+
+    #[test]
+    fn multi_word_enabled_lists_match_a_full_rebuild_every_step() {
+        // n = 144 spans three bitset words. The enabled index applies a
+        // step's k flips in place while k·(32 + m/48) ≤ 16 + n/32 + m for
+        // m enabled processors: here one flip goes in place once 12 are
+        // enabled, and 20 flips are always a rebuild. A central move flips
+        // the mover and at most its 4 neighbors; a synchronous step from a
+        // random configuration can flip 20 or more.
+        let g = generators::torus(12, 12).unwrap();
+        let daemon = |name: &str| -> Box<dyn Daemon<PifState>> {
+            if name == "synchronous" {
+                Box::new(Synchronous::first_action())
+            } else {
+                Box::new(CentralRandom::new(12))
+            }
+        };
+        for name in ["central-random", "synchronous"] {
+            let (mut d_aos, mut d_soa) = (daemon(name), daemon(name));
+            let (mut aos, mut soa) = both(&g, 0x12);
+            let (mut in_place, mut rebuilt) = (false, false);
+            for step in 0..1_500 {
+                if aos.is_terminal() {
+                    break;
+                }
+                let mut was = vec![false; g.len()];
+                for &p in soa.enabled_procs() {
+                    was[p.index()] = true;
+                }
+                let enabled_before = soa.enabled_procs().len();
+                assert_eq!(aos.step(&mut *d_aos).unwrap(), soa.step(&mut *d_soa).unwrap());
+                assert_agree(&aos, &soa);
+                let fresh = Simulator::new(g.clone(), soa.protocol().clone(), soa.states().to_vec());
+                assert_eq!(soa.enabled_procs(), fresh.enabled_procs(), "{name}, step {step}");
+                let flips = g.procs().filter(|&p| was[p.index()] != (soa.mask_of(p) != 0)).count();
+                in_place |= flips == 1 && enabled_before >= 12;
+                rebuilt |= flips >= 20;
+            }
+            let covered = if name == "synchronous" { rebuilt } else { in_place };
+            assert!(covered, "{name}: never took the branch it is meant to exercise");
         }
     }
 

@@ -117,7 +117,9 @@ jq -e '.results[0].summary
          and .timed_out == 0' "$trace_dir/soak_fault.json" > /dev/null
 # The committed service benchmark must parse with the right shape and
 # replay bit-identically from its recorded seed (deterministic fields
-# only; `check` exits non-zero on any mismatch).
+# only; `check` exits non-zero on any mismatch). The records were made on
+# the AoS engine and replay on the default SoA engine, so this also checks
+# the two engines against each other.
 jq -e '.benchmark == "service_throughput" and .version == 1
        and (.results | length == 9)' BENCH_service_throughput.json > /dev/null
 jq -e '[.results[] | select(.summary.completed_ok == .requests
@@ -128,16 +130,17 @@ jq -e '[.results[] | select(.summary.completed_ok == .requests
 # SoA engine smoke (DESIGN.md §14): the AoS/SoA lockstep differential
 # must pass (identical states, enabled sets, rounds and step reports on
 # every step, across all three daemon families and three topologies —
-# the binary exits non-zero on any divergence), an SoA-engine soak must
-# finish with a spotless ledger, and the committed step-throughput
-# benchmark must carry the documented shape: 18 rows (3 topologies x 6
-# sizes), positive throughput in every engine column, and the accepted
-# >= 10M moves/sec synchronous batch-stepping row on torus n=1024.
+# the binary exits non-zero on any divergence), a soak on the non-default
+# AoS engine must finish with a spotless ledger, and the committed
+# step-throughput benchmark must carry the documented shape: 18 rows (3
+# topologies x 6 sizes), positive throughput in every engine column, and
+# the accepted >= 10M moves/sec synchronous batch-stepping row on torus
+# n=1024.
 ./target/release/exp_step_throughput --check
 ./target/release/pif-serve soak --topology torus:4x4 --initiators 4 --shards 2 \
-    --seed 11 --requests 200 --engine soa --json "$trace_dir/soak_soa.json"
+    --seed 11 --requests 200 --engine aos --json "$trace_dir/soak_aos.json"
 jq -e '.results[0] | .summary.completed_ok == 200 and .summary.casualties == 0' \
-    "$trace_dir/soak_soa.json" > /dev/null
+    "$trace_dir/soak_aos.json" > /dev/null
 jq -e '.benchmark == "step_throughput" and (.results | length == 18)' \
     BENCH_step_throughput.json > /dev/null
 jq -e '[.results[] | select(.aos_steps_per_sec > 0 and .soa_steps_per_sec > 0
@@ -177,12 +180,13 @@ jq -e '[.results[] | select(.cell == "adversarial" and .crc_rejected > 0)]
 # Chaos layer smoke (DESIGN.md §18): a clean soak and an adversarial
 # churn + corruption soak must both grade steady-state availability n/n
 # with the snap claim intact (the binary exits non-zero otherwise), and
-# the emitted JSON must carry the documented chaos_slo cell shape.
+# the emitted JSON must carry the documented chaos_slo cell shape. The
+# storm runs on the non-default AoS engine.
 ./target/release/pif_chaos soak --topology ring:8 --seed 11 \
     --json "$trace_dir/chaos_clean.json"
 ./target/release/pif_chaos soak --topology grid:3x3 --seed 17 \
     --churn-epochs 2 --churn-per-epoch 2 --corrupt-registers 3 \
-    --engine soa --json "$trace_dir/chaos_storm.json"
+    --engine aos --json "$trace_dir/chaos_storm.json"
 for f in chaos_clean chaos_storm; do
     jq -e '.benchmark == "chaos_slo" and .version == 1
            and (.results | length == 1)' "$trace_dir/$f.json" > /dev/null

@@ -17,9 +17,10 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use pif_core::{initial, PifProtocol};
-use pif_daemon::daemons::CentralRandom;
-use pif_daemon::{ActionId, MetricsObserver, Protocol, Simulator, View};
+use pif_chaos::ScriptedAdversary;
+use pif_core::{initial, PifProtocol, PifState};
+use pif_daemon::daemons::{AdversarialLifo, CentralRandom};
+use pif_daemon::{ActionId, Daemon, MetricsObserver, Protocol, Simulator, View};
 use pif_graph::{generators, ProcId};
 use pif_soa::{step_batch_into, BatchStats, SoaSimulator};
 
@@ -143,9 +144,9 @@ fn steady_state_steps_do_not_allocate() {
 #[test]
 fn steady_state_metrics_observation_does_not_allocate() {
     // Same contract with the phase-metrics observer attached: classifying
-    // actions, bumping per-phase counters, per-processor correction
-    // tallies and the latency histogram must all run out of storage
-    // precomputed in `MetricsObserver::for_protocol`.
+    // actions, bumping per-phase counters and per-processor correction
+    // tallies must all run out of storage precomputed in
+    // `MetricsObserver::for_protocol`.
     let n = 64;
     let g = generators::ring(n).unwrap();
     let protocol = TokenRing { k: n as u32 + 1, n };
@@ -253,4 +254,39 @@ fn soa_sync_and_batch_stepping_do_not_allocate() {
     assert_eq!(stats[0].steps, 5_000);
     assert!(!stats[0].terminal);
     assert!(stats[0].moves >= stats[0].steps);
+}
+
+#[test]
+fn adversarial_daemons_select_without_allocating() {
+    // The weakly fair adversaries keep continuous-enablement ages; after
+    // warm-up, aging, forced selections and fallback picks must reuse
+    // their storage. The fairness bound (24 < n = 64) forces selections.
+    let masks: Vec<u64> = (1..=8u64).map(|i| i.wrapping_mul(0x9E37_79B9_7F4A_7C15)).collect();
+    let daemons: [Box<dyn Daemon<PifState>>; 2] = [
+        Box::new(AdversarialLifo::new(24, 0xA110C)),
+        Box::new(ScriptedAdversary::new(masks, 64, 24)),
+    ];
+    for mut daemon in daemons {
+        let mut sim = soa_pif_sim(0xADF);
+        for _ in 0..2_000 {
+            let rep = sim.step(&mut *daemon).unwrap();
+            assert!(!rep.terminal, "PIF waves must keep cycling");
+        }
+
+        let before = ALLOCATIONS.load(Ordering::SeqCst);
+        TRACKING.with(|t| t.set(true));
+        for _ in 0..10_000 {
+            sim.step(&mut *daemon).unwrap();
+        }
+        TRACKING.with(|t| t.set(false));
+        let after = ALLOCATIONS.load(Ordering::SeqCst);
+
+        assert_eq!(
+            after - before,
+            0,
+            "{} allocated {} time(s) across 10k steady-state selections",
+            daemon.name(),
+            after - before
+        );
+    }
 }
