@@ -4,7 +4,7 @@
 //!
 //! ```text
 //! cargo run --release --bin exp_net_throughput -- \
-//!     [--duration SECS] [--check] [--differential]
+//!     [--duration SECS] [--check [--bench PATH]] [--differential]
 //! ```
 //!
 //! * default: measures events/executions/waves per second per
@@ -13,8 +13,11 @@
 //!   / corrupt-applied) that `--check` replays.
 //! * `--check` skips measurement and replays the deterministic fields
 //!   from their seeds twice, exiting non-zero if any `NetStats` ledger
-//!   or certification count differs between runs — the tier-2 gate's
-//!   replay bit-identity smoke.
+//!   or certification count differs between runs, or if the recomputed
+//!   certification fields differ from the ones recorded in the committed
+//!   benchmark file (`--bench`, default `BENCH_net_throughput.json`) — the
+//!   tier-2 gate's replay bit-identity smoke, within one process and
+//!   across commits.
 //! * `--differential` runs the fault-free net-vs-shared-memory terminal
 //!   configuration comparison (max propagation, which has a
 //!   schedule-independent fixpoint) across chain/torus/random graphs,
@@ -26,6 +29,7 @@ use std::time::Instant;
 use pif_bench::experiments::e13_message_passing::{cells, trial, CellOutcome, FaultCell};
 use pif_core::{initial, PifProtocol};
 use pif_daemon::daemons::Synchronous;
+use pif_daemon::json::{self, Json};
 use pif_daemon::{ActionId, Protocol, RunLimits, Simulator, View};
 use pif_graph::{generators, Graph, ProcId, Topology};
 use pif_net::{NetBuilder, NetSim, Transport};
@@ -104,7 +108,7 @@ fn measure_point(t: &Topology, c: &FaultCell, duration: f64) -> (f64, f64, f64) 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     if args.iter().any(|a| a == "--check") {
-        return check();
+        return check(opt(&args, "--bench").unwrap_or("BENCH_net_throughput.json"));
     }
     if args.iter().any(|a| a == "--differential") {
         return differential();
@@ -139,16 +143,13 @@ fn main() -> ExitCode {
         print!(
             "    {{\"topology\": \"{t}\", \"cell\": \"{}\", \"events_per_sec\": {events_s:.0}, \
              \"executions_per_sec\": {execs_s:.0}, \"waves_per_sec\": {waves_s:.1}, \
-             \"requests\": 16, \"completed\": {}, \"pif1_ok\": {}, \"pif2_ok\": {}, \
-             \"corrupt_applied\": {}, \"crc_rejected\": {}, \"stale_rejected\": {}}}",
+             \"requests\": 16",
             c.name,
-            cert.completed,
-            cert.pif1_ok,
-            cert.pif2_ok,
-            cert.stats.corrupt_applied,
-            cert.stats.corrupt_rejected,
-            cert.stats.stale_rejected,
         );
+        for (field, value) in recorded_fields(&cert) {
+            print!(", \"{field}\": {value}");
+        }
+        print!("}}");
         eprintln!(
             "{t:>14} [{:<11}] {events_s:>11.0} events/s {waves_s:>7.1} waves/s \
              cert {}/16 pif2 {}/16",
@@ -161,10 +162,54 @@ fn main() -> ExitCode {
     ExitCode::SUCCESS
 }
 
+/// The deterministic fields of one point, as `(name, value)` pairs in
+/// envelope order: what the default mode records and `--check` compares.
+fn recorded_fields(cert: &CellOutcome) -> [(&'static str, u64); 6] {
+    [
+        ("completed", cert.completed),
+        ("pif1_ok", cert.pif1_ok),
+        ("pif2_ok", cert.pif2_ok),
+        ("corrupt_applied", cert.stats.corrupt_applied),
+        ("crc_rejected", cert.stats.corrupt_rejected),
+        ("stale_rejected", cert.stats.stale_rejected),
+    ]
+}
+
+/// The committed envelope's result rows.
+fn committed_rows(path: &str) -> Result<Vec<Json>, String> {
+    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
+    let doc = json::parse(&text).map_err(|e| format!("{path}: {e}"))?;
+    let rows = doc
+        .get("results")
+        .and_then(Json::as_array)
+        .ok_or_else(|| format!("{path}: no results array"))?;
+    if rows.len() != points().len() {
+        return Err(format!("{path}: {} results, want {}", rows.len(), points().len()));
+    }
+    Ok(rows.to_vec())
+}
+
 /// Replay bit-identity + certification: every deterministic field of the
-/// envelope is a pure function of its seeds.
-fn check() -> ExitCode {
+/// envelope is a pure function of its seeds, and equals the value the
+/// committed envelope at `bench` recorded, so a transport change that
+/// shifts the seeded schedule fails here.
+fn check(bench: &str) -> ExitCode {
+    let rows = match committed_rows(bench) {
+        Ok(rows) => rows,
+        Err(e) => {
+            eprintln!("{e}");
+            return ExitCode::FAILURE;
+        }
+    };
     for (t, c) in points() {
+        let topology = t.to_string();
+        let Some(row) = rows.iter().find(|r| {
+            r.get("topology").and_then(Json::as_str) == Some(topology.as_str())
+                && r.get("cell").and_then(Json::as_str) == Some(c.name)
+        }) else {
+            eprintln!("{bench} has no row for {t} [{}]", c.name);
+            return ExitCode::FAILURE;
+        };
         let a = certify(&t, &c);
         let b = certify(&t, &c);
         if a != b {
@@ -179,7 +224,21 @@ fn check() -> ExitCode {
             eprintln!("CRC GATE FAILED at {t} [{}]: {a:?}", c.name);
             return ExitCode::FAILURE;
         }
-        println!("check {t} [{}]: 16/16 certified, replay bit-identical", c.name);
+        for (field, value) in recorded_fields(&a) {
+            let recorded = row.get(field).and_then(Json::as_u64);
+            if recorded != Some(value) {
+                eprintln!(
+                    "SCHEDULE DRIFT at {t} [{}]: {field} recomputed {value}, {bench} records \
+                     {recorded:?}",
+                    c.name
+                );
+                return ExitCode::FAILURE;
+            }
+        }
+        println!(
+            "check {t} [{}]: 16/16 certified, replay bit-identical, matches {bench}",
+            c.name
+        );
     }
     ExitCode::SUCCESS
 }

@@ -7,13 +7,15 @@
 //!
 //! ```text
 //!  ┌──────────────────────────────────────────────────────────────┐
-//!  │ transport   NetBuilder → NetSim: seeded event loop, observer │
-//!  │             contract (StepDelta), settlement, campaigns      │
+//!  │ transport   NetBuilder → NetSim: seeded event loop costing   │
+//!  │             O(degree) per event, observer contract           │
+//!  │             (StepDelta), settlement, campaigns               │
 //!  ├──────────────────────────────────────────────────────────────┤
 //!  │ sync        RegisterSync: neighbor-state caches, staleness   │
 //!  ├──────────────────────────────────────────────────────────────┤
 //!  │ link        Link + FaultPlan: bounded channels, seeded drop/ │
-//!  │             duplicate/reorder/corrupt, per-link LinkStats    │
+//!  │             duplicate/reorder/corrupt, per-link LinkStats,   │
+//!  │             pooled frame buffers                             │
 //!  ├──────────────────────────────────────────────────────────────┤
 //!  │ frame       length-prefixed frames, versioned payloads,      │
 //!  │             CRC32 trailer, WireState codec                   │

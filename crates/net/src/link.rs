@@ -12,6 +12,12 @@
 //! of the frame copy in the channel — the CRC32 trailer rejects it at
 //! the receiver, which is the whole point: loss is visible in the
 //! ledger, never silent.
+//!
+//! Frame bytes live in buffers drawn from a [`FramePool`] shared by all
+//! links of one transport and returned to it when a frame leaves its
+//! channel, so steady-state traffic allocates nothing. [`LinkSet`] is the
+//! transport's index of nonempty links, the set its delivery draw picks
+//! from.
 
 use std::collections::VecDeque;
 
@@ -126,6 +132,108 @@ pub(crate) struct InFlightFrame {
     pub(crate) forged: bool,
 }
 
+/// Spare frame buffers shared by every link of one transport. A buffer
+/// leaves the pool when a frame is queued and comes back when the frame
+/// is received, evicted or flushed, so once traffic has warmed up no send
+/// or receive allocates, and the pool never holds more buffers than were
+/// once in flight at the same time.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct FramePool {
+    spare: Vec<Vec<u8>>,
+    /// Buffers ever handed out; `spare` always has room for all of them,
+    /// so taking buffers back never grows it.
+    created: usize,
+}
+
+impl FramePool {
+    /// A pooled buffer holding a copy of `bytes`.
+    fn copy_of(&mut self, bytes: &[u8]) -> Vec<u8> {
+        let mut buf = self.spare.pop().unwrap_or_else(|| {
+            self.created += 1;
+            self.spare.reserve(self.created);
+            Vec::new()
+        });
+        buf.clear();
+        buf.extend_from_slice(bytes);
+        buf
+    }
+
+    /// Returns a frame's buffer to the pool.
+    pub(crate) fn put(&mut self, buf: Vec<u8>) {
+        self.spare.push(buf);
+    }
+}
+
+/// The set of nonempty links, keyed by flat link id, with position
+/// select: [`LinkSet::select`]`(i)` is the `i`-th member in ascending id
+/// order, found by a popcount scan over the bitset's words (4 words on
+/// an 8×8 torus) and a halving search inside the last one.
+#[derive(Clone, Debug)]
+pub(crate) struct LinkSet {
+    words: Vec<u64>,
+    len: usize,
+}
+
+impl LinkSet {
+    /// An empty set over link ids `0..links`.
+    pub(crate) fn new(links: usize) -> Self {
+        LinkSet { words: vec![0; links.div_ceil(64)], len: 0 }
+    }
+
+    /// Members.
+    pub(crate) fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Whether no link is a member.
+    pub(crate) fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Adds link `l`, which must not be a member.
+    pub(crate) fn insert(&mut self, l: usize) {
+        let bit = 1u64 << (l % 64);
+        debug_assert_eq!(self.words[l / 64] & bit, 0, "link {l} already nonempty");
+        self.words[l / 64] |= bit;
+        self.len += 1;
+    }
+
+    /// Removes link `l`, which must be a member.
+    pub(crate) fn remove(&mut self, l: usize) {
+        let bit = 1u64 << (l % 64);
+        debug_assert_ne!(self.words[l / 64] & bit, 0, "link {l} already empty");
+        self.words[l / 64] &= !bit;
+        self.len -= 1;
+    }
+
+    /// The `rank`-th member in ascending order (`rank < len`).
+    pub(crate) fn select(&self, mut rank: usize) -> usize {
+        for (i, &word) in self.words.iter().enumerate() {
+            let ones = word.count_ones() as usize;
+            if rank < ones {
+                return i * 64 + select_in_word(word, rank as u32);
+            }
+            rank -= ones;
+        }
+        panic!("select past the end of the nonempty-link set")
+    }
+}
+
+/// Position of the `rank`-th set bit of `word` (`rank < popcount`):
+/// halve the window six times, keeping the half that holds the target.
+fn select_in_word(mut word: u64, mut rank: u32) -> usize {
+    let mut pos = 0;
+    for half in [32u32, 16, 8, 4, 2, 1] {
+        let low = (word & ((1u64 << half) - 1)).count_ones();
+        if rank >= low {
+            rank -= low;
+            word >>= half;
+            pos += half;
+        }
+    }
+    pos as usize
+}
+
 /// What [`Link::send`] did with a frame. `Overflow` means the new frame
 /// was queued after evicting the oldest one (newest snapshot wins).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -162,13 +270,15 @@ impl Link {
     /// Marks the link failed or recovered. Failing also flushes whatever
     /// was in flight (a severed cable loses its frames); the flushed
     /// count is returned so the transport can fix its queue accounting.
-    pub(crate) fn set_down(&mut self, down: bool) -> usize {
+    pub(crate) fn set_down(&mut self, down: bool, pool: &mut FramePool) -> usize {
         self.down = down;
         if down {
             let lost = self.queue.len();
             self.stats.down_lost += lost as u64;
             self.stats.dropped += lost as u64;
-            self.queue.clear();
+            for frame in self.queue.drain(..) {
+                pool.put(frame.bytes);
+            }
             lost
         } else {
             0
@@ -190,7 +300,15 @@ impl Link {
     /// are state-snapshot channels, so the newest snapshot always wins;
     /// dropping fresh frames on overflow would let a saturated link pin
     /// every downstream cache arbitrarily stale.
-    pub(crate) fn send(&mut self, frame: &[u8], plan: &FaultPlan) -> SendOutcome {
+    ///
+    /// Queued copies (and a duplicate's second copy) are drawn from
+    /// `pool`; an evicted frame's buffer goes back to it.
+    pub(crate) fn send(
+        &mut self,
+        frame: &[u8],
+        plan: &FaultPlan,
+        pool: &mut FramePool,
+    ) -> SendOutcome {
         self.stats.sent += 1;
         if self.down {
             self.stats.dropped += 1;
@@ -203,11 +321,13 @@ impl Link {
         }
         let mut overflowed = false;
         if self.queue.len() >= self.capacity {
-            self.queue.pop_front();
+            if let Some(evicted) = self.queue.pop_front() {
+                pool.put(evicted.bytes);
+            }
             self.stats.overflow_dropped += 1;
             overflowed = true;
         }
-        let mut bytes = frame.to_vec();
+        let mut bytes = pool.copy_of(frame);
         let mut corrupted = false;
         if plan.corrupt > 0.0 && self.rng.random_bool(plan.corrupt) {
             let bit = self.rng.random_range(0..bytes.len() * 8);
@@ -220,7 +340,12 @@ impl Link {
             && self.queue.len() < self.capacity
             && self.rng.random_bool(plan.duplicate)
         {
-            let copy = self.queue.back().expect("frame just enqueued").clone();
+            let last = self.queue.back().expect("frame just enqueued");
+            let copy = InFlightFrame {
+                bytes: pool.copy_of(&last.bytes),
+                corrupted: last.corrupted,
+                forged: last.forged,
+            };
             self.queue.push_back(copy);
             self.stats.duplicated += 1;
         }
@@ -238,7 +363,8 @@ impl Link {
     }
 
     /// Pops the head frame, if any. Decoding (and the delivered /
-    /// rejected accounting) happens in the transport's receive path.
+    /// rejected accounting) happens in the transport's receive path,
+    /// which then hands the buffer back to the pool.
     pub(crate) fn recv(&mut self) -> Option<InFlightFrame> {
         self.queue.pop_front()
     }
@@ -271,12 +397,13 @@ mod tests {
     #[test]
     fn fault_free_link_is_lossless_fifo() {
         let mut link = Link::new(4, 1);
+        let mut pool = FramePool::default();
         let plan = FaultPlan::fault_free();
         for _ in 0..4 {
-            assert_eq!(link.send(&frame(), &plan), SendOutcome::Queued);
+            assert_eq!(link.send(&frame(), &plan, &mut pool), SendOutcome::Queued);
         }
         // Overflow evicts the oldest frame; the new frame still lands.
-        assert_eq!(link.send(&frame(), &plan), SendOutcome::Overflow);
+        assert_eq!(link.send(&frame(), &plan, &mut pool), SendOutcome::Overflow);
         assert_eq!(link.stats.sent, 5);
         assert_eq!(link.stats.overflow_dropped, 1);
         assert_eq!(link.len(), 4);
@@ -289,9 +416,10 @@ mod tests {
     #[test]
     fn total_drop_rate_delivers_nothing() {
         let mut link = Link::new(4, 2);
+        let mut pool = FramePool::default();
         let plan = FaultPlan::fault_free().drop_rate(0.999_999_999);
         for _ in 0..50 {
-            link.send(&frame(), &plan);
+            link.send(&frame(), &plan, &mut pool);
         }
         assert_eq!(link.stats.dropped, 50);
         assert!(link.is_empty());
@@ -300,9 +428,10 @@ mod tests {
     #[test]
     fn corrupted_frames_fail_decode() {
         let mut link = Link::new(64, 3);
+        let mut pool = FramePool::default();
         let plan = FaultPlan::fault_free().corrupt_rate(0.999_999_999);
         for _ in 0..20 {
-            link.send(&frame(), &plan);
+            link.send(&frame(), &plan, &mut pool);
         }
         assert_eq!(link.stats.corrupted, 20);
         while let Some(f) = link.recv() {
@@ -316,13 +445,70 @@ mod tests {
         let plan = FaultPlan::fault_free().drop_rate(0.3).duplicate_rate(0.2).reorder_rate(0.4);
         let run = |seed| {
             let mut link = Link::new(8, seed);
+            let mut pool = FramePool::default();
             for _ in 0..100 {
-                link.send(&frame(), &plan);
+                link.send(&frame(), &plan, &mut pool);
             }
             link.stats
         };
         assert_eq!(run(42), run(42));
         assert_ne!(run(42), run(43));
+    }
+
+    #[test]
+    fn pooled_buffers_are_reused_and_bounded_by_the_in_flight_peak() {
+        let mut link = Link::new(4, 4);
+        let mut pool = FramePool::default();
+        let plan = FaultPlan::fault_free().duplicate_rate(0.5).reorder_rate(0.5);
+        let f = frame();
+        for round in 0..50 {
+            for _ in 0..3 {
+                link.send(&f, &plan, &mut pool);
+            }
+            while let Some(got) = link.recv() {
+                assert_eq!(got.bytes, f, "round {round}: pooled copy differs");
+                pool.put(got.bytes);
+            }
+        }
+        // Overflow evictions and a flush return their buffers too.
+        for _ in 0..10 {
+            link.send(&f, &plan, &mut pool);
+        }
+        let flushed = link.set_down(true, &mut pool);
+        assert_eq!(flushed, 4);
+        assert!(link.is_empty());
+        assert!(pool.spare.len() <= 4, "pool kept {} buffers", pool.spare.len());
+    }
+
+    #[test]
+    fn link_set_selects_members_in_ascending_order() {
+        let n = 300;
+        let mut set = LinkSet::new(n);
+        let mut members = Vec::new();
+        let mut x = 0x9E37_79B9u64;
+        for step in 0..2_000 {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            let l = (x % n as u64) as usize;
+            match members.binary_search(&l) {
+                Ok(at) => {
+                    members.remove(at);
+                    set.remove(l);
+                }
+                Err(at) => {
+                    members.insert(at, l);
+                    set.insert(l);
+                }
+            }
+            assert_eq!(set.len(), members.len(), "step {step}");
+            for (rank, &want) in members.iter().enumerate() {
+                assert_eq!(set.select(rank), want, "step {step}, rank {rank}");
+            }
+        }
+        assert_eq!(select_in_word(u64::MAX, 63), 63);
+        assert_eq!(select_in_word(1 << 63, 0), 63);
+        assert_eq!(select_in_word(0b1011_0000, 2), 7);
     }
 
     #[test]

@@ -14,14 +14,14 @@
 //! `pif_daemon::SimBuilder`'s fluent pattern with typed [`NetError`]s
 //! instead of panics.
 
-use pif_daemon::{ActionId, NoOpObserver, Observer, Protocol, StepDelta, View};
+use pif_daemon::{ActionId, EnabledIndex, NoOpObserver, Observer, Protocol, StepDelta, View};
 use pif_graph::{Graph, ProcId};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
 use crate::error::NetError;
 use crate::frame::{decode_frame, encode_frame, FrameHeader, FrameKind, WireState};
-use crate::link::{FaultPlan, Link};
+use crate::link::{FaultPlan, FramePool, Link, LinkSet};
 use crate::stats::{LinkStats, NetStats};
 use crate::sync::RegisterSync;
 
@@ -278,61 +278,60 @@ where
             });
         }
         let graph = self.graph;
-        let sync = RegisterSync::new(&graph, &states);
-        let mut link_index = 0u64;
-        let links: Vec<Vec<Link>> = graph
-            .procs()
-            .map(|p| {
-                (0..graph.degree(p))
-                    .map(|_| {
-                        let l = Link::new(self.capacity, mix(self.seed ^ (0x6C69 << 48) ^ link_index));
-                        link_index += 1;
-                        l
-                    })
-                    .collect()
-            })
-            .collect();
-        let rev = graph
-            .procs()
-            .map(|p| {
-                graph
-                    .neighbors(p)
-                    .map(|q| {
-                        graph
-                            .neighbor_slice(q)
-                            .binary_search(&p)
-                            .expect("p is q's neighbor")
-                    })
-                    .collect()
-            })
-            .collect();
         let n = graph.len();
-        let degrees: Vec<usize> = graph.procs().map(|p| graph.degree(p)).collect();
+        let sync = RegisterSync::new(&graph, &states);
+        let mut link_base = Vec::with_capacity(n + 1);
+        link_base.push(0);
+        for p in graph.procs() {
+            link_base.push(link_base[p.index()] + graph.degree(p));
+        }
+        let m = link_base[n];
+        // Flat link ids run in (receiver, slot) order, the order the
+        // per-link fault streams have always been seeded in.
+        let links: Vec<Link> = (0..m)
+            .map(|l| Link::new(self.capacity, mix(self.seed ^ (0x6C69 << 48) ^ l as u64)))
+            .collect();
+        let link_to = graph
+            .procs()
+            .flat_map(|p| std::iter::repeat_n(p, graph.degree(p)))
+            .collect();
+        let fanout = graph
+            .procs()
+            .flat_map(|p| {
+                let (graph, link_base) = (&graph, &link_base);
+                graph.neighbors(p).map(move |q| {
+                    let slot =
+                        graph.neighbor_slice(q).binary_search(&p).expect("p is q's neighbor");
+                    link_base[q.index()] + slot
+                })
+            })
+            .collect();
+        let view = states.clone();
         let mut net = NetSim {
             graph,
             protocol: self.protocol,
             states,
             sync,
             links,
-            rev,
+            link_base,
+            link_to,
+            fanout,
             plan: self.plan,
             heartbeat_every: self.heartbeat_every,
             delivery_bias: self.delivery_bias,
             rng: StdRng::seed_from_u64(mix(self.seed ^ 0x7363_6865_6421)),
             seqs: vec![0u32; n],
-            applied_seq: (0..n)
-                .map(|i| vec![None; degrees[i]])
-                .collect(),
+            applied_seq: vec![None; m],
             events: 0,
             executions: 0,
             deliveries: 0,
             heartbeats: 0,
             cache_corruptions: 0,
             in_flight: 0,
-            nonempty_links: 0,
-            enabled: vec![false; n],
-            enabled_count: 0,
-            view_scratch: Vec::new(),
+            nonempty: LinkSet::new(m),
+            enabled: EnabledIndex::new(n, std::iter::empty()),
+            pool: FramePool::default(),
+            view,
             actions_scratch: Vec::new(),
             payload_scratch: Vec::new(),
             frame_scratch: Vec::new(),
@@ -383,33 +382,46 @@ where
     protocol: P,
     states: Vec<P::State>,
     sync: RegisterSync<P::State>,
-    /// `links[p][k]` carries frames from `p`'s `k`-th neighbor *to* `p`.
-    links: Vec<Vec<Link>>,
-    /// `rev[p][k]` — position of `p` in its `k`-th neighbor's list.
-    rev: Vec<Vec<usize>>,
+    /// `links[link_base[p] + k]` carries frames from `p`'s `k`-th
+    /// neighbor *to* `p` (flat link ids in (receiver, slot) order).
+    links: Vec<Link>,
+    link_base: Vec<usize>,
+    /// `link_to[l]`: the receiving processor of link `l`.
+    link_to: Vec<ProcId>,
+    /// `fanout[link_base[p] + k]`: the link carrying `p`'s frames to its
+    /// `k`-th neighbor.
+    fanout: Vec<usize>,
     plan: FaultPlan,
     heartbeat_every: u64,
     delivery_bias: f64,
     rng: StdRng,
     seqs: Vec<u32>,
-    /// `applied_seq[p][k]`: sequence number of the last frame from `p`'s
-    /// `k`-th neighbor that was applied to `p`'s cache — the per-link
-    /// freshness gate. Reordered or duplicated old snapshots are
-    /// rejected instead of regressing the cache, so each cache entry
-    /// advances monotonically through the sender's actual history.
-    applied_seq: Vec<Vec<Option<u32>>>,
+    /// `applied_seq[l]`: sequence number of the last frame off link `l`
+    /// that was applied to the receiver's cache — the per-link freshness
+    /// gate. Reordered or duplicated old snapshots are rejected instead
+    /// of regressing the cache, so each cache entry advances
+    /// monotonically through the sender's actual history.
+    applied_seq: Vec<Option<u32>>,
     events: u64,
     executions: u64,
     deliveries: u64,
     heartbeats: u64,
     cache_corruptions: u64,
     in_flight: u64,
-    nonempty_links: usize,
-    enabled: Vec<bool>,
-    enabled_count: usize,
+    /// The links holding at least one frame; the delivery draw picks a
+    /// position among them.
+    nonempty: LinkSet,
+    /// The processors whose cached view enables an action, ascending;
+    /// the execution draw picks a position among them.
+    enabled: EnabledIndex,
+    pool: FramePool,
+    /// The one view buffer every guard evaluation reads. Only the
+    /// evaluated processor's closed neighborhood is current; see
+    /// [`RegisterSync::local_view_into`].
+    view: Vec<P::State>,
     // Scratch buffers reused across events (contents meaningless between
-    // calls); taken while in use to satisfy the borrow checker.
-    view_scratch: Vec<P::State>,
+    // calls); the byte buffers are taken while in use to satisfy the
+    // borrow checker.
     actions_scratch: Vec<ActionId>,
     payload_scratch: Vec<u8>,
     frame_scratch: Vec<u8>,
@@ -458,7 +470,7 @@ where
     /// Whether `p` currently believes some action is enabled (judged on
     /// its caches, maintained incrementally).
     pub fn enabled(&self, p: ProcId) -> bool {
-        self.enabled[p.index()]
+        self.enabled.contains(p)
     }
 
     /// Events between two heartbeat re-broadcasts of the same processor
@@ -494,10 +506,8 @@ where
             refreshes: self.sync.refreshes(),
             ..NetStats::default()
         };
-        for row in &self.links {
-            for link in row {
-                stats.absorb_link(&link.stats);
-            }
+        for link in &self.links {
+            stats.absorb_link(&link.stats);
         }
         stats
     }
@@ -506,7 +516,7 @@ where
     /// are neighbors.
     pub fn link_stats(&self, from: ProcId, to: ProcId) -> Option<&LinkStats> {
         let k = self.graph.neighbor_slice(to).binary_search(&from).ok()?;
-        Some(&self.links[to.index()][k].stats)
+        Some(&self.links[self.link_base[to.index()] + k].stats)
     }
 
     /// Fails (`down = true`) or recovers (`down = false`) the undirected
@@ -531,12 +541,13 @@ where
                 .neighbor_slice(to)
                 .binary_search(&from)
                 .expect("has_edge checked");
-            let link = &mut self.links[to.index()][k];
+            let l = self.link_base[to.index()] + k;
+            let link = &mut self.links[l];
             let was_nonempty = !link.is_empty();
-            let lost = link.set_down(down);
+            let lost = link.set_down(down, &mut self.pool);
             self.in_flight -= lost as u64;
             if was_nonempty && link.is_empty() {
-                self.nonempty_links -= 1;
+                self.nonempty.remove(l);
             }
         }
         true
@@ -546,25 +557,21 @@ where
     /// when the processors are not neighbors.
     pub fn link_down(&self, u: ProcId, v: ProcId) -> Option<bool> {
         let k = self.graph.neighbor_slice(u).binary_search(&v).ok()?;
-        Some(self.links[u.index()][k].is_down())
+        Some(self.links[self.link_base[u.index()] + k].is_down())
     }
 
+    /// Re-evaluates `p`'s guards on its cached view. Callers skip it when
+    /// neither `p`'s own state nor any of its caches changed: guards are a
+    /// pure function of that view, so the enabled status would not move.
     fn recompute_enabled(&mut self, p: ProcId) {
-        let mut view = std::mem::take(&mut self.view_scratch);
-        let mut actions = std::mem::take(&mut self.actions_scratch);
-        self.sync.local_view_into(&self.graph, &self.states[p.index()], p, &mut view);
-        actions.clear();
-        self.protocol.enabled_actions(View::new(&self.graph, &view, p), &mut actions);
-        let now = !actions.is_empty();
-        let was = self.enabled[p.index()];
-        self.enabled[p.index()] = now;
-        match (was, now) {
-            (false, true) => self.enabled_count += 1,
-            (true, false) => self.enabled_count -= 1,
-            _ => {}
+        self.sync.local_view_into(&self.graph, &self.states[p.index()], p, &mut self.view);
+        self.actions_scratch.clear();
+        self.protocol
+            .enabled_actions(View::new(&self.graph, &self.view, p), &mut self.actions_scratch);
+        let now = !self.actions_scratch.is_empty();
+        if now != self.enabled.contains(p) {
+            self.enabled.apply(&[(p, now)]);
         }
-        self.view_scratch = view;
-        self.actions_scratch = actions;
     }
 
     /// Encodes `p`'s current state once and offers the frame to every
@@ -578,15 +585,14 @@ where
         self.seqs[p.index()] = seq.wrapping_add(1);
         let header = FrameHeader { kind, sender: p, seq };
         encode_frame(header, &payload, &mut frame).expect("register snapshots fit one frame");
-        for (k, q) in self.graph.neighbors(p).enumerate() {
-            let slot = self.rev[p.index()][k];
-            let link = &mut self.links[q.index()][slot];
-            let was_empty = link.is_empty();
+        let base = self.link_base[p.index()];
+        for &l in &self.fanout[base..base + self.graph.degree(p)] {
+            let link = &mut self.links[l];
             let before = link.len();
-            link.send(&frame, &self.plan);
+            link.send(&frame, &self.plan, &mut self.pool);
             self.in_flight += (link.len() - before) as u64;
-            if was_empty && !link.is_empty() {
-                self.nonempty_links += 1;
+            if before == 0 && !link.is_empty() {
+                self.nonempty.insert(l);
             }
         }
         self.payload_scratch = payload;
@@ -594,26 +600,16 @@ where
     }
 
     fn execute_one(&mut self, observer: &mut dyn Observer<P>) -> TickOutcome {
-        // Pick the idx-th enabled processor under the maintained bitmap.
-        let idx = self.rng.random_range(0..self.enabled_count);
-        let p = ProcId::from_index(
-            self.enabled
-                .iter()
-                .enumerate()
-                .filter(|(_, &e)| e)
-                .nth(idx)
-                .expect("enabled_count matches bitmap")
-                .0,
-        );
-        let mut view = std::mem::take(&mut self.view_scratch);
-        let mut actions = std::mem::take(&mut self.actions_scratch);
-        self.sync.local_view_into(&self.graph, &self.states[p.index()], p, &mut view);
-        actions.clear();
-        self.protocol.enabled_actions(View::new(&self.graph, &view, p), &mut actions);
-        let action = *actions.first().expect("enabled bitmap implies an enabled action");
-        let next = self.protocol.execute(View::new(&self.graph, &view, p), action);
-        self.view_scratch = view;
-        self.actions_scratch = actions;
+        // Pick the idx-th enabled processor in ascending id order.
+        let idx = self.rng.random_range(0..self.enabled.procs().len());
+        let p = self.enabled.procs()[idx];
+        self.sync.local_view_into(&self.graph, &self.states[p.index()], p, &mut self.view);
+        self.actions_scratch.clear();
+        self.protocol
+            .enabled_actions(View::new(&self.graph, &self.view, p), &mut self.actions_scratch);
+        let action =
+            *self.actions_scratch.first().expect("enabled index implies an enabled action");
+        let next = self.protocol.execute(View::new(&self.graph, &self.view, p), action);
 
         let old = self.states[p.index()].clone();
         let changed = next != old;
@@ -639,41 +635,32 @@ where
         observer.step(&self.graph, &delta, &self.states);
         if changed {
             self.broadcast_state(p, FrameKind::StateUpdate);
+            self.recompute_enabled(p);
         }
-        self.recompute_enabled(p);
         TickOutcome::Executed { proc: p, action }
     }
 
     fn deliver_one(&mut self) -> TickOutcome {
-        let idx = self.rng.random_range(0..self.nonempty_links);
-        let mut seen = 0usize;
-        let mut found = (0usize, 0usize);
-        'outer: for (pi, row) in self.links.iter().enumerate() {
-            for (k, link) in row.iter().enumerate() {
-                if !link.is_empty() {
-                    if seen == idx {
-                        found = (pi, k);
-                        break 'outer;
-                    }
-                    seen += 1;
-                }
-            }
-        }
-        let (pi, k) = found;
-        let p = ProcId::from_index(pi);
+        // Pick the idx-th nonempty link in flat (receiver, slot) order.
+        let idx = self.rng.random_range(0..self.nonempty.len());
+        let l = self.nonempty.select(idx);
+        let p = self.link_to[l];
+        let k = l - self.link_base[p.index()];
         let q = self.graph.neighbor_slice(p)[k];
-        let frame = self.links[pi][k].recv().expect("picked among nonempty links");
+        let frame = self.links[l].recv().expect("picked among nonempty links");
         self.in_flight -= 1;
-        if self.links[pi][k].is_empty() {
-            self.nonempty_links -= 1;
+        if self.links[l].is_empty() {
+            self.nonempty.remove(l);
         }
         let decoded = decode_frame(&frame.bytes)
             .ok()
             .and_then(|(header, payload)| P::State::decode_wire(payload).map(|s| (header.seq, s)));
+        let (corrupted, forged) = (frame.corrupted, frame.forged);
+        self.pool.put(frame.bytes);
         match decoded {
             None => {
                 // The checksum gate: the frame is dropped, loudly.
-                self.links[pi][k].stats.corrupt_rejected += 1;
+                self.links[l].stats.corrupt_rejected += 1;
                 TickOutcome::Rejected { from: q, to: p }
             }
             Some((seq, state)) => {
@@ -681,7 +668,7 @@ where
                 // newer (in wrapping order) than the last applied one —
                 // reordered and duplicated old frames must not regress
                 // the cache.
-                let fresh = match self.applied_seq[pi][k] {
+                let fresh = match self.applied_seq[l] {
                     None => true,
                     Some(last) => {
                         let ahead = seq.wrapping_sub(last);
@@ -689,25 +676,29 @@ where
                     }
                 };
                 if !fresh {
-                    self.links[pi][k].stats.stale_rejected += 1;
+                    self.links[l].stats.stale_rejected += 1;
                     return TickOutcome::Rejected { from: q, to: p };
                 }
-                self.applied_seq[pi][k] = Some(seq);
-                let link = &mut self.links[pi][k];
-                if frame.corrupted {
+                self.applied_seq[l] = Some(seq);
+                let link = &mut self.links[l];
+                if corrupted {
                     // A damaged frame slipped past CRC32 — impossible
                     // for single-bit flips; the ledger would expose it.
                     link.stats.corrupt_applied += 1;
                 } else {
                     link.stats.delivered += 1;
                 }
-                if frame.forged {
+                if forged {
                     self.cache_corruptions += 1;
                 }
                 let now = self.events;
-                self.sync.refresh(p, k, state, now);
                 self.deliveries += 1;
-                self.recompute_enabled(p);
+                // A snapshot equal to the cached one (a heartbeat, or a
+                // state the sender returned to) leaves p's view as it
+                // was, so its enabled status cannot have changed.
+                if self.sync.refresh(p, k, state, now) {
+                    self.recompute_enabled(p);
+                }
                 TickOutcome::Delivered { from: q, to: p }
             }
         }
@@ -743,7 +734,7 @@ where
     }
 
     fn is_settled(&self) -> bool {
-        self.enabled_count == 0
+        self.enabled.is_empty()
             && self.in_flight == 0
             && self.sync.consistent_with(&self.graph, &self.states)
     }
@@ -758,7 +749,7 @@ where
             self.broadcast_state(p, FrameKind::Heartbeat);
             return TickOutcome::Heartbeat { proc: p };
         }
-        if self.enabled_count == 0 && self.nonempty_links == 0 {
+        if self.enabled.is_empty() && self.nonempty.is_empty() {
             // Nothing to do: skip the clock ahead to the next heartbeat
             // slot (idle gaps cost one tick, not `cadence` ticks).
             self.events = if self.heartbeat_every > 0 {
@@ -769,8 +760,8 @@ where
             return TickOutcome::Idle;
         }
         self.events = now + 1;
-        let deliver = self.nonempty_links > 0
-            && (self.enabled_count == 0 || self.rng.random_bool(self.delivery_bias));
+        let deliver = !self.nonempty.is_empty()
+            && (self.enabled.is_empty() || self.rng.random_bool(self.delivery_bias));
         if deliver {
             self.deliver_one()
         } else {
@@ -794,7 +785,7 @@ where
                     .expect("register snapshots fit one frame");
                 // The forgery rides the wire format end to end: it only
                 // lands in the cache if the framed bytes decode.
-                let link = &mut self.links[p.index()][k];
+                let link = &mut self.links[self.link_base[p.index()] + k];
                 link.stats.forged += 1;
                 match decode_frame(&frame)
                     .ok()
@@ -812,7 +803,7 @@ where
         }
         self.payload_scratch = payload;
         self.frame_scratch = frame;
-        for p in self.graph.procs().collect::<Vec<_>>() {
+        for p in self.graph.procs() {
             self.recompute_enabled(p);
         }
     }

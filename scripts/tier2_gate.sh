@@ -155,8 +155,9 @@ jq -e '[.results[] | select(.topology == "torus" and .n == 1024
 # differential (fault-free max propagation must settle to the Simulator's
 # terminal configuration across chain/torus/random graphs) and the replay +
 # certification check (every (topology, fault-cell) point re-derives its
-# deterministic certification fields bit-identically from its seeds, with
-# 16/16 [PIF1]/[PIF2] completion and zero corrupt frames applied) must both
+# deterministic certification fields bit-identically from its seeds, equal
+# to the values in the committed BENCH_net_throughput.json, with 16/16
+# [PIF1]/[PIF2] completion and zero corrupt frames applied) must both
 # pass — each binary exits non-zero on any divergence. The committed
 # benchmark artifact must parse with the same certified shape.
 ./target/release/exp_net_throughput --differential

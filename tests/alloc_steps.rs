@@ -22,6 +22,7 @@ use pif_core::{initial, PifProtocol, PifState};
 use pif_daemon::daemons::{AdversarialLifo, CentralRandom};
 use pif_daemon::{ActionId, Daemon, MetricsObserver, Protocol, Simulator, View};
 use pif_graph::{generators, ProcId};
+use pif_net::{FaultPlan, NetBuilder, Transport};
 use pif_soa::{step_batch_into, BatchStats, SoaSimulator};
 
 struct CountingAlloc;
@@ -289,4 +290,61 @@ fn adversarial_daemons_select_without_allocating() {
             after - before
         );
     }
+}
+
+#[test]
+fn lossy_transport_ticks_do_not_allocate() {
+    // The message-passing engine under every fault at once: sends copy
+    // frames into pooled buffers (duplicates too), receives and overflow
+    // evictions hand them back, and guard evaluation reuses one view
+    // buffer, so after warm-up a tick moves no heap memory. Small
+    // channels and a fast heartbeat cadence keep the links near full, so
+    // the warm-up reaches the in-flight peak and overflow evictions run.
+    let n = 8;
+    let g = generators::ring(n).unwrap();
+    let protocol = TokenRing { k: n as u32 + 1, n };
+    let init: Vec<u32> = (0..n as u32).map(|i| (i * 7) % (n as u32 + 1)).collect();
+    let plan = FaultPlan::fault_free()
+        .drop_rate(0.2)
+        .duplicate_rate(0.1)
+        .reorder_rate(0.3)
+        .corrupt_rate(0.05);
+    let mut net = NetBuilder::new(g, protocol)
+        .states(init)
+        .fault_plan(plan)
+        .capacity(4)
+        .heartbeat_every(3)
+        .seed(0xA110C)
+        .build()
+        .unwrap();
+
+    for _ in 0..20_000 {
+        net.tick();
+    }
+
+    let before = ALLOCATIONS.load(Ordering::SeqCst);
+    TRACKING.with(|t| t.set(true));
+    for _ in 0..100_000 {
+        net.tick();
+    }
+    TRACKING.with(|t| t.set(false));
+    let after = ALLOCATIONS.load(Ordering::SeqCst);
+
+    assert_eq!(
+        after - before,
+        0,
+        "net transport allocated {} time(s) across 100k steady-state ticks",
+        after - before
+    );
+    let stats = net.stats();
+    assert!(stats.executions > 1_000, "the token must keep circulating: {stats:?}");
+    assert!(
+        stats.dropped > 0
+            && stats.duplicated > 0
+            && stats.reordered > 0
+            && stats.corrupt_rejected > 0
+            && stats.overflow_dropped > 0,
+        "every fault path must have run: {stats:?}"
+    );
+    assert_eq!(stats.corrupt_applied, 0);
 }

@@ -2,6 +2,7 @@
 //! standard topology under every daemon strategy, with payload delivery
 //! and feedback aggregation verified end to end.
 
+use pif_core::protocol::{B_ACTION, COUNT_ACTION};
 use pif_core::wave::{SumAggregate, WaveRunner};
 use pif_core::{initial, PifProtocol};
 use pif_daemon::{RunLimits, Simulator};
@@ -145,4 +146,66 @@ fn big_sparse_network_cycle() {
     assert_eq!(out.feedback, Some(200));
     let h = u64::from(out.height);
     assert!(out.cycle_rounds <= 5 * h + 5, "Theorem 4 at scale");
+}
+
+/// Moves per action over one full cycle: from the root's B-action to its
+/// next one.
+struct PerAction {
+    root: ProcId,
+    root_b: u32,
+    moves: [u64; 7],
+}
+
+impl pif_daemon::Observer<PifProtocol> for PerAction {
+    fn step(
+        &mut self,
+        _: &pif_graph::Graph,
+        delta: &pif_daemon::StepDelta<'_, PifProtocol>,
+        _: &[pif_core::PifState],
+    ) {
+        for &(p, a) in delta.executed() {
+            if p == self.root && a == B_ACTION {
+                self.root_b += 1;
+            }
+            if self.root_b == 1 {
+                self.moves[a.0] += 1;
+            }
+        }
+    }
+}
+
+fn chain_cycle_moves(n: usize, root: usize) -> [u64; 7] {
+    let g = pif_graph::generators::chain(n).unwrap();
+    let root = ProcId::from_index(root);
+    let init = initial::normal_starting(&g);
+    let mut sim = Simulator::new(g.clone(), PifProtocol::new(root, &g), init);
+    let mut daemon = pif_daemon::daemons::Synchronous::first_action();
+    let mut count = PerAction { root, root_b: 0, moves: [0; 7] };
+    while count.root_b < 2 {
+        sim.step_observed(&mut daemon, &mut count).unwrap();
+    }
+    count.moves
+}
+
+#[test]
+fn count_refreshes_carry_the_broadcast_share_on_a_chain() {
+    // EXPERIMENTS.md E15: `classify` charges both B_ACTION and
+    // COUNT_ACTION to Broadcast, and on a chain the Count refreshes are
+    // nearly all of it. From the chain's end, every processor at depth d
+    // refreshes its Count once per processor joining below it, n - 1 - d
+    // times: n(n - 1)/2 refreshes against n B-actions.
+    let n = 64;
+    let end = chain_cycle_moves(n, 0);
+    assert_eq!(end[B_ACTION.0], n as u64);
+    assert_eq!(end[COUNT_ACTION.0], (n * (n - 1) / 2) as u64);
+    // From inside the chain the refreshes stay Θ(n·h), between n·h/4 and
+    // n·h/2 with h the root's eccentricity, and over 90% of Broadcast.
+    for root in [n / 4, n / 2] {
+        let moves = chain_cycle_moves(n, root);
+        let h = root.max(n - 1 - root) as u64;
+        let count = moves[COUNT_ACTION.0];
+        assert_eq!(moves[B_ACTION.0], n as u64);
+        assert!(4 * count >= n as u64 * h && 2 * count <= n as u64 * h, "root {root}: {count}");
+        assert!(count * 10 >= 9 * (count + moves[B_ACTION.0]), "root {root}: {moves:?}");
+    }
 }

@@ -4,9 +4,9 @@
 //! serving layer running over the same transport.
 
 use pif_bench::experiments::e13_message_passing::{cells, trial, FaultCell};
-use pif_core::{initial, Phase, PifProtocol};
+use pif_core::{initial, Phase, PifProtocol, PifState};
 use pif_graph::{generators, ProcId, Topology};
-use pif_net::{FaultPlan, NetSim, Transport};
+use pif_net::{FaultPlan, NetSim, TickOutcome, Transport, WireState};
 use pif_serve::{run_scenario_net, spread_initiators, NetLaneConfig, Scenario, ServeDaemon};
 
 fn cell_named(name: &str) -> FaultCell {
@@ -120,4 +120,150 @@ fn serve_over_net_certifies_post_fault_requests() {
     assert_eq!(summary.total, 45);
     assert!(summary.post_fault_total > 0, "campaign never fired");
     service.ledger().assert_snap().unwrap();
+}
+
+/// FNV-1a 64 over a run's observable history: every scheduler outcome in
+/// order, the final `NetStats` ledger and the final registers.
+struct Digest(u64);
+
+impl Digest {
+    fn new() -> Self {
+        Digest(0xCBF2_9CE4_8422_2325)
+    }
+
+    fn bytes(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0100_0000_01B3);
+        }
+    }
+
+    fn u64(&mut self, v: u64) {
+        self.bytes(&v.to_le_bytes());
+    }
+
+    fn outcome(&mut self, o: TickOutcome) {
+        match o {
+            TickOutcome::Executed { proc, action } => {
+                self.bytes(&[0]);
+                self.u64(u64::from(proc.0));
+                self.u64(action.0 as u64);
+            }
+            TickOutcome::Delivered { from, to } => {
+                self.bytes(&[1]);
+                self.u64(u64::from(from.0));
+                self.u64(u64::from(to.0));
+            }
+            TickOutcome::Rejected { from, to } => {
+                self.bytes(&[2]);
+                self.u64(u64::from(from.0));
+                self.u64(u64::from(to.0));
+            }
+            TickOutcome::Heartbeat { proc } => {
+                self.bytes(&[3]);
+                self.u64(u64::from(proc.0));
+            }
+            TickOutcome::Idle => self.bytes(&[4]),
+        }
+    }
+
+    fn finish(mut self, net: &NetSim<PifProtocol>) -> u64 {
+        let s = net.stats();
+        for v in [
+            s.events,
+            s.executions,
+            s.deliveries,
+            s.heartbeats,
+            s.frames_sent,
+            s.dropped,
+            s.duplicated,
+            s.reordered,
+            s.corrupted,
+            s.corrupt_rejected,
+            s.corrupt_applied,
+            s.stale_rejected,
+            s.overflow_dropped,
+            s.forged_frames,
+            s.down_lost,
+            s.cache_corruptions,
+            s.in_flight,
+            s.staleness_max,
+            s.refreshes,
+        ] {
+            self.u64(v);
+        }
+        let mut wire = Vec::new();
+        for st in net.states() {
+            wire.clear();
+            st.encode_wire(&mut wire);
+            self.bytes(&wire);
+        }
+        self.0
+    }
+}
+
+#[test]
+fn schedule_pin_torus_adversarial_with_campaign_and_link_churn() {
+    // The serve-net-lossy plan on torus 8x8, plus the two paths the
+    // BENCH points never take: a register-corruption campaign and a
+    // link failure with recovery, all mid-run. The digest was recorded
+    // before the transport's selection and view indices were rewritten;
+    // any change to a seeded draw or a selection order moves it.
+    let g = generators::torus(8, 8).unwrap();
+    let protocol = PifProtocol::new(ProcId(0), &g);
+    let plan = FaultPlan::fault_free()
+        .drop_rate(0.2)
+        .duplicate_rate(0.1)
+        .reorder_rate(0.3)
+        .corrupt_rate(0.05);
+    let mut net = NetSim::builder(g.clone(), protocol.clone())
+        .states(initial::normal_starting(&g))
+        .fault_plan(plan)
+        .seed(0x5EED)
+        .build()
+        .unwrap();
+    let mut digest = Digest::new();
+    for tick in 0..60_000u32 {
+        match tick {
+            20_000 => {
+                let mut copy = net.states().to_vec();
+                initial::corrupt_registers(&mut copy, &g, &protocol, 12, 0xC0FFEE);
+                let changes: Vec<(ProcId, PifState)> = copy
+                    .iter()
+                    .enumerate()
+                    .filter(|(i, s)| **s != net.states()[*i])
+                    .map(|(i, s)| (ProcId::from_index(i), *s))
+                    .collect();
+                assert!(!changes.is_empty());
+                net.corrupt_many(&changes);
+            }
+            30_000 => assert!(net.set_link_down(ProcId(9), ProcId(10), true)),
+            40_000 => assert!(net.set_link_down(ProcId(9), ProcId(10), false)),
+            _ => {}
+        }
+        digest.outcome(net.tick());
+    }
+    let stats = net.stats();
+    assert!(stats.down_lost > 0 && stats.corrupt_rejected > 0 && stats.stale_rejected > 0);
+    assert_eq!(stats.corrupt_applied, 0);
+    assert_eq!(digest.finish(&net), 8_114_597_582_531_806_798);
+}
+
+#[test]
+fn schedule_pin_ring_scramble_campaign() {
+    // A ring recovering from the plan's construction-time cache scramble
+    // (forged frames through the channel layer), pinned like the torus.
+    let g = generators::ring(9).unwrap();
+    let protocol = PifProtocol::new(ProcId(0), &g);
+    let mut net = NetSim::builder(g.clone(), protocol)
+        .states(initial::normal_starting(&g))
+        .fault_plan(FaultPlan::fault_free().drop_rate(0.1).scramble(0x5C4A))
+        .seed(17)
+        .build()
+        .unwrap();
+    let mut digest = Digest::new();
+    for _ in 0..40_000 {
+        digest.outcome(net.tick());
+    }
+    assert!(net.stats().cache_corruptions > 0);
+    assert_eq!(digest.finish(&net), 1_007_446_159_247_605_662);
 }

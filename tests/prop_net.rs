@@ -7,11 +7,19 @@
 //!   tori, and random connected graphs up to n = 64.
 //! * **Replay**: the full [`pif_net::NetStats`] ledger and the final
 //!   configuration of a lossy run are a pure function of the seed.
+//! * **Codec**: the slicing-by-8 [`pif_net::crc32`] agrees with the
+//!   bytewise table loop; [`pif_net::decode_frame`] answers any byte
+//!   string — random, truncated, overwritten or one bit off a valid
+//!   frame — with `Ok` or a typed [`pif_net::FrameError`], never a panic;
+//!   and every valid frame round-trips.
 
 use pif_daemon::daemons::Synchronous;
 use pif_daemon::{ActionId, Protocol, RunLimits, Simulator, View};
-use pif_graph::{generators, Graph};
-use pif_net::{FaultPlan, NetBuilder, Transport};
+use pif_graph::{generators, Graph, ProcId};
+use pif_net::{
+    crc32, decode_frame, encode_frame, FaultPlan, FrameError, FrameHeader, FrameKind, NetBuilder,
+    Transport, HEADER_LEN, TRAILER_LEN,
+};
 use proptest::prelude::*;
 
 /// Max propagation: every processor adopts the largest value it can see.
@@ -41,6 +49,61 @@ fn splitmix(mut x: u64) -> u64 {
     x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     x ^ (x >> 31)
+}
+
+/// The bytewise table of the IEEE CRC32 (reflected polynomial).
+const fn bytewise_table() -> [u32; 256] {
+    let mut table = [0u32; 256];
+    let mut i = 0;
+    while i < 256 {
+        let mut crc = i as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            crc = if crc & 1 != 0 { (crc >> 1) ^ 0xEDB8_8320 } else { crc >> 1 };
+            bit += 1;
+        }
+        table[i] = crc;
+        i += 1;
+    }
+    table
+}
+
+const BYTEWISE_TABLE: [u32; 256] = bytewise_table();
+
+/// The bytewise table loop the transport shipped before slicing-by-8:
+/// the oracle the fast version must agree with.
+fn crc32_bytewise(bytes: &[u8]) -> u32 {
+    let mut crc = !0u32;
+    for &b in bytes {
+        crc = (crc >> 8) ^ BYTEWISE_TABLE[((crc ^ u32::from(b)) & 0xFF) as usize];
+    }
+    !crc
+}
+
+fn frame_of(kind: bool, sender: u32, seq: u32, payload: &[u8]) -> (FrameHeader, Vec<u8>) {
+    let header = FrameHeader {
+        kind: if kind { FrameKind::Heartbeat } else { FrameKind::StateUpdate },
+        sender: ProcId(sender),
+        seq,
+    };
+    let mut frame = Vec::new();
+    encode_frame(header, payload, &mut frame).unwrap();
+    (header, frame)
+}
+
+/// Decodes hostile input. A panic fails the test; every rejection is one
+/// of the typed reasons a receiver can count, and the encode-only
+/// `Oversize` never comes back from the decoder.
+fn decode_is_total(buf: &[u8]) -> Result<(), TestCaseError> {
+    match decode_frame(buf) {
+        Ok((_, payload)) => {
+            prop_assert_eq!(payload.len(), buf.len() - HEADER_LEN - TRAILER_LEN);
+        }
+        Err(e) => {
+            prop_assert!(!matches!(e, FrameError::Oversize { .. }), "decoder said {e}");
+        }
+    }
+    Ok(())
 }
 
 fn graph_for(family: u8, n: usize, seed: u64) -> Graph {
@@ -109,5 +172,81 @@ proptest! {
         prop_assert_eq!(s1, s2, "NetStats must be a pure function of the seed");
         prop_assert_eq!(c1, c2);
         prop_assert_eq!(s1.corrupt_applied, 0, "CRC gate must hold under any rates");
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn crc32_matches_the_bytewise_oracle(
+        bytes in prop::collection::vec(any::<u8>(), 300),
+    ) {
+        // Every prefix length 0..=300: each count of 8-byte blocks and
+        // each length of the bytewise tail.
+        for len in 0..=bytes.len() {
+            prop_assert_eq!(crc32(&bytes[..len]), crc32_bytewise(&bytes[..len]));
+        }
+    }
+
+    #[test]
+    fn valid_frames_round_trip(
+        kind in any::<bool>(),
+        sender in any::<u32>(),
+        seq in any::<u32>(),
+        payload in prop::collection::vec(any::<u8>(), 0..=300),
+    ) {
+        let (header, frame) = frame_of(kind, sender, seq, &payload);
+        prop_assert_eq!(frame.len(), HEADER_LEN + payload.len() + TRAILER_LEN);
+        let (got, body) = decode_frame(&frame).expect("a valid frame decodes");
+        prop_assert_eq!(got, header);
+        prop_assert_eq!(body, &payload[..]);
+    }
+
+    #[test]
+    fn decoder_answers_arbitrary_bytes(
+        bytes in prop::collection::vec(any::<u8>(), 0..=80),
+    ) {
+        decode_is_total(&bytes)?;
+    }
+
+    #[test]
+    fn decoder_answers_damaged_frames(
+        sender in any::<u32>(),
+        seq in any::<u32>(),
+        payload in prop::collection::vec(any::<u8>(), 0..=40),
+        cut in any::<usize>(),
+        at in any::<usize>(),
+        byte in any::<u8>(),
+    ) {
+        let (_, frame) = frame_of(false, sender, seq, &payload);
+        // Truncated, overwritten and extended frames all pass through the
+        // header checks before the checksum, so they reach every branch.
+        decode_is_total(&frame[..cut % (frame.len() + 1)])?;
+        let mut overwritten = frame.clone();
+        let i = at % overwritten.len();
+        overwritten[i] = byte;
+        decode_is_total(&overwritten)?;
+        let mut extended = frame.clone();
+        extended.push(byte);
+        decode_is_total(&extended)?;
+        prop_assert!(decode_frame(&extended).is_err(), "a trailing byte was accepted");
+    }
+
+    #[test]
+    fn every_single_bit_flip_of_a_valid_frame_is_rejected(
+        kind in any::<bool>(),
+        sender in any::<u32>(),
+        seq in any::<u32>(),
+        payload in prop::collection::vec(any::<u8>(), 0..=40),
+    ) {
+        let (_, frame) = frame_of(kind, sender, seq, &payload);
+        let mut damaged = frame.clone();
+        for bit in 0..frame.len() * 8 {
+            damaged[bit / 8] ^= 1 << (bit % 8);
+            decode_is_total(&damaged)?;
+            prop_assert!(decode_frame(&damaged).is_err(), "flip of bit {} accepted", bit);
+            damaged[bit / 8] ^= 1 << (bit % 8);
+        }
     }
 }
