@@ -1,7 +1,7 @@
 //! Emits exhaustive-checker throughput measurements as JSON on stdout,
-//! and differentially asserts that the sequential, parallel, and
-//! reduced engines return identical verdicts on every measured instance
-//! (the tier-2 gate runs this as its verify smoke).
+//! and differentially asserts that the one-worker, N-worker and reduced
+//! checkers return identical verdicts on every measured instance (the
+//! tier-2 gate runs this as its verify smoke).
 //!
 //! Used to produce `BENCH_verify_throughput.json`:
 //!
@@ -24,16 +24,16 @@
 //!   have to seed, for the states-explored-vs-full-space ratio.
 //!
 //! Each row also measures `Reduction::Full` (connected-selection
-//! partial-order reduction + symmetry quotient) on the sequential
-//! engine: `reduced_states_explored`, `reduced_states_per_sec`, and
+//! partial-order reduction + symmetry quotient) on one worker:
+//! `reduced_states_explored`, `reduced_states_per_sec`, and
 //! `states_ratio` (full / reduced; 1.0 where the instance is rigid and
 //! the quotient is trivial).
 //!
 //! The embedded `baseline_states_per_sec` figures are the pre-rewrite
-//! sequential checker (commit 2ca1ba9: monolithic `HashSet`, no guard
-//! memo, per-transition `enabled_into`) measured in the same container,
-//! so `seq_vs_baseline` tracks what the allocation-lean sequential path
-//! alone bought; rows added later carry `null`.
+//! single-threaded checker (commit 2ca1ba9: monolithic `HashSet`, no
+//! guard memo, per-transition `enabled_into`), so `par1_vs_baseline`
+//! tracks what the allocation-lean search alone bought on one core;
+//! rows added later carry `null`.
 
 use pif_core::PifProtocol;
 use pif_graph::{generators, Graph, ProcId};
@@ -42,8 +42,8 @@ use pif_verify::{Checker, Reduction, StateSpace};
 /// Minimum wall-clock spent per measurement after the cold run.
 const MIN_SECS: f64 = 0.3;
 
-/// Pre-rewrite sequential throughput (states/sec), measured at commit
-/// 2ca1ba9 in this container: (instance, check, states_per_sec).
+/// Pre-rewrite single-threaded throughput (states/sec), measured at
+/// commit 2ca1ba9: (instance, check, states_per_sec).
 const BASELINE: &[(&str, &str, f64)] = &[
     ("chain2", "correction_bound", 1_446_631.0),
     ("chain2", "snap_safety", 2_944_196.0),
@@ -162,26 +162,24 @@ fn main() {
     println!("  \"unit\": \"states_per_sec\",");
     println!("  \"protocol\": \"PifProtocol (arbitrary-network snap PIF)\",");
     println!(
-        "  \"method\": \"cargo run --release --bin exp_verify_throughput; per engine: fresh StateSpace, one cold run (builds the shared guard memo), then repeated runs for >= {MIN_SECS}s; rate = states_explored / steady-state run time. sequential = Checker::sequential (FIFO reference engine), par1/parN = frontier-parallel engine with 1 and N workers over the sharded visited table, reduced = sequential engine under Reduction::Full (connected-selection POR + symmetry quotient). snap_wave rows search the slice reachable from the clean starting configuration instead of seeding every configuration; full_space_configs is what the product search would seed. baseline = pre-rewrite sequential checker at commit 2ca1ba9, same container (null where that commit could not run the instance). Verdicts are asserted identical across engines and reductions before rates are published.\","
+        "  \"method\": \"cargo run --release --bin exp_verify_throughput; per engine: fresh StateSpace, one cold run (builds the shared guard memo), then repeated runs for >= {MIN_SECS}s; rate = states_explored / steady-state run time. par1/parN = the frontier BFS driver with 1 and N workers over the sharded visited table (one worker runs inline, no spawns), reduced = one worker under Reduction::Full (connected-selection POR + symmetry quotient). snap_wave rows search the slice reachable from the clean starting configuration instead of seeding every configuration; full_space_configs is what the product search would seed. baseline = pre-rewrite single-threaded checker at commit 2ca1ba9 (null where that commit could not run the instance). Verdicts are asserted identical across worker counts and reductions before rates are published.\","
     );
     println!("  \"workers\": {workers},");
     println!("  \"host_parallelism\": {},", pif_par::host_parallelism());
     println!("  \"results\": [");
     let mut first = true;
     for (name, graph, root, check) in &rows {
-        let (seq_sum, seq_rate) = measure(graph, *root, Checker::sequential(), check);
         let (par1_sum, par1_rate) = measure(graph, *root, Checker::with_workers(1), check);
         let (parn_sum, parn_rate) = measure(graph, *root, Checker::with_workers(workers), check);
-        let reduced = Checker::sequential().with_reduction(Reduction::Full);
+        let reduced = Checker::with_workers(1).with_reduction(Reduction::Full);
         let (red_sum, red_rate) = measure(graph, *root, reduced, check);
-        assert_eq!(seq_sum, par1_sum, "parallel(1) diverged from sequential on {name}/{check}");
-        assert_eq!(seq_sum, parn_sum, "parallel({workers}) diverged from sequential on {name}/{check}");
+        assert_eq!(par1_sum, parn_sum, "{workers} workers diverged from one on {name}/{check}");
         assert_eq!(
-            (seq_sum.violation_count, seq_sum.verified, &seq_sum.violations),
+            (par1_sum.violation_count, par1_sum.verified, &par1_sum.violations),
             (red_sum.violation_count, red_sum.verified, &red_sum.violations),
             "reduced engine verdict diverged on {name}/{check}"
         );
-        assert!(seq_sum.verified, "{name}/{check} must verify");
+        assert!(par1_sum.verified, "{name}/{check} must verify");
         let config_count = {
             let protocol = PifProtocol::new(*root, graph);
             StateSpace::new(graph.clone(), protocol).config_count()
@@ -195,25 +193,25 @@ fn main() {
         }
         first = false;
         print!(
-            "    {{\"instance\": \"{name}\", \"check\": \"{check}\", \"states_explored\": {}, \"verified\": {}, \"full_space_configs\": {config_count}, \"sequential_states_per_sec\": {seq_rate:.0}, \"par1_states_per_sec\": {par1_rate:.0}, \"parN_states_per_sec\": {parn_rate:.0}, \"reduced_states_explored\": {}, \"reduced_states_per_sec\": {red_rate:.0}, \"states_ratio\": {:.3}, \"baseline_states_per_sec\": {}, \"seq_vs_baseline\": {}, \"parN_vs_seq\": {:.2}}}",
-            seq_sum.states_explored,
-            seq_sum.verified,
+            "    {{\"instance\": \"{name}\", \"check\": \"{check}\", \"states_explored\": {}, \"verified\": {}, \"full_space_configs\": {config_count}, \"par1_states_per_sec\": {par1_rate:.0}, \"parN_states_per_sec\": {parn_rate:.0}, \"reduced_states_explored\": {}, \"reduced_states_per_sec\": {red_rate:.0}, \"states_ratio\": {:.3}, \"baseline_states_per_sec\": {}, \"par1_vs_baseline\": {}, \"parN_vs_par1\": {:.2}}}",
+            par1_sum.states_explored,
+            par1_sum.verified,
             red_sum.states_explored,
-            seq_sum.states_explored as f64 / red_sum.states_explored as f64,
+            par1_sum.states_explored as f64 / red_sum.states_explored as f64,
             json_or_null(baseline),
             baseline.map_or_else(
                 || "null".to_string(),
-                |b| format!("{:.2}", seq_rate / b)
+                |b| format!("{:.2}", par1_rate / b)
             ),
-            parn_rate / seq_rate,
+            parn_rate / par1_rate,
         );
         eprintln!(
-            "{name:>10} {check:<17} states {:>9}  seq {:>9.0}/s  par{workers} {:>9.0}/s  reduced {:>9} (x{:.2})",
-            seq_sum.states_explored,
-            seq_rate,
+            "{name:>10} {check:<17} states {:>9}  par1 {:>9.0}/s  par{workers} {:>9.0}/s  reduced {:>9} (x{:.2})",
+            par1_sum.states_explored,
+            par1_rate,
             parn_rate,
             red_sum.states_explored,
-            seq_sum.states_explored as f64 / red_sum.states_explored as f64,
+            par1_sum.states_explored as f64 / red_sum.states_explored as f64,
         );
     }
     println!();

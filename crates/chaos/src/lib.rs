@@ -89,3 +89,9 @@ impl From<pif_serve::ServeError> for ChaosError {
         ChaosError::Serve(e)
     }
 }
+
+impl From<pif_daemon::json::EnvelopeError> for ChaosError {
+    fn from(e: pif_daemon::json::EnvelopeError) -> Self {
+        ChaosError::Report(e.to_string())
+    }
+}

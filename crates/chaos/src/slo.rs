@@ -43,6 +43,9 @@ use crate::ChaosError;
 /// Version stamp of the `chaos_slo` report format.
 pub const CHAOS_REPORT_VERSION: u64 = 1;
 
+/// The `benchmark` name of the chaos envelope.
+const BENCHMARK: &str = "chaos_slo";
+
 /// Seeded churn parameters of a campaign (regenerates the identical
 /// [`ChurnPlan`] on replay).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -633,47 +636,18 @@ pub fn run_campaign(cfg: &CampaignConfig) -> Result<ChaosCell, ChaosError> {
 /// Wraps campaign cells in the versioned `chaos_slo` benchmark envelope
 /// (`BENCH_chaos_slo.json` format).
 pub fn envelope(seed: u64, cells: &[ChaosCell]) -> String {
-    let mut out = String::new();
-    out.push_str("{\n  \"benchmark\": \"chaos_slo\",\n");
-    let _ = write!(out, "  \"version\": {CHAOS_REPORT_VERSION},\n  \"seed\": {seed},\n");
-    out.push_str("  \"results\": [\n");
-    for (i, c) in cells.iter().enumerate() {
-        out.push_str("    ");
-        out.push_str(&c.to_json());
-        out.push_str(if i + 1 < cells.len() { ",\n" } else { "\n" });
-    }
-    out.push_str("  ]\n}\n");
-    out
+    let rows = cells.iter().map(ChaosCell::to_json);
+    json::write_envelope(BENCHMARK, CHAOS_REPORT_VERSION, seed, rows)
 }
 
 /// Parses a `chaos_slo` benchmark envelope back into its cells.
 ///
 /// # Errors
 ///
-/// [`ChaosError::Report`] on syntax errors, a wrong benchmark name, or an
-/// unsupported version.
+/// [`ChaosError::Report`] on syntax errors, a wrong benchmark name, an
+/// unsupported version, or a malformed cell.
 pub fn parse_envelope(text: &str) -> Result<(u64, Vec<ChaosCell>), ChaosError> {
-    let v = json::parse(text).map_err(|e| ChaosError::Report(e.to_string()))?;
-    match v.get("benchmark").and_then(Json::as_str) {
-        Some("chaos_slo") => {}
-        other => return Err(ChaosError::Report(format!("unexpected benchmark name {other:?}"))),
-    }
-    match v.get("version").and_then(Json::as_u64) {
-        Some(CHAOS_REPORT_VERSION) => {}
-        other => return Err(ChaosError::Report(format!("unsupported version {other:?}"))),
-    }
-    let seed = v
-        .get("seed")
-        .and_then(Json::as_u64)
-        .ok_or_else(|| ChaosError::Report("missing envelope seed".into()))?;
-    let cells = v
-        .get("results")
-        .and_then(Json::as_array)
-        .ok_or_else(|| ChaosError::Report("missing results array".into()))?
-        .iter()
-        .map(ChaosCell::from_json)
-        .collect::<Result<Vec<_>, _>>()?;
-    Ok((seed, cells))
+    json::read_envelope(text, BENCHMARK, CHAOS_REPORT_VERSION, ChaosCell::from_json)
 }
 
 #[cfg(test)]

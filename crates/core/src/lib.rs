@@ -59,7 +59,6 @@
 pub mod analysis;
 pub mod checker;
 pub mod initial;
-pub mod multi;
 pub mod protocol;
 #[cfg(test)]
 mod protocol_tests;

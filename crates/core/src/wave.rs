@@ -430,20 +430,6 @@ impl<M: Clone + PartialEq + fmt::Debug, A: Aggregate> WaveRunner<M, A> {
         &mut self.overlay
     }
 
-    /// Executes one computation step under `daemon`, keeping the overlay
-    /// in lockstep. Building block for interleaved multi-initiator
-    /// execution ([`crate::multi`]).
-    ///
-    /// # Errors
-    ///
-    /// Propagates daemon-contract violations.
-    pub fn step(
-        &mut self,
-        daemon: &mut dyn pif_daemon::Daemon<PifState>,
-    ) -> Result<pif_daemon::StepReport, SimError> {
-        self.sim.step_observed(daemon, &mut self.overlay)
-    }
-
     /// Runs one full PIF cycle broadcasting `m` with default limits.
     ///
     /// # Errors

@@ -1,15 +1,28 @@
-//! Minimal hand-rolled JSON support for the trace file format and the
-//! analyzer's report output.
+//! Minimal hand-rolled JSON support: the trace file format, the
+//! analyzer's report output and the `BENCH_*.json` envelopes.
 //!
 //! The workspace is hermetic (no network, and the vendored `serde` is a
-//! no-op shim), so the trace subsystem carries its own tiny JSON layer: a
-//! string escaper for writing and a recursive-descent parser producing a
-//! [`Json`] value tree. Numbers keep their source lexeme so 64-bit
-//! integers (daemon seeds) survive without `f64` precision loss.
-//! `pif-analyze` reuses this module for its machine-readable reports, so
-//! it is public.
+//! no-op shim), so it carries its own tiny JSON layer: a string escaper
+//! for writing and a recursive-descent parser producing a [`Json`] value
+//! tree. Numbers keep their source lexeme so 64-bit integers (daemon
+//! seeds) survive without `f64` precision loss. The parser is a byte
+//! boundary — `pif-trace replay`, `pif-serve check` and `pif_chaos check`
+//! feed it whatever file they are given — so it answers any input with
+//! a value or a [`JsonError`]: nesting deeper than [`MAX_DEPTH`] is an
+//! error, not a stack overflow.
+//!
+//! [`write_envelope`] and [`read_envelope`] are the one codec for the
+//! versioned `{benchmark, version, seed, results}` envelope that
+//! `pif-serve` and `pif-chaos` write around their result rows; each
+//! crate keeps only its row (de)serialiser.
 
 use std::fmt;
+use std::fmt::Write as _;
+
+/// Deepest array/object nesting [`parse`] accepts. Traces, BENCH
+/// envelopes and analyzer reports nest fewer than ten levels; the bound
+/// caps the recursive descent's stack use on hostile input.
+pub const MAX_DEPTH: usize = 128;
 
 /// A parsed JSON value.
 #[derive(Clone, Debug, PartialEq)]
@@ -111,14 +124,97 @@ pub fn write_string(s: &str, out: &mut String) {
 }
 
 /// Parses one complete JSON document (trailing whitespace allowed).
+///
+/// # Errors
+///
+/// [`JsonError`] on malformed input, including arrays and objects
+/// nested deeper than [`MAX_DEPTH`].
 pub fn parse(input: &str) -> Result<Json, JsonError> {
     let mut p = Parser { bytes: input.as_bytes(), pos: 0 };
-    let value = p.value()?;
+    let value = p.value(0)?;
     p.skip_ws();
     if p.pos != p.bytes.len() {
         return Err(p.err("trailing characters after JSON value"));
     }
     Ok(value)
+}
+
+/// Why [`read_envelope`] rejected a document.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum EnvelopeError {
+    /// The document is not JSON.
+    Syntax(JsonError),
+    /// `benchmark` is missing or names another benchmark.
+    Benchmark(Option<String>),
+    /// `version` is missing or not the supported one.
+    Version(Option<u64>),
+    /// A required field (`seed` or `results`) is missing or mistyped.
+    Missing(&'static str),
+}
+
+impl fmt::Display for EnvelopeError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            EnvelopeError::Syntax(e) => e.fmt(f),
+            EnvelopeError::Benchmark(found) => write!(f, "unexpected benchmark name {found:?}"),
+            EnvelopeError::Version(found) => write!(f, "unsupported version {found:?}"),
+            EnvelopeError::Missing(field) => write!(f, "missing envelope field {field:?}"),
+        }
+    }
+}
+
+impl std::error::Error for EnvelopeError {}
+
+/// Writes the versioned BENCH envelope: `benchmark`, `version` and
+/// `seed`, then `results` holding one pre-serialised JSON row per line.
+pub fn write_envelope<R: AsRef<str>>(
+    benchmark: &str,
+    version: u64,
+    seed: u64,
+    rows: impl IntoIterator<Item = R>,
+) -> String {
+    let mut out = String::from("{\n  \"benchmark\": ");
+    write_string(benchmark, &mut out);
+    let _ = write!(out, ",\n  \"version\": {version},\n  \"seed\": {seed},\n  \"results\": [");
+    let mut sep = "\n";
+    for row in rows {
+        out.push_str(sep);
+        out.push_str("    ");
+        out.push_str(row.as_ref());
+        sep = ",\n";
+    }
+    out.push_str("\n  ]\n}\n");
+    out
+}
+
+/// Reads an envelope written by [`write_envelope`]: checks the
+/// benchmark name and version, then parses every result row with `row`.
+/// Returns the envelope seed and the rows in document order.
+///
+/// # Errors
+///
+/// An [`EnvelopeError`] (converted into `E`) on malformed JSON, another
+/// benchmark or version, or a missing `seed`/`results`; otherwise the
+/// first error `row` returns.
+pub fn read_envelope<T, E: From<EnvelopeError>>(
+    text: &str,
+    benchmark: &str,
+    version: u64,
+    row: impl FnMut(&Json) -> Result<T, E>,
+) -> Result<(u64, Vec<T>), E> {
+    let doc = parse(text).map_err(EnvelopeError::Syntax)?;
+    let found = doc.get("benchmark").and_then(Json::as_str);
+    if found != Some(benchmark) {
+        return Err(EnvelopeError::Benchmark(found.map(str::to_string)).into());
+    }
+    let found = doc.get("version").and_then(Json::as_u64);
+    if found != Some(version) {
+        return Err(EnvelopeError::Version(found).into());
+    }
+    let seed = doc.get("seed").and_then(Json::as_u64).ok_or(EnvelopeError::Missing("seed"))?;
+    let rows = doc.get("results").and_then(Json::as_array);
+    let rows = rows.ok_or(EnvelopeError::Missing("results"))?;
+    Ok((seed, rows.iter().map(row).collect::<Result<_, _>>()?))
 }
 
 struct Parser<'a> {
@@ -159,11 +255,15 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn value(&mut self) -> Result<Json, JsonError> {
+    /// Parses one value nested inside `depth` arrays/objects.
+    fn value(&mut self, depth: usize) -> Result<Json, JsonError> {
         self.skip_ws();
+        if matches!(self.peek(), Some(b'{' | b'[')) && depth >= MAX_DEPTH {
+            return Err(self.err("nesting deeper than MAX_DEPTH"));
+        }
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.object(depth + 1),
+            Some(b'[') => self.array(depth + 1),
             Some(b'"') => self.string().map(Json::Str),
             Some(b't') => self.eat_keyword("true", Json::Bool(true)),
             Some(b'f') => self.eat_keyword("false", Json::Bool(false)),
@@ -174,7 +274,7 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn object(&mut self) -> Result<Json, JsonError> {
+    fn object(&mut self, depth: usize) -> Result<Json, JsonError> {
         self.expect(b'{', "expected '{'")?;
         let mut pairs = Vec::new();
         self.skip_ws();
@@ -187,7 +287,7 @@ impl<'a> Parser<'a> {
             let key = self.string()?;
             self.skip_ws();
             self.expect(b':', "expected ':' after object key")?;
-            let value = self.value()?;
+            let value = self.value(depth)?;
             pairs.push((key, value));
             self.skip_ws();
             match self.peek() {
@@ -201,7 +301,7 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn array(&mut self) -> Result<Json, JsonError> {
+    fn array(&mut self, depth: usize) -> Result<Json, JsonError> {
         self.expect(b'[', "expected '['")?;
         let mut items = Vec::new();
         self.skip_ws();
@@ -210,7 +310,7 @@ impl<'a> Parser<'a> {
             return Ok(Json::Arr(items));
         }
         loop {
-            items.push(self.value()?);
+            items.push(self.value(depth)?);
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.pos += 1,
@@ -327,6 +427,34 @@ mod tests {
         write_string(original, &mut encoded);
         let j = parse(&encoded).unwrap();
         assert_eq!(j.as_str(), Some(original));
+    }
+
+    #[test]
+    fn nesting_is_bounded_by_max_depth() {
+        let nested = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(parse(&nested(MAX_DEPTH)).is_ok());
+        let err = parse(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!(err.offset, MAX_DEPTH);
+        // Deep enough to overflow the stack of an unbounded descent.
+        assert!(parse(&"[".repeat(100_000)).is_err());
+        assert!(parse(&"{\"k\":".repeat(100_000)).is_err());
+    }
+
+    #[test]
+    fn envelopes_round_trip_and_reject_mismatches() {
+        let text = write_envelope("demo", 3, 7, ["{\"x\": 1}", "{\"x\": 2}"]);
+        let x = |j: &Json| j.get("x").and_then(Json::as_u64).ok_or(EnvelopeError::Missing("x"));
+        assert_eq!(read_envelope(&text, "demo", 3, x), Ok((7, vec![1, 2])));
+        let empty = write_envelope("demo", 3, 7, std::iter::empty::<&str>());
+        assert_eq!(read_envelope(&empty, "demo", 3, x), Ok((7, vec![])));
+        assert_eq!(
+            read_envelope(&text, "other", 3, x),
+            Err(EnvelopeError::Benchmark(Some("demo".into())))
+        );
+        assert_eq!(read_envelope(&text, "demo", 4, x), Err(EnvelopeError::Version(Some(3))));
+        let no_seed = text.replace("\"seed\"", "\"sed\"");
+        assert_eq!(read_envelope(&no_seed, "demo", 3, x), Err(EnvelopeError::Missing("seed")));
+        assert!(matches!(read_envelope("not json", "demo", 3, x), Err(EnvelopeError::Syntax(_))));
     }
 
     #[test]

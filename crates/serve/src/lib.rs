@@ -10,9 +10,10 @@
 //!
 //! * [`WaveService`] accepts a stream of broadcast requests (payload +
 //!   initiator + aggregate kind) and multiplexes them over per-initiator
-//!   PIF instances — one register set per initiator, as in
-//!   [`pif_core::multi::MultiInitiator`], each instance carrying a
-//!   [`pif_core::wave::WaveOverlay`];
+//!   PIF instances — one register set per initiator, as the paper
+//!   prescribes for concurrent initiators, each instance carrying a
+//!   [`pif_core::wave::WaveOverlay`]; a shard interleaves its lanes one
+//!   seeded step at a time;
 //! * back-to-back cycles are **pipelined through the cleaning phase**: the
 //!   next request is armed the moment the root's `F-action` closes the
 //!   previous cycle, so the root re-broadcasts as soon as its *own*
@@ -64,6 +65,7 @@
 
 use std::fmt;
 
+use pif_daemon::json::EnvelopeError;
 use pif_daemon::SimError;
 use pif_graph::{GraphError, ProcId};
 use pif_net::NetError;
@@ -171,5 +173,11 @@ impl From<SimError> for ServeError {
 impl From<NetError> for ServeError {
     fn from(e: NetError) -> Self {
         ServeError::Net(e)
+    }
+}
+
+impl From<EnvelopeError> for ServeError {
+    fn from(e: EnvelopeError) -> Self {
+        ServeError::Report(e.to_string())
     }
 }

@@ -21,6 +21,9 @@ use crate::{ServeError, WaveService};
 /// Report format version (bump on breaking field changes).
 pub const REPORT_VERSION: u64 = 1;
 
+/// The `benchmark` name of the service envelope.
+const BENCHMARK: &str = "service_throughput";
+
 /// A sparse power-of-two histogram: `(bucket, count)` pairs where bucket
 /// `b` counts values `v` with `2^(b-1) < v <= 2^b` (bucket 0 counts
 /// `v <= 1`), ascending by bucket, zero buckets omitted.
@@ -378,49 +381,18 @@ impl ServiceReport {
 /// Wraps per-configuration reports in the versioned benchmark envelope
 /// (`BENCH_service_throughput.json` format).
 pub fn envelope(seed: u64, results: &[ServiceReport]) -> String {
-    let mut out = String::new();
-    out.push_str("{\n  \"benchmark\": \"service_throughput\",\n");
-    let _ = write!(out, "  \"version\": {REPORT_VERSION},\n  \"seed\": {seed},\n");
-    out.push_str("  \"results\": [\n");
-    for (i, r) in results.iter().enumerate() {
-        out.push_str("    ");
-        out.push_str(&r.to_json());
-        out.push_str(if i + 1 < results.len() { ",\n" } else { "\n" });
-    }
-    out.push_str("  ]\n}\n");
-    out
+    let rows = results.iter().map(ServiceReport::to_json);
+    json::write_envelope(BENCHMARK, REPORT_VERSION, seed, rows)
 }
 
 /// Parses a benchmark envelope back into its reports.
 ///
 /// # Errors
 ///
-/// [`ServeError::Report`] on syntax errors, a wrong benchmark name, or an
-/// unsupported version.
+/// [`ServeError::Report`] on syntax errors, a wrong benchmark name, an
+/// unsupported version, or a malformed report.
 pub fn parse_envelope(text: &str) -> Result<(u64, Vec<ServiceReport>), ServeError> {
-    let v = json::parse(text).map_err(|e| ServeError::Report(e.to_string()))?;
-    match v.get("benchmark").and_then(Json::as_str) {
-        Some("service_throughput") => {}
-        other => {
-            return Err(ServeError::Report(format!("unexpected benchmark name {other:?}")));
-        }
-    }
-    match v.get("version").and_then(Json::as_u64) {
-        Some(REPORT_VERSION) => {}
-        other => return Err(ServeError::Report(format!("unsupported version {other:?}"))),
-    }
-    let seed = v
-        .get("seed")
-        .and_then(Json::as_u64)
-        .ok_or_else(|| ServeError::Report("missing envelope seed".into()))?;
-    let results = v
-        .get("results")
-        .and_then(Json::as_array)
-        .ok_or_else(|| ServeError::Report("missing results array".into()))?
-        .iter()
-        .map(ServiceReport::from_json)
-        .collect::<Result<Vec<_>, _>>()?;
-    Ok((seed, results))
+    json::read_envelope(text, BENCHMARK, REPORT_VERSION, ServiceReport::from_json)
 }
 
 #[cfg(test)]

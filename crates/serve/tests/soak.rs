@@ -408,3 +408,56 @@ fn distributed_daemon_serves_correctly() {
     assert_eq!(summary.completed_ok, 40);
     assert!(summary.is_clean());
 }
+
+/// The paper's concurrent-initiator setting at its extreme: every
+/// processor of a ring initiates at once, one lane each on one shard,
+/// and every wave satisfies the PIF specification on its own.
+#[test]
+fn every_processor_as_a_concurrent_initiator() {
+    let initiators: Vec<ProcId> = (0..6).map(ProcId).collect();
+    let config = ServeConfig::new(Topology::Ring { n: 6 })
+        .initiators(initiators.clone())
+        .daemon(ServeDaemon::CentralRandom)
+        .seed(11);
+    let mut svc = WaveService::new(config).unwrap();
+    for &r in &initiators {
+        svc.submit(Request::new(r, u64::from(r.0), AggregateKind::Ack)).unwrap();
+    }
+    svc.run().unwrap();
+    let summary = svc.ledger().summary();
+    assert_eq!(summary.completed_ok, 6);
+    assert!(summary.is_clean());
+}
+
+/// Lanes own their register sets and daemons, so a lane's trajectory is
+/// the same whether it runs alone or interleaved with other lanes on its
+/// shard: interleaving must not leak across initiators.
+#[test]
+fn lanes_are_isolated_from_each_other() {
+    let initiators = [ProcId(0), ProcId(5), ProcId(11)];
+    let serve = |lanes: &[ProcId]| {
+        let config = ServeConfig::new(Topology::Grid { w: 4, h: 3 })
+            .initiators(lanes.to_vec())
+            .daemon(ServeDaemon::CentralRandom)
+            .seed(9);
+        let mut svc = WaveService::new(config).unwrap();
+        for &r in lanes {
+            for i in 0..3 {
+                svc.submit(Request::new(r, i, AggregateKind::Sum)).unwrap();
+            }
+        }
+        svc.run().unwrap();
+        let trajectory = |rec: &RequestRecord| {
+            let outcome = format!("{:?}", rec.outcome);
+            (rec.initiator, outcome, rec.cycle_steps, rec.cycle_rounds, rec.turnaround_steps)
+        };
+        svc.ledger().records().map(|rec| trajectory(&rec)).collect::<Vec<_>>()
+    };
+    let concurrent = serve(&initiators);
+    assert_eq!(concurrent.len(), 9);
+    for r in initiators {
+        let alone = serve(&[r]);
+        let mixed: Vec<_> = concurrent.iter().filter(|t| t.0 == r).cloned().collect();
+        assert_eq!(mixed, alone, "initiator {r}: interleaving must not leak across lanes");
+    }
+}

@@ -12,7 +12,7 @@
 //! the protocol structure allows (a clean non-root processor can only
 //! enable the B-action, and its guard is plane arithmetic).
 //!
-//! Three entry points, by generality:
+//! Two entry points, by generality:
 //!
 //! * [`SoaSimulator`] — drop-in peer of the generic simulator: same
 //!   daemon/observer/round/validation contract, observably identical
@@ -20,8 +20,6 @@
 //!   daemon-free synchronous fast path [`SoaSimulator::step_sync`].
 //! * [`EngineSim`] — enum dispatch over both backends behind one API,
 //!   selected by [`Engine`]`::{Aos, Soa}`.
-//! * [`step_batch`] — advances many independent wave simulators (service
-//!   shards, benchmark replicas) in one pass over `pif-par` workers.
 //!
 //! # Topology changes (the churn contract)
 //!
@@ -52,13 +50,11 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod batch;
 pub mod config;
 pub mod engine;
 pub mod kernel;
 pub mod sim;
 
-pub use batch::{step_batch, step_batch_into, step_batch_workers, BatchStats};
 pub use config::SoaConfig;
 pub use engine::{Engine, EngineBuilder, EngineSim};
 pub use kernel::GuardKernel;

@@ -9,9 +9,9 @@
 //! as a full product search, chain(4) scans only). `--tier2` adds the
 //! large exhaustive instances gated in CI: chain(4) + ring(4)
 //! correction-bound and chain(4) snap-safety product searches.
-//! `--workers N` overrides the engine (N = 0 selects the sequential
-//! reference engine), `--reduction none|por|symmetry|full` selects the
-//! state-space reduction.
+//! `--workers N` pins the worker count (0 is clamped to 1; one worker
+//! runs the search inline on the main thread), `--reduction
+//! none|por|symmetry|full` selects the state-space reduction.
 //!
 //! Two further modes for the tier-2 gate:
 //!
@@ -268,11 +268,7 @@ fn main() {
                     .next()
                     .and_then(|v| v.parse().ok())
                     .expect("--workers requires a number");
-                opts.checker = if w == 0 {
-                    Checker::sequential().with_reduction(opts.checker.reduction())
-                } else {
-                    Checker::with_workers(w).with_reduction(opts.checker.reduction())
-                };
+                opts.checker = Checker::with_workers(w).with_reduction(opts.checker.reduction());
             }
             "--reduction" => {
                 let red = match args.next().as_deref() {
@@ -298,8 +294,7 @@ fn main() {
         return;
     }
     println!(
-        "exhaustive snap-stabilization verification (every configuration, every daemon choice; {} engine, {} worker(s))\n",
-        if opts.checker == Checker::sequential() { "sequential" } else { "parallel" },
+        "exhaustive snap-stabilization verification (every configuration, every daemon choice; {} worker(s))\n",
         opts.checker.workers(),
     );
     for (name, g, root) in tier1_instances() {

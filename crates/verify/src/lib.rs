@@ -25,18 +25,19 @@
 //! *finds* the violation, which doubles as a sensitivity check of the
 //! checker itself.
 //!
-//! # Execution engines
+//! # Execution engine
 //!
-//! Every check runs under a [`Checker`]: [`Checker::sequential`] is the
-//! classic single-threaded FIFO search, [`Checker::with_workers`] the
-//! frontier-level parallel engine (scoped worker threads — see the
-//! [`frontier`] module and `DESIGN.md` §11); both deduplicate through
-//! the sharded [`visited`] table. The engines share the same expansion
-//! core and produce **bit-identical reports** — same `states_explored`,
-//! same verdicts, same retained violation examples — because the
-//! visited-set closure of a breadth-first search is independent of
-//! expansion order and violations are canonically sorted. The
-//! convenience methods on [`StateSpace`] delegate to [`Checker::auto`].
+//! Every check runs under a [`Checker`], which drives one search: the
+//! level-synchronous frontier BFS of the [`frontier`] module
+//! (`DESIGN.md` §11), deduplicating through the sharded [`visited`]
+//! table. [`Checker::with_workers`] picks the worker count; one worker
+//! runs the same driver inline on the calling thread, with no spawns.
+//! Reports are **bit-identical across worker counts** — same
+//! `states_explored`, same verdicts, same retained violation examples —
+//! because the visited-set closure of a breadth-first search is
+//! independent of expansion order and violations are canonically
+//! sorted. The convenience methods on [`StateSpace`] delegate to
+//! [`Checker::auto`].
 //!
 //! # Reductions
 //!
@@ -88,7 +89,7 @@ mod por;
 mod symmetry;
 pub mod visited;
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::sync::OnceLock;
 
 use memo::EnabledMemo;
@@ -653,69 +654,33 @@ pub fn por_premise_radius<P: Protocol>(protocol: &P) -> usize {
     }
 }
 
-/// Which execution engine a [`Checker`] uses.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum Mode {
-    /// Single-threaded FIFO search over a `std` `HashSet` — the
-    /// reference engine the parallel one is differentially tested
-    /// against.
-    Sequential,
-    /// Frontier-level parallel search over a sharded visited table with
-    /// this many workers.
-    Parallel(usize),
-}
-
-/// An execution engine for the exhaustive checks.
+/// An execution engine for the exhaustive checks: the frontier-level
+/// BFS driver (see `DESIGN.md` §11) with a worker count, a
+/// [`Reduction`] and an optional visited-table spill budget.
 ///
-/// Both engines share the same expansion core, guard memo and violation
-/// canonicalization, and produce bit-identical reports; they differ in
-/// how the search itself is driven (see `DESIGN.md` §11):
-///
-/// * [`Checker::sequential`] — classic FIFO breadth-first loop, one
-///   thread, monolithic `HashSet` visited set;
-/// * [`Checker::with_workers`] / [`Checker::parallel`] — level-
-///   synchronous frontier BFS: workers claim frontier blocks through an
-///   atomic index and deduplicate through the sharded
-///   [`visited::VisitedSet`].
+/// Workers claim frontier blocks through an atomic index and
+/// deduplicate through the sharded [`visited::VisitedSet`]; with one
+/// worker the search runs inline on the calling thread. Every worker
+/// count returns the same report.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Checker {
-    mode: Mode,
+    workers: usize,
     reduction: Reduction,
     /// Live-table byte budget for the visited set's spill tier.
     spill_budget: Option<usize>,
 }
 
 impl Checker {
-    /// The single-threaded reference engine.
-    pub fn sequential() -> Self {
-        Checker { mode: Mode::Sequential, reduction: Reduction::None, spill_budget: None }
-    }
-
-    /// The parallel engine with one worker per available core
-    /// (respecting the `PIF_WORKERS` override).
-    pub fn parallel() -> Self {
-        Self::with_workers(pif_par::available_workers())
-    }
-
-    /// The parallel engine with an explicit worker count (clamped to at
-    /// least 1). `with_workers(1)` exercises the full parallel machinery
-    /// on a single thread, which is useful for measuring its overhead.
+    /// The engine with an explicit worker count (clamped to at least 1).
     pub fn with_workers(workers: usize) -> Self {
-        Checker {
-            mode: Mode::Parallel(workers.max(1)),
-            reduction: Reduction::None,
-            spill_budget: None,
-        }
+        Checker { workers: workers.max(1), reduction: Reduction::None, spill_budget: None }
     }
 
-    /// The default engine: parallel when more than one core is
-    /// available (as reported by `pif_par::available_workers`, which
-    /// honors the `PIF_WORKERS` override), sequential otherwise.
+    /// The default engine: one worker per available core, as reported by
+    /// `pif_par::available_workers` (which honors the `PIF_WORKERS`
+    /// override).
     pub fn auto() -> Self {
-        match pif_par::available_workers() {
-            0 | 1 => Self::sequential(),
-            w => Self::with_workers(w),
-        }
+        Self::with_workers(pif_par::available_workers())
     }
 
     /// The same engine with a [`Reduction`] layered over it.
@@ -738,10 +703,7 @@ impl Checker {
 
     /// Number of worker threads this checker runs with.
     pub fn workers(&self) -> usize {
-        match self.mode {
-            Mode::Sequential => 1,
-            Mode::Parallel(w) => w,
-        }
+        self.workers
     }
 
     /// Builds the shared search context for `space` under this checker's
@@ -751,7 +713,7 @@ impl Checker {
     fn ctx<'a>(&self, space: &'a StateSpace, memoized: bool) -> SearchCtx<'a> {
         SearchCtx {
             space,
-            memo: if memoized { space.memo(self.workers()) } else { None },
+            memo: if memoized { space.memo(self.workers) } else { None },
             por: self
                 .reduction
                 .por()
@@ -771,7 +733,7 @@ impl Checker {
     {
         let n = space.graph.len();
         frontier::find_min_violation(
-            self.workers(),
+            self.workers,
             space.total,
             || Vec::with_capacity(n),
             |states, id| {
@@ -788,7 +750,7 @@ impl Checker {
     pub fn check_no_deadlock(&self, space: &StateSpace) -> Option<Vec<PifState>> {
         let n = space.graph.len();
         frontier::find_min_violation(
-            self.workers(),
+            self.workers,
             space.total,
             // Per-worker scratch: decoded states plus one reused
             // enabled-actions buffer (hoisted out of the per-
@@ -824,10 +786,7 @@ impl Checker {
     pub fn check_correction_bound(&self, space: &StateSpace, bound: u32) -> CorrectionBoundReport {
         assert!(bound < 128, "round bound must fit the packed encoding");
         let ctx = self.ctx(space, true);
-        let (seen_count, scratches) = match self.mode {
-            Mode::Sequential => ctx.correction_sequential(bound),
-            Mode::Parallel(w) => ctx.correction_parallel(bound, w),
-        };
+        let (seen_count, scratches) = ctx.correction(bound, self.workers);
         let violation_count: u64 = scratches.iter().map(|s| s.violation_count).sum();
         if violation_count != 0 && self.reduction != Reduction::None {
             // Two-phase contract (see `Reduction`): the reduced pass
@@ -847,10 +806,7 @@ impl Checker {
     /// every daemon choice. See the crate docs.
     pub fn check_snap_safety(&self, space: &StateSpace, track_acks: bool) -> SnapSafetyReport {
         let ctx = self.ctx(space, true);
-        let (seen_count, scratches) = match self.mode {
-            Mode::Sequential => ctx.snap_sequential(track_acks),
-            Mode::Parallel(w) => ctx.snap_parallel(track_acks, w),
-        };
+        let (seen_count, scratches) = ctx.snap(track_acks, self.workers);
         self.snap_report(space, track_acks, seen_count, scratches, false)
     }
 
@@ -863,7 +819,7 @@ impl Checker {
     /// not. See the crate docs.
     pub fn check_snap_wave(&self, space: &StateSpace, track_acks: bool) -> SnapSafetyReport {
         let ctx = self.ctx(space, false);
-        let (seen_count, scratches) = ctx.snap_wave(track_acks, self.workers());
+        let (seen_count, scratches) = ctx.snap_wave(track_acks, self.workers);
         self.snap_report(space, track_acks, seen_count, scratches, true)
     }
 
@@ -1233,29 +1189,9 @@ impl SearchCtx<'_> {
         }
     }
 
-    fn correction_sequential(&self, bound: u32) -> (u64, Vec<Scratch>) {
-        let n = self.space.graph.len();
-        let mut sc = Scratch::new(n);
-        let seen = VisitedSet::with_config(self.visited_config(CORR_OVERLAY_BITS, self.space.total));
-        let mut queue: VecDeque<CorrItem> = VecDeque::new();
-        for cfg in 0..self.space.total {
-            if let Some((key, item)) = self.correction_seed(&mut sc, cfg) {
-                if seen.insert(key) {
-                    queue.push_back(item);
-                }
-            }
-        }
-        while let Some(item) = queue.pop_front() {
-            self.expand_correction(&mut sc, item, bound, |key, succ| {
-                if seen.insert(key) {
-                    queue.push_back(succ);
-                }
-            });
-        }
-        (seen.len() as u64, vec![sc])
-    }
-
-    fn correction_parallel(&self, bound: u32, workers: usize) -> (u64, Vec<Scratch>) {
+    /// Correction-bound search: seeds every abnormal configuration, then
+    /// runs the frontier BFS with `workers` scratches.
+    fn correction(&self, bound: u32, workers: usize) -> (u64, Vec<Scratch>) {
         let n = self.space.graph.len();
         let mut scratches: Vec<Scratch> = (0..workers).map(|_| Scratch::new(n)).collect();
         let seen = VisitedSet::with_config(self.visited_config(CORR_OVERLAY_BITS, self.space.total));
@@ -1431,32 +1367,9 @@ impl SearchCtx<'_> {
         }
     }
 
-    fn snap_sequential(&self, track_acks: bool) -> (u64, Vec<Scratch>) {
-        let n = self.space.graph.len();
-        let mut sc = Scratch::new(n);
-        let seen = VisitedSet::with_config(
-            self.visited_config(SNAP_OVERLAY_BITS, self.space.total.saturating_mul(2)),
-        );
-        let mut queue: VecDeque<SnapItem> = VecDeque::new();
-        // Every configuration is a legitimate starting point, with an
-        // empty overlay (no wave opened yet).
-        for cfg in 0..self.space.total {
-            let (key, item) = self.snap_seed(&mut sc, cfg);
-            if seen.insert(key) {
-                queue.push_back(item);
-            }
-        }
-        while let Some(item) = queue.pop_front() {
-            self.expand_snap(&mut sc, item, track_acks, |key, succ| {
-                if seen.insert(key) {
-                    queue.push_back(succ);
-                }
-            });
-        }
-        (seen.len() as u64, vec![sc])
-    }
-
-    fn snap_parallel(&self, track_acks: bool, workers: usize) -> (u64, Vec<Scratch>) {
+    /// Snap-safety product search: every configuration is a legitimate
+    /// starting point with an empty overlay (no wave opened yet).
+    fn snap(&self, track_acks: bool, workers: usize) -> (u64, Vec<Scratch>) {
         let n = self.space.graph.len();
         let mut scratches: Vec<Scratch> = (0..workers).map(|_| Scratch::new(n)).collect();
         let seen = VisitedSet::with_config(
@@ -1485,7 +1398,6 @@ impl SearchCtx<'_> {
     /// product space, which is what lets n = 5 instances complete.
     fn snap_wave(&self, track_acks: bool, workers: usize) -> (u64, Vec<Scratch>) {
         let n = self.space.graph.len();
-        let workers = workers.max(1);
         let mut scratches: Vec<Scratch> = (0..workers).map(|_| Scratch::new(n)).collect();
         // The reachable slice is tiny relative to `total`; start small
         // and let the table grow (or spill) as needed.
@@ -1595,10 +1507,10 @@ mod tests {
     #[test]
     fn universal_scan_returns_the_smallest_witness() {
         // A predicate failing on known ids must report the smallest one,
-        // for every engine.
+        // for every worker count.
         let s = space(3);
         let bad = s.decode(12345);
-        for checker in [Checker::sequential(), Checker::with_workers(4)] {
+        for checker in [Checker::with_workers(1), Checker::with_workers(4)] {
             let witness = checker.check_universal(&s, |_, _, states| {
                 s.encode(states) < 12345 || s.encode(states) > 20000
             });
@@ -1653,7 +1565,7 @@ mod tests {
         // must stay capped while the true count keeps counting, and the
         // sample must be canonically sorted by configuration id.
         let s = space(2);
-        for checker in [Checker::sequential(), Checker::with_workers(3)] {
+        for checker in [Checker::with_workers(1), Checker::with_workers(3)] {
             let report = checker.check_correction_bound(&s, 0);
             assert!(
                 report.violation_count > CorrectionBoundReport::MAX_RETAINED_VIOLATIONS as u64,
@@ -1689,7 +1601,7 @@ mod tests {
     fn reductions_preserve_verdicts_chain2() {
         let s = space(2);
         for red in Reduction::ALL {
-            let c = Checker::sequential().with_reduction(red);
+            let c = Checker::with_workers(1).with_reduction(red);
             assert!(c.check_correction_bound(&s, 6).verified(), "{red}");
             assert!(c.check_snap_safety(&s, true).verified(), "{red}");
         }
@@ -1703,8 +1615,8 @@ mod tests {
         let g = generators::chain(3).unwrap();
         let p = PifProtocol::new(ProcId(1), &g);
         let s = StateSpace::new(g, p);
-        let full = Checker::sequential().check_snap_safety(&s, false);
-        let sym = Checker::sequential()
+        let full = Checker::with_workers(1).check_snap_safety(&s, false);
+        let sym = Checker::with_workers(1)
             .with_reduction(Reduction::Symmetry)
             .check_snap_safety(&s, false);
         assert!(full.verified() && sym.verified());
@@ -1721,8 +1633,8 @@ mod tests {
         // chain(3): the {0, 2} daemon selections are disconnected, so the
         // POR engine must take strictly fewer transitions.
         let s = space(3);
-        let full = Checker::sequential().check_snap_wave(&s, true);
-        let por = Checker::sequential()
+        let full = Checker::with_workers(1).check_snap_wave(&s, true);
+        let por = Checker::with_workers(1)
             .with_reduction(Reduction::Por)
             .check_snap_wave(&s, true);
         assert!(full.verified() && por.verified());
@@ -1768,8 +1680,8 @@ mod tests {
         // A spill budget small enough to force frozen runs must not
         // change a single reported number.
         let s = space(3);
-        let plain = Checker::sequential().check_snap_wave(&s, true);
-        let spilled = Checker::sequential().with_spill_budget(1 << 14).check_snap_wave(&s, true);
+        let plain = Checker::with_workers(1).check_snap_wave(&s, true);
+        let spilled = Checker::with_workers(1).with_spill_budget(1 << 14).check_snap_wave(&s, true);
         assert_eq!(plain.states_explored, spilled.states_explored);
         assert_eq!(plain.transitions, spilled.transitions);
         assert_eq!(plain.violation_count, spilled.violation_count);

@@ -1,42 +1,47 @@
 //! Several processors initiate PIF waves simultaneously — the paper's
 //! general setting ("any processor can be an initiator … several PIF
 //! protocols may be running simultaneously"). Each initiator owns an
-//! independent register set; the waves interleave freely and each one
+//! independent register set (one `WaveService` lane); the shard
+//! interleaves its lanes one seeded step at a time, and each wave
 //! satisfies the PIF specification on its own.
 //!
 //! ```sh
 //! cargo run -p pif-suite --example concurrent_initiators
 //! ```
 
-use pif_core::multi::MultiInitiator;
-use pif_core::wave::SumAggregate;
-use pif_graph::{generators, ProcId};
+use pif_graph::{ProcId, Topology};
+use pif_serve::{AggregateKind, Request, RequestOutcome, ServeConfig, ServeDaemon, WaveService};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let graph = generators::petersen();
-    println!("network: {graph} ({} processors)", graph.len());
-
-    // Three initiators, each running its own census wave concurrently.
+    // Three initiators sharing one shard, each running its own census
+    // wave concurrently under a random central daemon.
     let initiators = vec![ProcId(0), ProcId(3), ProcId(7)];
-    let n = graph.len();
-    let mut multi = MultiInitiator::new(
-        graph,
-        initiators.clone(),
-        |_| SumAggregate::new(vec![1; n]),
-        2026,
-    );
+    let config = ServeConfig::new(Topology::Petersen)
+        .initiators(initiators.clone())
+        .shards(1)
+        .daemon(ServeDaemon::CentralRandom)
+        .seed(2026);
+    let mut service = WaveService::new(config)?;
+    let n = service.graph().len();
+    println!("network: {} ({n} processors)", service.graph());
 
-    let messages: Vec<String> =
-        initiators.iter().map(|r| format!("census by {r}")).collect();
-    let outcomes = multi.run_concurrent_cycles(messages)?;
+    for &r in &initiators {
+        service.submit(Request::new(r, format!("census by {r}"), AggregateKind::Ack))?;
+    }
+    service.run()?;
 
-    for (r, o) in initiators.iter().zip(&outcomes) {
+    let records: Vec<_> = service.ledger().records().collect();
+    assert_eq!(records.len(), initiators.len());
+    for record in records {
+        let RequestOutcome::Completed { pif1, pif2, feedback } = record.outcome else {
+            return Err(format!("wave of {} ended {:?}", record.initiator, record.outcome).into());
+        };
         println!(
-            "initiator {r}: PIF1 = {}, PIF2 = {}, tree height {}, census = {:?}",
-            o.pif1, o.pif2, o.height, o.feedback
+            "initiator {}: PIF1 = {pif1}, PIF2 = {pif2}, tree height {}, census = {feedback:?}",
+            record.initiator, record.height
         );
-        assert!(o.satisfies_spec());
-        assert_eq!(o.feedback, Some(10));
+        assert!(pif1 && pif2);
+        assert_eq!(feedback, Some(10));
     }
     println!("\nall concurrent waves delivered and were fully acknowledged");
     Ok(())

@@ -20,19 +20,19 @@ trap 'rm -rf "$trace_dir"' EXIT
 cmp "$trace_dir/a.jsonl" "$trace_dir/b.jsonl"
 ./target/release/pif-trace diff "$trace_dir/a.jsonl" "$trace_dir/b.jsonl"
 
-# Verify-throughput smoke: exp_verify_throughput runs the sequential,
-# parallel and reduced engines on the product instances plus the
-# reachable-wave n=5 instances, asserts their verdicts are identical (it
-# aborts on any divergence) and records states/sec. The emitted JSON
-# must parse and carry the required fields, including the reduction
-# columns.
+# Verify-throughput smoke: exp_verify_throughput runs the checker on one
+# worker, on N workers and under the full reduction on the product
+# instances plus the reachable-wave n=5 instances, asserts their
+# verdicts are identical (it aborts on any divergence) and records
+# states/sec. The emitted JSON must parse and carry the required fields,
+# including the reduction columns.
 ./target/release/exp_verify_throughput > "$trace_dir/verify_throughput.json"
 for field in benchmark unit workers host_parallelism results; do
     jq -e ".$field" "$trace_dir/verify_throughput.json" > /dev/null
 done
 jq -e '.results | length == 12' "$trace_dir/verify_throughput.json" > /dev/null
 jq -e '[.results[] | select(.verified and .states_explored > 0
-        and .sequential_states_per_sec > 0 and .parN_states_per_sec > 0
+        and .par1_states_per_sec > 0 and .parN_states_per_sec > 0
         and .reduced_states_explored > 0 and .reduced_states_per_sec > 0
         and .states_ratio >= 1 and .full_space_configs > 0)]
        | length == 12' "$trace_dir/verify_throughput.json" > /dev/null
@@ -94,6 +94,11 @@ for code in AN001 AN002 AN003 AN008 AN009 AN010 AN011; do
     jq -e --arg c "$code" '[.runs[].diagnostics[].code] | index($c)' \
         "$trace_dir/analyze_mutants.json" > /dev/null
 done
+
+# Concurrent initiators (DESIGN.md S15): three waves interleaved on one
+# pif-serve shard must each satisfy PIF1 and PIF2 with a census of 10
+# (the example asserts both and exits non-zero otherwise).
+cargo run --release -p pif-suite --example concurrent_initiators
 
 # Wave-service smoke (DESIGN.md §13): a short seeded soak must finish
 # with a spotless ledger, and the same soak with a mid-flight

@@ -23,7 +23,7 @@ use pif_daemon::daemons::{AdversarialLifo, CentralRandom};
 use pif_daemon::{ActionId, Daemon, MetricsObserver, Protocol, Simulator, View};
 use pif_graph::{generators, ProcId};
 use pif_net::{FaultPlan, NetBuilder, Transport};
-use pif_soa::{step_batch_into, BatchStats, SoaSimulator};
+use pif_soa::SoaSimulator;
 
 struct CountingAlloc;
 
@@ -224,8 +224,7 @@ fn soa_steady_state_steps_do_not_allocate() {
 
 #[test]
 fn soa_sync_and_batch_stepping_do_not_allocate() {
-    // The synchronous fast path and the inline (single-worker) batch
-    // driver share the contract: after warm-up, whole-network steps move
+    // The synchronous fast path: after warm-up, whole-network steps move
     // no heap memory.
     let mut sim = soa_pif_sim(0x50A);
     for _ in 0..2_000 {
@@ -233,28 +232,20 @@ fn soa_sync_and_batch_stepping_do_not_allocate() {
         assert!(!rep.terminal, "PIF waves must keep cycling");
     }
 
-    let mut shard = [sim];
-    let mut stats: Vec<BatchStats> = Vec::with_capacity(shard.len());
-
     let before = ALLOCATIONS.load(Ordering::SeqCst);
     TRACKING.with(|t| t.set(true));
     for _ in 0..10_000 {
-        shard[0].step_sync();
+        sim.step_sync();
     }
-    step_batch_into(&mut shard, 5_000, 1, &mut stats);
     TRACKING.with(|t| t.set(false));
     let after = ALLOCATIONS.load(Ordering::SeqCst);
 
     assert_eq!(
         after - before,
         0,
-        "SoA sync/batch path allocated {} time(s) across 15k steady-state steps",
+        "SoA sync path allocated {} time(s) across 10k steady-state steps",
         after - before
     );
-    assert_eq!(stats.len(), 1);
-    assert_eq!(stats[0].steps, 5_000);
-    assert!(!stats[0].terminal);
-    assert!(stats[0].moves >= stats[0].steps);
 }
 
 #[test]
