@@ -566,12 +566,18 @@ impl Protocol for PifProtocol {
                     s.fok = self.n == 1;
                 } else {
                     // Par := min_{≻p}(Potential_p); L := L_Par + 1;
-                    // Count := 1; Fok := false; Pif := B.
-                    let candidates = self.potential(view);
-                    let par = *candidates
-                        .iter()
+                    // Count := 1; Fok := false; Pif := B. Potential_p is
+                    // the minimal-level subset of Pre_Potential_p, so its
+                    // minimum id is the minimum (level, id) — taken over
+                    // Pre_Potential_p directly, without collecting either
+                    // set.
+                    let chordless = self.features.chordless_potential;
+                    let par = self
+                        .pre_potential(view)
+                        .map(|(q, st)| (if chordless { self.level_of(q, st) } else { 0 }, q))
                         .min()
-                        .expect("B-action executed with empty Potential");
+                        .expect("B-action executed with empty Potential")
+                        .1;
                     s.par = par;
                     let par_level = self.level_of(par, view.state(par));
                     s.level = u16::try_from(par_level + 1).expect("level bounded by L_max");
@@ -725,6 +731,43 @@ mod tests {
         let proto = sim.protocol().clone();
         let pot = proto.potential(sim.view(ProcId(2)));
         assert_eq!(pot, vec![ProcId(0), ProcId(1)]);
+    }
+
+    #[test]
+    fn b_action_parent_is_the_minimum_of_potential() {
+        // The B-action takes min (level, id) over Pre_Potential directly;
+        // on every view it must pick min(Potential), with and without
+        // the chordless-potential feature.
+        let g = generators::complete(4).unwrap();
+        for chordless_potential in [true, false] {
+            let proto = PifProtocol::new(ProcId(0), &g)
+                .with_features(Features { chordless_potential, ..Features::paper() });
+            let mut x = 0x9E37_79B9_7F4A_7C15u64;
+            let mut draw = |m: u64| {
+                x = x.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1_442_695_040_888_963_407);
+                (x >> 33) % m
+            };
+            let mut checked = 0;
+            for _ in 0..20_000 {
+                let states: Vec<PifState> = (0..4)
+                    .map(|_| PifState {
+                        phase: Phase::ALL[draw(3) as usize],
+                        par: ProcId(draw(4) as u32),
+                        level: 1 + draw(u64::from(proto.l_max())) as u16,
+                        count: 1 + draw(4) as u32,
+                        fok: draw(2) == 1,
+                    })
+                    .collect();
+                for p in 1..4 {
+                    let view = View::new(&g, &states, ProcId(p));
+                    if let Some(&min) = proto.potential(view).iter().min() {
+                        assert_eq!(proto.execute(view, B_ACTION).par, min, "{states:?} p{p}");
+                        checked += 1;
+                    }
+                }
+            }
+            assert!(checked > 1_000, "only {checked} views had a non-empty Potential");
+        }
     }
 
     #[test]

@@ -28,16 +28,26 @@
 //! # Execution engine
 //!
 //! Every check runs under a [`Checker`], which drives one search: the
-//! level-synchronous frontier BFS of the [`frontier`] module
-//! (`DESIGN.md` §11), deduplicating through the sharded [`visited`]
-//! table. [`Checker::with_workers`] picks the worker count; one worker
-//! runs the same driver inline on the calling thread, with no spawns.
-//! Reports are **bit-identical across worker counts** — same
+//! owner-partitioned frontier BFS of the `frontier` module
+//! (`DESIGN.md` §11). The product states are partitioned among owners by
+//! hash, and each owner deduplicates its states in its own single-owner
+//! table, with no lock and no atomic per state. Rounds too small to pay
+//! for threads run inline and insert every successor straight into its
+//! owner's table; larger rounds run one thread per worker, each claiming
+//! owners until none is left, and a successor held by another owner
+//! travels in a per-owner outbox that moves to its owner at the next
+//! barrier. The product searches never store their seeds: level 0
+//! scans the configuration ids and expands each seed in place, and a
+//! successor that is itself a seed is recognized by an O(1) test on its
+//! overlay and dropped, so the tables hold only non-seed states.
+//! [`Checker::with_workers`] picks the worker count; one worker runs the
+//! same driver inline on the calling thread, with no spawns and no
+//! routing. Reports are **bit-identical across worker counts** — same
 //! `states_explored`, same verdicts, same retained violation examples —
 //! because the visited-set closure of a breadth-first search is
-//! independent of expansion order and violations are canonically
-//! sorted. The convenience methods on [`StateSpace`] delegate to
-//! [`Checker::auto`].
+//! independent of expansion order, of which owner holds a state and of
+//! which worker expands it, and violations are canonically sorted. The
+//! convenience methods on [`StateSpace`] delegate to [`Checker::auto`].
 //!
 //! # Reductions
 //!
@@ -83,7 +93,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod frontier;
+mod frontier;
 mod memo;
 mod por;
 mod symmetry;
@@ -92,6 +102,7 @@ pub mod visited;
 use std::collections::HashMap;
 use std::sync::OnceLock;
 
+use frontier::Search;
 use memo::EnabledMemo;
 use pif_core::protocol::{B_ACTION, B_CORRECTION, F_ACTION, F_CORRECTION};
 use pif_core::{Phase, PifProtocol, PifState};
@@ -99,7 +110,7 @@ use pif_daemon::{ActionId, Protocol, View};
 use pif_graph::{automorphism, Graph, ProcId};
 use por::PorCtx;
 use symmetry::Quotient;
-use visited::{VisitedConfig, VisitedSet};
+use visited::VisitedConfig;
 
 /// Guard-mask bits of the two correction actions. A processor enables a
 /// correction action iff it is abnormal (the root's `B-correction` guard
@@ -654,14 +665,13 @@ pub fn por_premise_radius<P: Protocol>(protocol: &P) -> usize {
     }
 }
 
-/// An execution engine for the exhaustive checks: the frontier-level
-/// BFS driver (see `DESIGN.md` §11) with a worker count, a
+/// An execution engine for the exhaustive checks: the owner-partitioned
+/// frontier BFS (see `DESIGN.md` §11) with a worker count, a
 /// [`Reduction`] and an optional visited-table spill budget.
 ///
-/// Workers claim frontier blocks through an atomic index and
-/// deduplicate through the sharded [`visited::VisitedSet`]; with one
-/// worker the search runs inline on the calling thread. Every worker
-/// count returns the same report.
+/// Each worker owns the states whose hash selects it and keeps them in
+/// its own lock-free table; with one worker the search runs inline on
+/// the calling thread. Every worker count returns the same report.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Checker {
     workers: usize,
@@ -689,8 +699,9 @@ impl Checker {
     }
 
     /// The same engine with a visited-table spill budget: live in-memory
-    /// tables are bounded to roughly `bytes` and overflow freezes into
-    /// sorted on-disk runs (see [`visited`]). Verdicts and reports are
+    /// tables are bounded to roughly `bytes` in total (each owner's
+    /// table gets an equal share) and overflow freezes into sorted
+    /// on-disk runs (see [`visited`]). Verdicts and reports are
     /// unaffected; peak RSS is.
     pub fn with_spill_budget(self, bytes: usize) -> Self {
         Checker { spill_budget: Some(bytes), ..self }
@@ -785,8 +796,20 @@ impl Checker {
     /// bits for the round counter).
     pub fn check_correction_bound(&self, space: &StateSpace, bound: u32) -> CorrectionBoundReport {
         assert!(bound < 128, "round bound must fit the packed encoding");
-        let ctx = self.ctx(space, true);
-        let (seen_count, scratches) = ctx.correction(bound, self.workers);
+        self.correction_report(space, bound, self.ctx(space, true).correction(bound, self.workers))
+    }
+
+    /// Assembles a correction-bound report from a finished search,
+    /// re-running the reference engine first when a reduced pass found
+    /// violations.
+    fn correction_report(
+        &self,
+        space: &StateSpace,
+        bound: u32,
+        search: Search<Scratch>,
+    ) -> CorrectionBoundReport {
+        let states_explored = search.states();
+        let scratches = search.into_scratches();
         let violation_count: u64 = scratches.iter().map(|s| s.violation_count).sum();
         if violation_count != 0 && self.reduction != Reduction::None {
             // Two-phase contract (see `Reduction`): the reduced pass
@@ -798,16 +821,15 @@ impl Checker {
             scratches.into_iter().flat_map(|s| s.corr_violations),
             CorrectionBoundReport::MAX_RETAINED_VIOLATIONS,
         );
-        CorrectionBoundReport { bound, states_explored: seen_count, violation_count, violations }
+        CorrectionBoundReport { bound, states_explored, violation_count, violations }
     }
 
     /// Exhaustive snap-safety search over the product of the
     /// configuration space with the delivery overlay, branching over
     /// every daemon choice. See the crate docs.
     pub fn check_snap_safety(&self, space: &StateSpace, track_acks: bool) -> SnapSafetyReport {
-        let ctx = self.ctx(space, true);
-        let (seen_count, scratches) = ctx.snap(track_acks, self.workers);
-        self.snap_report(space, track_acks, seen_count, scratches, false)
+        let search = self.ctx(space, true).snap(track_acks, self.workers);
+        self.snap_report(space, track_acks, search, false)
     }
 
     /// Snap-safety search over the *wave region*: the product states
@@ -818,21 +840,21 @@ impl Checker {
     /// instances (n ≥ 5) whose any-configuration product space does
     /// not. See the crate docs.
     pub fn check_snap_wave(&self, space: &StateSpace, track_acks: bool) -> SnapSafetyReport {
-        let ctx = self.ctx(space, false);
-        let (seen_count, scratches) = ctx.snap_wave(track_acks, self.workers);
-        self.snap_report(space, track_acks, seen_count, scratches, true)
+        let search = self.ctx(space, false).snap_wave(track_acks, self.workers);
+        self.snap_report(space, track_acks, search, true)
     }
 
-    /// Assembles a snap report from per-worker scratches, re-running the
+    /// Assembles a snap report from a finished search, re-running the
     /// reference engine first when a reduced pass found violations.
     fn snap_report(
         &self,
         space: &StateSpace,
         track_acks: bool,
-        seen_count: u64,
-        scratches: Vec<Scratch>,
+        search: Search<Scratch>,
         wave: bool,
     ) -> SnapSafetyReport {
+        let states_explored = search.states();
+        let scratches = search.into_scratches();
         let violation_count: u64 = scratches.iter().map(|s| s.violation_count).sum();
         if violation_count != 0 && self.reduction != Reduction::None {
             let reference = self.with_reduction(Reduction::None);
@@ -848,7 +870,7 @@ impl Checker {
             SnapSafetyReport::MAX_RETAINED_VIOLATIONS,
         );
         SnapSafetyReport {
-            states_explored: seen_count,
+            states_explored,
             transitions,
             violation_count,
             violations,
@@ -899,6 +921,17 @@ const CORR_OVERLAY_BITS: u32 = 23;
 /// Overlay width of a packed snap key (has + ack bitmaps + active flag).
 const SNAP_OVERLAY_BITS: u32 = 33;
 
+/// Expected stored (non-seed) states per table shard; small searches get
+/// fewer shards, so a spill budget bites on them too.
+const SHARD_KEYS: usize = 4096;
+/// The snap product search stores only states with an open wave, a small
+/// fraction of the configuration count (1.9% on chain3): its tables are
+/// pre-sized for `config_count / SNAP_STORED_FRACTION` states.
+const SNAP_STORED_FRACTION: u64 = 16;
+/// Pre-sizing of the wave search's tables; its reachable slice (45 to
+/// 1,319 states on the published instances) grows them as needed.
+const WAVE_EXPECTED: u64 = 1 << 10;
+
 #[inline]
 fn pack_corr(cfg: u64, pending: u16, rounds: u32) -> u128 {
     (u128::from(cfg) << CORR_OVERLAY_BITS) | (u128::from(pending) << 7) | u128::from(rounds)
@@ -912,13 +945,30 @@ fn pack_snap(cfg: u64, has: u16, ack: u16, active: bool) -> u128 {
         | u128::from(active)
 }
 
-/// Returns the position of the `k`-th (0-based) set bit of `mask`.
 #[inline]
-fn nth_set_bit(mut mask: u8, k: usize) -> usize {
-    for _ in 0..k {
-        mask &= mask - 1;
-    }
-    mask.trailing_zeros() as usize
+fn unpack_corr(key: u128) -> CorrItem {
+    ((key >> CORR_OVERLAY_BITS) as u64, (key >> 7) as u16, (key & 0x7f) as u32)
+}
+
+#[inline]
+fn unpack_snap(key: u128) -> SnapItem {
+    ((key >> SNAP_OVERLAY_BITS) as u64, (key >> 17) as u16, (key >> 1) as u16, key & 1 == 1)
+}
+
+/// One enabled (processor, action) pair of the configuration being
+/// expanded, executed once against it. Every processor of a daemon
+/// selection reads the old configuration, so a selection's successor
+/// just combines its moves.
+#[derive(Clone, Copy)]
+struct Move {
+    proc: usize,
+    action: ActionId,
+    /// The processor's state after the action.
+    state: PifState,
+    /// `state`'s domain index.
+    idx: u32,
+    /// What the move adds to the configuration id.
+    delta: i64,
 }
 
 /// Per-worker scratch: every buffer the expansion core needs, reused
@@ -931,9 +981,11 @@ struct Scratch {
     idxs2: Vec<u32>,
     next: Vec<PifState>,
     masks: Vec<u8>,
-    procs: Vec<usize>,
+    /// Every enabled move, grouped by processor (actions ascending).
+    moves: Vec<Move>,
+    /// Per enabled processor: its moves plus "skip".
     counts: Vec<usize>,
-    selection: Vec<(usize, ActionId)>,
+    selection: Vec<Move>,
     acts: Vec<ActionId>,
     transitions: u64,
     violation_count: u64,
@@ -949,7 +1001,7 @@ impl Scratch {
             idxs2: Vec::with_capacity(n),
             next: Vec::with_capacity(n),
             masks: Vec::with_capacity(n),
-            procs: Vec::with_capacity(n),
+            moves: Vec::new(),
             counts: Vec::with_capacity(n),
             selection: Vec::with_capacity(n),
             acts: Vec::new(),
@@ -975,16 +1027,34 @@ struct SearchCtx<'a> {
 }
 
 impl SearchCtx<'_> {
-    /// Visited-set configuration for this search: pre-sizing capped so
-    /// huge spaces don't pre-allocate, key width derived from the
+    /// A search with `workers` fresh scratches, over visited tables
+    /// pre-sized for `expected` stored states (capped so huge spaces
+    /// don't pre-allocate) with one shard per [`SHARD_KEYS`] of them (at
+    /// most [`visited::SHARD_COUNT`]), and a key width derived from the
     /// largest packable key (`overlay_bits` above the configuration id).
-    fn visited_config(&self, overlay_bits: u32, expected: u64) -> VisitedConfig {
-        VisitedConfig {
-            expected: usize::try_from(expected.min(1 << 24)).unwrap_or(usize::MAX),
+    fn search(&self, workers: usize, overlay_bits: u32, expected: u64) -> Search<Scratch> {
+        let n = self.space.graph.len();
+        let expected = usize::try_from(expected.min(1 << 24)).unwrap_or(usize::MAX);
+        let config = VisitedConfig {
+            expected,
             max_key: (u128::from(self.space.total) << overlay_bits) - 1,
+            shard_count: (expected / SHARD_KEYS).next_power_of_two().min(visited::SHARD_COUNT),
             spill_budget: self.spill_budget,
-            ..VisitedConfig::default()
-        }
+        };
+        Search::new((0..workers).map(|_| Scratch::new(n)).collect(), &config)
+    }
+
+    /// Whether `cfg` is its orbit's representative under the symmetry
+    /// quotient (every configuration is, without one). The product
+    /// searches' canonical seed keys are exactly those of the
+    /// representatives: a seed's overlay is a function of its
+    /// configuration, so the orbit-minimum key has the orbit-minimum id.
+    fn is_representative(&self, sc: &mut Scratch, cfg: u64) -> bool {
+        let Some(sym) = &self.sym else {
+            return true;
+        };
+        self.space.decode_indices_into(cfg, &mut sc.states, &mut sc.idxs);
+        sym.is_representative(&sc.idxs, cfg)
     }
 }
 
@@ -1033,86 +1103,99 @@ impl SearchCtx<'_> {
         mask
     }
 
+    /// Decodes `cfg` into `sc` and executes every enabled action of
+    /// every processor once, filling `sc.moves` and `sc.counts`. Returns
+    /// the number of daemon combos — each enabled processor
+    /// independently skips or makes one of its moves — counting combo 0,
+    /// the all-skip the daemon never picks. A terminal configuration
+    /// (reported by `check_no_deadlock`) has only that one.
+    fn moves(&self, sc: &mut Scratch, cfg: u64) -> usize {
+        let space = self.space;
+        space.decode_indices_into(cfg, &mut sc.states, &mut sc.idxs);
+        let Scratch { states, idxs, masks, moves, counts, acts, .. } = sc;
+        self.fill_masks(cfg, states, masks, acts);
+        moves.clear();
+        counts.clear();
+        for (i, &mask) in masks.iter().enumerate().filter(|&(_, &mask)| mask != 0) {
+            let view = View::new(&space.graph, states, ProcId::from_index(i));
+            let mut bits = mask;
+            while bits != 0 {
+                let action = ActionId(bits.trailing_zeros() as usize);
+                bits &= bits - 1;
+                let state = space.protocol.execute(view, action);
+                let idx = space.shapes[i].index_of(&state);
+                let delta = (i64::from(idx) - i64::from(idxs[i])) * space.strides[i] as i64;
+                moves.push(Move { proc: i, action, state, idx, delta });
+            }
+            counts.push(mask.count_ones() as usize + 1);
+        }
+        counts.iter().product()
+    }
+
+    /// Selects daemon combo `combo` of the moves in `sc` into
+    /// `sc.selection`. Returns false when the partial-order reduction
+    /// drops the selection (a disconnected selection decomposes into
+    /// retained connected-component steps with the same endpoint, see
+    /// `por`).
+    fn select(&self, sc: &mut Scratch, combo: usize) -> bool {
+        let Scratch { moves, counts, selection, .. } = sc;
+        let (mut c, mut first, mut sel_mask) = (combo, 0, 0u16);
+        selection.clear();
+        for &count in counts.iter() {
+            let choice = c % count;
+            c /= count;
+            if choice > 0 {
+                let m = moves[first + choice - 1];
+                sel_mask |= 1 << m.proc;
+                selection.push(m);
+            }
+            first += count - 1;
+        }
+        self.por.as_ref().is_none_or(|por| selection.len() <= 1 || por.connected(sel_mask))
+    }
+
+    /// Applies `sc.selection` to `cfg` simultaneously, against the old
+    /// configuration: fills the successor states `sc.next` and, under
+    /// the symmetry quotient, their domain indices `sc.idxs2`, and
+    /// returns the successor's id, encoded incrementally from the moves'
+    /// index deltas.
+    fn apply(&self, sc: &mut Scratch, cfg: u64) -> u64 {
+        let Scratch { states, idxs, idxs2, next, selection, .. } = sc;
+        next.clone_from(states);
+        if self.sym.is_some() {
+            idxs2.clone_from(idxs);
+        }
+        let mut cfg2 = cfg as i64;
+        for m in selection.iter() {
+            next[m.proc] = m.state;
+            if self.sym.is_some() {
+                idxs2[m.proc] = m.idx;
+            }
+            cfg2 += m.delta;
+        }
+        let cfg2 = cfg2 as u64;
+        debug_assert_eq!(cfg2, self.space.encode(next), "incremental encode diverged");
+        cfg2
+    }
+
     /// Expands one product state of the correction-bound search, calling
-    /// `emit(packed_key, successor)` for every successor that stays in
-    /// the search (the caller deduplicates and enqueues). Violations and
-    /// counters accumulate in `sc`.
+    /// `emit(packed_key)` for every successor that stays in the search
+    /// and is not a seed (the caller deduplicates and enqueues).
+    /// Violations and counters accumulate in `sc`.
     fn expand_correction(
         &self,
         sc: &mut Scratch,
         item: CorrItem,
         bound: u32,
-        mut emit: impl FnMut(u128, CorrItem),
+        mut emit: impl FnMut(u128),
     ) {
         let (cfg, pending, rounds) = item;
-        let space = self.space;
-        let n = space.graph.len();
-        space.decode_indices_into(cfg, &mut sc.states, &mut sc.idxs);
-        let Scratch {
-            states,
-            idxs,
-            idxs2,
-            next,
-            masks,
-            procs,
-            counts,
-            selection,
-            acts,
-            violation_count,
-            corr_violations,
-            ..
-        } = sc;
-        self.fill_masks(cfg, states, masks, acts);
-        procs.clear();
-        procs.extend((0..n).filter(|&i| masks[i] != 0));
-        if procs.is_empty() {
-            return; // deadlock (reported by check_no_deadlock)
-        }
-        counts.clear();
-        counts.extend(procs.iter().map(|&i| masks[i].count_ones() as usize + 1));
-        let combos: usize = counts.iter().product();
-        for combo in 1..combos {
-            let mut c = combo;
-            selection.clear();
-            let mut sel_mask = 0u16;
-            for (k, &i) in procs.iter().enumerate() {
-                let choice = c % counts[k];
-                c /= counts[k];
-                if choice > 0 {
-                    selection.push((i, ActionId(nth_set_bit(masks[i], choice - 1))));
-                    sel_mask |= 1 << i;
-                }
+        for combo in 1..self.moves(sc, cfg) {
+            if !self.select(sc, combo) {
+                continue;
             }
-            // Partial-order reduction: a disconnected selection
-            // decomposes into retained connected-component steps with
-            // the same endpoint (see `por`).
-            if let Some(por) = &self.por {
-                if selection.len() > 1 && !por.connected(sel_mask) {
-                    continue;
-                }
-            }
-            // Apply simultaneously against the old configuration,
-            // encoding the successor incrementally from the changed
-            // processors' domain indices.
-            next.clear();
-            next.extend_from_slice(states);
-            if self.sym.is_some() {
-                idxs2.clone_from(idxs);
-            }
-            let mut cfg2 = cfg as i64;
-            for &(i, a) in selection.iter() {
-                next[i] = space.protocol.execute(
-                    View::new(&space.graph, states, ProcId::from_index(i)),
-                    a,
-                );
-                let ni = space.shapes[i].index_of(&next[i]);
-                if self.sym.is_some() {
-                    idxs2[i] = ni;
-                }
-                cfg2 += (i64::from(ni) - i64::from(idxs[i])) * space.strides[i] as i64;
-            }
-            let cfg2 = cfg2 as u64;
-            debug_assert_eq!(cfg2, space.encode(next), "incremental encode diverged");
+            let cfg2 = self.apply(sc, cfg);
+            let Scratch { idxs2, next, selection, acts, violation_count, corr_violations, .. } = sc;
             if !self.is_abnormal(cfg2, next) {
                 continue; // goal reached on this branch
             }
@@ -1120,8 +1203,8 @@ impl SearchCtx<'_> {
             // Round accounting: executed and now-disabled processors
             // leave the pending set.
             let mut pending2 = pending;
-            for &(i, _) in selection.iter() {
-                pending2 &= !(1 << i);
+            for m in selection.iter() {
+                pending2 &= !(1 << m.proc);
             }
             pending2 &= next_enabled;
             let mut rounds2 = rounds;
@@ -1142,178 +1225,97 @@ impl SearchCtx<'_> {
                 }
                 pending2 = next_enabled;
             }
-            let item2 = (cfg2, pending2, rounds2);
-            let (key, item2) = match &self.sym {
-                Some(sym) => sym.canon_corr(idxs2, item2),
-                None => (pack_corr(cfg2, pending2, rounds2), item2),
-            };
-            emit(key, item2);
-        }
-    }
-
-    /// Generates the correction-bound seed for configuration `cfg`, if
-    /// any: every *abnormal* configuration starts a search path with
-    /// zero completed rounds.
-    fn correction_seed(&self, sc: &mut Scratch, cfg: u64) -> Option<(u128, CorrItem)> {
-        let pending = if let Some(m) = self.memo {
-            if !m.is_abnormal(cfg) {
-                return None;
+            if rounds2 == 0 && pending2 == next_enabled {
+                // The seed of `cfg2`, which the level-0 scan expands:
+                // dropped before canonicalization and hashing.
+                continue;
             }
-            m.pending_mask(cfg)
-        } else {
-            self.space.decode_into(cfg, &mut sc.states);
-            let Scratch { states, acts, .. } = sc;
-            if !self.is_abnormal(cfg, states) {
-                return None;
-            }
-            self.pending_mask(cfg, states, acts)
-        };
-        let item = (cfg, pending, 0);
-        let Some(sym) = &self.sym else {
-            return Some((pack_corr(cfg, pending, 0), item));
-        };
-        self.space.decode_indices_into(cfg, &mut sc.states, &mut sc.idxs);
-        Some(sym.canon_corr(&sc.idxs, item))
-    }
-
-    /// Generates the snap-safety seed for configuration `cfg`: an empty
-    /// overlay (no wave opened yet), canonicalized under symmetry.
-    fn snap_seed(&self, sc: &mut Scratch, cfg: u64) -> (u128, SnapItem) {
-        let item = (cfg, 0, 0, false);
-        match &self.sym {
-            Some(sym) => {
-                self.space.decode_indices_into(cfg, &mut sc.states, &mut sc.idxs);
-                sym.canon_snap(&sc.idxs, item)
-            }
-            None => (pack_snap(cfg, 0, 0, false), item),
-        }
-    }
-
-    /// Correction-bound search: seeds every abnormal configuration, then
-    /// runs the frontier BFS with `workers` scratches.
-    fn correction(&self, bound: u32, workers: usize) -> (u64, Vec<Scratch>) {
-        let n = self.space.graph.len();
-        let mut scratches: Vec<Scratch> = (0..workers).map(|_| Scratch::new(n)).collect();
-        let seen = VisitedSet::with_config(self.visited_config(CORR_OVERLAY_BITS, self.space.total));
-        let seeds: Vec<CorrItem> = frontier::seed_scan(self.space.total, &mut scratches, |sc, cfg, out| {
-            if let Some((key, item)) = self.correction_seed(sc, cfg) {
-                if seen.insert(key) {
-                    out.push(item);
-                }
-            }
-        });
-        frontier::search(seeds, &mut scratches, |sc, item, out| {
-            self.expand_correction(sc, *item, bound, |key, succ| {
-                if seen.insert(key) {
-                    out.push(succ);
-                }
+            emit(match &self.sym {
+                Some(sym) => sym.canon_corr(idxs2, (cfg2, pending2, rounds2)),
+                None => pack_corr(cfg2, pending2, rounds2),
             });
+        }
+    }
+
+    /// The pending set of configuration `cfg`'s correction seed, if it
+    /// has one: every *abnormal* configuration starts a search path with
+    /// zero completed rounds and every enabled processor owing one.
+    fn correction_seed(&self, sc: &mut Scratch, cfg: u64) -> Option<u16> {
+        if let Some(m) = self.memo {
+            return m.is_abnormal(cfg).then(|| m.pending_mask(cfg));
+        }
+        self.space.decode_into(cfg, &mut sc.states);
+        let Scratch { states, acts, .. } = sc;
+        self.is_abnormal(cfg, states).then(|| self.pending_mask(cfg, states, acts))
+    }
+
+    /// Correction-bound search: level 0 scans every configuration and
+    /// expands each abnormal orbit representative in place as a seed;
+    /// the levels after it store and expand only non-seed states.
+    fn correction(&self, bound: u32, workers: usize) -> Search<Scratch> {
+        let mut search = self.search(workers, CORR_OVERLAY_BITS, self.space.total);
+        search.scan(self.space.total, |sc, cfg, router| {
+            let Some(pending) = self.correction_seed(sc, cfg) else {
+                return false;
+            };
+            if !self.is_representative(sc, cfg) {
+                return false;
+            }
+            self.expand_correction(sc, (cfg, pending, 0), bound, |key| router.route(key));
+            true
         });
-        (seen.len() as u64, scratches)
+        search.run(|sc, key, router| {
+            self.expand_correction(sc, unpack_corr(key), bound, |key| router.route(key));
+        });
+        search
     }
 
     /// Expands one product state of the snap-safety search, calling
-    /// `emit(packed_key, successor)` for every successor. Violations and
-    /// counters accumulate in `sc`.
+    /// `emit(packed_key)` for every successor — except, when
+    /// `drop_seeds` is set, successors with an empty overlay, which are
+    /// the product search's seeds. Violations and counters accumulate
+    /// in `sc`.
     fn expand_snap(
         &self,
         sc: &mut Scratch,
         item: SnapItem,
         track_acks: bool,
-        mut emit: impl FnMut(u128, SnapItem),
+        drop_seeds: bool,
+        mut emit: impl FnMut(u128),
     ) {
         let (cfg, has, ack, active) = item;
-        let space = self.space;
-        let n = space.graph.len();
-        let root = space.protocol.root();
-        space.decode_indices_into(cfg, &mut sc.states, &mut sc.idxs);
-        let Scratch {
-            states,
-            idxs,
-            idxs2,
-            next,
-            masks,
-            procs,
-            counts,
-            selection,
-            acts,
-            transitions,
-            violation_count,
-            snap_violations,
-            ..
-        } = sc;
-        self.fill_masks(cfg, states, masks, acts);
-        procs.clear();
-        procs.extend((0..n).filter(|&i| masks[i] != 0));
-        if procs.is_empty() {
-            return; // terminal (reported by check_no_deadlock)
-        }
-        // Every daemon choice: each enabled processor independently
-        // skips or executes one of its enabled actions; all-skip is
-        // excluded (combo 0).
-        counts.clear();
-        counts.extend(procs.iter().map(|&i| masks[i].count_ones() as usize + 1));
-        let combos: usize = counts.iter().product();
-        for combo in 1..combos {
-            let mut c = combo;
-            selection.clear();
-            let mut sel_mask = 0u16;
-            for (k, &i) in procs.iter().enumerate() {
-                let choice = c % counts[k];
-                c /= counts[k];
-                if choice > 0 {
-                    selection.push((i, ActionId(nth_set_bit(masks[i], choice - 1))));
-                    sel_mask |= 1 << i;
-                }
-            }
-            // Partial-order reduction: skip disconnected composite
-            // selections (see `por`); only retained combos count as
+        let n = self.space.graph.len();
+        let root = self.space.protocol.root().index();
+        for combo in 1..self.moves(sc, cfg) {
+            // Only combos the partial-order reduction retains count as
             // explored transitions.
-            if let Some(por) = &self.por {
-                if selection.len() > 1 && !por.connected(sel_mask) {
-                    continue;
-                }
+            if !self.select(sc, combo) {
+                continue;
             }
-            *transitions += 1;
-
-            // Apply simultaneously against the old configuration.
-            next.clear();
-            next.extend_from_slice(states);
-            if self.sym.is_some() {
-                idxs2.clone_from(idxs);
+            sc.transitions += 1;
+            let opens = sc.selection.iter().any(|m| m.proc == root && m.action == B_ACTION);
+            if drop_seeds && !active && !opens {
+                // Without an open wave the overlay stays empty: a seed's
+                // successor is a seed unless the root opens one.
+                continue;
             }
-            let mut cfg2 = cfg as i64;
-            for &(i, a) in selection.iter() {
-                next[i] = space.protocol.execute(
-                    View::new(&space.graph, states, ProcId::from_index(i)),
-                    a,
-                );
-                let ni = space.shapes[i].index_of(&next[i]);
-                if self.sym.is_some() {
-                    idxs2[i] = ni;
-                }
-                cfg2 += (i64::from(ni) - i64::from(idxs[i])) * space.strides[i] as i64;
-            }
-            let cfg2 = cfg2 as u64;
-            debug_assert_eq!(cfg2, space.encode(next), "incremental encode diverged");
+            let cfg2 = self.apply(sc, cfg);
+            let Scratch { states, idxs2, selection, violation_count, snap_violations, .. } = sc;
 
             // Overlay update (same semantics as pif_core::wave).
             let mut has2 = has;
             let mut ack2 = ack;
             let mut active2 = active;
-            if selection.iter().any(|&(i, a)| i == root.index() && a == B_ACTION) {
-                has2 = 1 << root.index();
+            if opens {
+                has2 = 1 << root;
                 ack2 = 0;
                 active2 = true;
             }
-            for &(i, a) in selection.iter() {
-                if i == root.index() {
-                    continue;
-                }
-                match a {
+            for m in selection.iter().filter(|m| m.proc != root) {
+                let i = m.proc;
+                match m.action {
                     B_ACTION => {
-                        let par = next[i].par.index();
-                        if has2 & (1 << par) != 0 {
+                        if has2 & (1 << m.state.par.index()) != 0 {
                             has2 |= 1 << i;
                         } else {
                             has2 &= !(1 << i);
@@ -1326,10 +1328,10 @@ impl SearchCtx<'_> {
                     _ => {}
                 }
             }
-            if active2 && selection.iter().any(|&(i, a)| i == root.index() && a == F_ACTION) {
+            if active2 && selection.iter().any(|m| m.proc == root && m.action == F_ACTION) {
                 let all = (1u16 << n) - 1;
                 let all_have = has2 == all;
-                let all_acked = !track_acks || (ack2 | (1 << root.index())) == all;
+                let all_acked = !track_acks || (ack2 | (1 << root)) == all;
                 if !(all_have && all_acked) {
                     *violation_count += 1;
                     let (states, has2, ack2) = (&*states, has2, ack2);
@@ -1344,7 +1346,7 @@ impl SearchCtx<'_> {
                                 .map(ProcId::from_index)
                                 .collect(),
                             not_acked: (0..n)
-                                .filter(|&i| i != root.index() && ack2 & (1 << i) == 0)
+                                .filter(|&i| i != root && ack2 & (1 << i) == 0)
                                 .map(ProcId::from_index)
                                 .collect(),
                         },
@@ -1358,62 +1360,60 @@ impl SearchCtx<'_> {
             if !track_acks {
                 ack2 = 0;
             }
-            let item2 = (cfg2, has2, ack2, active2);
-            let (key, item2) = match &self.sym {
-                Some(sym) => sym.canon_snap(idxs2, item2),
-                None => (pack_snap(cfg2, has2, ack2, active2), item2),
-            };
-            emit(key, item2);
+            if drop_seeds && !active2 && has2 == 0 && ack2 == 0 {
+                // The seed of `cfg2`, which the level-0 scan expands:
+                // dropped before canonicalization and hashing.
+                continue;
+            }
+            emit(match &self.sym {
+                Some(sym) => sym.canon_snap(idxs2, (cfg2, has2, ack2, active2)),
+                None => pack_snap(cfg2, has2, ack2, active2),
+            });
         }
     }
 
     /// Snap-safety product search: every configuration is a legitimate
-    /// starting point with an empty overlay (no wave opened yet).
-    fn snap(&self, track_acks: bool, workers: usize) -> (u64, Vec<Scratch>) {
-        let n = self.space.graph.len();
-        let mut scratches: Vec<Scratch> = (0..workers).map(|_| Scratch::new(n)).collect();
-        let seen = VisitedSet::with_config(
-            self.visited_config(SNAP_OVERLAY_BITS, self.space.total.saturating_mul(2)),
-        );
-        let seeds: Vec<SnapItem> = frontier::seed_scan(self.space.total, &mut scratches, |sc, cfg, out| {
-            let (key, item) = self.snap_seed(sc, cfg);
-            if seen.insert(key) {
-                out.push(item);
+    /// starting point with an empty overlay (no wave opened yet). Level 0
+    /// scans every configuration and expands each orbit representative
+    /// in place as a seed; only non-seed states are stored.
+    fn snap(&self, track_acks: bool, workers: usize) -> Search<Scratch> {
+        let mut search = self.search(workers, SNAP_OVERLAY_BITS, self.space.total / SNAP_STORED_FRACTION);
+        search.scan(self.space.total, |sc, cfg, router| {
+            if !self.is_representative(sc, cfg) {
+                return false;
             }
+            self.expand_snap(sc, (cfg, 0, 0, false), track_acks, true, |key| router.route(key));
+            true
         });
-        frontier::search(seeds, &mut scratches, |sc, item, out| {
-            self.expand_snap(sc, *item, track_acks, |key, succ| {
-                if seen.insert(key) {
-                    out.push(succ);
-                }
-            });
+        search.run(|sc, key, router| {
+            self.expand_snap(sc, unpack_snap(key), track_acks, true, |key| router.route(key));
         });
-        (seen.len() as u64, scratches)
+        search
     }
 
     /// Reachable-wave search: the snap transition system restricted to
     /// what is reachable from the single clean starting configuration
     /// (`pif_core::initial::normal_starting`), instead of seeding every
     /// configuration. The reachable slice is minuscule compared to the
-    /// product space, which is what lets n = 5 instances complete.
-    fn snap_wave(&self, track_acks: bool, workers: usize) -> (u64, Vec<Scratch>) {
-        let n = self.space.graph.len();
-        let mut scratches: Vec<Scratch> = (0..workers).map(|_| Scratch::new(n)).collect();
-        // The reachable slice is tiny relative to `total`; start small
-        // and let the table grow (or spill) as needed.
-        let seen = VisitedSet::with_config(self.visited_config(SNAP_OVERLAY_BITS, 1 << 16));
-        let start = pif_core::initial::normal_starting(&self.space.graph);
-        let cfg0 = self.space.encode(&start);
-        let (key, item) = self.snap_seed(&mut scratches[0], cfg0);
-        seen.insert(key);
-        frontier::search(vec![item], &mut scratches, |sc, item, out| {
-            self.expand_snap(sc, *item, track_acks, |key, succ| {
-                if seen.insert(key) {
-                    out.push(succ);
-                }
-            });
+    /// product space, which is what lets n = 5 instances complete. The
+    /// one seed is stored like any other state, and empty overlays are
+    /// ordinary states here.
+    fn snap_wave(&self, track_acks: bool, workers: usize) -> Search<Scratch> {
+        let space = self.space;
+        let mut search = self.search(workers, SNAP_OVERLAY_BITS, WAVE_EXPECTED);
+        let start = pif_core::initial::normal_starting(&space.graph);
+        let cfg0 = space.encode(&start);
+        search.seed(match &self.sym {
+            Some(sym) => {
+                let idxs: Vec<u32> = start.iter().zip(&space.shapes).map(|(s, shape)| shape.index_of(s)).collect();
+                sym.canon_snap(&idxs, (cfg0, 0, 0, false))
+            }
+            None => pack_snap(cfg0, 0, 0, false),
         });
-        (seen.len() as u64, scratches)
+        search.run(|sc, key, router| {
+            self.expand_snap(sc, unpack_snap(key), track_acks, false, |key| router.route(key));
+        });
+        search
     }
 }
 
@@ -1673,6 +1673,26 @@ mod tests {
         let s = StateSpace::new(g, p);
         let report = s.check_snap_wave(true);
         assert!(!report.verified(), "the ablated protocol must violate on the wave slice");
+    }
+
+    #[test]
+    fn spill_budget_preserves_product_reports() {
+        // Each worker's table gets its share of the budget. Budgets small
+        // enough to freeze runs in the correction and snap tables, at one
+        // worker and at two, must not change a single reported number.
+        let s = space(3);
+        let corr = format!("{:?}", Checker::with_workers(1).check_correction_bound(&s, 9));
+        let snap = format!("{:?}", Checker::with_workers(1).check_snap_safety(&s, true));
+        for workers in [1, 2] {
+            let spill = Checker::with_workers(workers).with_spill_budget(1 << 16);
+            let search = spill.ctx(&s, true).correction(9, workers);
+            assert!(search.spilled_keys() > 0, "w={workers}: the correction budget must freeze runs");
+            assert_eq!(format!("{:?}", spill.correction_report(&s, 9, search)), corr, "w={workers}");
+            let spill = Checker::with_workers(workers).with_spill_budget(1 << 12);
+            let search = spill.ctx(&s, true).snap(true, workers);
+            assert!(search.spilled_keys() > 0, "w={workers}: the snap budget must freeze runs");
+            assert_eq!(format!("{:?}", spill.snap_report(&s, true, search, false)), snap, "w={workers}");
+        }
     }
 
     #[test]

@@ -127,50 +127,43 @@ impl Quotient {
         self.perms.len() + 1
     }
 
-    /// Canonicalizes a correction-search product state: the orbit
-    /// element with the minimum packed key, given the source state's
-    /// domain indices.
+    /// Canonicalizes a correction-search product state: the minimum
+    /// packed key over its orbit, given the source state's domain
+    /// indices. The representative itself is the key unpacked.
     #[inline]
-    pub(crate) fn canon_corr(&self, idxs: &[u32], item: CorrItem) -> (u128, CorrItem) {
+    pub(crate) fn canon_corr(&self, idxs: &[u32], item: CorrItem) -> u128 {
         let (cfg, pending, rounds) = item;
-        let mut best_key = pack_corr(cfg, pending, rounds);
-        let mut best = item;
-        for perm in &self.perms {
-            let c = perm.map_cfg(idxs);
-            let p = perm.map_bits(pending);
-            let key = pack_corr(c, p, rounds);
-            if key < best_key {
-                best_key = key;
-                best = (c, p, rounds);
-            }
-        }
-        (best_key, best)
+        self.perms
+            .iter()
+            .map(|perm| pack_corr(perm.map_cfg(idxs), perm.map_bits(pending), rounds))
+            .fold(pack_corr(cfg, pending, rounds), u128::min)
     }
 
     /// Canonicalizes a snap-search product state (configuration plus
     /// delivery overlay), given the source state's domain indices.
     #[inline]
-    pub(crate) fn canon_snap(&self, idxs: &[u32], item: SnapItem) -> (u128, SnapItem) {
+    pub(crate) fn canon_snap(&self, idxs: &[u32], item: SnapItem) -> u128 {
         let (cfg, has, ack, active) = item;
-        let mut best_key = pack_snap(cfg, has, ack, active);
-        let mut best = item;
-        for perm in &self.perms {
-            let c = perm.map_cfg(idxs);
-            let h = perm.map_bits(has);
-            let a = perm.map_bits(ack);
-            let key = pack_snap(c, h, a, active);
-            if key < best_key {
-                best_key = key;
-                best = (c, h, a, active);
-            }
-        }
-        (best_key, best)
+        self.perms
+            .iter()
+            .map(|perm| {
+                pack_snap(perm.map_cfg(idxs), perm.map_bits(has), perm.map_bits(ack), active)
+            })
+            .fold(pack_snap(cfg, has, ack, active), u128::min)
+    }
+
+    /// Whether `cfg` (with domain indices `idxs`) is the minimum id of
+    /// its orbit.
+    #[inline]
+    pub(crate) fn is_representative(&self, idxs: &[u32], cfg: u64) -> bool {
+        self.perms.iter().all(|perm| perm.map_cfg(idxs) >= cfg)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{unpack_corr, unpack_snap};
     use pif_core::PifProtocol;
     use pif_daemon::{ActionId, Protocol, View};
     use pif_graph::{generators, Graph, ProcId};
@@ -292,13 +285,15 @@ mod tests {
                 let states = s.decode(cfg);
                 let idxs: Vec<u32> =
                     (0..n).map(|i| s.shapes[i].index_of(&states[i])).collect();
-                let (key, item) = q.canon_corr(&idxs, (cfg, pending, rounds));
+                let key = q.canon_corr(&idxs, (cfg, pending, rounds));
+                let item = unpack_corr(key);
+                assert_eq!(item.2, rounds, "the round counter is σ-invariant");
                 // Idempotent: canonicalizing the representative is a
                 // fixed point.
                 let rep_states = s.decode(item.0);
                 let rep_idxs: Vec<u32> =
                     (0..n).map(|i| s.shapes[i].index_of(&rep_states[i])).collect();
-                assert_eq!(q.canon_corr(&rep_idxs, item), (key, item));
+                assert_eq!(q.canon_corr(&rep_idxs, item), key);
                 // Orbit-invariant: every image canonicalizes to the
                 // same representative.
                 for perm in &q.perms {
@@ -306,9 +301,40 @@ mod tests {
                     let img_states = s.decode(img.0);
                     let img_idxs: Vec<u32> =
                         (0..n).map(|i| s.shapes[i].index_of(&img_states[i])).collect();
-                    assert_eq!(q.canon_corr(&img_idxs, img), (key, item));
+                    assert_eq!(q.canon_corr(&img_idxs, img), key);
                 }
             }
+        }
+    }
+
+    #[test]
+    fn representatives_are_exactly_the_canonical_seeds() {
+        // The product searches scan ids and expand only orbit
+        // representatives as seeds: that must pick exactly the
+        // configurations whose seed keys — empty snap overlay, or zero
+        // rounds with every enabled processor pending — are canonical.
+        for (s, _) in symmetric_instances() {
+            let q = Quotient::build(&s).expect("instance is symmetric");
+            let n = s.graph().len();
+            let mut rng = 0x5EED_u64;
+            let mut reps = 0;
+            for _ in 0..2_000 {
+                let cfg = splitmix(&mut rng) % s.config_count();
+                let states = s.decode(cfg);
+                let idxs: Vec<u32> = (0..n).map(|i| s.shapes[i].index_of(&states[i])).collect();
+                let pending = (0..n).fold(0u16, |mask, i| {
+                    let mut acts: Vec<ActionId> = Vec::new();
+                    let view = View::new(s.graph(), &states, ProcId::from_index(i));
+                    s.protocol().enabled_actions(view, &mut acts);
+                    mask | u16::from(!acts.is_empty()) << i
+                });
+                let rep = q.is_representative(&idxs, cfg);
+                let snap_seed = (cfg, 0, 0, false);
+                assert_eq!(rep, q.canon_snap(&idxs, snap_seed) == pack_snap(cfg, 0, 0, false));
+                assert_eq!(rep, q.canon_corr(&idxs, (cfg, pending, 0)) == pack_corr(cfg, pending, 0));
+                reps += usize::from(rep);
+            }
+            assert!(reps > 0 && reps < 2_000, "{}: {reps} representatives", s.graph().name());
         }
     }
 
@@ -326,16 +352,16 @@ mod tests {
             let active = bits >> 32 & 1 == 1;
             let states = s.decode(cfg);
             let idxs: Vec<u32> = (0..n).map(|i| s.shapes[i].index_of(&states[i])).collect();
-            let (key, item) = q.canon_snap(&idxs, (cfg, has, ack, active));
+            let key = q.canon_snap(&idxs, (cfg, has, ack, active));
             assert!(key <= pack_snap(cfg, has, ack, active));
-            assert_eq!(item.3, active, "the wave flag is σ-invariant");
+            assert_eq!(unpack_snap(key).3, active, "the wave flag is σ-invariant");
             for perm in &q.perms {
                 let img =
                     (perm.map_cfg(&idxs), perm.map_bits(has), perm.map_bits(ack), active);
                 let img_states = s.decode(img.0);
                 let img_idxs: Vec<u32> =
                     (0..n).map(|i| s.shapes[i].index_of(&img_states[i])).collect();
-                assert_eq!(q.canon_snap(&img_idxs, img), (key, item));
+                assert_eq!(q.canon_snap(&img_idxs, img), key);
             }
         }
     }

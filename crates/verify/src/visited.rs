@@ -1,12 +1,23 @@
-//! Sharded visited-set for the parallel state-space searches.
+//! Visited sets for the state-space searches.
 //!
 //! The searches key product states as packed `u128`s (configuration id
-//! plus the search overlay — delivery bitmaps, round counters). The
-//! visited set is the only structure shared between workers, so it is
-//! sharded: a key hashes to one of `shard_count` independently locked
-//! open-addressing tables, and workers expanding different shards never
-//! contend. Within a shard, slots are a linear-probed power-of-two array
-//! of raw keys — no buckets, no per-entry allocation.
+//! plus the search overlay — delivery bitmaps, round counters). A set is
+//! split into shards: a key hashes to one of `shard_count`
+//! open-addressing tables, each a linear-probed power-of-two array of
+//! raw keys — no buckets, no per-entry allocation. Two front-ends share
+//! those shards:
+//!
+//! * `LocalSet` has one owner and inserts through `&mut self`, with no
+//!   lock and no atomic. The searches give each owner of a partition of
+//!   the keys its own `LocalSet` and route every key to the one owner
+//!   that holds it (the crate's `frontier` module), so no table is ever
+//!   shared between threads.
+//! * [`VisitedSet`] is the concurrent form: one mutex per shard, so
+//!   threads inserting into different shards never contend.
+//!
+//! Either way an insert is **one probe sequence**: the walk from the
+//! key's home slot ends at the key (a duplicate) or at the empty slot the
+//! key then takes.
 //!
 //! Two memory levers sit behind the same interface (`DESIGN.md` §16):
 //!
@@ -24,15 +35,16 @@
 //!   [`RUN_BLOCK`]-key block). Membership probes hit the live table
 //!   first; only a Bloom-positive key pays one block-sized `pread` plus
 //!   a binary search within the block. Inserts always land in the live
-//!   table, so the frozen runs stay immutable and lock-free to read.
+//!   table, so the frozen runs stay immutable.
 //!
-//! Determinism: [`VisitedSet::insert`] returns whether the key was newly
-//! inserted, exactly once per key across all workers (the shard lock
-//! serializes insertions of colliding keys). The *set* of visited states
-//! of a breadth-first search closure is independent of insertion order,
-//! which is what makes the parallel searches bit-identical to the
-//! sequential ones — see `DESIGN.md` §11. Neither the slot width nor the
-//! spill tier changes any `insert` verdict, only where the key lives.
+//! Determinism: `insert` returns whether the key was newly inserted,
+//! exactly once per key (across all threads, for [`VisitedSet`], whose
+//! shard lock serializes insertions of colliding keys). The *set* of
+//! visited states of a breadth-first search closure is independent of
+//! insertion order, which is what makes the searches bit-identical
+//! across worker counts — see `DESIGN.md` §11. Neither the slot width
+//! nor the spill tier changes any `insert` verdict, only where the key
+//! lives.
 
 // Via pif-par's cfg-switched module: std's mutex normally, the
 // loom-instrumented one under `--cfg loom` (see tests/loom_visited.rs).
@@ -42,9 +54,9 @@ use std::fs::File;
 use std::io::Write;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Default number of independently locked shards (a power of two). 64
-/// shards keep contention negligible up to the thread counts std exposes
-/// while costing only 64 mutexes of overhead.
+/// Default number of shards (a power of two). 64 shards keep lock
+/// contention on a [`VisitedSet`] negligible, and bound the transient
+/// memory of one shard's growth or freeze to a 64th of the table.
 pub const SHARD_COUNT: usize = 64;
 
 /// Keys per frozen-run block: fence keys are kept in memory one per
@@ -61,7 +73,11 @@ const EMPTY64: u64 = u64::MAX;
 const LOAD_NUM: usize = 3;
 const LOAD_DEN: usize = 4;
 
-fn hash(key: u128) -> u64 {
+/// The 64-bit hash every table and the search's owner routing key on.
+/// Shards take the top bits and probes the low bits (see
+/// `LocalSet::insert_hashed`).
+#[inline]
+pub(crate) fn hash(key: u128) -> u64 {
     // Fold the halves, then SplitMix64 finalization — cheap and well
     // distributed for the dense, low-entropy packed keys the searches
     // produce.
@@ -74,7 +90,7 @@ fn hash(key: u128) -> u64 {
     x
 }
 
-/// Construction parameters for a [`VisitedSet`].
+/// Construction parameters for a visited set.
 #[derive(Clone, Debug)]
 pub struct VisitedConfig {
     /// Expected number of distinct keys: the live tables are pre-sized
@@ -111,6 +127,24 @@ enum Slots {
     U128(Vec<u128>),
 }
 
+/// Walks the probe sequence of `key` from its home slot: `Ok` when the
+/// key is present, otherwise `Err` with the first empty slot.
+#[inline]
+fn probe<K: Copy + Eq>(slots: &[K], key: K, empty: K, h: u64) -> Result<(), usize> {
+    let mask = slots.len() - 1;
+    let mut i = (h as usize) & mask;
+    loop {
+        let slot = slots[i];
+        if slot == key {
+            return Ok(());
+        }
+        if slot == empty {
+            return Err(i);
+        }
+        i = (i + 1) & mask;
+    }
+}
+
 impl Slots {
     fn with_len(len: usize, wide: bool) -> Self {
         if wide {
@@ -134,18 +168,20 @@ impl Slots {
         }
     }
 
+    /// One probe for `key` (which must fit the slot width).
     #[inline]
-    fn get(&self, i: usize) -> u128 {
+    fn find(&self, key: u128, h: u64) -> Result<(), usize> {
         match self {
-            Slots::U64(v) => {
-                let s = v[i];
-                if s == EMPTY64 {
-                    EMPTY
-                } else {
-                    u128::from(s)
-                }
-            }
-            Slots::U128(v) => v[i],
+            Slots::U64(v) => probe(v, key as u64, EMPTY64, h),
+            Slots::U128(v) => probe(v, key, EMPTY, h),
+        }
+    }
+
+    /// Calls `f` with every occupied slot's key.
+    fn for_each_key(&self, mut f: impl FnMut(u128)) {
+        match self {
+            Slots::U64(v) => v.iter().filter(|&&k| k != EMPTY64).for_each(|&k| f(u128::from(k))),
+            Slots::U128(v) => v.iter().filter(|&&k| k != EMPTY).for_each(|&k| f(k)),
         }
     }
 
@@ -275,75 +311,60 @@ impl Shard {
         Shard { slots: Slots::with_len(min_slots, wide), items: 0, runs: Vec::new(), spilled: 0 }
     }
 
-    /// Probes the live table for `key`.
+    /// Inserts `key` (hash `h`), returning whether it was new. One probe
+    /// of the live table decides the common case; frozen runs are only
+    /// consulted when the live table misses and runs exist.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `key` is the empty-slot sentinel or does not fit a
+    /// narrow-slot table.
     #[inline]
-    fn live_contains(&self, key: u128, h: u64) -> bool {
-        let mask = self.slots.len() - 1;
-        let mut i = (h as usize) & mask;
-        loop {
-            let slot = self.slots.get(i);
-            if slot == EMPTY {
-                return false;
-            }
-            if slot == key {
-                return true;
-            }
-            i = (i + 1) & mask;
+    fn insert(&mut self, key: u128, h: u64, spill: Option<&SpillState>) -> bool {
+        assert_ne!(key, EMPTY, "u128::MAX is reserved as the empty-slot sentinel");
+        if key >= u128::from(EMPTY64) {
+            assert!(
+                self.slots.key_bytes() == 16,
+                "key {key:#x} exceeds the configured max_key bound of a narrow-slot set"
+            );
         }
-    }
-
-    /// Inserts `key`, known absent from both tiers; returns `true` when
-    /// the shard spilled its live table to make room.
-    fn insert_new(&mut self, key: u128, h: u64, spill: Option<&SpillState>) -> bool {
-        let mut froze = false;
+        let Err(mut slot) = self.slots.find(key, h) else {
+            return false;
+        };
+        if self.runs.iter().any(|r| r.contains(key)) {
+            return false;
+        }
         if (self.items + 1) * LOAD_DEN > self.slots.len() * LOAD_NUM {
             // Freeze instead of growing once doubling would overshoot
             // this shard's share of the live-table budget.
             let over_budget = spill.is_some_and(|s| {
                 self.slots.len() * 2 * self.slots.key_bytes() > s.per_shard_budget
             });
-            if over_budget && self.items > 0 {
-                self.freeze(spill.expect("checked above"));
-                froze = true;
-            } else {
-                self.grow();
+            match spill {
+                Some(s) if over_budget && self.items > 0 => self.freeze(s),
+                _ => self.grow(),
             }
+            slot = self.slots.find(key, h).expect_err("key is absent");
         }
-        let mask = self.slots.len() - 1;
-        let mut i = (h as usize) & mask;
-        while self.slots.get(i) != EMPTY {
-            i = (i + 1) & mask;
-        }
-        self.slots.set(i, key);
+        self.slots.set(slot, key);
         self.items += 1;
-        froze
+        true
     }
 
     fn grow(&mut self) {
-        let new_len = self.slots.len() * 2;
-        let wide = self.slots.key_bytes() == 16;
-        let old = std::mem::replace(&mut self.slots, Slots::with_len(new_len, wide));
-        let mask = new_len - 1;
-        for i in 0..old.len() {
-            let key = old.get(i);
-            if key == EMPTY {
-                continue;
-            }
-            let mut j = (hash(key) as usize) & mask;
-            while self.slots.get(j) != EMPTY {
-                j = (j + 1) & mask;
-            }
-            self.slots.set(j, key);
-        }
+        let bigger = Slots::with_len(self.slots.len() * 2, self.slots.key_bytes() == 16);
+        let old = std::mem::replace(&mut self.slots, bigger);
+        old.for_each_key(|key| {
+            let slot = self.slots.find(key, hash(key)).expect_err("keys are distinct");
+            self.slots.set(slot, key);
+        });
     }
 
     /// Moves the live table's contents into a new frozen run and resets
     /// the live table to its minimum size.
     fn freeze(&mut self, spill: &SpillState) {
-        let mut keys: Vec<u128> = (0..self.slots.len())
-            .map(|i| self.slots.get(i))
-            .filter(|&k| k != EMPTY)
-            .collect();
+        let mut keys = Vec::with_capacity(self.items);
+        self.slots.for_each_key(|key| keys.push(key));
         keys.sort_unstable();
         let width = self.slots.key_bytes();
         let seq = spill.seq.fetch_add(1, Ordering::Relaxed);
@@ -361,41 +382,47 @@ impl Shard {
             }
         }
     }
-
-    fn contains(&self, key: u128, h: u64) -> bool {
-        self.live_contains(key, h) || self.runs.iter().any(|r| r.contains(key))
-    }
 }
 
-/// Shared spill configuration: the runs directory plus a process-wide
-/// run sequence number.
+/// Spill configuration: the runs directory plus a run sequence number.
+/// Dropping it removes the directory (the run files in it are already
+/// unlinked).
 struct SpillState {
     dir: std::path::PathBuf,
     per_shard_budget: usize,
     seq: AtomicU64,
 }
 
-/// A concurrent set of packed `u128` product states.
+impl Drop for SpillState {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir(&self.dir);
+    }
+}
+
+#[inline]
+fn shard_of(h: u64, shard_bits: u32) -> usize {
+    // Shard on the top bits, probe on the low bits, so the probe
+    // position within a shard is independent of shard selection.
+    if shard_bits == 0 {
+        0
+    } else {
+        (h >> (64 - shard_bits)) as usize
+    }
+}
+
+/// A set of packed `u128` product states with a single owner.
 ///
 /// Sharded open addressing with optional key-width compression and a
-/// disk-spill tier (see the module docs). `insert` takes one shard
-/// lock, held only for the probe (plus the occasional freeze). Built
-/// for the write-once access pattern of a BFS visited set — there is no
-/// lookup-without-insert and no removal.
-pub struct VisitedSet {
-    shards: Vec<Mutex<Shard>>,
+/// disk-spill tier (see the module docs), mutated through `&mut self`:
+/// no lock, no atomic. Built for the write-once access pattern of a BFS
+/// visited set — there is no lookup-without-insert and no removal.
+pub(crate) struct LocalSet {
+    shards: Vec<Shard>,
     shard_bits: u32,
     spill: Option<SpillState>,
 }
 
-impl VisitedSet {
-    /// Creates a set pre-sized for `expected` total keys with the
-    /// default configuration: full-width slots, [`SHARD_COUNT`] shards,
-    /// no spill tier.
-    pub fn with_capacity(expected: usize) -> Self {
-        Self::with_config(VisitedConfig { expected, ..VisitedConfig::default() })
-    }
-
+impl LocalSet {
     /// Creates a set from an explicit [`VisitedConfig`].
     ///
     /// # Panics
@@ -434,24 +461,73 @@ impl VisitedSet {
             let width = if wide { 16 } else { 8 };
             per_shard = per_shard.min(s.per_shard_budget / width * LOAD_NUM / LOAD_DEN);
         }
-        VisitedSet {
-            shards: (0..config.shard_count)
-                .map(|_| Mutex::new(Shard::with_capacity(per_shard, wide)))
-                .collect(),
+        LocalSet {
+            shards: (0..config.shard_count).map(|_| Shard::with_capacity(per_shard, wide)).collect(),
             shard_bits: config.shard_count.trailing_zeros(),
             spill,
         }
     }
 
+    /// Inserts `key`, returning `true` when it was not yet present.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `key` exceeds the configured `max_key` bound (in the
+    /// narrow-slot case, where it would collide with the sentinel).
     #[inline]
-    fn shard_of(&self, h: u64) -> usize {
-        // Shard on the top bits, probe on the low bits, so the probe
-        // position within a shard is independent of shard selection.
-        if self.shard_bits == 0 {
-            0
-        } else {
-            (h >> (64 - self.shard_bits)) as usize
-        }
+    pub fn insert(&mut self, key: u128) -> bool {
+        self.insert_hashed(key, hash(key))
+    }
+
+    /// [`Self::insert`] with the key's [`hash`] already computed. The
+    /// top `log2(shard_count)` bits pick the shard and the low bits the
+    /// home slot; bits in between are free for the caller (the search
+    /// routes keys to owners on them).
+    #[inline]
+    pub(crate) fn insert_hashed(&mut self, key: u128, h: u64) -> bool {
+        self.shards[shard_of(h, self.shard_bits)].insert(key, h, self.spill.as_ref())
+    }
+
+    /// Total number of distinct keys inserted (live + spilled).
+    pub fn len(&self) -> usize {
+        self.shards.iter().map(|s| s.items + s.spilled).sum()
+    }
+
+    /// Number of keys currently frozen in on-disk runs (zero without a
+    /// spill budget).
+    #[cfg(test)]
+    pub fn spilled_keys(&self) -> usize {
+        self.shards.iter().map(|s| s.spilled).sum()
+    }
+}
+
+/// A concurrent set of packed `u128` product states.
+///
+/// The shards of a single-owner set, one mutex each: `insert` takes one
+/// shard lock, held only for the probe (plus the occasional freeze).
+pub struct VisitedSet {
+    shards: Vec<Mutex<Shard>>,
+    shard_bits: u32,
+    spill: Option<SpillState>,
+}
+
+impl VisitedSet {
+    /// Creates a set pre-sized for `expected` total keys with the
+    /// default configuration: full-width slots, [`SHARD_COUNT`] shards,
+    /// no spill tier.
+    pub fn with_capacity(expected: usize) -> Self {
+        Self::with_config(VisitedConfig { expected, ..VisitedConfig::default() })
+    }
+
+    /// Creates a set from an explicit [`VisitedConfig`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `shard_count` is not a power of two, or if `max_key`
+    /// collides with the empty-slot sentinel of the selected width.
+    pub fn with_config(config: VisitedConfig) -> Self {
+        let LocalSet { shards, shard_bits, spill } = LocalSet::with_config(config);
+        VisitedSet { shards: shards.into_iter().map(Mutex::new).collect(), shard_bits, spill }
     }
 
     /// Inserts `key`, returning `true` exactly once per distinct key
@@ -463,31 +539,18 @@ impl VisitedSet {
     /// narrow-slot case, where it would collide with the sentinel) or if
     /// a shard lock is poisoned by a panicking worker.
     pub fn insert(&self, key: u128) -> bool {
-        assert_ne!(key, EMPTY, "u128::MAX is reserved as the empty-slot sentinel");
         let h = hash(key);
-        let mut shard = self.shards[self.shard_of(h)].lock().expect("visited shard poisoned");
-        if key >= u128::from(EMPTY64) {
-            assert!(
-                shard.slots.key_bytes() == 16,
-                "key {key:#x} exceeds the configured max_key bound of a narrow-slot set"
-            );
-        }
-        if shard.contains(key, h) {
-            return false;
-        }
-        shard.insert_new(key, h, self.spill.as_ref());
-        true
+        let mut shard = self.shards[shard_of(h, self.shard_bits)].lock().expect("visited shard poisoned");
+        shard.insert(key, h, self.spill.as_ref())
+    }
+
+    fn sum(&self, f: impl Fn(&Shard) -> usize) -> usize {
+        self.shards.iter().map(|s| f(&s.lock().expect("visited shard poisoned"))).sum()
     }
 
     /// Total number of distinct keys inserted (live + spilled).
     pub fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| {
-                let s = s.lock().expect("visited shard poisoned");
-                s.items + s.spilled
-            })
-            .sum()
+        self.sum(|s| s.items + s.spilled)
     }
 
     /// Whether no key has been inserted yet.
@@ -498,33 +561,18 @@ impl VisitedSet {
     /// Number of keys currently frozen in on-disk runs (zero without a
     /// spill budget).
     pub fn spilled_keys(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().expect("visited shard poisoned").spilled).sum()
+        self.sum(|s| s.spilled)
     }
 
     /// Number of frozen runs across all shards.
     pub fn run_count(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().expect("visited shard poisoned").runs.len()).sum()
+        self.sum(|s| s.runs.len())
     }
 
     /// Current live-table slot bytes across all shards (the quantity the
     /// spill budget bounds).
     pub fn live_bytes(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| {
-                let s = s.lock().expect("visited shard poisoned");
-                s.slots.len() * s.slots.key_bytes()
-            })
-            .sum()
-    }
-}
-
-impl Drop for VisitedSet {
-    fn drop(&mut self) {
-        if let Some(s) = &self.spill {
-            // Run files are already unlinked; only the directory remains.
-            let _ = std::fs::remove_dir(&s.dir);
-        }
+        self.sum(|s| s.slots.len() * s.slots.key_bytes())
     }
 }
 
@@ -608,19 +656,17 @@ mod tests {
     fn probe_wraparound_at_the_table_end_is_exact() {
         // Force collisions whose natural slot is the last one of the
         // minimum-sized table, so probing must wrap to slot 0 and keep
-        // going; novelty and membership must survive the wraparound and
-        // the subsequent growth rehash.
+        // going; novelty and membership must survive the wraparound.
         let mut shard = Shard::with_capacity(0, false);
         let mask = shard.slots.len() - 1;
         let h = mask as u64; // natural slot = last slot of the table
         for key in 0..12u128 {
-            assert!(!shard.contains(key, h));
-            shard.insert_new(key, h, None);
+            assert!(shard.insert(key, h, None), "key {key} must be novel");
         }
         for key in 0..12u128 {
-            assert!(shard.contains(key, h), "lost key {key} across wraparound/growth");
+            assert!(!shard.insert(key, h, None), "lost key {key} across wraparound");
         }
-        assert!(!shard.contains(99, h));
+        assert!(shard.slots.find(99, h).is_err());
         assert_eq!(shard.items, 12);
     }
 
@@ -651,11 +697,11 @@ mod tests {
     }
 
     proptest::proptest! {
-        /// Insert-then-contains across shard counts {1, 64}: any key
-        /// sequence (duplicates included) must produce the same novelty
-        /// verdicts and final cardinality as a reference `HashSet`,
-        /// whether all keys funnel through one shard or spread over 64,
-        /// and regardless of slot width.
+        /// Insert-then-contains across shard counts {1, 64} and both
+        /// front-ends: any key sequence (duplicates included) must
+        /// produce the same novelty verdicts and final cardinality as a
+        /// reference `HashSet`, whether all keys funnel through one shard
+        /// or spread over 64, and regardless of slot width.
         #[test]
         fn insert_then_contains_across_shard_counts(
             raw in proptest::collection::vec(0u64..(1 << 48), 1..400),
@@ -663,21 +709,28 @@ mod tests {
         ) {
             let keys: Vec<u128> = raw.iter().map(|&k| u128::from(k)).collect();
             let mut reference = std::collections::HashSet::new();
-            let sets: Vec<VisitedSet> = [1usize, 64]
-                .iter()
-                .map(|&shards| VisitedSet::with_config(VisitedConfig {
-                    shard_count: shards,
-                    max_key: if narrow { 1 << 48 } else { u128::MAX - 1 },
-                    ..VisitedConfig::default()
-                }))
-                .collect();
+            let config = |shard_count| VisitedConfig {
+                shard_count,
+                max_key: if narrow { 1 << 48 } else { u128::MAX - 1 },
+                ..VisitedConfig::default()
+            };
+            let sets: Vec<VisitedSet> =
+                [1usize, 64].iter().map(|&shards| VisitedSet::with_config(config(shards))).collect();
+            let mut locals: Vec<LocalSet> =
+                [1usize, 64].iter().map(|&shards| LocalSet::with_config(config(shards))).collect();
             for &k in &keys {
                 let novel = reference.insert(k);
                 for set in &sets {
                     proptest::prop_assert_eq!(set.insert(k), novel);
                 }
+                for set in &mut locals {
+                    proptest::prop_assert_eq!(set.insert(k), novel);
+                }
             }
             for set in &sets {
+                proptest::prop_assert_eq!(set.len(), reference.len());
+            }
+            for set in &locals {
                 proptest::prop_assert_eq!(set.len(), reference.len());
             }
         }

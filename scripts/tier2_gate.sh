@@ -50,6 +50,15 @@ jq -e '[.results[] | select(.instance == "chain3-mid" or .instance == "triangle"
 # The committed benchmark artifact must parse with the same shape.
 jq -e '.benchmark == "verify_throughput" and (.results | length == 12)' \
     BENCH_verify_throughput.json > /dev/null
+# Every deterministic column of the fresh rows (state counts with and
+# without the reduction, verdicts and full-space sizes, including the
+# chain4/chain5 wave rows no test pins) must equal the committed
+# artifact, row for row; only the rates may drift.
+jq -e --slurpfile committed BENCH_verify_throughput.json '
+    def pinned: [.results[] | {instance, check, states_explored,
+        reduced_states_explored, verified, full_space_configs}];
+    (.results | length == 12) and pinned == ($committed[0] | pinned)' \
+    "$trace_dir/verify_throughput.json" > /dev/null
 
 # Reduction differential: every reduction (none/por/symmetry/full) must
 # return verdicts bit-identical to the exhaustive reference on all

@@ -223,6 +223,40 @@ fn soa_steady_state_steps_do_not_allocate() {
 }
 
 #[test]
+fn pif_steady_state_steps_do_not_allocate() {
+    // The AoS engine running the paper's protocol, not the toy ring: a
+    // non-root B-action picks its parent by scanning Pre_Potential in
+    // place, so guard evaluation and execution move no heap memory.
+    let g = generators::torus(8, 8).unwrap();
+    let protocol = PifProtocol::new(ProcId(0), &g);
+    let init = initial::random_config(&g, &protocol, 0xA110C);
+    let mut sim = Simulator::new(g, protocol, init);
+    sim.set_validation(true);
+    let mut daemon = CentralRandom::new(0xA110C);
+
+    for _ in 0..2_000 {
+        let rep = sim.step(&mut daemon).unwrap();
+        assert!(!rep.terminal, "PIF waves must keep cycling");
+    }
+
+    let before = ALLOCATIONS.load(Ordering::SeqCst);
+    TRACKING.with(|t| t.set(true));
+    for _ in 0..10_000 {
+        sim.step(&mut daemon).unwrap();
+    }
+    TRACKING.with(|t| t.set(false));
+    let after = ALLOCATIONS.load(Ordering::SeqCst);
+
+    assert_eq!(
+        after - before,
+        0,
+        "PIF step path allocated {} time(s) across 10k steady-state steps",
+        after - before
+    );
+    assert!(sim.rounds() > 0, "round accounting must still advance");
+}
+
+#[test]
 fn soa_sync_and_batch_stepping_do_not_allocate() {
     // The synchronous fast path: after warm-up, whole-network steps move
     // no heap memory.
@@ -283,6 +317,16 @@ fn adversarial_daemons_select_without_allocating() {
     }
 }
 
+/// The lossy-link plan of [`lossy_transport_ticks_do_not_allocate`]:
+/// every fault at once.
+fn lossy_plan() -> FaultPlan {
+    FaultPlan::fault_free()
+        .drop_rate(0.2)
+        .duplicate_rate(0.1)
+        .reorder_rate(0.3)
+        .corrupt_rate(0.05)
+}
+
 #[test]
 fn lossy_transport_ticks_do_not_allocate() {
     // The message-passing engine under every fault at once: sends copy
@@ -295,14 +339,9 @@ fn lossy_transport_ticks_do_not_allocate() {
     let g = generators::ring(n).unwrap();
     let protocol = TokenRing { k: n as u32 + 1, n };
     let init: Vec<u32> = (0..n as u32).map(|i| (i * 7) % (n as u32 + 1)).collect();
-    let plan = FaultPlan::fault_free()
-        .drop_rate(0.2)
-        .duplicate_rate(0.1)
-        .reorder_rate(0.3)
-        .corrupt_rate(0.05);
     let mut net = NetBuilder::new(g, protocol)
         .states(init)
-        .fault_plan(plan)
+        .fault_plan(lossy_plan())
         .capacity(4)
         .heartbeat_every(3)
         .seed(0xA110C)
@@ -337,5 +376,45 @@ fn lossy_transport_ticks_do_not_allocate() {
             && stats.overflow_dropped > 0,
         "every fault path must have run: {stats:?}"
     );
+    assert_eq!(stats.corrupt_applied, 0);
+}
+
+#[test]
+fn pif_lossy_transport_ticks_do_not_allocate() {
+    // The same lossy plan with the paper's protocol on a torus: PIF
+    // guard evaluation and execution over the cached neighbour views
+    // must be as allocation-free as the toy ring's.
+    let g = generators::torus(8, 8).unwrap();
+    let protocol = PifProtocol::new(ProcId(0), &g);
+    let init = initial::random_config(&g, &protocol, 0xA110C);
+    let mut net = NetBuilder::new(g, protocol)
+        .states(init)
+        .fault_plan(lossy_plan())
+        .capacity(4)
+        .heartbeat_every(3)
+        .seed(0xA110C)
+        .build()
+        .unwrap();
+
+    for _ in 0..20_000 {
+        net.tick();
+    }
+
+    let before = ALLOCATIONS.load(Ordering::SeqCst);
+    TRACKING.with(|t| t.set(true));
+    for _ in 0..100_000 {
+        net.tick();
+    }
+    TRACKING.with(|t| t.set(false));
+    let after = ALLOCATIONS.load(Ordering::SeqCst);
+
+    assert_eq!(
+        after - before,
+        0,
+        "PIF over the net transport allocated {} time(s) across 100k steady-state ticks",
+        after - before
+    );
+    let stats = net.stats();
+    assert!(stats.executions > 1_000, "PIF waves must keep cycling: {stats:?}");
     assert_eq!(stats.corrupt_applied, 0);
 }

@@ -1,5 +1,5 @@
 //! Differential tests of the exhaustive checker across worker counts:
-//! the frontier driver with several workers (sharded visited table,
+//! the frontier driver with several workers (owner-partitioned tables,
 //! per-worker scratch, concurrent expansion) must return reports
 //! **bit-identical** to the same search run inline on one worker — same
 //! `states_explored`, same transition counts, same verdicts, same
@@ -8,7 +8,9 @@
 //! suite: chain(2), chain(3) and the triangle (the first non-tree
 //! instance, exercising the arbitrary-network B/F-correction paths the
 //! paper exists for). The one-worker reference is itself pinned to the
-//! published `states_explored` of `BENCH_verify_throughput.json`.
+//! published `states_explored` of `BENCH_verify_throughput.json`, and
+//! on the symmetric instances the exact counts under every reduction
+//! are pinned at one, two and four workers.
 
 use pif_suite::core::{Features, PifProtocol};
 use pif_suite::graph::{generators, Graph, ProcId};
@@ -145,6 +147,80 @@ fn reduced_engines_reach_the_same_verdicts() {
                 );
                 assert!(snap.states_explored <= ref_snap.states_explored, "{name} {red}");
                 assert!(ref_corr.verified() && ref_snap.verified(), "{name}");
+            }
+        }
+    }
+}
+
+/// Which check a pinned count belongs to.
+#[derive(Clone, Copy, Debug)]
+enum Check {
+    /// `check_correction_bound(3·L_max + 3)`.
+    Correction,
+    /// `check_snap_safety(true)`.
+    Snap,
+    /// `check_snap_wave(true)`.
+    Wave,
+}
+
+/// Exact `states_explored` (and, where pinned, `transitions`) under
+/// each reduction, in `Reduction::ALL` order (None, Por, Symmetry,
+/// Full), on the symmetric instances where the reductions bite.
+#[allow(clippy::type_complexity)]
+fn reduced_pins() -> Vec<(&'static str, Graph, ProcId, Check, [u64; 4], Option<[u64; 4]>)> {
+    let chain3 = || generators::chain(3).unwrap();
+    let triangle = || generators::complete(3).unwrap();
+    vec![
+        ("chain3-mid", chain3(), ProcId(1), Check::Correction, [39_492, 39_489, 20_061, 20_059], None),
+        (
+            "chain3-mid",
+            chain3(),
+            ProcId(1),
+            Check::Snap,
+            [23_531, 23_531, 12_098, 12_098],
+            Some([63_913, 52_206, 32_984, 26_900]),
+        ),
+        ("triangle", triangle(), ProcId(0), Check::Correction, [154_404, 154_404, 77_877, 77_877], None),
+        ("triangle", triangle(), ProcId(0), Check::Snap, [93_995, 93_995, 47_660, 47_660], None),
+        ("ring5", generators::ring(5).unwrap(), ProcId(0), Check::Wave, [398, 398, 226, 226], None),
+        ("grid3x2", generators::grid(3, 2).unwrap(), ProcId(1), Check::Wave, [1_319, 1_319, 739, 739], None),
+    ]
+}
+
+#[test]
+fn reduced_state_counts_are_pinned() {
+    // A reduction may only shrink the space, but by exactly how much is
+    // a property of the instance: a search that stored too few states
+    // (a wrong seed or orbit-representative filter, say) would still
+    // reach the same verdicts, so the counts are pinned per reduction
+    // and worker count.
+    for (name, g, root, check, states, transitions) in reduced_pins() {
+        let protocol = PifProtocol::new(root, &g);
+        let space = StateSpace::new(g, protocol);
+        let bound = 3 * u32::from(space.protocol().l_max()) + 3;
+        for (k, red) in Reduction::ALL.into_iter().enumerate() {
+            for workers in [1, 2, 4] {
+                let checker = Checker::with_workers(workers).with_reduction(red);
+                let (got_states, got_transitions, verified) = match check {
+                    Check::Correction => {
+                        let r = checker.check_correction_bound(&space, bound);
+                        (r.states_explored, None, r.verified())
+                    }
+                    Check::Snap | Check::Wave => {
+                        let r = if matches!(check, Check::Wave) {
+                            checker.check_snap_wave(&space, true)
+                        } else {
+                            checker.check_snap_safety(&space, true)
+                        };
+                        (r.states_explored, Some(r.transitions), r.verified())
+                    }
+                };
+                let at = format!("{name} {check:?} {red} w={workers}");
+                assert!(verified, "{at}");
+                assert_eq!(got_states, states[k], "{at}: states");
+                if let Some(t) = transitions {
+                    assert_eq!(got_transitions, Some(t[k]), "{at}: transitions");
+                }
             }
         }
     }
