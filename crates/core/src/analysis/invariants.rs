@@ -150,6 +150,7 @@ impl InvariantMonitor {
 
     /// Additionally asserts chordless parent paths after every step. Only
     /// sound for runs started from clean (SBN) configurations.
+    #[must_use]
     pub fn with_chordless_check(mut self) -> Self {
         self.check_chordless = true;
         self

@@ -48,7 +48,7 @@ pub fn render(protocol: &PifProtocol, trace: &Trace<PifProtocol>) -> String {
         return String::from("(no configurations recorded; use Trace::with_configurations)");
     };
     let mut out = String::new();
-    let n = configs.first().map(|c| c.len()).unwrap_or(0);
+    let n = configs.first().map_or(0, Vec::len);
     let _ = writeln!(out, "phase timeline ({} steps, root {}):", trace.len(), protocol.root());
     for i in 0..n {
         let p = ProcId::from_index(i);

@@ -12,7 +12,7 @@ use crate::state::{Phase, PifState};
 /// How a [`ParentPath`] terminates.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum PathEnd {
-    /// The path reached the root `r`: its owner belongs to the *LegalTree*
+    /// The path reached the root `r`: its owner belongs to the `LegalTree`
     /// (Definition 6).
     Root,
     /// The path reached an abnormal processor (the extremity of an
@@ -86,7 +86,7 @@ pub fn parent_path(
     }
 }
 
-/// The decomposition of a configuration into the *LegalTree* and the
+/// The decomposition of a configuration into the `LegalTree` and the
 /// abnormal trees (Definitions 5–7).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct TreeDecomposition {
@@ -185,7 +185,7 @@ pub fn abnormal_procs(
 /// Definition 15 — *Good Configuration*: every participating processor
 /// outside the legal tree whose parent *is* in the legal tree satisfies
 /// `GoodCount`. (In a good configuration the legal tree is the
-/// *GoodLegalTree*, Definition 16, and the root's counter can only reach
+/// `GoodLegalTree`, Definition 16, and the root's counter can only reach
 /// `N` once the tree spans the network.)
 pub fn good_configuration(
     protocol: &PifProtocol,
@@ -205,7 +205,7 @@ pub fn good_configuration(
     })
 }
 
-/// Renders the configuration's parent-pointer structure as a GraphViz DOT
+/// Renders the configuration's parent-pointer structure as a Graphviz DOT
 /// digraph: one node per processor labelled with its registers, one arrow
 /// per participating parent pointer, legal-tree members drawn solid and
 /// others dashed.

@@ -254,10 +254,10 @@ pub fn corrupt_registers(
                 }
             }
             2 => {
-                if !is_root {
-                    s.level = rng.random_range(1..=protocol.l_max());
-                } else {
+                if is_root {
                     s.phase = Phase::ALL[rng.random_range(0..3)];
+                } else {
+                    s.level = rng.random_range(1..=protocol.l_max());
                 }
             }
             3 => s.count = rng.random_range(1..=protocol.n_prime()),

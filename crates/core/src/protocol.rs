@@ -8,6 +8,20 @@
 //! `Fok-action`, `F-action`, `C-action`, `Count-action`, `B-correction`,
 //! `F-correction`) appears here under its paper name.
 //!
+//! ## Guard evaluation
+//!
+//! The per-guard functions ([`PifProtocol::broadcast_guard`] …
+//! [`PifProtocol::f_correction_guard`]) are the literal transliteration:
+//! each composes the macros and predicates above, so evaluating all seven
+//! walks the neighborhood five to eight times. [`Protocol::enabled_actions`]
+//! instead evaluates them in one pass: it dispatches on the root and on
+//! `Pif_p`, decides the parent conjuncts of `Normal(p)` first, and stops
+//! the neighbor scan as soon as the enabled set is settled — the same
+//! phase split as the `SoA` `GuardKernel::mask`. The property tests in
+//! `tests/prop_protocol.rs` check it against the per-guard composition
+//! and against the kernel on arbitrary configurations under every
+//! [`Features`] ablation.
+//!
 //! ## Transliteration notes
 //!
 //! Two spots in the published text are internally inconsistent as printed
@@ -80,8 +94,11 @@ const ACTION_NAMES: &[&str] = &[
 //   3  Count        — may be co-enabled with Fok-action at ¬Fok_p
 //                     processors whose parent just raised Fok.
 //
-// Read-sets: every guard except Broadcast(p) evaluates Normal(p), which
-// reads the full local view, so only B-action gets a narrow declaration.
+// Read-sets describe the guards as the paper states them: every guard
+// except Broadcast(p) conjoins Normal(p), which reads the full local view,
+// so only B-action gets a narrow declaration. The fused scan behind
+// enabled_actions reads a subset of each declaration — it skips what a
+// settled outcome no longer needs — and never a register outside it.
 // ----------------------------------------------------------------------
 
 const READS_B: &[RegAccess] = &[
@@ -107,6 +124,10 @@ const WRITES_COUNT: &[RegAccess] = &[RegAccess::own("count"), RegAccess::own("fo
 /// The paper's algorithm corresponds to [`Features::default`] — everything
 /// on. Each switch removes one mechanism whose necessity DESIGN.md calls
 /// out; the ablation benches measure what breaks.
+// Four independent on/off switches, one per mechanism: every one of the 16
+// combinations is a valid ablation experiment, so plain bools model the
+// space exactly — an enum would have to list 16 variants.
+#[allow(clippy::struct_excessive_bools)]
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Features {
     /// Keep the `Leaf(p)` conjunct in the non-root `Broadcast(p)` guard.
@@ -186,20 +207,32 @@ pub struct PifProtocol {
 }
 
 impl PifProtocol {
+    /// The largest network the protocol runs on: the level register `L`
+    /// is 16 bits wide, and the paper requires `L_max ≥ N − 1`.
+    pub const MAX_PROCS: usize = u16::MAX as usize + 1;
+
     /// Creates the protocol for network `graph` rooted at `root`, with the
     /// canonical parameters `N = graph.len()`, `L_max = max(N − 1, 1)` and
     /// `N' = N`.
     ///
     /// # Panics
     ///
-    /// Panics if `root` is out of range for `graph`.
+    /// Panics if `root` is out of range for `graph`, or if `graph` has
+    /// more than [`PifProtocol::MAX_PROCS`] processors (`N − 1` would not
+    /// fit the level register, voiding `L_max ≥ N − 1`).
     pub fn new(root: ProcId, graph: &Graph) -> Self {
         assert!(root.index() < graph.len(), "root out of range");
+        assert!(
+            graph.len() <= Self::MAX_PROCS,
+            "network of {} processors exceeds the {} that L_max >= N - 1 admits",
+            graph.len(),
+            Self::MAX_PROCS
+        );
         let n = graph.len() as u32;
         PifProtocol {
             root,
             n,
-            l_max: u16::try_from((n.saturating_sub(1)).max(1)).unwrap_or(u16::MAX),
+            l_max: u16::try_from((n - 1).max(1)).expect("N - 1 fits the level register"),
             n_prime: n,
             features: Features::default(),
         }
@@ -208,6 +241,7 @@ impl PifProtocol {
     /// Overrides `L_max`. The paper requires `L_max ≥ N − 1`; smaller
     /// values are accepted for experimentation but void the correctness
     /// guarantees.
+    #[must_use]
     pub fn with_l_max(mut self, l_max: u16) -> Self {
         assert!(l_max >= 1, "L_max must be at least 1");
         self.l_max = l_max;
@@ -219,6 +253,7 @@ impl PifProtocol {
     /// # Panics
     ///
     /// Panics if `n_prime < N`.
+    #[must_use]
     pub fn with_n_prime(mut self, n_prime: u32) -> Self {
         assert!(n_prime >= self.n, "N' must be an upper bound of N");
         self.n_prime = n_prime;
@@ -228,12 +263,14 @@ impl PifProtocol {
     /// Overrides the input `N` given to the root. The paper assumes this is
     /// the exact network size; passing a wrong value demonstrates how the
     /// snap guarantee depends on it.
+    #[must_use]
     pub fn with_root_n(mut self, n: u32) -> Self {
         self.n = n;
         self
     }
 
     /// Selects ablation [`Features`].
+    #[must_use]
     pub fn with_features(mut self, features: Features) -> Self {
         self.features = features;
         self
@@ -334,9 +371,8 @@ impl PifProtocol {
         if !self.features.chordless_potential {
             return pre.into_iter().map(|(q, _)| q).collect();
         }
-        let min = match pre.iter().map(|&(_, l)| l).min() {
-            Some(m) => m,
-            None => return Vec::new(),
+        let Some(min) = pre.iter().map(|&(_, l)| l).min() else {
+            return Vec::new();
         };
         pre.into_iter().filter(|&(_, l)| l == min).map(|(q, _)| q).collect()
     }
@@ -521,6 +557,165 @@ impl PifProtocol {
     pub fn f_correction_guard(&self, view: View<'_, PifState>) -> bool {
         view.pid() != self.root && !self.normal(view) && view.me().phase == Phase::F
     }
+
+    // ------------------------------------------------------------------
+    // Fused guard evaluation, the body of `enabled_actions` (module docs,
+    // "Guard evaluation"). Each phase enables a disjoint action subset, so
+    // each scan below tracks only what its guards read. A scan returns a
+    // mask, bit k ⇔ ActionId(k), the encoding of the SoA
+    // `GuardKernel::mask`, and reads registers only through the `View`, so
+    // the analyzer's spy probe observes every read.
+    // ------------------------------------------------------------------
+
+    /// Algorithm 1. `B-action` and `C-action` need every neighbor clean;
+    /// under `Pif_r = B` the guards read `BFree(r)` and `Sum_r`.
+    fn root_mask(&self, view: View<'_, PifState>, me: &PifState) -> u8 {
+        if me.phase != Phase::B {
+            // Normal(r) holds vacuously outside B.
+            if !view.neighbor_states().all(|(_, s)| s.phase == Phase::C) {
+                return 0;
+            }
+            return if me.phase == Phase::C { bit(B_ACTION) } else { bit(C_ACTION) };
+        }
+        // GoodFok(r): Fok_r = (Count_r = N).
+        if me.fok != (me.count == self.n) {
+            return bit(B_CORRECTION);
+        }
+        if me.fok {
+            // GoodCount(r) holds and Count-action is off: only BFree(r)
+            // is left to decide F-action.
+            return if self.bfree(view) { bit(F_ACTION) } else { 0 };
+        }
+        let mut bfree = true;
+        let mut sum_raw: u64 = 1;
+        for (q, s) in view.neighbor_states() {
+            if s.phase == Phase::B {
+                bfree = false;
+                // Sum_Set_r: Par_q = r ∧ L_q = L_r + 1 = 1.
+                if s.par == view.pid() && q != self.root && s.level == 1 {
+                    sum_raw += u64::from(s.count);
+                }
+            }
+        }
+        let sum = sum_raw.min(u64::from(self.n_prime));
+        let count = u64::from(me.count);
+        if count > sum {
+            return bit(B_CORRECTION); // ¬GoodCount(r)
+        }
+        let mut m = 0;
+        if !self.features.fok_wave && bfree {
+            m |= bit(F_ACTION);
+        }
+        if count < sum {
+            m |= bit(COUNT_ACTION);
+        }
+        m
+    }
+
+    /// `Pif_p = C`, `p ≠ r`: `Normal(p)` holds, so only `B-action` can
+    /// fire — `(¬leaf_guard ∨ Leaf(p)) ∧ Pre_Potential_p ≠ ∅`. Under the
+    /// leaf guard a claimer settles the mask to `0`; without it, the first
+    /// `Pre_Potential_p` member settles it to `B-action`.
+    fn clean_mask(&self, view: View<'_, PifState>) -> u8 {
+        let leaf_guard = self.features.leaf_guard;
+        let mut pre_potential = false;
+        for (q, s) in view.neighbor_states() {
+            if s.phase == Phase::C {
+                continue;
+            }
+            if s.par == view.pid() && q != self.root {
+                // A participating claimer violates Leaf(p) and is outside
+                // Pre_Potential_p.
+                if leaf_guard {
+                    return 0;
+                }
+            } else if s.phase == Phase::B && !s.fok && self.level_of(q, s) < u32::from(self.l_max) {
+                pre_potential = true;
+                if !leaf_guard {
+                    break;
+                }
+            }
+        }
+        if pre_potential {
+            bit(B_ACTION)
+        } else {
+            0
+        }
+    }
+
+    /// `Pif_p = B`, `p ≠ r`: the parent decides `GoodPif`, `GoodLevel` and
+    /// `GoodFok`; one pass over the broadcasting claimers decides `BLeaf(p)`
+    /// and `Sum_p`. Under `Fok_p`, `Sum_Set_p` is empty, so the first
+    /// claimer settles the pass.
+    fn broadcast_mask(&self, view: View<'_, PifState>, me: &PifState) -> u8 {
+        let par = view.state(me.par);
+        // With Pif_p = B: GoodPif ⇔ Pif_Par = B; GoodFok ⇔ (Fok_p ⇒ Fok_Par).
+        let good_level = !self.features.level_guard
+            || u32::from(me.level) == self.level_of(me.par, par) + 1;
+        if par.phase != Phase::B || !good_level || (me.fok && !par.fok) {
+            return bit(B_CORRECTION);
+        }
+        let mut bleaf = true;
+        let mut sum_raw: u64 = 1;
+        for (q, s) in view.neighbor_states() {
+            if s.phase != Phase::B || s.par != view.pid() || q == self.root {
+                continue;
+            }
+            bleaf = false;
+            if me.fok {
+                break;
+            }
+            // Sum_Set_p: ¬Fok_p ∧ Par_q = p ∧ L_q = L_p + 1.
+            if u32::from(s.level) == u32::from(me.level) + 1 {
+                sum_raw += u64::from(s.count);
+            }
+        }
+        let sum = sum_raw.min(u64::from(self.n_prime));
+        let count = u64::from(me.count);
+        if !me.fok && count > sum {
+            return bit(B_CORRECTION); // ¬GoodCount(p)
+        }
+        let mut m = 0;
+        if self.features.fok_wave && me.fok != par.fok {
+            m |= bit(FOK_ACTION);
+        }
+        if (!self.features.fok_wave || me.fok) && bleaf {
+            m |= bit(F_ACTION);
+        }
+        if !me.fok && count < sum {
+            m |= bit(COUNT_ACTION);
+        }
+        m
+    }
+
+    /// `Pif_p = F`, `p ≠ r`: the parent alone decides `Normal(p)`
+    /// (`GoodCount` holds vacuously); then `Leaf(p) ∧ BFree(p)` fails at
+    /// the first neighbor that broadcasts or is a participating claimer.
+    fn feedback_mask(&self, view: View<'_, PifState>, me: &PifState) -> u8 {
+        let par = view.state(me.par);
+        // With Pif_p = F: GoodPif ⇔ Pif_Par ≠ C; GoodFok ⇔ (Pif_Par = B ⇒
+        // Fok_Par).
+        let good_level = !self.features.level_guard
+            || u32::from(me.level) == self.level_of(me.par, par) + 1;
+        if par.phase == Phase::C || !good_level || (par.phase == Phase::B && !par.fok) {
+            return bit(F_CORRECTION);
+        }
+        let cleaning = view.neighbor_states().all(|(q, s)| {
+            s.phase == Phase::C
+                || (s.phase == Phase::F && !(s.par == view.pid() && q != self.root))
+        });
+        if cleaning {
+            bit(C_ACTION)
+        } else {
+            0
+        }
+    }
+}
+
+/// The mask bit of `action`.
+#[inline]
+const fn bit(action: ActionId) -> u8 {
+    1 << action.0
 }
 
 impl Protocol for PifProtocol {
@@ -530,27 +725,24 @@ impl Protocol for PifProtocol {
         ACTION_NAMES
     }
 
+    /// Evaluates all seven guards in one neighborhood pass (module docs,
+    /// "Guard evaluation") and pushes the enabled actions in ascending
+    /// [`ActionId`] order, the order of the guard list: a first-action
+    /// daemon selects the first entry.
     fn enabled_actions(&self, view: View<'_, PifState>, out: &mut Vec<ActionId>) {
-        if self.broadcast_guard(view) {
-            out.push(B_ACTION);
-        }
-        if self.features.fok_wave && self.change_fok_guard(view) {
-            out.push(FOK_ACTION);
-        }
-        if self.feedback_guard(view) {
-            out.push(F_ACTION);
-        }
-        if self.cleaning_guard(view) {
-            out.push(C_ACTION);
-        }
-        if self.new_count_guard(view) {
-            out.push(COUNT_ACTION);
-        }
-        if self.b_correction_guard(view) {
-            out.push(B_CORRECTION);
-        }
-        if self.f_correction_guard(view) {
-            out.push(F_CORRECTION);
+        let me = view.me();
+        let mut mask = if view.pid() == self.root {
+            self.root_mask(view, me)
+        } else {
+            match me.phase {
+                Phase::C => self.clean_mask(view),
+                Phase::B => self.broadcast_mask(view, me),
+                Phase::F => self.feedback_mask(view, me),
+            }
+        };
+        while mask != 0 {
+            out.push(ActionId(mask.trailing_zeros() as usize));
+            mask &= mask - 1;
         }
     }
 
@@ -981,5 +1173,18 @@ mod tests {
     fn rejects_bad_root() {
         let g = generators::chain(2).unwrap();
         let _ = PifProtocol::new(ProcId(9), &g);
+    }
+
+    #[test]
+    fn l_max_covers_the_largest_admitted_network() {
+        let g = pif_graph::Topology::parse("chain:65536").unwrap().build().unwrap();
+        assert_eq!(PifProtocol::new(ProcId(0), &g).l_max(), 65_535);
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds the 65536 that L_max >= N - 1 admits")]
+    fn rejects_networks_the_level_register_cannot_span() {
+        let g = pif_graph::Topology::parse("chain:65537").unwrap().build().unwrap();
+        let _ = PifProtocol::new(ProcId(0), &g);
     }
 }

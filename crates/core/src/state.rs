@@ -96,7 +96,7 @@ impl pif_daemon::TraceState for PifState {
             self.par.index(),
             self.level,
             self.count,
-            self.fok as u8
+            u8::from(self.fok)
         );
     }
 
@@ -128,7 +128,7 @@ impl fmt::Display for PifState {
         write!(
             f,
             "{}⟨par={},L={},cnt={},fok={}⟩",
-            self.phase, self.par, self.level, self.count, self.fok as u8
+            self.phase, self.par, self.level, self.count, u8::from(self.fok)
         )
     }
 }

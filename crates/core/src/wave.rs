@@ -150,7 +150,7 @@ pub struct UnitAggregate;
 impl Aggregate for UnitAggregate {
     type Value = ();
     fn contribution(&self, _: ProcId) {}
-    fn fold(&self, _: (), _: ()) {}
+    fn fold(&self, (): (), (): ()) {}
 }
 
 /// The message/feedback overlay registers, maintained as an [`Observer`].
@@ -290,7 +290,7 @@ impl<M: Clone + PartialEq + fmt::Debug, A: Aggregate> WaveOverlay<M, A> {
 impl<M: Clone + PartialEq + fmt::Debug, A: Aggregate> Observer<PifProtocol>
     for WaveOverlay<M, A>
 {
-    fn step(&mut self, _graph: &Graph, delta: &StepDelta<'_, PifProtocol>, after: &[PifState]) {
+    fn step(&mut self, graph: &Graph, delta: &StepDelta<'_, PifProtocol>, after: &[PifState]) {
         let executed = delta.executed();
         self.steps += 1;
         // Root B-action first: it opens a new wave that same step.
@@ -306,7 +306,7 @@ impl<M: Clone + PartialEq + fmt::Debug, A: Aggregate> Observer<PifProtocol>
                     // Fold the root's contribution with its children's
                     // feedback registers.
                     let mut acc = self.aggregate.contribution(p);
-                    for q in _graph.neighbors(p) {
+                    for q in graph.neighbors(p) {
                         if after[q.index()].par == p && after[q.index()].phase == Phase::F {
                             if let Some(v) = &self.fb[q.index()] {
                                 acc = self.aggregate.fold(acc, v.clone());
@@ -329,7 +329,7 @@ impl<M: Clone + PartialEq + fmt::Debug, A: Aggregate> Observer<PifProtocol>
                 }
                 F_ACTION => {
                     let mut acc = self.aggregate.contribution(p);
-                    for q in _graph.neighbors(p) {
+                    for q in graph.neighbors(p) {
                         if q != self.root
                             && after[q.index()].par == p
                             && after[q.index()].phase == Phase::F
@@ -461,7 +461,7 @@ impl<M: Clone + PartialEq + fmt::Debug, A: Aggregate> WaveRunner<M, A> {
         daemon: &mut dyn pif_daemon::Daemon<PifState>,
         limits: RunLimits,
     ) -> Result<CycleOutcome<A::Value>, SimError> {
-        self.overlay.arm(m.clone());
+        self.overlay.arm(m);
 
         // Phase 1: wait for the root's B-action.
         let rounds_before = self.sim.rounds();
@@ -478,20 +478,20 @@ impl<M: Clone + PartialEq + fmt::Debug, A: Aggregate> WaveRunner<M, A> {
         let done = self.drive(daemon, limits, |ov, _| ov.feedback_step.is_some())?;
         if !done {
             let mut out = self.no_cycle_outcome(true, rounds_to_broadcast);
-            out.received = self.received_flags(&m);
+            out.received = self.received_flags();
             return Ok(out);
         }
         let cycle_rounds = self.sim.rounds() - rounds_b;
         let cycle_steps = self.sim.steps() - steps_b;
 
-        let received = self.received_flags(&m);
+        let received = self.received_flags();
         let pif1 = received.iter().all(|&r| r);
         let pif2 = pif1 && self.overlay.all_acknowledged() && {
             // Every acknowledging processor must have held the right value.
             self.sim
                 .graph()
                 .procs()
-                .all(|p| self.overlay.message_of(p) == Some(&m))
+                .all(|p| self.overlay.message_of(p) == self.overlay.armed.as_ref())
         };
         let height = self.overlay.observed_height(self.sim.states());
         let feedback = self.overlay.root_feedback.clone();
@@ -514,12 +514,10 @@ impl<M: Clone + PartialEq + fmt::Debug, A: Aggregate> WaveRunner<M, A> {
         })
     }
 
-    fn received_flags(&self, m: &M) -> Vec<bool> {
-        self.sim
-            .graph()
-            .procs()
-            .map(|p| self.overlay.message_of(p) == Some(m))
-            .collect()
+    /// Whether each processor holds the message armed for this cycle.
+    fn received_flags(&self) -> Vec<bool> {
+        let armed = self.overlay.armed.as_ref();
+        self.sim.graph().procs().map(|p| self.overlay.message_of(p) == armed).collect()
     }
 
     fn no_cycle_outcome(&self, initiated: bool, rounds: u64) -> CycleOutcome<A::Value> {

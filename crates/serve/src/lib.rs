@@ -113,6 +113,15 @@ pub enum ServeError {
     },
     /// The configured topology failed to build.
     Graph(GraphError),
+    /// The topology has more processors than the protocol's level
+    /// register can span (`L_max ≥ N − 1` must fit 16 bits).
+    NetworkTooLarge {
+        /// Processors in the configured topology.
+        procs: usize,
+        /// The largest admitted network,
+        /// [`pif_core::PifProtocol::MAX_PROCS`].
+        max: usize,
+    },
     /// A simulator error surfaced from a shard worker.
     Sim(SimError),
     /// A net-transport configuration or run error (lossy lane engine).
@@ -143,6 +152,11 @@ impl fmt::Display for ServeError {
                 write!(f, "queue for initiator {initiator} is full (capacity {capacity})")
             }
             ServeError::Graph(e) => write!(f, "topology error: {e}"),
+            ServeError::NetworkTooLarge { procs, max } => write!(
+                f,
+                "topology has {procs} processors; L_max >= N - 1 must fit the 16-bit level \
+                 register, so at most {max} are admitted"
+            ),
             ServeError::Sim(e) => write!(f, "simulator error: {e}"),
             ServeError::Net(e) => write!(f, "net transport error: {e}"),
             ServeError::SnapViolation { request, initiator } => write!(

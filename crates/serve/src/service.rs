@@ -4,7 +4,7 @@
 use std::fmt;
 use std::time::Instant;
 
-use pif_core::PifState;
+use pif_core::{PifProtocol, PifState};
 use pif_daemon::daemons::{CentralRandom, DistributedRandom, Synchronous};
 use pif_daemon::{Daemon, PhaseReport, PhaseTag};
 use pif_graph::{Graph, ProcId, Topology};
@@ -299,7 +299,9 @@ impl<M: Clone + PartialEq + fmt::Debug + Send> WaveService<M> {
     ///
     /// [`ServeError::NoInitiators`], [`ServeError::DuplicateInitiator`],
     /// [`ServeError::UnknownInitiator`] (initiator outside the network),
-    /// or [`ServeError::Graph`].
+    /// [`ServeError::Graph`], or [`ServeError::NetworkTooLarge`] (more
+    /// processors than the level register spans) — all before any lane
+    /// is built.
     ///
     /// # Panics
     ///
@@ -314,6 +316,9 @@ impl<M: Clone + PartialEq + fmt::Debug + Send> WaveService<M> {
             None => config.topology.build()?,
         };
         let n = graph.len();
+        if n > PifProtocol::MAX_PROCS {
+            return Err(ServeError::NetworkTooLarge { procs: n, max: PifProtocol::MAX_PROCS });
+        }
         if let Some(ls) = &config.lane_states {
             for (p, states) in ls {
                 assert_eq!(

@@ -221,6 +221,19 @@ fn config_validation_errors() {
     ));
 }
 
+/// A topology the 16-bit level register cannot span (`L_max ≥ N − 1`) is
+/// a typed error from `WaveService::new`; the largest admitted one builds.
+#[test]
+fn topologies_beyond_the_level_register_are_rejected() {
+    let spec = |s: &str| ServeConfig::new(Topology::parse(s).unwrap()).initiators(vec![ProcId(0)]);
+    assert!(matches!(
+        WaveService::<u64>::new(spec("chain:65537")),
+        Err(ServeError::NetworkTooLarge { procs: 65_537, max: 65_536 })
+    ));
+    let svc = WaveService::<u64>::new(spec("chain:65536")).unwrap();
+    assert_eq!(svc.graph().len(), 65_536);
+}
+
 /// Same seed ⇒ bit-identical deterministic report fields; different seed
 /// ⇒ (with randomized daemons) different trajectories.
 #[test]

@@ -2,13 +2,12 @@
 //!
 //! [`GuardKernel::mask`] evaluates all seven guards of one processor in a
 //! **single ascending pass** over its CSR neighbor list, returning a 7-bit
-//! mask (bit *k* set ⇔ `ActionId(k)` enabled) — where the array-of-structs
-//! protocol walks the neighborhood once per macro/predicate (`Sum`,
-//! `Pre_Potential`, `Leaf`, `BLeaf`, `BFree`, ... add up to eight-plus
-//! scans per evaluation), the kernel folds every accumulator into one
-//! scan over the bit planes. [`GuardKernel::execute`] is the matching
-//! allocation-free action semantics (the `AoS` `B-action` materializes
-//! `Potential_p` as a `Vec`; the kernel tracks the minimum inline).
+//! mask (bit *k* set ⇔ `ActionId(k)` enabled). It is the packed-register
+//! twin of the fused scan behind the array-of-structs
+//! `PifProtocol::enabled_actions`: the same dispatch on `Pif_p`, reading
+//! one tag byte per neighbor where the `AoS` scan reads a `PifState`
+//! through a `View`. [`GuardKernel::execute`] is the matching
+//! allocation-free action semantics.
 //!
 //! Equivalence with [`pif_core::PifProtocol`] is bit-for-bit — including
 //! the three published-text resolutions the `AoS` code documents (root

@@ -2,12 +2,13 @@
 //! protocol.
 //!
 //! The generic simulator (`pif_daemon::Simulator`) stores a configuration
-//! as an array of [`pif_core::PifState`] structs and evaluates guards by
-//! re-scanning each neighborhood once per predicate. This crate transposes
-//! the configuration into packed register planes ([`SoaConfig`]: `B`/`F`
-//! membership and `Fok` as 64-processor bitset words; `Par`/`L`/`Count`
-//! flat), evaluates all seven guards of a processor in a *single* neighbor
-//! scan ([`GuardKernel::mask`] returns a 7-bit action mask), and settles
+//! as an array of [`pif_core::PifState`] structs and evaluates guards with
+//! one neighbor scan over those structs per processor. This crate
+//! transposes the configuration into packed register planes
+//! ([`SoaConfig`]: `B`/`F` membership and `Fok` as 64-processor bitset
+//! words; `Par`/`L`/`Count` flat), evaluates all seven guards of a
+//! processor in a *single* neighbor scan that reads one tag byte per
+//! neighbor ([`GuardKernel::mask`] returns a 7-bit action mask), and settles
 //! whole-network recomputation with word algebra over the planes wherever
 //! the protocol structure allows (a clean non-root processor can only
 //! enable the B-action, and its guard is plane arithmetic).

@@ -3,13 +3,19 @@
 //! corruptions, and random schedules.
 
 use pif_core::checker::check_first_wave;
+use pif_core::protocol::{
+    B_ACTION, B_CORRECTION, C_ACTION, COUNT_ACTION, FOK_ACTION, F_ACTION, F_CORRECTION,
+};
 use pif_core::wave::{UnitAggregate, WaveRunner};
-use pif_core::{analysis, initial, PifProtocol, PifState};
+use pif_core::{analysis, initial, Features, Phase, PifProtocol, PifState};
 use pif_daemon::daemons::{CentralRandom, DistributedRandom, Synchronous};
-use pif_daemon::{ActionId, Daemon, Observer, RunLimits, Simulator, StepDelta};
+use pif_daemon::{ActionId, Daemon, Observer, Protocol, RunLimits, Simulator, StepDelta, View};
 use pif_graph::{generators, Graph, ProcId};
-use pif_soa::SoaSimulator;
+use pif_soa::kernel::ACTION_BITS;
+use pif_soa::{GuardKernel, SoaConfig, SoaSimulator};
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{RngExt, SeedableRng};
 
 fn limits() -> RunLimits {
     RunLimits::new(2_000_000, 400_000)
@@ -39,8 +45,153 @@ impl Observer<PifProtocol> for RecordingObserver {
     }
 }
 
+/// The seven guards composed literally from the public per-guard
+/// functions, in guard order, with `fok_wave` gating `Fok-action` — the
+/// oracle for the fused neighbor scan behind `enabled_actions`.
+fn composed_guards(proto: &PifProtocol, view: View<'_, PifState>) -> Vec<ActionId> {
+    [
+        (B_ACTION, proto.broadcast_guard(view)),
+        (FOK_ACTION, proto.features().fok_wave && proto.change_fok_guard(view)),
+        (F_ACTION, proto.feedback_guard(view)),
+        (C_ACTION, proto.cleaning_guard(view)),
+        (COUNT_ACTION, proto.new_count_guard(view)),
+        (B_CORRECTION, proto.b_correction_guard(view)),
+        (F_CORRECTION, proto.f_correction_guard(view)),
+    ]
+    .into_iter()
+    .filter_map(|(a, on)| on.then_some(a))
+    .collect()
+}
+
+/// The ablation [`Features`] encoded by the low four bits of `bits`.
+fn features_of(bits: u8) -> Features {
+    Features {
+        leaf_guard: bits & 1 != 0,
+        fok_wave: bits & 2 != 0,
+        chordless_potential: bits & 4 != 0,
+        level_guard: bits & 8 != 0,
+    }
+}
+
+/// A configuration with `phase`, `level`, `count` and `fok` drawn from
+/// their register domains and `par` drawn from every processor —
+/// non-neighbors and the processor itself included.
+fn wild_config(proto: &PifProtocol, n: usize, rng: &mut StdRng) -> Vec<PifState> {
+    (0..n)
+        .map(|_| PifState {
+            phase: Phase::ALL[rng.random_range(0..3usize)],
+            par: ProcId::from_index(rng.random_range(0..n)),
+            level: rng.random_range(1..=proto.l_max()),
+            count: rng.random_range(1..=proto.n_prime()),
+            fok: rng.random_bool(0.5),
+        })
+        .collect()
+}
+
+/// Compares, at every processor of `states`, the fused `enabled_actions`
+/// with the per-guard composition and with `GuardKernel::mask`; tallies
+/// each enabled action in `seen[is_root][action]`.
+fn fused_guards_agree(
+    proto: &PifProtocol,
+    g: &Graph,
+    states: &[PifState],
+    seen: &mut [[u64; ACTION_BITS]; 2],
+) -> Result<(), String> {
+    let mut cfg = SoaConfig::new(g.len());
+    cfg.load(states);
+    let kernel = GuardKernel::new(proto, g);
+    let mut fused = Vec::new();
+    for p in g.procs() {
+        let view = View::new(g, states, p);
+        fused.clear();
+        proto.enabled_actions(view, &mut fused);
+        let composed = composed_guards(proto, view);
+        let mask = kernel.mask(&cfg, p.index());
+        let soa: Vec<ActionId> =
+            (0..ACTION_BITS).filter(|a| mask >> a & 1 != 0).map(ActionId).collect();
+        if fused != composed || fused != soa {
+            return Err(format!(
+                "{p} under {:?}: fused {fused:?}, composed {composed:?}, kernel {soa:?} \
+                 in {states:?}",
+                proto.features()
+            ));
+        }
+        for a in &fused {
+            seen[usize::from(p == proto.root())][a.index()] += 1;
+        }
+    }
+    Ok(())
+}
+
+/// Draws `configs` wild configurations per topology and feature set — all
+/// sixteen [`Features`] combinations on chain, ring, star, complete,
+/// torus and random graphs — and checks the three guard evaluations
+/// agree everywhere.
+fn fused_guard_sweep(
+    n: usize,
+    root: usize,
+    gseed: u64,
+    cseed: u64,
+    configs: usize,
+    seen: &mut [[u64; ACTION_BITS]; 2],
+) -> Result<(), String> {
+    let graphs = [
+        generators::chain(n).unwrap(),
+        generators::ring(n.max(3)).unwrap(),
+        generators::star(n).unwrap(),
+        generators::complete(n).unwrap(),
+        generators::torus(3, n.clamp(3, 4)).unwrap(),
+        generators::random_connected(n, 0.35, gseed).unwrap(),
+    ];
+    let mut rng = StdRng::seed_from_u64(cseed);
+    for g in &graphs {
+        let root = ProcId::from_index(root % g.len());
+        for bits in 0..16u8 {
+            let proto = PifProtocol::new(root, g).with_features(features_of(bits));
+            for _ in 0..configs {
+                let states = wild_config(&proto, g.len(), &mut rng);
+                fused_guards_agree(&proto, g, &states, seen)?;
+            }
+        }
+    }
+    Ok(())
+}
+
+/// The sweep reaches every action at the processor classes that can
+/// enable it, so the oracle property below compares non-trivial masks.
+#[test]
+fn fused_guard_sweep_enables_every_action() {
+    let mut seen = [[0u64; ACTION_BITS]; 2];
+    for seed in 0..8u64 {
+        fused_guard_sweep(2 + seed as usize % 6, seed as usize, seed, seed, 8, &mut seen).unwrap();
+    }
+    for a in [B_ACTION, F_ACTION, C_ACTION, COUNT_ACTION, B_CORRECTION] {
+        assert!(seen[1][a.index()] > 0, "root never enabled {a}: {seen:?}");
+    }
+    for a in [B_ACTION, FOK_ACTION, F_ACTION, C_ACTION, COUNT_ACTION, B_CORRECTION, F_CORRECTION] {
+        assert!(seen[0][a.index()] > 0, "non-root never enabled {a}: {seen:?}");
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// The fused one-pass `enabled_actions` equals the literal
+    /// composition of the per-guard functions and the SoA kernel's mask,
+    /// at root and non-root processors, on arbitrary configurations
+    /// (`par` ranging over non-neighbors and the processor itself), under
+    /// all sixteen ablation [`Features`] combinations.
+    #[test]
+    fn fused_guards_match_composition_and_kernel(
+        n in 2usize..10,
+        root in 0usize..10,
+        gseed in any::<u64>(),
+        cseed in any::<u64>(),
+    ) {
+        let mut seen = [[0u64; ACTION_BITS]; 2];
+        let res = fused_guard_sweep(n, root, gseed, cseed, 4, &mut seen);
+        prop_assert!(res.is_ok(), "{}", res.unwrap_err());
+    }
 
     /// THE property: from any configuration, under a random daemon, the
     /// first wave satisfies the PIF specification.
