@@ -81,12 +81,12 @@ pub struct DerivedSummary {
     pub sampled: bool,
 }
 
+/// The `SplitMix64` stream: each draw is `splitmix64` of the state, which
+/// then advances by the same golden-ratio increment.
 fn splitmix(x: &mut u64) -> u64 {
+    let out = pif_daemon::splitmix64(*x);
     *x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *x;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
+    out
 }
 
 /// BFS distances from `start` (`usize::MAX` = unreachable).

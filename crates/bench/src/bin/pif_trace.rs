@@ -89,6 +89,7 @@ fn record(args: &[String]) -> Result<(), BenchError> {
 
     let g = topology.build()?;
     let n = g.len();
+    PifProtocol::check_size(n).map_err(BenchError::NetworkTooLarge)?;
     let protocol = PifProtocol::new(ProcId(0), &g);
     let init = initial::random_config(&g, &protocol, seed);
     let limits = RunLimits::new(max_steps, max_steps);
@@ -110,6 +111,7 @@ fn replay_cmd(args: &[String]) -> Result<bool, BenchError> {
     let input = arg(args, 0, "input path")?;
     let trace = RecordedTrace::read_file(input)?;
     let g = trace.graph()?;
+    PifProtocol::check_size(g.len()).map_err(BenchError::NetworkTooLarge)?;
     let protocol = PifProtocol::new(ProcId(0), &g);
     let replayed = replay(&trace, protocol)?;
     if let Some(out) = args.get(1) {

@@ -7,6 +7,7 @@
 
 use std::fmt;
 
+use pif_core::NetworkTooLarge;
 use pif_daemon::{SimError, TraceError};
 use pif_graph::GraphError;
 
@@ -19,6 +20,8 @@ pub enum BenchError {
     Usage(String),
     /// A topology spec failed to parse or build.
     Graph(GraphError),
+    /// The network has more processors than the protocol admits.
+    NetworkTooLarge(NetworkTooLarge),
     /// The simulator rejected the run (budget exhausted, invalid
     /// selection).
     Sim(SimError),
@@ -31,6 +34,7 @@ impl fmt::Display for BenchError {
         match self {
             BenchError::Usage(msg) => write!(f, "usage error: {msg}"),
             BenchError::Graph(e) => write!(f, "graph error: {e}"),
+            BenchError::NetworkTooLarge(e) => write!(f, "{e}"),
             BenchError::Sim(e) => write!(f, "simulation error: {e}"),
             BenchError::Trace(e) => write!(f, "trace error: {e}"),
         }
@@ -42,6 +46,7 @@ impl std::error::Error for BenchError {
         match self {
             BenchError::Usage(_) => None,
             BenchError::Graph(e) => Some(e),
+            BenchError::NetworkTooLarge(e) => Some(e),
             BenchError::Sim(e) => Some(e),
             BenchError::Trace(e) => Some(e),
         }

@@ -13,129 +13,22 @@
 //! the root's registers forced into each case (kept locally normal, as the
 //! theorem's hypotheses require a live legal tree).
 
-use pif_core::analysis::classify;
-use pif_core::{initial, Phase, PifProtocol, PifState};
-use pif_daemon::{
-    MetricsObserver, PhaseReport, PhaseTag, RunLimits, Simulator, StopPolicy,
-};
+use pif_chaos::{correction_bound, run_goal, Goal};
+use pif_core::PifProtocol;
+use pif_daemon::PhaseTag;
 use pif_graph::{ProcId, Topology};
 
 use crate::report::{Stats, Table};
 use crate::runner::par_map;
 use crate::workloads::{recovery_suite, DaemonKind};
 
-/// The three cases of Theorem 2.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Case {
-    /// `Pif_r = F` → SB within `4·L_max + 4`.
-    RootF,
-    /// `Pif_r = B ∧ Fok_r` → EF within `5·L_max + 4`.
-    RootBFok,
-    /// `Pif_r = B ∧ ¬Fok_r` → EBN within `5·L_max + 4`.
-    RootBNoFok,
-}
-
-impl Case {
-    /// All cases.
-    pub const ALL: [Case; 3] = [Case::RootF, Case::RootBFok, Case::RootBNoFok];
-
-    /// Display name.
-    pub fn name(self) -> &'static str {
-        match self {
-            Case::RootF => "1: Pif_r=F -> SB",
-            Case::RootBFok => "2: Pif_r=B&Fok -> EF",
-            Case::RootBNoFok => "3: Pif_r=B&!Fok -> EBN",
-        }
+/// The report label of one case of Theorem 2.
+pub fn label(case: Goal) -> &'static str {
+    match case {
+        Goal::RootF => "1: Pif_r=F -> SB",
+        Goal::RootBFok => "2: Pif_r=B&Fok -> EF",
+        Goal::RootBNoFok => "3: Pif_r=B&!Fok -> EBN",
     }
-
-    /// The paper's bound as a function of `L_max`.
-    pub fn bound(self, l_max: u16) -> u64 {
-        match self {
-            Case::RootF => 4 * u64::from(l_max) + 4,
-            Case::RootBFok | Case::RootBNoFok => 5 * u64::from(l_max) + 4,
-        }
-    }
-
-    fn force_root(self, protocol: &PifProtocol, states: &mut [PifState]) {
-        let r = protocol.root().index();
-        match self {
-            Case::RootF => states[r].phase = Phase::F,
-            Case::RootBFok => {
-                states[r].phase = Phase::B;
-                states[r].fok = true;
-                states[r].count = protocol.n(); // GoodFok(r) kept
-            }
-            Case::RootBNoFok => {
-                states[r].phase = Phase::B;
-                states[r].fok = false;
-                states[r].count = 1; // GoodCount/GoodFok kept
-            }
-        }
-    }
-
-    fn reached(self, protocol: &PifProtocol, g: &pif_graph::Graph, states: &[PifState]) -> bool {
-        match self {
-            Case::RootF => classify::is_start_broadcast(protocol, states),
-            Case::RootBFok => classify::is_end_feedback(protocol, states),
-            Case::RootBNoFok => {
-                // EBN proper; the garbage wave may also legitimately reach
-                // the Fok stage first once every processor is in the GLT.
-                classify::is_ebn(protocol, g, states)
-                    || states[protocol.root().index()].fok
-            }
-        }
-    }
-}
-
-/// The Theorem 1 error-correction bound `3·L_max + 3`: rounds in which a
-/// correction action (`B_CORRECTION`/`F_CORRECTION`) can still fire.
-pub fn correction_bound(l_max: u16) -> u64 {
-    3 * u64::from(l_max) + 3
-}
-
-/// Measures one case from one corrupted start, with per-phase attribution.
-///
-/// Returns the total completed rounds to the landmark configuration plus
-/// the [`PhaseReport`] of the run (per-phase moves/steps/rounds), so the
-/// report tables and theorem-bound tests can check not just the aggregate
-/// bound but which phases consumed the rounds.
-pub fn case_run(
-    case: Case,
-    g: &pif_graph::Graph,
-    protocol: &PifProtocol,
-    seed: u64,
-    daemon: &mut dyn pif_daemon::Daemon<PifState>,
-) -> (u64, PhaseReport) {
-    let mut init = if g.len() > 1 {
-        initial::adversarial_config(g, protocol, ProcId(1 + (seed as u32 % (g.len() as u32 - 1))), seed)
-    } else {
-        initial::normal_starting(g)
-    };
-    case.force_root(protocol, &mut init);
-    let mut sim = Simulator::new(g.clone(), protocol.clone(), init);
-    let mut metrics = MetricsObserver::for_protocol(protocol, g.len());
-    let proto = protocol.clone();
-    let graph = g.clone();
-    let mut target = move |s: &Simulator<PifProtocol>| case.reached(&proto, &graph, s.states());
-    let stats = sim
-        .run(
-            daemon,
-            &mut metrics,
-            StopPolicy::Predicate(RunLimits::new(2_000_000, 200_000), &mut target),
-        )
-        .expect("phase-bound run exceeded its budget");
-    (stats.rounds, metrics.report())
-}
-
-/// Measures one case from one corrupted start (rounds only).
-pub fn case_rounds(
-    case: Case,
-    g: &pif_graph::Graph,
-    protocol: &PifProtocol,
-    seed: u64,
-    daemon: &mut dyn pif_daemon::Daemon<PifState>,
-) -> u64 {
-    case_run(case, g, protocol, seed, daemon).0
 }
 
 /// One (topology × case) row.
@@ -144,7 +37,7 @@ pub struct PhaseRow {
     /// The topology instance.
     pub topology: Topology,
     /// Which case of Theorem 2.
-    pub case: Case,
+    pub case: Goal,
     /// The paper's bound.
     pub bound: u64,
     /// The Theorem 1 bound `3·L_max + 3` on correction-phase rounds.
@@ -173,9 +66,9 @@ pub fn run() -> Table {
 
 /// Scaled-down entry point.
 pub fn run_on(topologies: Vec<Topology>, seeds: u64) -> Table {
-    let jobs: Vec<(Topology, Case)> = topologies
+    let jobs: Vec<(Topology, Goal)> = topologies
         .into_iter()
-        .flat_map(|t| Case::ALL.into_iter().map(move |c| (t.clone(), c)))
+        .flat_map(|t| Goal::ALL.into_iter().map(move |c| (t.clone(), c)))
         .collect();
     let rows = par_map(jobs, |(t, c)| measure(&t, c, seeds));
     let mut table = Table::new(
@@ -199,7 +92,7 @@ pub fn run_on(topologies: Vec<Topology>, seeds: u64) -> Table {
     for r in &rows {
         table.row_owned(vec![
             r.topology.to_string(),
-            r.case.name().to_string(),
+            label(r.case).to_string(),
             r.bound.to_string(),
             r.stats.n.to_string(),
             format!("{:.1}", r.stats.mean),
@@ -217,7 +110,7 @@ pub fn run_on(topologies: Vec<Topology>, seeds: u64) -> Table {
 }
 
 /// Measures one topology × case.
-pub fn measure(topology: &Topology, case: Case, seeds: u64) -> PhaseRow {
+pub fn measure(topology: &Topology, case: Goal, seeds: u64) -> PhaseRow {
     let g = topology.build().expect("suite topologies are valid");
     let protocol = PifProtocol::new(ProcId(0), &g);
     let bound = case.bound(protocol.l_max());
@@ -227,7 +120,7 @@ pub fn measure(topology: &Topology, case: Case, seeds: u64) -> PhaseRow {
     for seed in 0..seeds {
         for kind in [DaemonKind::Synchronous, DaemonKind::CentralRandom] {
             let mut d = kind.build(g.len(), seed);
-            let (rounds, phases) = case_run(case, &g, &protocol, seed, d.as_mut());
+            let (rounds, phases) = run_goal(case, &g, &protocol, seed, d.as_mut());
             samples.push(rounds);
             for tag in PhaseTag::ALL {
                 let r = &mut phase_rounds_max[tag.index()];
@@ -255,12 +148,12 @@ mod tests {
     #[test]
     fn theorem2_bounds_hold_on_small_suite() {
         for t in [Topology::Chain { n: 6 }, Topology::Ring { n: 6 }] {
-            for case in Case::ALL {
+            for case in Goal::ALL {
                 let row = measure(&t, case, 6);
                 assert!(
                     row.ok,
                     "{t:?} {}: max {} > bound {} (or correction rounds {} > {})",
-                    case.name(),
+                    label(case),
                     row.stats.max,
                     row.bound,
                     row.phase_rounds_of(PhaseTag::Correction),

@@ -12,8 +12,8 @@
 //!   dominate and any O(n) term in the step path shows up as throughput
 //!   loss at large `n`. The unit is computation steps (= moves, since the
 //!   central daemon executes exactly one move per step).
-//! * [`SyncWorkload`] — the SoA engine's daemon-free synchronous fast
-//!   path ([`pif_soa::SoaSimulator::step_sync`]): every enabled processor
+//! * [`SyncWorkload`] — the daemon-free synchronous fast path
+//!   (`Simulator::step_sync`) on the SoA store: every enabled processor
 //!   moves every step, and the headline unit is **moves per second**
 //!   (individual guarded-action executions — the unit the ≥10M/s batch
 //!   stepping target is stated in).
@@ -23,7 +23,7 @@ use std::time::Instant;
 use pif_core::{initial, PifProtocol};
 use pif_daemon::daemons::CentralRandom;
 use pif_graph::{generators, Graph, ProcId};
-use pif_soa::{Engine, EngineSim, SoaSimulator};
+use pif_soa::{Engine, EngineSim, Packed, SoaSimulator};
 
 /// The benchmark topology families.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -143,7 +143,7 @@ impl SyncWorkload {
         let g = topology.build(n);
         let proto = PifProtocol::new(ProcId(0), &g);
         let init = initial::random_config(&g, &proto, 0xC0FFEE);
-        SyncWorkload { sim: SoaSimulator::new(g, proto, init), seed: 1 }
+        SyncWorkload { sim: SoaSimulator::with_store(g, proto, Packed::new(init)), seed: 1 }
     }
 
     /// Runs synchronous steps until at least `moves` processor moves have

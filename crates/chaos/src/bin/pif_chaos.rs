@@ -30,6 +30,7 @@ use pif_chaos::{
     envelope, parse_envelope, run_campaign, search, CampaignConfig, ChaosError, ChurnSpec, Goal,
     SearchConfig,
 };
+use pif_core::PifProtocol;
 use pif_graph::{ProcId, Topology};
 use pif_serve::{Engine, ServeDaemon};
 
@@ -230,6 +231,7 @@ fn search_cmd(args: &[String]) -> Result<(), ChaosError> {
     let topology =
         Topology::parse(spec).map_err(|e| ChaosError::Report(format!("bad topology: {e}")))?;
     let g = topology.build()?;
+    PifProtocol::check_size(g.len()).map_err(ChaosError::NetworkTooLarge)?;
     let root_ix: usize = parse_num(args, "--root", 0)?;
     if root_ix >= g.len() {
         return Err(ChaosError::Report(format!("--root {root_ix} outside {spec}")));

@@ -40,7 +40,8 @@ pub mod slo;
 
 pub use churn::{apply_to_net, ChurnAction, ChurnEvent, ChurnOutcome, ChurnPlan, DynGraph};
 pub use search::{
-    correction_bound, evaluate, search, Goal, ScriptedAdversary, SearchConfig, SearchReport,
+    correction_bound, evaluate, run_goal, search, Goal, ScriptedAdversary, SearchConfig,
+    SearchReport,
 };
 pub use slo::{
     envelope, parse_envelope, run_campaign, CampaignConfig, ChaosCell, ChurnSpec,
@@ -54,6 +55,8 @@ pub enum ChaosError {
     Graph(pif_graph::GraphError),
     /// The serving layer rejected a campaign step.
     Serve(pif_serve::ServeError),
+    /// The network has more processors than the protocol admits.
+    NetworkTooLarge(pif_core::NetworkTooLarge),
     /// A report/ledger file was malformed or failed verification.
     Report(String),
 }
@@ -63,6 +66,7 @@ impl std::fmt::Display for ChaosError {
         match self {
             ChaosError::Graph(e) => write!(f, "graph error: {e}"),
             ChaosError::Serve(e) => write!(f, "serve error: {e}"),
+            ChaosError::NetworkTooLarge(e) => write!(f, "{e}"),
             ChaosError::Report(msg) => write!(f, "report error: {msg}"),
         }
     }
@@ -73,6 +77,7 @@ impl std::error::Error for ChaosError {
         match self {
             ChaosError::Graph(e) => Some(e),
             ChaosError::Serve(e) => Some(e),
+            ChaosError::NetworkTooLarge(e) => Some(e),
             ChaosError::Report(_) => None,
         }
     }

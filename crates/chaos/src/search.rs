@@ -27,14 +27,16 @@ use pif_daemon::daemons::{
     Synchronous,
 };
 use pif_daemon::{
-    ActionId, Daemon, EnabledSet, MetricsObserver, PhaseTag, RunLimits, Simulator, StopPolicy,
+    ActionId, Daemon, EnabledSet, MetricsObserver, PhaseReport, PhaseTag, RunLimits, Simulator,
+    StopPolicy,
 };
 use pif_graph::{Graph, ProcId};
 use rand::rngs::StdRng;
 use rand::{RngCore, RngExt, SeedableRng};
 
-/// The landmark goals of Theorem 2 (mirrors E4's case analysis; kept here
-/// because `pif-bench` consumes this crate, not the other way around).
+/// The landmark goals of Theorem 2: the root's registers forced into one
+/// of its three cases, and the landmark that case must reach. E4
+/// (`pif-bench`) measures the same goals through [`run_goal`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Goal {
     /// `Pif_r = F` → Start Broadcast within `4·L_max + 4` rounds.
@@ -73,12 +75,12 @@ impl Goal {
             Goal::RootBFok => {
                 states[r].phase = Phase::B;
                 states[r].fok = true;
-                states[r].count = protocol.n();
+                states[r].count = protocol.n(); // GoodFok(r) kept
             }
             Goal::RootBNoFok => {
                 states[r].phase = Phase::B;
                 states[r].fok = false;
-                states[r].count = 1;
+                states[r].count = 1; // GoodCount/GoodFok kept
             }
         }
     }
@@ -87,6 +89,8 @@ impl Goal {
         match self {
             Goal::RootF => classify::is_start_broadcast(protocol, states),
             Goal::RootBFok => classify::is_end_feedback(protocol, states),
+            // EBN proper; the garbage wave may also legitimately reach the
+            // Fok stage first once every processor is in the GLT.
             Goal::RootBNoFok => {
                 classify::is_ebn(protocol, g, states) || states[protocol.root().index()].fok
             }
@@ -240,16 +244,20 @@ pub fn evaluate(
 ) -> (u64, u64) {
     let protocol = PifProtocol::new(root, g);
     let mut daemon = ScriptedAdversary::new(masks.to_vec(), g.len(), fairness_bound);
-    run_goal(goal, g, &protocol, seed, &mut daemon)
+    let (rounds, phases) = run_goal(goal, g, &protocol, seed, &mut daemon);
+    (rounds, phases.rounds_of(PhaseTag::Correction))
 }
 
-fn run_goal(
+/// Runs `goal` under `daemon` from the fake-tree corruption seeded by
+/// `seed`, the root forced into the goal's case: the rounds completed at
+/// the landmark, and the run's per-phase [`PhaseReport`].
+pub fn run_goal(
     goal: Goal,
     g: &Graph,
     protocol: &PifProtocol,
     seed: u64,
     daemon: &mut dyn Daemon<PifState>,
-) -> (u64, u64) {
+) -> (u64, PhaseReport) {
     let mut init = if g.len() > 1 {
         initial::adversarial_config(
             g,
@@ -273,7 +281,7 @@ fn run_goal(
             StopPolicy::Predicate(RunLimits::new(2_000_000, 200_000), &mut target),
         )
         .expect("goal run exceeded its budget");
-    (stats.rounds, metrics.report().rounds_of(PhaseTag::Correction))
+    (stats.rounds, metrics.report())
 }
 
 /// Rounds-to-landmark of the fixed daemon panel (E4's spectrum plus the

@@ -30,6 +30,7 @@ use std::time::Instant;
 
 use pif_core::{initial, PifState};
 use pif_daemon::json::{self, Json};
+use pif_daemon::splitmix64;
 use pif_graph::{metrics, ProcId, Topology};
 use pif_serve::report::topology_spec;
 use pif_serve::{
@@ -400,14 +401,6 @@ fn percentile(sorted: &[u64], p: u64) -> u64 {
     sorted[rank.min(sorted.len()) - 1]
 }
 
-/// `SplitMix64` — the same seed-derivation mix the serving layer uses.
-fn mix(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
-
 /// Runs one soak campaign and grades it. Deterministic in the scenario:
 /// two runs of the same [`CampaignConfig`] produce
 /// [`ChaosCell::deterministic_eq`] cells.
@@ -478,7 +471,7 @@ pub fn run_campaign(cfg: &CampaignConfig) -> Result<ChaosCell, ChaosError> {
         let mut config = ServeConfig::new(cfg.topology.clone())
             .initiators(initiators.clone())
             .shards(cfg.shards)
-            .seed(mix(cfg.seed ^ (u64::from(epoch) << 8)))
+            .seed(splitmix64(cfg.seed ^ (u64::from(epoch) << 8)))
             .daemon(cfg.daemon)
             .engine(cfg.engine)
             .step_limit(cfg.step_limit)
@@ -493,7 +486,7 @@ pub fn run_campaign(cfg: &CampaignConfig) -> Result<ChaosCell, ChaosError> {
             service.schedule_fault(FaultSpec {
                 after_completions: (cfg.requests_per_epoch / 4).max(1),
                 registers_per_lane: cfg.corrupt_registers,
-                seed: mix(cfg.seed ^ (u64::from(epoch) << 24) ^ 0xFA17),
+                seed: splitmix64(cfg.seed ^ (u64::from(epoch) << 24) ^ 0xFA17),
             });
             last_disturbance = last_disturbance.max(epoch);
         }

@@ -65,5 +65,5 @@ mod protocol_tests;
 pub mod state;
 pub mod wave;
 
-pub use protocol::{Features, PifProtocol};
+pub use protocol::{Features, NetworkTooLarge, PifProtocol};
 pub use state::{Phase, PifState};

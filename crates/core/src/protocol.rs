@@ -206,10 +206,43 @@ pub struct PifProtocol {
     features: Features,
 }
 
+/// A network with more processors than the level register spans
+/// (`L_max ≥ N − 1` must fit 16 bits), reported by
+/// [`PifProtocol::check_size`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct NetworkTooLarge {
+    /// Processors in the rejected network.
+    pub procs: usize,
+    /// The largest network admitted, [`PifProtocol::MAX_PROCS`].
+    pub max: usize,
+}
+
+impl std::fmt::Display for NetworkTooLarge {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let NetworkTooLarge { procs, max } = self;
+        write!(f, "network of {procs} processors exceeds the {max} that L_max >= N - 1 admits")
+    }
+}
+
+impl std::error::Error for NetworkTooLarge {}
+
 impl PifProtocol {
     /// The largest network the protocol runs on: the level register `L`
     /// is 16 bits wide, and the paper requires `L_max ≥ N − 1`.
     pub const MAX_PROCS: usize = u16::MAX as usize + 1;
+
+    /// The size check every boundary runs before [`PifProtocol::new`], so
+    /// an oversize network is a typed error there instead of a panic here.
+    ///
+    /// # Errors
+    ///
+    /// [`NetworkTooLarge`] when `procs` exceeds [`PifProtocol::MAX_PROCS`].
+    pub fn check_size(procs: usize) -> Result<(), NetworkTooLarge> {
+        if procs > Self::MAX_PROCS {
+            return Err(NetworkTooLarge { procs, max: Self::MAX_PROCS });
+        }
+        Ok(())
+    }
 
     /// Creates the protocol for network `graph` rooted at `root`, with the
     /// canonical parameters `N = graph.len()`, `L_max = max(N − 1, 1)` and
@@ -222,12 +255,9 @@ impl PifProtocol {
     /// fit the level register, voiding `L_max ≥ N − 1`).
     pub fn new(root: ProcId, graph: &Graph) -> Self {
         assert!(root.index() < graph.len(), "root out of range");
-        assert!(
-            graph.len() <= Self::MAX_PROCS,
-            "network of {} processors exceeds the {} that L_max >= N - 1 admits",
-            graph.len(),
-            Self::MAX_PROCS
-        );
+        if let Err(e) = Self::check_size(graph.len()) {
+            panic!("{e}");
+        }
         let n = graph.len() as u32;
         PifProtocol {
             root,

@@ -298,6 +298,7 @@ impl AdversarialLifo {
     }
 
     /// Sets how the adversary resolves multi-action choices.
+    #[must_use]
     pub fn with_action_pick(mut self, action_pick: ActionPick) -> Self {
         self.action_pick = action_pick;
         self

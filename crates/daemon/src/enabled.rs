@@ -1,5 +1,6 @@
-//! The enabled-processor index both step engines keep: which processors
-//! have at least one enabled action, as a bitset and as an ascending list.
+//! The enabled-processor index the simulator and the lossy transport
+//! keep: which processors have at least one enabled action, as a bitset
+//! and as an ascending list.
 
 use pif_graph::ProcId;
 

@@ -24,7 +24,11 @@
 //! * [`Protocol`] — a guarded-action program, evaluated over a [`View`] of a
 //!   processor's own and neighboring states;
 //! * [`Simulator`] — drives a protocol over a [`pif_graph::Graph`] under a
-//!   chosen [`Daemon`], with [`rounds::RoundCounter`] accounting;
+//!   chosen [`Daemon`], with [`rounds::RoundCounter`] accounting. It is
+//!   the one step loop in the workspace: generic over a [`RegisterStore`]
+//!   (`Vec<P::State>` by default; `pif-soa` packs PIF's registers into bit
+//!   planes), so every store shares the snapshot, validation,
+//!   composite-atomic application, dirty-set walk and round settlement;
 //! * [`daemons`] — synchronous, central, randomized-distributed and
 //!   adversarial (but weakly fair) daemon strategies;
 //! * [`trace`] — step-by-step execution recording for debugging and for the
@@ -99,10 +103,22 @@ pub use protocol::{
     Scope, View,
 };
 pub use sim::{
-    Fanout, NoOpObserver, Observer, RunLimits, RunStats, SimBuilder, Simulator, StepDelta,
-    StepReport, StopPolicy,
+    Fanout, NoOpObserver, Observer, RegisterStore, RunLimits, RunStats, SimBuilder, Simulator,
+    StepDelta, StepReport, StopPolicy,
 };
 pub use trace_io::{RecordedTrace, TraceError, TraceRecorder, TraceState};
+
+/// The `SplitMix64` finalizer: a bijective mix of 64 bits. Every lane,
+/// link and campaign seed in the workspace is derived through it, so a
+/// change here changes every recorded run.
+#[inline]
+#[must_use]
+pub fn splitmix64(mut x: u64) -> u64 {
+    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    x ^ (x >> 31)
+}
 
 /// A daemon: the adversary/scheduler choosing, at every computation step, a
 /// non-empty subset of the enabled processors (and for each chosen processor,

@@ -545,16 +545,11 @@ pub struct EnabledSet<'a, S> {
 }
 
 impl<'a, S> EnabledSet<'a, S> {
-    /// Builds a snapshot from externally maintained bookkeeping.
-    ///
-    /// [`crate::Simulator`] constructs these internally; alternative step
-    /// engines (e.g. a packed structure-of-arrays backend) that keep their
-    /// own enabled-set bookkeeping use this constructor to hand the same
-    /// daemon-facing view to an unmodified [`crate::Daemon`].
-    /// `actions` must have one (possibly empty) entry per processor, and
-    /// `procs` must list exactly the processors with a non-empty entry, in
-    /// ascending id order.
-    pub fn new(
+    /// Builds the snapshot [`crate::Simulator`] hands its daemon, over any
+    /// register store. `actions` must have one (possibly empty) entry per
+    /// processor, and `procs` must list exactly the processors with a
+    /// non-empty entry, in ascending id order.
+    pub(crate) fn new(
         graph: &'a Graph,
         states: &'a [S],
         actions: &'a [Vec<ActionId>],

@@ -79,9 +79,10 @@ pub struct StepDelta<'a, P: Protocol> {
 impl<'a, P: Protocol> StepDelta<'a, P> {
     /// Builds a delta from externally maintained step bookkeeping.
     ///
-    /// [`Simulator`] constructs these internally; alternative step engines
-    /// that honor the same observer contract use this constructor.
-    /// `old_states` must be parallel to `executed` (each entry the
+    /// [`Simulator`] builds these itself, over every [`RegisterStore`];
+    /// this constructor is for engines outside it that feed the same
+    /// observers (`pif-net`'s `NetSim`, which runs the message-passing
+    /// model). `old_states` must be parallel to `executed` (each entry the
     /// pre-step state of the corresponding executed processor), and
     /// `before`, when present, must be the full pre-step configuration.
     pub fn new(
@@ -193,26 +194,125 @@ impl<P: Protocol> Observer<P> for Fanout<'_, P> {
 /// The legacy entry points map onto this enum: `run_to_fixpoint` is
 /// [`StopPolicy::Fixpoint`], `run_until` is [`StopPolicy::Predicate`], and
 /// a plain budget-bounded run is [`StopPolicy::Limits`].
-pub enum StopPolicy<'a, P: Protocol> {
+pub enum StopPolicy<'a, P: Protocol, S: RegisterStore<P> = Vec<<P as Protocol>::State>> {
     /// Run to a terminal configuration; exhausting the budget is an error
     /// ([`SimError::MaxStepsExceeded`] / [`SimError::MaxRoundsExceeded`]).
     Fixpoint(RunLimits),
     /// Run until the predicate holds (checked before every step) or the
     /// configuration is terminal; exhausting the budget is an error.
-    Predicate(RunLimits, &'a mut dyn FnMut(&Simulator<P>) -> bool),
+    Predicate(RunLimits, &'a mut dyn FnMut(&Simulator<P, S>) -> bool),
     /// Run until the budget is consumed; reaching it is *success* (the
     /// stats are returned), not an error. Use for "run exactly N
     /// steps/rounds" workloads.
     Limits(RunLimits),
 }
 
+/// Where a [`Simulator`] keeps the configuration, and how it evaluates
+/// guards and actions over it: the register-level work of a step, one
+/// call per step. The simulator keeps the rest of the step contract.
+/// `Vec<P::State>` is the generic store, evaluating through [`Protocol`];
+/// another layout (`pif-soa` packs PIF's registers into bit planes) must
+/// keep [`RegisterStore::states`] current and agree with the protocol.
+pub trait RegisterStore<P: Protocol> {
+    /// The current configuration, one state per processor.
+    fn states(&self) -> &[P::State];
+
+    /// Overwrites the whole configuration; the simulator refreshes every
+    /// guard next.
+    fn load(&mut self, states: Vec<P::State>);
+
+    /// Overwrites processor `p`'s state, returning the previous one.
+    fn replace(&mut self, p: ProcId, state: P::State) -> P::State;
+
+    /// Evaluates every selected action against the current configuration,
+    /// pushing the new states onto `out` in selection order. Writes
+    /// nothing: the simulator applies the results afterwards, all at once.
+    fn execute(
+        &self,
+        graph: &Graph,
+        protocol: &P,
+        selection: &[(ProcId, ActionId)],
+        out: &mut Vec<P::State>,
+    );
+
+    /// Re-evaluates the guards of every `dirty` processor, rewriting its
+    /// entry of `enabled`, and pushes `(processor, now enabled)` onto
+    /// `changes` for each one whose list went from empty to non-empty or
+    /// back.
+    fn refresh(
+        &mut self,
+        graph: &Graph,
+        protocol: &P,
+        dirty: &[ProcId],
+        enabled: &mut [Vec<ActionId>],
+        changes: &mut Vec<(ProcId, bool)>,
+    );
+
+    /// Re-evaluates every processor's guards, rewriting all of `enabled`.
+    fn refresh_all(&mut self, graph: &Graph, protocol: &P, enabled: &mut [Vec<ActionId>]);
+}
+
+impl<P: Protocol> RegisterStore<P> for Vec<P::State> {
+    fn states(&self) -> &[P::State] {
+        self
+    }
+
+    fn load(&mut self, states: Vec<P::State>) {
+        *self = states;
+    }
+
+    fn replace(&mut self, p: ProcId, state: P::State) -> P::State {
+        std::mem::replace(&mut self[p.index()], state)
+    }
+
+    fn execute(
+        &self,
+        graph: &Graph,
+        protocol: &P,
+        selection: &[(ProcId, ActionId)],
+        out: &mut Vec<P::State>,
+    ) {
+        for &(p, a) in selection {
+            out.push(protocol.execute(View::new(graph, self, p), a));
+        }
+    }
+
+    fn refresh(
+        &mut self,
+        graph: &Graph,
+        protocol: &P,
+        dirty: &[ProcId],
+        enabled: &mut [Vec<ActionId>],
+        changes: &mut Vec<(ProcId, bool)>,
+    ) {
+        for &p in dirty {
+            let acts = &mut enabled[p.index()];
+            let was = !acts.is_empty();
+            acts.clear();
+            protocol.enabled_actions(View::new(graph, self, p), acts);
+            if was == acts.is_empty() {
+                changes.push((p, !was));
+            }
+        }
+    }
+
+    fn refresh_all(&mut self, graph: &Graph, protocol: &P, enabled: &mut [Vec<ActionId>]) {
+        for p in graph.procs() {
+            let acts = &mut enabled[p.index()];
+            acts.clear();
+            protocol.enabled_actions(View::new(graph, self, p), acts);
+        }
+    }
+}
+
 /// Simulator for a [`Protocol`] over a network, under a pluggable
 /// [`Daemon`], with round accounting per the paper's definition.
 ///
-/// The simulator owns the configuration (one state per processor) and
-/// advances it one *computation step* at a time: it computes the enabled set,
-/// asks the daemon for a non-empty selection, evaluates every selected
-/// action against the old configuration, and applies all updates at once.
+/// The simulator owns the configuration (one state per processor, kept in
+/// a [`RegisterStore`]) and advances it one *computation step* at a time:
+/// it computes the enabled set, asks the daemon for a non-empty selection,
+/// evaluates every selected action against the old configuration, and
+/// applies all updates at once.
 ///
 /// The step path is engineered to cost O(selected × max degree), not O(n):
 /// enabled actions are recomputed only for executed processors and their
@@ -221,13 +321,15 @@ pub enum StopPolicy<'a, P: Protocol> {
 /// change-set, and all step scratch buffers are owned by the simulator and
 /// reused — in steady state a step performs no heap allocation.
 ///
-/// See the [crate documentation](crate) for a complete example.
+/// The store defaults to `Vec<P::State>`; [`Simulator::with_store`] builds
+/// a simulator over any other. See the [crate documentation](crate) for a
+/// complete example.
 #[derive(Clone, Debug)]
-pub struct Simulator<P: Protocol> {
+pub struct Simulator<P: Protocol, S: RegisterStore<P> = Vec<<P as Protocol>::State>> {
     graph: Graph,
     protocol: P,
-    states: Vec<P::State>,
-    /// Enabled actions per processor, kept current.
+    store: S,
+    /// Enabled actions per processor, kept current by the store.
     enabled: Vec<Vec<ActionId>>,
     /// Processors with at least one enabled action.
     index: EnabledIndex,
@@ -263,33 +365,7 @@ impl<P: Protocol> Simulator<P> {
     ///
     /// Panics if `init.len() != graph.len()`.
     pub fn new(graph: Graph, protocol: P, init: Vec<P::State>) -> Self {
-        assert_eq!(graph.len(), init.len(), "initial configuration must cover every processor");
-        let n = graph.len();
-        let mut enabled = vec![Vec::new(); n];
-        for p in graph.procs() {
-            protocol.enabled_actions(View::new(&graph, &init, p), &mut enabled[p.index()]);
-        }
-        let index = EnabledIndex::new(n, enabled.iter().map(|a| !a.is_empty()));
-        let rounds = RoundCounter::new(enabled.iter().map(|a| !a.is_empty()));
-        Simulator {
-            graph,
-            protocol,
-            states: init,
-            enabled,
-            index,
-            steps: 0,
-            rounds,
-            validate: cfg!(debug_assertions),
-            limits: RunLimits::default(),
-            selection: Vec::new(),
-            old_states: Vec::new(),
-            new_states: Vec::new(),
-            before_scratch: Vec::new(),
-            stamp: vec![0; n],
-            epoch: 0,
-            dirty: Vec::with_capacity(n),
-            changes: Vec::with_capacity(n),
-        }
+        Simulator::with_store(graph, protocol, init)
     }
 
     /// Starts fluent construction of a simulator: initial configuration,
@@ -315,6 +391,41 @@ impl<P: Protocol> Simulator<P> {
     pub fn builder(graph: Graph, protocol: P) -> SimBuilder<P> {
         SimBuilder { graph, protocol, states: None, validation: None, limits: RunLimits::default() }
     }
+}
+
+impl<P: Protocol, S: RegisterStore<P>> Simulator<P, S> {
+    /// Creates a simulator over `store`, holding the initial configuration.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the store does not hold one state per processor.
+    pub fn with_store(graph: Graph, protocol: P, store: S) -> Self {
+        let n = graph.len();
+        assert_eq!(n, store.states().len(), "initial configuration must cover every processor");
+        // Empty bookkeeping, then the same reset a configuration overwrite
+        // runs: one construction path for every store.
+        let mut sim = Simulator {
+            graph,
+            protocol,
+            store,
+            enabled: vec![Vec::new(); n],
+            index: EnabledIndex::new(n, std::iter::empty()),
+            steps: 0,
+            rounds: RoundCounter::new(std::iter::repeat_n(false, n)),
+            validate: cfg!(debug_assertions),
+            limits: RunLimits::default(),
+            selection: Vec::new(),
+            old_states: Vec::new(),
+            new_states: Vec::new(),
+            before_scratch: Vec::new(),
+            stamp: vec![0; n],
+            epoch: 0,
+            dirty: Vec::with_capacity(n),
+            changes: Vec::with_capacity(n),
+        };
+        sim.reset_bookkeeping();
+        sim
+    }
 
     /// The network topology.
     #[inline]
@@ -328,16 +439,22 @@ impl<P: Protocol> Simulator<P> {
         &self.protocol
     }
 
+    /// The register store.
+    #[inline]
+    pub fn store(&self) -> &S {
+        &self.store
+    }
+
     /// The current configuration.
     #[inline]
     pub fn states(&self) -> &[P::State] {
-        &self.states
+        self.store.states()
     }
 
     /// The current state of one processor.
     #[inline]
     pub fn state(&self, p: ProcId) -> &P::State {
-        &self.states[p.index()]
+        &self.store.states()[p.index()]
     }
 
     /// Enables or disables daemon-selection validation
@@ -371,14 +488,14 @@ impl<P: Protocol> Simulator<P> {
     /// configuration.
     pub fn set_states(&mut self, states: Vec<P::State>) {
         assert_eq!(self.graph.len(), states.len());
-        self.states = states;
+        self.store.load(states);
         self.reset_bookkeeping();
     }
 
     /// Overwrites a single processor's state (fault injection) and
     /// recomputes bookkeeping, restarting round accounting.
     pub fn corrupt(&mut self, p: ProcId, state: P::State) {
-        self.states[p.index()] = state;
+        self.store.replace(p, state);
         self.reset_bookkeeping();
     }
 
@@ -393,7 +510,7 @@ impl<P: Protocol> Simulator<P> {
             return;
         }
         for (p, state) in corruptions {
-            self.states[p.index()] = state.clone();
+            self.store.replace(*p, state.clone());
         }
         self.reset_bookkeeping();
     }
@@ -438,7 +555,7 @@ impl<P: Protocol> Simulator<P> {
 
     /// A read view of processor `p` in the current configuration.
     pub fn view(&self, p: ProcId) -> View<'_, P::State> {
-        View::new(&self.graph, &self.states, p)
+        View::new(&self.graph, self.store.states(), p)
     }
 
     /// Executes one computation step under `daemon`, reporting what ran.
@@ -455,6 +572,10 @@ impl<P: Protocol> Simulator<P> {
     }
 
     /// Like [`Simulator::step`], additionally notifying `observer`.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`Simulator::step`].
     pub fn step_observed(
         &mut self,
         daemon: &mut dyn Daemon<P::State>,
@@ -466,16 +587,16 @@ impl<P: Protocol> Simulator<P> {
         }
         let mut selection = std::mem::take(&mut self.selection);
         selection.clear();
-        {
-            let snapshot = EnabledSet::new(
+        daemon.select(
+            &EnabledSet::new(
                 &self.graph,
-                &self.states,
+                self.store.states(),
                 &self.enabled,
                 self.index.procs(),
                 self.steps,
-            );
-            daemon.select(&snapshot, &mut selection);
-        }
+            ),
+            &mut selection,
+        );
         if selection.is_empty() {
             self.selection = selection;
             return Err(SimError::InvalidSelection {
@@ -490,30 +611,53 @@ impl<P: Protocol> Simulator<P> {
                 return Err(e);
             }
         }
+        Ok(self.apply(selection, observer))
+    }
 
+    /// The synchronous fast path: every enabled processor executes its
+    /// first enabled action. Equivalent to one [`Simulator::step`] under
+    /// `Synchronous::first_action`, without the snapshot, daemon dispatch,
+    /// validation or observer. A terminal configuration is a no-op
+    /// returning an empty report.
+    pub fn step_sync(&mut self) -> StepReport {
+        if self.is_terminal() {
+            self.selection.clear();
+            return StepReport { executed: 0, round_completed: false, terminal: true };
+        }
+        let mut selection = std::mem::take(&mut self.selection);
+        selection.clear();
+        let enabled = &self.enabled;
+        selection.extend(self.index.procs().iter().map(|&p| (p, enabled[p.index()][0])));
+        self.apply(selection, &mut NoOpObserver)
+    }
+
+    /// Applies a validated selection: every action evaluated against the
+    /// old configuration, all results written at once (composite
+    /// atomicity), then guards refreshed, rounds settled, `observer` told.
+    fn apply<O: Observer<P> + ?Sized>(
+        &mut self,
+        selection: Vec<(ProcId, ActionId)>,
+        observer: &mut O,
+    ) -> StepReport {
         // Observers needing the full pre-step configuration get it from a
         // reused buffer; nobody else pays for the copy.
         let needs_before = observer.needs_full_before();
         if needs_before {
-            self.before_scratch.clone_from(&self.states);
+            self.before_scratch.clear();
+            self.before_scratch.extend_from_slice(self.store.states());
         }
 
-        // Evaluate all selected actions against the OLD configuration, then
-        // apply simultaneously (composite atomicity, distributed daemon).
         let mut new_states = std::mem::take(&mut self.new_states);
         new_states.clear();
-        for &(p, a) in &selection {
-            let view = View::new(&self.graph, &self.states, p);
-            new_states.push(self.protocol.execute(view, a));
-        }
+        self.store.execute(&self.graph, &self.protocol, &selection, &mut new_states);
         let mut old_states = std::mem::take(&mut self.old_states);
         old_states.clear();
         for (&(p, _), new) in selection.iter().zip(new_states.drain(..)) {
-            old_states.push(std::mem::replace(&mut self.states[p.index()], new));
+            old_states.push(self.store.replace(p, new));
         }
         let step_index = self.steps;
         self.steps += 1;
-        self.recompute_enabled_after(&selection);
+        self.refresh_after(&selection);
 
         // Round accounting settles before observers run, so the delta can
         // carry the authoritative round-completion flag.
@@ -528,13 +672,13 @@ impl<P: Protocol> Simulator<P> {
             step: step_index,
             round_completed,
         };
-        observer.step(&self.graph, &delta, &self.states);
+        observer.step(&self.graph, &delta, self.store.states());
 
         let executed = selection.len();
         self.selection = selection;
         self.old_states = old_states;
         self.new_states = new_states;
-        Ok(StepReport { executed, round_completed, terminal: self.is_terminal() })
+        StepReport { executed, round_completed, terminal: self.is_terminal() }
     }
 
     /// Runs the simulation until `policy` says to stop (or the
@@ -559,7 +703,7 @@ impl<P: Protocol> Simulator<P> {
         &mut self,
         daemon: &mut dyn Daemon<P::State>,
         observer: &mut dyn Observer<P>,
-        mut policy: StopPolicy<'_, P>,
+        mut policy: StopPolicy<'_, P, S>,
     ) -> Result<RunStats, SimError> {
         let start_steps = self.steps;
         let start_rounds = self.rounds.completed();
@@ -624,6 +768,10 @@ impl<P: Protocol> Simulator<P> {
     }
 
     /// Like [`Simulator::run_until`] with an [`Observer`].
+    ///
+    /// # Errors
+    ///
+    /// Same as [`Simulator::run_until`].
     pub fn run_until_observed(
         &mut self,
         daemon: &mut dyn Daemon<P::State>,
@@ -687,14 +835,10 @@ impl<P: Protocol> Simulator<P> {
         Ok(())
     }
 
-    /// Recomputes the enabled sets from scratch and restarts round
-    /// accounting (used on configuration overwrites, never per step).
+    /// Recomputes every enabled set and restarts round accounting (on
+    /// construction and configuration overwrites, never per step).
     fn reset_bookkeeping(&mut self) {
-        for p in self.graph.procs() {
-            let acts = &mut self.enabled[p.index()];
-            acts.clear();
-            self.protocol.enabled_actions(View::new(&self.graph, &self.states, p), acts);
-        }
+        self.store.refresh_all(&self.graph, &self.protocol, &mut self.enabled);
         self.index.reset(self.enabled.iter().map(|a| !a.is_empty()));
         self.selection.clear();
         self.rounds = RoundCounter::new(self.enabled.iter().map(|a| !a.is_empty()));
@@ -704,7 +848,7 @@ impl<P: Protocol> Simulator<P> {
     /// executed processors and their neighbors (guards read only the local
     /// neighborhood). Membership flips feed both the round counter and the
     /// enabled index.
-    fn recompute_enabled_after(&mut self, executed: &[(ProcId, ActionId)]) {
+    fn refresh_after(&mut self, executed: &[(ProcId, ActionId)]) {
         self.epoch += 1;
         let epoch = self.epoch;
         self.dirty.clear();
@@ -713,7 +857,7 @@ impl<P: Protocol> Simulator<P> {
                 self.stamp[p.index()] = epoch;
                 self.dirty.push(p);
             }
-            for q in self.graph.neighbors(p) {
+            for &q in self.graph.neighbor_slice(p) {
                 if self.stamp[q.index()] != epoch {
                     self.stamp[q.index()] = epoch;
                     self.dirty.push(q);
@@ -721,17 +865,13 @@ impl<P: Protocol> Simulator<P> {
             }
         }
         self.changes.clear();
-        for i in 0..self.dirty.len() {
-            let p = self.dirty[i];
-            let was = self.index.contains(p);
-            let acts = &mut self.enabled[p.index()];
-            acts.clear();
-            self.protocol.enabled_actions(View::new(&self.graph, &self.states, p), acts);
-            let now = !self.enabled[p.index()].is_empty();
-            if was != now {
-                self.changes.push((p, now));
-            }
-        }
+        self.store.refresh(
+            &self.graph,
+            &self.protocol,
+            &self.dirty,
+            &mut self.enabled,
+            &mut self.changes,
+        );
         self.index.apply(&self.changes);
     }
 }
@@ -749,12 +889,14 @@ pub struct SimBuilder<P: Protocol> {
 
 impl<P: Protocol> SimBuilder<P> {
     /// Sets the initial configuration (required; one state per processor).
+    #[must_use]
     pub fn states(mut self, states: Vec<P::State>) -> Self {
         self.states = Some(states);
         self
     }
 
     /// Builds the initial configuration from a per-processor closure.
+    #[must_use]
     pub fn states_with(mut self, mut f: impl FnMut(ProcId) -> P::State) -> Self {
         self.states = Some(self.graph.procs().map(&mut f).collect());
         self
@@ -762,12 +904,14 @@ impl<P: Protocol> SimBuilder<P> {
 
     /// Enables or disables daemon-selection validation (defaults to on in
     /// debug builds, off in release — see [`Simulator::set_validation`]).
+    #[must_use]
     pub fn validation(mut self, on: bool) -> Self {
         self.validation = Some(on);
         self
     }
 
     /// Sets the default run budget, retrievable via [`Simulator::limits`].
+    #[must_use]
     pub fn limits(mut self, limits: RunLimits) -> Self {
         self.limits = limits;
         self
@@ -786,7 +930,26 @@ impl<P: Protocol> SimBuilder<P> {
     /// Finalizes the simulator, reporting configuration mistakes as typed
     /// errors instead of panicking — the same construction contract the
     /// net engine's `NetBuilder::build` follows.
+    ///
+    /// # Errors
+    ///
+    /// [`SimError::MissingStates`] when no configuration was provided,
+    /// [`SimError::StateCountMismatch`] when it does not cover every
+    /// processor.
     pub fn try_build(self) -> Result<Simulator<P>, SimError> {
+        self.try_build_with(|states| states)
+    }
+
+    /// Like [`SimBuilder::try_build`], with the configuration moved into
+    /// the register store `store` builds from it.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`SimBuilder::try_build`].
+    pub fn try_build_with<S: RegisterStore<P>>(
+        self,
+        store: impl FnOnce(Vec<P::State>) -> S,
+    ) -> Result<Simulator<P, S>, SimError> {
         let states = self.states.ok_or(SimError::MissingStates)?;
         if states.len() != self.graph.len() {
             return Err(SimError::StateCountMismatch {
@@ -794,7 +957,7 @@ impl<P: Protocol> SimBuilder<P> {
                 got: states.len(),
             });
         }
-        let mut sim = Simulator::new(self.graph, self.protocol, states);
+        let mut sim = Simulator::with_store(self.graph, self.protocol, store(states));
         if let Some(on) = self.validation {
             sim.set_validation(on);
         }
@@ -1134,6 +1297,46 @@ mod tests {
         .unwrap();
         assert_eq!(obs.expected_next_step, sim.steps());
         assert_eq!(obs.rounds_seen, sim.rounds());
+    }
+
+    /// [`PushRight`] with a second action listed first: an even excess
+    /// halves instead, so "first enabled action" means list order.
+    struct HalveOrPush;
+
+    impl Protocol for HalveOrPush {
+        type State = i32;
+        fn action_names(&self) -> &'static [&'static str] {
+            &["push", "halve"]
+        }
+        fn enabled_actions(&self, view: View<'_, i32>, out: &mut Vec<ActionId>) {
+            PushRight.enabled_actions(view, out);
+            if !out.is_empty() && *view.me() % 2 == 0 {
+                out.insert(0, ActionId(1));
+            }
+        }
+        fn execute(&self, view: View<'_, i32>, a: ActionId) -> i32 {
+            if a == ActionId(1) { *view.me() / 2 } else { *view.me() - 1 }
+        }
+    }
+
+    #[test]
+    fn step_sync_equals_a_synchronous_first_action_step() {
+        let g = generators::torus(3, 3).unwrap();
+        let init: Vec<i32> = (0..9).map(|i| i * 13 % 11).collect();
+        let mut by_daemon = Simulator::new(g.clone(), HalveOrPush, init.clone());
+        let mut fast = Simulator::new(g, HalveOrPush, init);
+        let mut halved = false;
+        while !by_daemon.is_terminal() {
+            let want = by_daemon.step(&mut Synchronous::first_action()).unwrap();
+            assert_eq!(fast.step_sync(), want);
+            assert_eq!(fast.last_executed(), by_daemon.last_executed());
+            assert_eq!(fast.states(), by_daemon.states());
+            assert_eq!(fast.enabled_procs(), by_daemon.enabled_procs());
+            assert_eq!((fast.steps(), fast.rounds()), (by_daemon.steps(), by_daemon.rounds()));
+            halved |= fast.last_executed().iter().any(|&(_, a)| a == ActionId(1));
+        }
+        assert!(halved, "the listed-first action never ran");
+        assert_eq!(fast.step_sync().executed, 0);
     }
 
     #[test]

@@ -526,7 +526,7 @@ impl TraceRecorder {
                     .protocol()
                     .action_names()
                     .iter()
-                    .map(|s| s.to_string())
+                    .map(ToString::to_string)
                     .collect(),
                 daemon: daemon_name.to_string(),
                 seed,
@@ -620,27 +620,27 @@ where
 /// Compares two traces field by field, returning one human-readable line
 /// per difference (empty means the traces are identical).
 pub fn diff(a: &RecordedTrace, b: &RecordedTrace) -> Vec<String> {
-    fn field(out: &mut Vec<String>, name: &str, left: String, right: String) {
+    fn field(out: &mut Vec<String>, name: &str, left: &str, right: &str) {
         if left != right {
             out.push(format!("{name}: {left} != {right}"));
         }
     }
     let mut out = Vec::new();
-    field(&mut out, "version", a.version.to_string(), b.version.to_string());
-    field(&mut out, "graph.n", a.n.to_string(), b.n.to_string());
-    field(&mut out, "graph.name", a.graph_name.clone(), b.graph_name.clone());
+    field(&mut out, "version", &a.version.to_string(), &b.version.to_string());
+    field(&mut out, "graph.n", &a.n.to_string(), &b.n.to_string());
+    field(&mut out, "graph.name", &a.graph_name, &b.graph_name);
     field(
         &mut out,
         "graph.edges",
-        format!("{} edges", a.edges.len()),
-        format!("{} edges", b.edges.len()),
+        &format!("{} edges", a.edges.len()),
+        &format!("{} edges", b.edges.len()),
     );
     if a.edges.len() == b.edges.len() && a.edges != b.edges {
         out.push("graph.edges: same count, different links".into());
     }
-    field(&mut out, "actions", a.actions.join(","), b.actions.join(","));
-    field(&mut out, "daemon", a.daemon.clone(), b.daemon.clone());
-    field(&mut out, "seed", a.seed.to_string(), b.seed.to_string());
+    field(&mut out, "actions", &a.actions.join(","), &b.actions.join(","));
+    field(&mut out, "daemon", &a.daemon, &b.daemon);
+    field(&mut out, "seed", &a.seed.to_string(), &b.seed.to_string());
     if let Some(p) = (0..a.init.len().min(b.init.len())).find(|&i| a.init[i] != b.init[i]) {
         out.push(format!("init[p{p}]: {} != {}", a.init[p], b.init[p]));
     }
@@ -656,7 +656,7 @@ pub fn diff(a: &RecordedTrace, b: &RecordedTrace) -> Vec<String> {
     {
         out.push(format!("final[p{p}]: {} != {}", a.final_states[p], b.final_states[p]));
     }
-    field(&mut out, "totals", format!("{:?}", a.totals), format!("{:?}", b.totals));
+    field(&mut out, "totals", &format!("{:?}", a.totals), &format!("{:?}", b.totals));
     for tag in PhaseTag::ALL {
         if (a.phases.moves_of(tag), a.phases.steps_of(tag), a.phases.rounds_of(tag))
             != (b.phases.moves_of(tag), b.phases.steps_of(tag), b.phases.rounds_of(tag))

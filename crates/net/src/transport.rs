@@ -14,7 +14,9 @@
 //! `pif_daemon::SimBuilder`'s fluent pattern with typed [`NetError`]s
 //! instead of panics.
 
-use pif_daemon::{ActionId, EnabledIndex, NoOpObserver, Observer, Protocol, StepDelta, View};
+use pif_daemon::{
+    splitmix64, ActionId, EnabledIndex, NoOpObserver, Observer, Protocol, StepDelta, View,
+};
 use pif_graph::{Graph, ProcId};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -156,13 +158,6 @@ pub trait Transport<P: Protocol> {
     }
 }
 
-fn mix(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 /// Fluent, fallible constructor for [`NetSim`] — the net engine's
 /// mirror of `pif_daemon::SimBuilder`.
 pub struct NetBuilder<P: Protocol>
@@ -289,7 +284,7 @@ where
         // Flat link ids run in (receiver, slot) order, the order the
         // per-link fault streams have always been seeded in.
         let links: Vec<Link> = (0..m)
-            .map(|l| Link::new(self.capacity, mix(self.seed ^ (0x6C69 << 48) ^ l as u64)))
+            .map(|l| Link::new(self.capacity, splitmix64(self.seed ^ (0x6C69 << 48) ^ l as u64)))
             .collect();
         let link_to = graph
             .procs()
@@ -319,7 +314,7 @@ where
             plan: self.plan,
             heartbeat_every: self.heartbeat_every,
             delivery_bias: self.delivery_bias,
-            rng: StdRng::seed_from_u64(mix(self.seed ^ 0x7363_6865_6421)),
+            rng: StdRng::seed_from_u64(splitmix64(self.seed ^ 0x7363_6865_6421)),
             seqs: vec![0u32; n],
             applied_seq: vec![None; m],
             events: 0,
@@ -341,7 +336,7 @@ where
             net.recompute_enabled(p);
         }
         if let Some(scramble_seed) = net.plan.scramble_seed {
-            let mut srng = StdRng::seed_from_u64(mix(scramble_seed ^ 0x5343_5241_4D42));
+            let mut srng = StdRng::seed_from_u64(splitmix64(scramble_seed ^ 0x5343_5241_4D42));
             net.scramble_caches_with(&mut |_, q| P::State::scrambled(&mut srng, q));
         }
         Ok(net)
@@ -1050,7 +1045,7 @@ mod tests {
     #[test]
     fn fault_free_run_settles_to_the_shared_memory_fixpoint() {
         let g = generators::torus(3, 3).unwrap();
-        let init: Vec<u64> = (0..9u64).map(|i| mix(i ^ 0xABCD)).collect();
+        let init: Vec<u64> = (0..9u64).map(|i| splitmix64(i ^ 0xABCD)).collect();
 
         let mut shm = Simulator::new(g.clone(), MaxProto, init.clone());
         shm.run_to_fixpoint(&mut Synchronous::first_action(), RunLimits::default()).unwrap();

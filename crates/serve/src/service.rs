@@ -6,14 +6,14 @@ use std::time::Instant;
 
 use pif_core::{PifProtocol, PifState};
 use pif_daemon::daemons::{CentralRandom, DistributedRandom, Synchronous};
-use pif_daemon::{Daemon, PhaseReport, PhaseTag};
+use pif_daemon::{splitmix64, Daemon, PhaseReport, PhaseTag};
 use pif_graph::{Graph, ProcId, Topology};
 use pif_net::FaultPlan;
 use pif_soa::Engine;
 
 use crate::ledger::DeliveryLedger;
 use crate::request::{Request, RequestId};
-use crate::shard::{mix, Shard};
+use crate::shard::Shard;
 use crate::ServeError;
 
 /// What to do when a per-initiator queue is full at submission.
@@ -316,9 +316,8 @@ impl<M: Clone + PartialEq + fmt::Debug + Send> WaveService<M> {
             None => config.topology.build()?,
         };
         let n = graph.len();
-        if n > PifProtocol::MAX_PROCS {
-            return Err(ServeError::NetworkTooLarge { procs: n, max: PifProtocol::MAX_PROCS });
-        }
+        PifProtocol::check_size(n)
+            .map_err(|e| ServeError::NetworkTooLarge { procs: e.procs, max: e.max })?;
         if let Some(ls) = &config.lane_states {
             for (p, states) in ls {
                 assert_eq!(
@@ -351,7 +350,7 @@ impl<M: Clone + PartialEq + fmt::Debug + Send> WaveService<M> {
         // initiators are ordered by a splitmix key and dealt round-robin,
         // so no seed can collapse every lane onto one shard.
         let mut order: Vec<usize> = (0..config.initiators.len()).collect();
-        order.sort_by_key(|&i| mix(config.seed ^ u64::from(config.initiators[i].0)));
+        order.sort_by_key(|&i| splitmix64(config.seed ^ u64::from(config.initiators[i].0)));
         let mut shard_of = vec![0usize; config.initiators.len()];
         for (pos, &i) in order.iter().enumerate() {
             shard_of[i] = pos % shard_count;
@@ -361,11 +360,11 @@ impl<M: Clone + PartialEq + fmt::Debug + Send> WaveService<M> {
         let mut route = Vec::with_capacity(config.initiators.len());
         for (i, &p) in config.initiators.iter().enumerate() {
             let shard = shard_of[i];
-            let daemon = config.daemon.build(mix(config.seed ^ (u64::from(p.0) << 17)));
+            let daemon = config.daemon.build(splitmix64(config.seed ^ (u64::from(p.0) << 17)));
             let net = config
                 .net
                 .as_ref()
-                .map(|cfg| (cfg, mix(config.seed ^ (u64::from(p.0) << 29) ^ 0x6E65_7421)));
+                .map(|cfg| (cfg, splitmix64(config.seed ^ (u64::from(p.0) << 29) ^ 0x6E65_7421)));
             let init = config
                 .lane_states
                 .as_ref()

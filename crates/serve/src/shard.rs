@@ -9,6 +9,7 @@
 
 use std::fmt;
 
+use pif_daemon::splitmix64;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
@@ -17,15 +18,6 @@ use crate::ledger::{DeliveryLedger, ShedCause};
 use crate::request::{Request, RequestId};
 use crate::service::{FaultSpec, ShedPolicy};
 use crate::ServeError;
-
-/// Splitmix64 finalizer: the deterministic hash behind shard assignment
-/// and per-lane seed derivation.
-pub(crate) fn mix(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
 
 pub(crate) struct Shard<M> {
     index: usize,
@@ -44,7 +36,7 @@ impl<M: Clone + PartialEq + fmt::Debug> Shard<M> {
         Shard {
             index,
             lanes,
-            rng: StdRng::seed_from_u64(mix(seed ^ (index as u64).wrapping_mul(0x9E37))),
+            rng: StdRng::seed_from_u64(splitmix64(seed ^ (index as u64).wrapping_mul(0x9E37))),
             pending_faults: Vec::new(),
             completed: 0,
             records: DeliveryLedger::new(),
@@ -156,7 +148,7 @@ impl<M: Clone + PartialEq + fmt::Debug> Shard<M> {
             }
             let spec = self.pending_faults.pop().expect("pending fault");
             for (li, lane) in self.lanes.iter_mut().enumerate() {
-                let seed = mix(spec.seed ^ ((self.index as u64) << 32 | li as u64));
+                let seed = splitmix64(spec.seed ^ ((self.index as u64) << 32 | li as u64));
                 lane.apply_fault(spec.registers_per_lane, seed);
             }
         }

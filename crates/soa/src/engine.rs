@@ -4,10 +4,10 @@
 //! engine-agnostic.
 
 use pif_core::{PifProtocol, PifState};
-use pif_daemon::{ActionId, Daemon, Observer, SimError, Simulator, StepReport};
+use pif_daemon::{ActionId, Daemon, Observer, SimBuilder, SimError, Simulator, StepReport};
 use pif_graph::{Graph, ProcId};
 
-use crate::sim::SoaSimulator;
+use crate::sim::{Packed, SoaSimulator};
 
 /// Which step backend to run.
 ///
@@ -53,11 +53,12 @@ impl std::fmt::Display for Engine {
 
 /// A PIF simulator with the backend chosen at construction.
 ///
-/// Both variants honor the same observable contract (daemon snapshots,
-/// observer deltas, round accounting, validation errors), so a run is
-/// determined by `(engine-independent inputs, daemon)` alone — the
-/// differential tests pin that the two variants produce identical
-/// executions.
+/// Both variants are `pif_daemon::Simulator<PifProtocol, _>`: one step
+/// loop, so daemon snapshots, observer deltas, round accounting and
+/// validation errors are the same code. Only the register store differs,
+/// and the differential tests pin that the two stores evaluate guards and
+/// actions identically, so a run is determined by `(engine-independent
+/// inputs, daemon)` alone.
 // Not boxed: an `EngineSim` is a long-lived handle constructed once per
 // lane/workload and then only borrowed, so the variant size gap never
 // crosses a hot move path and boxing would tax every delegated call.
@@ -70,38 +71,32 @@ pub enum EngineSim {
     Soa(SoaSimulator),
 }
 
-/// Fluent, fallible constructor for [`EngineSim`] — the same pattern as
-/// `pif_daemon::SimBuilder::try_build` and `pif_net::NetBuilder::build`,
-/// so every engine in the workspace builds through one shape with typed
-/// errors instead of panicking constructors.
+/// Fluent, fallible constructor for [`EngineSim`]: a
+/// `pif_daemon::SimBuilder` plus the engine choice, so every engine in the
+/// workspace builds through one shape with typed errors instead of
+/// panicking constructors.
 pub struct EngineBuilder {
     engine: Engine,
-    graph: Graph,
-    protocol: PifProtocol,
-    states: Option<Vec<PifState>>,
-    validation: Option<bool>,
+    inner: SimBuilder<PifProtocol>,
 }
 
 impl EngineBuilder {
     /// Sets the initial configuration (required; one state per processor).
     #[must_use]
-    pub fn states(mut self, states: Vec<PifState>) -> Self {
-        self.states = Some(states);
-        self
+    pub fn states(self, states: Vec<PifState>) -> Self {
+        EngineBuilder { inner: self.inner.states(states), ..self }
     }
 
     /// Builds the initial configuration from a per-processor closure.
     #[must_use]
-    pub fn states_with(mut self, mut f: impl FnMut(ProcId) -> PifState) -> Self {
-        self.states = Some(self.graph.procs().map(&mut f).collect());
-        self
+    pub fn states_with(self, f: impl FnMut(ProcId) -> PifState) -> Self {
+        EngineBuilder { inner: self.inner.states_with(f), ..self }
     }
 
     /// Enables or disables daemon-selection validation.
     #[must_use]
-    pub fn validation(mut self, on: bool) -> Self {
-        self.validation = Some(on);
-        self
+    pub fn validation(self, on: bool) -> Self {
+        EngineBuilder { inner: self.inner.validation(on), ..self }
     }
 
     /// Finalizes the simulator on the selected backend.
@@ -112,19 +107,22 @@ impl EngineBuilder {
     /// [`SimError::StateCountMismatch`] when it does not cover every
     /// processor.
     pub fn try_build(self) -> Result<EngineSim, SimError> {
-        let states = self.states.ok_or(SimError::MissingStates)?;
-        if states.len() != self.graph.len() {
-            return Err(SimError::StateCountMismatch {
-                expected: self.graph.len(),
-                got: states.len(),
-            });
-        }
-        let mut sim = EngineSim::new(self.engine, self.graph, self.protocol, states);
-        if let Some(on) = self.validation {
-            sim.set_validation(on);
-        }
-        Ok(sim)
+        Ok(match self.engine {
+            Engine::Aos => EngineSim::Aos(self.inner.try_build()?),
+            Engine::Soa => EngineSim::Soa(self.inner.try_build_with(Packed::new)?),
+        })
     }
+}
+
+/// Runs `$body` on the simulator an [`EngineSim`] holds, bound as `$s`:
+/// both variants are one `Simulator` type over different register stores.
+macro_rules! on_engine {
+    ($sim:expr, $s:ident => $body:expr) => {
+        match $sim {
+            EngineSim::Aos($s) => $body,
+            EngineSim::Soa($s) => $body,
+        }
+    };
 }
 
 impl EngineSim {
@@ -132,13 +130,15 @@ impl EngineSim {
     pub fn new(engine: Engine, graph: Graph, protocol: PifProtocol, init: Vec<PifState>) -> Self {
         match engine {
             Engine::Aos => EngineSim::Aos(Simulator::new(graph, protocol, init)),
-            Engine::Soa => EngineSim::Soa(SoaSimulator::new(graph, protocol, init)),
+            Engine::Soa => {
+                EngineSim::Soa(Simulator::with_store(graph, protocol, Packed::new(init)))
+            }
         }
     }
 
     /// Starts a fluent builder on the selected backend.
     pub fn builder(engine: Engine, graph: Graph, protocol: PifProtocol) -> EngineBuilder {
-        EngineBuilder { engine, graph, protocol, states: None, validation: None }
+        EngineBuilder { engine, inner: Simulator::builder(graph, protocol) }
     }
 
     /// Which backend this simulator runs on.
@@ -151,98 +151,62 @@ impl EngineSim {
 
     /// The network topology.
     pub fn graph(&self) -> &Graph {
-        match self {
-            EngineSim::Aos(s) => s.graph(),
-            EngineSim::Soa(s) => s.graph(),
-        }
+        on_engine!(self, s => s.graph())
     }
 
     /// The protocol under simulation.
     pub fn protocol(&self) -> &PifProtocol {
-        match self {
-            EngineSim::Aos(s) => s.protocol(),
-            EngineSim::Soa(s) => s.protocol(),
-        }
+        on_engine!(self, s => s.protocol())
     }
 
     /// The current configuration.
     pub fn states(&self) -> &[PifState] {
-        match self {
-            EngineSim::Aos(s) => s.states(),
-            EngineSim::Soa(s) => s.states(),
-        }
+        on_engine!(self, s => s.states())
     }
 
     /// Computation steps executed so far.
     pub fn steps(&self) -> u64 {
-        match self {
-            EngineSim::Aos(s) => s.steps(),
-            EngineSim::Soa(s) => s.steps(),
-        }
+        on_engine!(self, s => s.steps())
     }
 
     /// Rounds completed so far.
     pub fn rounds(&self) -> u64 {
-        match self {
-            EngineSim::Aos(s) => s.rounds(),
-            EngineSim::Soa(s) => s.rounds(),
-        }
+        on_engine!(self, s => s.rounds())
     }
 
     /// Whether the current configuration is terminal.
     pub fn is_terminal(&self) -> bool {
-        match self {
-            EngineSim::Aos(s) => s.is_terminal(),
-            EngineSim::Soa(s) => s.is_terminal(),
-        }
+        on_engine!(self, s => s.is_terminal())
     }
 
     /// Processors currently enabled, ascending.
     pub fn enabled_procs(&self) -> &[ProcId] {
-        match self {
-            EngineSim::Aos(s) => s.enabled_procs(),
-            EngineSim::Soa(s) => s.enabled_procs(),
-        }
+        on_engine!(self, s => s.enabled_procs())
     }
 
     /// Enabled actions of processor `p`.
     pub fn enabled_actions(&self, p: ProcId) -> &[ActionId] {
-        match self {
-            EngineSim::Aos(s) => s.enabled_actions(p),
-            EngineSim::Soa(s) => s.enabled_actions(p),
-        }
+        on_engine!(self, s => s.enabled_actions(p))
     }
 
     /// The `(processor, action)` pairs executed by the most recent step.
     pub fn last_executed(&self) -> &[(ProcId, ActionId)] {
-        match self {
-            EngineSim::Aos(s) => s.last_executed(),
-            EngineSim::Soa(s) => s.last_executed(),
-        }
+        on_engine!(self, s => s.last_executed())
     }
 
     /// Overwrites the configuration; bookkeeping and rounds restart.
     pub fn set_states(&mut self, states: Vec<PifState>) {
-        match self {
-            EngineSim::Aos(s) => s.set_states(states),
-            EngineSim::Soa(s) => s.set_states(states),
-        }
+        on_engine!(self, s => s.set_states(states));
     }
 
     /// Applies a batch of corruptions atomically (empty batch is a no-op).
     pub fn corrupt_many(&mut self, corruptions: &[(ProcId, PifState)]) {
-        match self {
-            EngineSim::Aos(s) => s.corrupt_many(corruptions),
-            EngineSim::Soa(s) => s.corrupt_many(corruptions),
-        }
+        on_engine!(self, s => s.corrupt_many(corruptions));
     }
 
     /// Enables or disables daemon-selection validation.
     pub fn set_validation(&mut self, on: bool) {
-        match self {
-            EngineSim::Aos(s) => s.set_validation(on),
-            EngineSim::Soa(s) => s.set_validation(on),
-        }
+        on_engine!(self, s => s.set_validation(on));
     }
 
     /// Executes one computation step under `daemon`.
@@ -251,10 +215,7 @@ impl EngineSim {
     ///
     /// Propagates the backend's [`SimError`].
     pub fn step(&mut self, daemon: &mut dyn Daemon<PifState>) -> Result<StepReport, SimError> {
-        match self {
-            EngineSim::Aos(s) => s.step(daemon),
-            EngineSim::Soa(s) => s.step(daemon),
-        }
+        on_engine!(self, s => s.step(daemon))
     }
 
     /// Executes one observed computation step under `daemon`.
@@ -267,10 +228,7 @@ impl EngineSim {
         daemon: &mut dyn Daemon<PifState>,
         observer: &mut dyn Observer<PifProtocol>,
     ) -> Result<StepReport, SimError> {
-        match self {
-            EngineSim::Aos(s) => s.step_observed(daemon, observer),
-            EngineSim::Soa(s) => s.step_observed(daemon, observer),
-        }
+        on_engine!(self, s => s.step_observed(daemon, observer))
     }
 }
 

@@ -15,11 +15,13 @@
 //!
 //! Two entry points, by generality:
 //!
-//! * [`SoaSimulator`] — drop-in peer of the generic simulator: same
-//!   daemon/observer/round/validation contract, observably identical
-//!   executions (pinned by differential property tests), plus the
-//!   daemon-free synchronous fast path [`SoaSimulator::step_sync`].
-//! * [`EngineSim`] — enum dispatch over both backends behind one API,
+//! * [`SoaSimulator`] — `pif_daemon::Simulator<PifProtocol, Packed>`:
+//!   the generic simulator's one step loop over the [`Packed`] register
+//!   store, so daemons, observers, round accounting, validation and the
+//!   synchronous fast path `step_sync` are the generic engine's own code.
+//!   The differential property tests pin that [`Packed`]'s guards and
+//!   actions equal [`pif_core::PifProtocol`]'s.
+//! * [`EngineSim`] — enum dispatch over both stores behind one API,
 //!   selected by [`Engine`]`::{Aos, Soa}`.
 //!
 //! # Topology changes (the churn contract)
@@ -38,12 +40,12 @@
 //! ```
 //! use pif_core::{initial, PifProtocol};
 //! use pif_graph::{generators, ProcId};
-//! use pif_soa::SoaSimulator;
+//! use pif_soa::{Packed, SoaSimulator};
 //!
 //! let graph = generators::torus(4, 4).unwrap();
 //! let protocol = PifProtocol::new(ProcId(0), &graph);
 //! let init = initial::normal_starting(&graph);
-//! let mut sim = SoaSimulator::new(graph, protocol, init);
+//! let mut sim = SoaSimulator::with_store(graph, protocol, Packed::new(init));
 //! let report = sim.step_sync(); // synchronous daemon, no dispatch overhead
 //! assert!(report.executed >= 1);
 //! ```
@@ -59,4 +61,4 @@ pub mod sim;
 pub use config::SoaConfig;
 pub use engine::{Engine, EngineBuilder, EngineSim};
 pub use kernel::GuardKernel;
-pub use sim::SoaSimulator;
+pub use sim::{Packed, SoaSimulator};

@@ -1,20 +1,12 @@
-//! The `SoA` step engine: a drop-in peer of `pif_daemon::Simulator`
-//! specialized to [`PifProtocol`], stepping the packed configuration.
-//!
-//! [`SoaSimulator`] honors the exact `Simulator` observable contract —
-//! same [`EnabledSet`] handed to daemons, same [`StepDelta`] handed to
-//! observers, same round accounting ([`RoundCounter`] is shared code),
-//! same validation and error behavior — so any daemon/observer pair runs
-//! unmodified on either engine and produces identical executions. On top
-//! it adds [`SoaSimulator::step_sync`], a daemon-free synchronous fast
-//! path equivalent to stepping under `Synchronous::first_action` but with
-//! no snapshot construction, daemon dispatch, or observer plumbing.
+//! The `SoA` register store: PIF's registers packed into bit planes,
+//! stepped by the one simulator loop in `pif_daemon` ([`SoaSimulator`] is
+//! `Simulator<PifProtocol, Packed>`).
 //!
 //! Guard bookkeeping is two-tier:
 //!
-//! * **Whole-network evaluation** (construction, [`SoaSimulator::set_states`],
-//!   [`SoaSimulator::corrupt_many`]) runs word-parallel: two scatter passes
-//!   build `claimed` and `pre-potential` planes, then plain word algebra
+//! * **Whole-network evaluation** (construction, `set_states`,
+//!   `corrupt_many`) runs word-parallel: two scatter passes build
+//!   `claimed` and `pre-potential` planes, then plain word algebra
 //!   (`pre_pot & !claimed & !b & !f`) settles every clean processor's mask
 //!   64 at a time — a clean non-root processor can only ever enable
 //!   `B-action`, and is unconditionally `Normal`, so one AND/OR chain *is*
@@ -22,57 +14,34 @@
 //!   and the root fall back to the scalar kernel; the per-spreader
 //!   `L_q < L_max` test is the one scalar comparison in the scatter pass.
 //! * **Per-step evaluation** re-runs the scalar kernel only over the dirty
-//!   set (executed processors and their neighbors), exactly like the
-//!   `AoS` simulator's incremental bookkeeping.
+//!   set the simulator hands over (executed processors and their
+//!   neighbors), building one [`GuardKernel`] per step and rewriting only
+//!   the action lists whose mask changed.
 
 use pif_core::{PifProtocol, PifState};
-use pif_daemon::rounds::RoundCounter;
-use pif_daemon::{
-    ActionId, Daemon, EnabledIndex, EnabledSet, NoOpObserver, Observer, SimError, StepDelta,
-    StepReport,
-};
+use pif_daemon::{ActionId, RegisterStore, Simulator};
 use pif_graph::{Graph, ProcId};
 
 use crate::config::SoaConfig;
 use crate::kernel::GuardKernel;
 
-/// Simulator for the PIF protocol over the packed structure-of-arrays
-/// configuration.
-///
-/// Observationally equivalent to `pif_daemon::Simulator<PifProtocol>` (the
-/// differential property tests pin step-for-step equality of executions,
-/// enabled sets, rounds and deltas); built for throughput: guard masks are
-/// 7-bit words, enabled membership is a bit plane, and the synchronous
-/// fast path [`SoaSimulator::step_sync`] turns mask bit-scans directly
-/// into moves.
+/// The PIF simulator over the packed store, built with
+/// [`Simulator::with_store`] and [`Packed::new`]. Its executions equal
+/// `Simulator<PifProtocol>`'s as long as [`Packed`] evaluates guards and
+/// actions exactly as [`PifProtocol`] does (the differential tests pin
+/// that).
+pub type SoaSimulator = Simulator<PifProtocol, Packed>;
+
+/// PIF's registers in packed planes, with one guard mask per processor.
 #[derive(Clone, Debug)]
-pub struct SoaSimulator {
-    graph: Graph,
-    protocol: PifProtocol,
+pub struct Packed {
     /// The packed configuration (source of truth for guard evaluation).
     cfg: SoaConfig,
-    /// Array-of-structs mirror, kept in lockstep per executed processor so
-    /// [`SoaSimulator::states`] and the daemon snapshot are zero-cost.
+    /// Array-of-structs mirror, kept in lockstep per written processor so
+    /// [`RegisterStore::states`] and the daemon snapshot are zero-cost.
     mirror: Vec<PifState>,
     /// Per-processor guard masks (bit `k` ⇔ `ActionId(k)` enabled).
     masks: Vec<u8>,
-    /// Enabled actions per processor, materialized for the
-    /// [`EnabledSet`] daemon contract; rewritten only when a mask changes.
-    enabled: Vec<Vec<ActionId>>,
-    /// Processors with a non-zero mask.
-    index: EnabledIndex,
-    steps: u64,
-    rounds: RoundCounter,
-    validate: bool,
-    // --- Reused scratch (no steady-state allocation) ---
-    selection: Vec<(ProcId, ActionId)>,
-    old_states: Vec<PifState>,
-    new_states: Vec<PifState>,
-    before_scratch: Vec<PifState>,
-    stamp: Vec<u64>,
-    epoch: u64,
-    dirty: Vec<u32>,
-    changes: Vec<(ProcId, bool)>,
     /// Scatter plane: some participating non-root neighbor claims `p` as
     /// parent (violates `Leaf(p)`).
     plane_claimed: Vec<u64>,
@@ -80,68 +49,21 @@ pub struct SoaSimulator {
     plane_prepot: Vec<u64>,
 }
 
-impl SoaSimulator {
-    /// Creates a simulator in the given initial configuration.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `init.len() != graph.len()`.
-    pub fn new(graph: Graph, protocol: PifProtocol, init: Vec<PifState>) -> Self {
-        assert_eq!(graph.len(), init.len(), "initial configuration must cover every processor");
-        let n = graph.len();
+impl Packed {
+    /// Packs an initial configuration. The masks are computed when a
+    /// simulator is built over the store.
+    pub fn new(init: Vec<PifState>) -> Self {
+        let n = init.len();
         let words = crate::config::word_count(n);
         let mut cfg = SoaConfig::new(n);
         cfg.load(&init);
-        let mut sim = SoaSimulator {
-            graph,
-            protocol,
+        Packed {
             cfg,
             mirror: init,
             masks: vec![0; n],
-            // Action lists and step scratch grow on first use, as in the
-            // `AoS` simulator: no allocation per processor up front.
-            enabled: vec![Vec::new(); n],
-            index: EnabledIndex::new(n, std::iter::empty()),
-            steps: 0,
-            rounds: RoundCounter::new(std::iter::repeat_n(false, n)),
-            validate: cfg!(debug_assertions),
-            selection: Vec::new(),
-            old_states: Vec::new(),
-            new_states: Vec::new(),
-            before_scratch: Vec::new(),
-            stamp: vec![0; n],
-            epoch: 0,
-            dirty: Vec::with_capacity(n),
-            changes: Vec::with_capacity(n),
             plane_claimed: vec![0; words],
             plane_prepot: vec![0; words],
-        };
-        sim.recompute_all();
-        sim
-    }
-
-    /// The network topology.
-    #[inline]
-    pub fn graph(&self) -> &Graph {
-        &self.graph
-    }
-
-    /// The protocol under simulation.
-    #[inline]
-    pub fn protocol(&self) -> &PifProtocol {
-        &self.protocol
-    }
-
-    /// The current configuration (array-of-structs mirror of the planes).
-    #[inline]
-    pub fn states(&self) -> &[PifState] {
-        &self.mirror
-    }
-
-    /// The current state of one processor.
-    #[inline]
-    pub fn state(&self, p: ProcId) -> &PifState {
-        &self.mirror[p.index()]
+        }
     }
 
     /// The packed configuration planes.
@@ -150,360 +72,96 @@ impl SoaSimulator {
         &self.cfg
     }
 
-    /// Computation steps executed so far.
-    #[inline]
-    pub fn steps(&self) -> u64 {
-        self.steps
-    }
-
-    /// Rounds completed so far (Dolev-Israeli-Moran definition; same
-    /// [`RoundCounter`] as the `AoS` simulator).
-    #[inline]
-    pub fn rounds(&self) -> u64 {
-        self.rounds.completed()
-    }
-
-    /// Whether the current configuration is terminal.
-    #[inline]
-    pub fn is_terminal(&self) -> bool {
-        self.index.is_empty()
-    }
-
-    /// Processors currently enabled, ascending.
-    #[inline]
-    pub fn enabled_procs(&self) -> &[ProcId] {
-        self.index.procs()
-    }
-
-    /// Enabled actions of processor `p` in the current configuration.
-    #[inline]
-    pub fn enabled_actions(&self, p: ProcId) -> &[ActionId] {
-        &self.enabled[p.index()]
-    }
-
     /// The guard mask of processor `p` (bit `k` ⇔ `ActionId(k)` enabled).
     #[inline]
     pub fn mask_of(&self, p: ProcId) -> u8 {
         self.masks[p.index()]
     }
+}
 
-    /// The `(processor, action)` pairs executed by the most recent step.
+/// Rewrites an action list from a guard mask, ascending.
+fn write_actions(acts: &mut Vec<ActionId>, mask: u8) {
+    acts.clear();
+    let mut bits = mask;
+    while bits != 0 {
+        acts.push(ActionId(bits.trailing_zeros() as usize));
+        bits &= bits - 1;
+    }
+}
+
+impl RegisterStore<PifProtocol> for Packed {
     #[inline]
-    pub fn last_executed(&self) -> &[(ProcId, ActionId)] {
-        &self.selection
+    fn states(&self) -> &[PifState] {
+        &self.mirror
     }
 
-    /// Enables or disables daemon-selection validation (same contract and
-    /// defaults as the `AoS` simulator: on in debug builds, off in release).
-    pub fn set_validation(&mut self, on: bool) {
-        self.validate = on;
-    }
-
-    /// Whether daemon-selection validation is currently enabled.
-    #[inline]
-    pub fn validation(&self) -> bool {
-        self.validate
-    }
-
-    /// Overwrites the configuration and recomputes the enabled set
-    /// word-parallel; round accounting restarts.
-    pub fn set_states(&mut self, states: Vec<PifState>) {
-        assert_eq!(self.graph.len(), states.len());
+    fn load(&mut self, states: Vec<PifState>) {
         self.cfg.load(&states);
         self.mirror = states;
-        self.recompute_all();
     }
 
-    /// Overwrites a single processor's state (fault injection); bookkeeping
-    /// recomputed, round accounting restarted.
-    pub fn corrupt(&mut self, p: ProcId, state: PifState) {
-        self.mirror[p.index()] = state;
-        self.cfg.set_state(p.index(), &state);
-        self.recompute_all();
+    #[inline]
+    fn replace(&mut self, p: ProcId, state: PifState) -> PifState {
+        self.cfg.set_state_tags(p.index(), &state);
+        std::mem::replace(&mut self.mirror[p.index()], state)
     }
 
-    /// Applies a batch of corruptions atomically, recomputing bookkeeping
-    /// and restarting round accounting once (matching
-    /// `Simulator::corrupt_many`). An empty batch is a no-op.
-    pub fn corrupt_many(&mut self, corruptions: &[(ProcId, PifState)]) {
-        if corruptions.is_empty() {
-            return;
-        }
-        for &(p, state) in corruptions {
-            self.mirror[p.index()] = state;
-            self.cfg.set_state(p.index(), &state);
-        }
-        self.recompute_all();
-    }
-
-    /// Executes one computation step under `daemon`. Terminal
-    /// configurations are a no-op returning an empty report.
-    ///
-    /// # Errors
-    ///
-    /// [`SimError::InvalidSelection`] exactly as the `AoS` simulator reports
-    /// it.
-    pub fn step(&mut self, daemon: &mut dyn Daemon<PifState>) -> Result<StepReport, SimError> {
-        self.step_observed(daemon, &mut NoOpObserver)
-    }
-
-    /// Like [`SoaSimulator::step`], additionally notifying `observer` with
-    /// the same [`StepDelta`] the `AoS` simulator would produce.
-    ///
-    /// # Errors
-    ///
-    /// [`SimError::InvalidSelection`] if the daemon's selection violates
-    /// the model contract (empty, out of range, duplicated, or naming a
-    /// disabled action), exactly as the `AoS` simulator reports it.
-    pub fn step_observed(
-        &mut self,
-        daemon: &mut dyn Daemon<PifState>,
-        observer: &mut dyn Observer<PifProtocol>,
-    ) -> Result<StepReport, SimError> {
-        if self.is_terminal() {
-            self.selection.clear();
-            return Ok(StepReport { executed: 0, round_completed: false, terminal: true });
-        }
-        let mut selection = std::mem::take(&mut self.selection);
-        selection.clear();
-        {
-            let snapshot = EnabledSet::new(
-                &self.graph,
-                &self.mirror,
-                &self.enabled,
-                self.index.procs(),
-                self.steps,
-            );
-            daemon.select(&snapshot, &mut selection);
-        }
-        if selection.is_empty() {
-            self.selection = selection;
-            return Err(SimError::InvalidSelection {
-                reason: "empty selection while processors are enabled".into(),
-                proc: None,
-                action: None,
-            });
-        }
-        if self.validate {
-            if let Err(e) = self.validate_selection(&selection) {
-                self.selection = selection;
-                return Err(e);
-            }
-        }
-
-        let needs_before = observer.needs_full_before();
-        if needs_before {
-            self.before_scratch.clone_from(&self.mirror);
-        }
-
-        // Evaluate all selected actions against the OLD configuration, then
-        // apply simultaneously (composite atomicity).
-        let mut new_states = std::mem::take(&mut self.new_states);
-        new_states.clear();
-        {
-            let kernel = GuardKernel::new(&self.protocol, &self.graph);
-            for &(p, a) in &selection {
-                new_states.push(kernel.execute(&self.cfg, p.index(), a));
-            }
-        }
-        let mut old_states = std::mem::take(&mut self.old_states);
-        old_states.clear();
-        for (&(p, _), new) in selection.iter().zip(new_states.drain(..)) {
-            old_states.push(self.mirror[p.index()]);
-            self.mirror[p.index()] = new;
-            self.cfg.set_state_tags(p.index(), &new);
-        }
-        let step_index = self.steps;
-        self.steps += 1;
-        self.recompute_dirty(&selection);
-
-        let round_completed = self
-            .rounds
-            .observe_step(selection.iter().map(|&(p, _)| p), self.changes.iter().copied());
-
-        let delta = StepDelta::new(
-            &selection,
-            &old_states,
-            needs_before.then_some(self.before_scratch.as_slice()),
-            step_index,
-            round_completed,
-        );
-        observer.step(&self.graph, &delta, &self.mirror);
-
-        let executed = selection.len();
-        self.selection = selection;
-        self.old_states = old_states;
-        self.new_states = new_states;
-        Ok(StepReport { executed, round_completed, terminal: self.is_terminal() })
-    }
-
-    /// The synchronous fast path: every enabled processor executes its
-    /// first enabled action (the lowest set mask bit), equivalent to one
-    /// [`SoaSimulator::step`] under `Synchronous::first_action` but with no
-    /// daemon dispatch, snapshot, validation, or observer plumbing.
-    /// Terminal configurations are a no-op returning an empty report.
-    pub fn step_sync(&mut self) -> StepReport {
-        if self.index.is_empty() {
-            self.selection.clear();
-            return StepReport { executed: 0, round_completed: false, terminal: true };
-        }
-        // Selection and evaluation fused in one pass over the enabled
-        // list: every evaluation reads only the (unmodified) old
-        // configuration, so composite atomicity is preserved — writes
-        // happen in the separate apply pass below.
-        let mut selection = std::mem::take(&mut self.selection);
-        let mut new_states = std::mem::take(&mut self.new_states);
-        selection.clear();
-        new_states.clear();
-        {
-            let kernel = GuardKernel::new(&self.protocol, &self.graph);
-            for &p in self.index.procs() {
-                let a = ActionId(self.masks[p.index()].trailing_zeros() as usize);
-                new_states.push(kernel.execute(&self.cfg, p.index(), a));
-                selection.push((p, a));
-            }
-        }
-        let mut old_states = std::mem::take(&mut self.old_states);
-        old_states.clear();
-        for (&(p, _), new) in selection.iter().zip(new_states.drain(..)) {
-            old_states.push(self.mirror[p.index()]);
-            self.mirror[p.index()] = new;
-            self.cfg.set_state_tags(p.index(), &new);
-        }
-        self.steps += 1;
-        self.recompute_dirty(&selection);
-        let round_completed = self
-            .rounds
-            .observe_step(selection.iter().map(|&(p, _)| p), self.changes.iter().copied());
-        let executed = selection.len();
-        self.selection = selection;
-        self.old_states = old_states;
-        self.new_states = new_states;
-        StepReport { executed, round_completed, terminal: self.index.is_empty() }
-    }
-
-    /// Validates the model contract on a daemon selection (same checks and
-    /// messages as the `AoS` simulator, with the mask bit standing in for the
-    /// action-list membership test).
-    fn validate_selection(&mut self, selection: &[(ProcId, ActionId)]) -> Result<(), SimError> {
-        self.epoch += 1;
-        let epoch = self.epoch;
-        for &(p, a) in selection {
-            if p.index() >= self.graph.len() {
-                return Err(SimError::InvalidSelection {
-                    reason: "processor out of range".into(),
-                    proc: Some(p),
-                    action: Some(a),
-                });
-            }
-            if self.stamp[p.index()] == epoch {
-                return Err(SimError::InvalidSelection {
-                    reason: "processor selected twice".into(),
-                    proc: Some(p),
-                    action: Some(a),
-                });
-            }
-            self.stamp[p.index()] = epoch;
-            if a.0 >= crate::kernel::ACTION_BITS || self.masks[p.index()] >> a.0 & 1 == 0 {
-                return Err(SimError::InvalidSelection {
-                    reason: "action not enabled for processor".into(),
-                    proc: Some(p),
-                    action: Some(a),
-                });
-            }
-        }
-        Ok(())
-    }
-
-    /// Incremental post-step bookkeeping: re-evaluates the kernel only for
-    /// executed processors and their neighbors, maintaining masks, action
-    /// lists, the enabled index and the sparse change feed for round
-    /// accounting — the same dirty-set discipline as the `AoS` simulator.
-    fn recompute_dirty(&mut self, executed: &[(ProcId, ActionId)]) {
-        let SoaSimulator {
-            graph,
-            protocol,
-            cfg,
-            masks,
-            enabled,
-            index,
-            stamp,
-            epoch,
-            dirty,
-            changes,
-            ..
-        } = self;
-        *epoch += 1;
-        let ep = *epoch;
-        dirty.clear();
-        for &(p, _) in executed {
-            let pi = p.index();
-            if stamp[pi] != ep {
-                stamp[pi] = ep;
-                dirty.push(pi as u32);
-            }
-            for &q in graph.neighbor_slice(p) {
-                let qi = q.index();
-                if stamp[qi] != ep {
-                    stamp[qi] = ep;
-                    dirty.push(qi as u32);
-                }
-            }
-        }
-        changes.clear();
+    fn execute(
+        &self,
+        graph: &Graph,
+        protocol: &PifProtocol,
+        selection: &[(ProcId, ActionId)],
+        out: &mut Vec<PifState>,
+    ) {
         let kernel = GuardKernel::new(protocol, graph);
-        for &pi in dirty.iter() {
-            let pi = pi as usize;
-            let old = masks[pi];
-            let new = kernel.mask(cfg, pi);
+        for &(p, a) in selection {
+            out.push(kernel.execute(&self.cfg, p.index(), a));
+        }
+    }
+
+    fn refresh(
+        &mut self,
+        graph: &Graph,
+        protocol: &PifProtocol,
+        dirty: &[ProcId],
+        enabled: &mut [Vec<ActionId>],
+        changes: &mut Vec<(ProcId, bool)>,
+    ) {
+        let kernel = GuardKernel::new(protocol, graph);
+        for &p in dirty {
+            let pi = p.index();
+            let old = self.masks[pi];
+            let new = kernel.mask(&self.cfg, pi);
             if old == new {
                 continue;
             }
-            masks[pi] = new;
-            let acts = &mut enabled[pi];
-            acts.clear();
-            let mut bits = new;
-            while bits != 0 {
-                acts.push(ActionId(bits.trailing_zeros() as usize));
-                bits &= bits - 1;
-            }
+            self.masks[pi] = new;
+            write_actions(&mut enabled[pi], new);
             if (old != 0) != (new != 0) {
-                changes.push((ProcId::from_index(pi), new != 0));
+                changes.push((p, new != 0));
             }
         }
-        index.apply(changes);
     }
 
     /// Whole-network guard evaluation, word-parallel (see the module docs):
     /// scatter `claimed` and `pre-potential` planes, settle every clean
     /// non-root processor with word algebra, run the scalar kernel over
-    /// participants and the root only. Restarts round accounting — used on
-    /// construction and configuration overwrites, never per step.
-    fn recompute_all(&mut self) {
-        let SoaSimulator {
-            graph,
-            protocol,
-            cfg,
-            masks,
-            enabled,
-            index,
-            selection,
-            plane_claimed,
-            plane_prepot,
-            ..
-        } = self;
+    /// participants and the root only.
+    fn refresh_all(
+        &mut self,
+        graph: &Graph,
+        protocol: &PifProtocol,
+        enabled: &mut [Vec<ActionId>],
+    ) {
+        let Packed { cfg, masks, plane_claimed, plane_prepot, .. } = self;
         cfg.sync_planes();
         let kernel = GuardKernel::new(protocol, graph);
         let n = graph.len();
         let root = kernel.root_index();
         let l_max = kernel.l_max();
         let leaf_guard = kernel.features().leaf_guard;
-        for w in plane_claimed.iter_mut() {
-            *w = 0;
-        }
-        for w in plane_prepot.iter_mut() {
-            *w = 0;
-        }
+        plane_claimed.fill(0);
+        plane_prepot.fill(0);
 
         // Scatter pass over participating processors. The `L_q < L_max`
         // spreader test and the adjacency check on the claim (a corrupted
@@ -564,19 +222,10 @@ impl SoaSimulator {
             let mut all = valid;
             while all != 0 {
                 let p = lo + all.trailing_zeros() as usize;
-                let acts = &mut enabled[p];
-                acts.clear();
-                let mut bits = masks[p];
-                while bits != 0 {
-                    acts.push(ActionId(bits.trailing_zeros() as usize));
-                    bits &= bits - 1;
-                }
+                write_actions(&mut enabled[p], masks[p]);
                 all &= all - 1;
             }
         }
-        index.reset(masks.iter().map(|&m| m != 0));
-        selection.clear();
-        self.rounds = RoundCounter::new(masks.iter().map(|&m| m != 0));
     }
 }
 
@@ -585,7 +234,7 @@ mod tests {
     use super::*;
     use pif_core::initial;
     use pif_daemon::daemons::{CentralRandom, Synchronous};
-    use pif_daemon::Simulator;
+    use pif_daemon::{Daemon, EnabledSet, SimError};
     use pif_graph::generators;
 
     fn both(g: &Graph, seed: u64) -> (Simulator<PifProtocol>, SoaSimulator) {
@@ -593,7 +242,7 @@ mod tests {
         let init = initial::random_config(g, &proto, seed);
         (
             Simulator::new(g.clone(), proto.clone(), init.clone()),
-            SoaSimulator::new(g.clone(), proto, init),
+            SoaSimulator::with_store(g.clone(), proto, Packed::new(init)),
         )
     }
 
@@ -627,12 +276,12 @@ mod tests {
             let proto = PifProtocol::new(ProcId(0), &g);
             for seed in 0..20u64 {
                 let init = initial::random_config(&g, &proto, seed);
-                let soa = SoaSimulator::new(g.clone(), proto.clone(), init);
+                let soa = SoaSimulator::with_store(g.clone(), proto.clone(), Packed::new(init));
                 let kernel = GuardKernel::new(&proto, &g);
                 for p in 0..n {
                     assert_eq!(
-                        soa.mask_of(ProcId::from_index(p)),
-                        kernel.mask(soa.config(), p),
+                        soa.store().mask_of(ProcId::from_index(p)),
+                        kernel.mask(soa.store().config(), p),
                         "mask diverges at p{p} (n={n}, seed={seed})"
                     );
                 }
@@ -692,7 +341,8 @@ mod tests {
                 assert_agree(&aos, &soa);
                 let fresh = Simulator::new(g.clone(), soa.protocol().clone(), soa.states().to_vec());
                 assert_eq!(soa.enabled_procs(), fresh.enabled_procs(), "{name}, step {step}");
-                let flips = g.procs().filter(|&p| was[p.index()] != (soa.mask_of(p) != 0)).count();
+                let flips =
+                    g.procs().filter(|&p| was[p.index()] != (soa.store().mask_of(p) != 0)).count();
                 in_place |= flips == 1 && enabled_before >= 12;
                 rebuilt |= flips >= 20;
             }
@@ -749,7 +399,7 @@ mod tests {
         let g = generators::chain(3).unwrap();
         let proto = PifProtocol::new(ProcId(0), &g).with_n_prime(5).with_root_n(5);
         let init = initial::normal_starting(&g);
-        let mut soa = SoaSimulator::new(g, proto, init);
+        let mut soa = SoaSimulator::with_store(g, proto, Packed::new(init));
         while !soa.is_terminal() {
             soa.step_sync();
         }
@@ -779,7 +429,7 @@ mod tests {
         let g = generators::chain(3).unwrap();
         let proto = PifProtocol::new(ProcId(0), &g);
         let init = initial::normal_starting(&g);
-        let mut soa = SoaSimulator::new(g, proto, init);
+        let mut soa = SoaSimulator::with_store(g, proto, Packed::new(init));
         soa.set_validation(true);
         assert!(matches!(soa.step(&mut Dup), Err(SimError::InvalidSelection { .. })));
     }

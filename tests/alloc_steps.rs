@@ -20,10 +20,12 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use pif_chaos::ScriptedAdversary;
 use pif_core::{initial, PifProtocol, PifState};
 use pif_daemon::daemons::{AdversarialLifo, CentralRandom};
-use pif_daemon::{ActionId, Daemon, MetricsObserver, Protocol, Simulator, View};
+use pif_daemon::{
+    ActionId, Daemon, MetricsObserver, Protocol, RegisterStore, Simulator, View,
+};
 use pif_graph::{generators, ProcId};
 use pif_net::{FaultPlan, NetBuilder, Transport};
-use pif_soa::SoaSimulator;
+use pif_soa::{Packed, SoaSimulator};
 
 struct CountingAlloc;
 
@@ -188,7 +190,7 @@ fn soa_pif_sim(seed: u64) -> SoaSimulator {
     let g = generators::torus(8, 8).unwrap();
     let protocol = PifProtocol::new(ProcId(0), &g);
     let init = initial::random_config(&g, &protocol, seed);
-    SoaSimulator::new(g, protocol, init)
+    SoaSimulator::with_store(g, protocol, Packed::new(init))
 }
 
 #[test]
@@ -256,11 +258,12 @@ fn pif_steady_state_steps_do_not_allocate() {
     assert!(sim.rounds() > 0, "round accounting must still advance");
 }
 
-#[test]
-fn soa_sync_and_batch_stepping_do_not_allocate() {
-    // The synchronous fast path: after warm-up, whole-network steps move
-    // no heap memory.
-    let mut sim = soa_pif_sim(0x50A);
+/// Warms `sim`'s synchronous fast path up, then asserts that 10,000 more
+/// whole-network steps move no heap memory.
+fn assert_sync_steps_do_not_allocate<S: RegisterStore<PifProtocol>>(
+    sim: &mut Simulator<PifProtocol, S>,
+    store: &str,
+) {
     for _ in 0..2_000 {
         let rep = sim.step_sync();
         assert!(!rep.terminal, "PIF waves must keep cycling");
@@ -277,9 +280,25 @@ fn soa_sync_and_batch_stepping_do_not_allocate() {
     assert_eq!(
         after - before,
         0,
-        "SoA sync path allocated {} time(s) across 10k steady-state steps",
+        "{store} sync path allocated {} time(s) across 10k steady-state steps",
         after - before
     );
+    assert!(sim.rounds() > 0, "round accounting must still advance");
+}
+
+#[test]
+fn soa_sync_and_batch_stepping_do_not_allocate() {
+    assert_sync_steps_do_not_allocate(&mut soa_pif_sim(0x50A), "SoA");
+}
+
+#[test]
+fn generic_store_sync_steps_do_not_allocate() {
+    // `step_sync` is the shared loop's, so the generic `Vec` store runs
+    // it too.
+    let g = generators::torus(8, 8).unwrap();
+    let protocol = PifProtocol::new(ProcId(0), &g);
+    let init = initial::random_config(&g, &protocol, 0x50A);
+    assert_sync_steps_do_not_allocate(&mut Simulator::new(g, protocol, init), "generic-store");
 }
 
 #[test]

@@ -47,14 +47,15 @@ fn theorem3_glt_bound() {
 
 #[test]
 fn theorem2_phase_bounds() {
+    use pif_chaos::Goal;
     use pif_daemon::PhaseTag;
     for t in [Topology::Chain { n: 7 }, Topology::Star { n: 7 }] {
-        for case in e4_phase_bounds::Case::ALL {
+        for case in Goal::ALL {
             let row = e4_phase_bounds::measure(&t, case, 5);
             assert!(
                 row.ok,
                 "{t:?} {}: {} rounds > bound {}",
-                case.name(),
+                e4_phase_bounds::label(case),
                 row.stats.max,
                 row.bound
             );
@@ -65,7 +66,7 @@ fn theorem2_phase_bounds() {
                 assert!(
                     row.phase_rounds_of(tag) <= row.bound,
                     "{t:?} {}: {tag} rounds {} > bound {}",
-                    case.name(),
+                    e4_phase_bounds::label(case),
                     row.phase_rounds_of(tag),
                     row.bound
                 );
@@ -73,7 +74,7 @@ fn theorem2_phase_bounds() {
             assert!(
                 row.phase_rounds_of(PhaseTag::Correction) <= row.corr_bound,
                 "{t:?} {}: correction rounds {} > 3·L_max+3 = {}",
-                case.name(),
+                e4_phase_bounds::label(case),
                 row.phase_rounds_of(PhaseTag::Correction),
                 row.corr_bound
             );

@@ -12,7 +12,7 @@ use pif_daemon::daemons::{CentralRandom, DistributedRandom, Synchronous};
 use pif_daemon::{ActionId, Daemon, Observer, Protocol, RunLimits, Simulator, StepDelta, View};
 use pif_graph::{generators, Graph, ProcId};
 use pif_soa::kernel::ACTION_BITS;
-use pif_soa::{GuardKernel, SoaConfig, SoaSimulator};
+use pif_soa::{GuardKernel, Packed, SoaConfig, SoaSimulator};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -406,7 +406,7 @@ proptest! {
         let protocol = PifProtocol::new(ProcId(0), &g);
         let init = initial::random_config(&g, &protocol, cseed);
         let mut aos = Simulator::new(g.clone(), protocol.clone(), init.clone());
-        let mut soa = SoaSimulator::new(g.clone(), protocol, init);
+        let mut soa = SoaSimulator::with_store(g.clone(), protocol, Packed::new(init));
         aos.set_validation(true);
         soa.set_validation(true);
         let mk = || -> Box<dyn Daemon<PifState>> {
@@ -439,6 +439,36 @@ proptest! {
         prop_assert_eq!(o_aos.deltas.len(), o_soa.deltas.len());
         for (da, ds) in o_aos.deltas.iter().zip(&o_soa.deltas) {
             prop_assert_eq!(da, ds);
+        }
+    }
+
+    /// `Simulator::step_sync` on the generic store equals one step under
+    /// `Synchronous::first_action`, step after step, from arbitrary
+    /// configurations of the paper's protocol.
+    #[test]
+    fn step_sync_equals_a_synchronous_first_action_step(
+        n in 2usize..24,
+        p in 0.0f64..0.4,
+        gseed in any::<u64>(),
+        cseed in any::<u64>(),
+        steps in 1usize..150,
+    ) {
+        let g = generators::random_connected(n, p, gseed).unwrap();
+        let protocol = PifProtocol::new(ProcId(0), &g);
+        let init = initial::random_config(&g, &protocol, cseed);
+        let mut by_daemon = Simulator::new(g.clone(), protocol.clone(), init.clone());
+        let mut fast = Simulator::new(g, protocol, init);
+        let mut daemon = Synchronous::first_action();
+        for _ in 0..steps {
+            if by_daemon.is_terminal() {
+                break;
+            }
+            let want = by_daemon.step(&mut daemon).unwrap();
+            prop_assert_eq!(fast.step_sync(), want);
+            prop_assert_eq!(fast.last_executed(), by_daemon.last_executed());
+            prop_assert_eq!(fast.states(), by_daemon.states());
+            prop_assert_eq!(fast.enabled_procs(), by_daemon.enabled_procs());
+            prop_assert_eq!(fast.rounds(), by_daemon.rounds());
         }
     }
 
