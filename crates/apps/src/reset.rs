@@ -14,10 +14,9 @@ use pif_core::wave::{UnitAggregate, WaveRunner};
 use pif_core::{PifProtocol, PifState};
 use pif_daemon::{Daemon, RunLimits, SimError};
 use pif_graph::{Graph, ProcId};
-use serde::{Deserialize, Serialize};
 
 /// The broadcast reset command.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct ResetCommand {
     /// Monotone epoch number of the reset.
     pub epoch: u64,

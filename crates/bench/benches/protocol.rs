@@ -188,7 +188,7 @@ fn bench_verify(c: &mut Criterion) {
             let g = generators::chain(2).unwrap();
             let proto = PifProtocol::new(ProcId(0), &g);
             let space = pif_verify::StateSpace::new(g.clone(), proto);
-            let report = space.check_snap_safety(true);
+            let report = pif_verify::Checker::auto().check_snap_safety(&space, true);
             assert!(report.verified());
             black_box(report.states_explored)
         })

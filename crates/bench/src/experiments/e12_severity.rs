@@ -8,9 +8,9 @@
 use pif_core::{analysis, checker, initial, PifProtocol};
 use pif_daemon::{RunLimits, Simulator};
 use pif_graph::{ProcId, Topology};
+use pif_par::par_map;
 
 use crate::report::{Stats, Table};
-use crate::runner::par_map;
 use crate::workloads::DaemonKind;
 
 /// One (topology × k) row.

@@ -27,9 +27,9 @@ use pif_core::wave::{UnitAggregate, WaveOverlay};
 use pif_core::{initial, PifProtocol, PifState};
 use pif_graph::{ProcId, Topology};
 use pif_net::{FaultPlan, NetSim, NetStats, Transport};
+use pif_par::par_map;
 
 use crate::report::Table;
-use crate::runner::par_map;
 
 /// One adversity level of the study: a named fault plan plus the
 /// heartbeat cadence it runs under.
@@ -123,7 +123,7 @@ pub fn trial(topology: &Topology, cell: &FaultCell, seed: u64, requests: u64) ->
     let root = ProcId(0);
     let protocol = PifProtocol::new(root, &g);
     let init = initial::random_config(&g, &protocol, seed);
-    let mut net = NetSim::builder(g.clone(), protocol)
+    let mut net = NetSim::builder(g, protocol)
         .states(init)
         .fault_plan(cell.plan)
         .heartbeat_every(cell.heartbeat_every)
@@ -151,7 +151,7 @@ pub fn trial(topology: &Topology, cell: &FaultCell, seed: u64, requests: u64) ->
             break; // stuck: remaining requests count as incomplete
         }
         out.completed += 1;
-        if g.procs().all(|p| overlay.message_of(p) == Some(&r)) {
+        if overlay.all_received(&r) {
             out.pif1_ok += 1;
             if overlay.all_acknowledged() {
                 out.pif2_ok += 1;

@@ -10,10 +10,10 @@
 //! deterministic slice that the integration tests can assert on.
 
 use pif_graph::Topology;
+use pif_par::par_map;
 use pif_serve::{run_scenario, spread_initiators, Scenario, ServeDaemon, ServiceReport};
 
 use crate::report::{Stats, Table};
-use crate::runner::par_map;
 
 /// One (topology × initiators × shards × corruption) cell.
 #[derive(Clone, Debug)]

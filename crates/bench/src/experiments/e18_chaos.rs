@@ -22,10 +22,10 @@ use pif_chaos::{
     run_campaign, search, CampaignConfig, ChurnSpec, Goal, SearchConfig, SearchReport,
 };
 use pif_graph::{generators, ProcId, Topology};
+use pif_par::par_map;
 use pif_serve::Engine;
 
 use crate::report::Table;
-use crate::runner::par_map;
 
 /// The soak grid: per topology, a clean control, a churned campaign, and
 /// a churned + corrupted one (the corrupted cell runs on the non-default

@@ -11,9 +11,9 @@ use pif_core::wave::{UnitAggregate, WaveRunner};
 use pif_core::PifProtocol;
 use pif_daemon::RunLimits;
 use pif_graph::{chordless, metrics, ProcId, Topology};
+use pif_par::par_map;
 
 use crate::report::Table;
-use crate::runner::par_map;
 use crate::workloads::{size_sweep, DaemonKind};
 
 /// One topology's measurements.

@@ -11,9 +11,9 @@
 use pif_core::{analysis, initial, PifProtocol, PifState};
 use pif_daemon::{RunLimits, Simulator};
 use pif_graph::{ProcId, Topology};
+use pif_par::par_map;
 
 use crate::report::{Stats, Table};
-use crate::runner::par_map;
 use crate::workloads::{recovery_suite, DaemonKind};
 
 /// Measures rounds until a stable Good Configuration for one start.

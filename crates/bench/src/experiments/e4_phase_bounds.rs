@@ -17,9 +17,9 @@ use pif_chaos::{correction_bound, run_goal, Goal};
 use pif_core::PifProtocol;
 use pif_daemon::PhaseTag;
 use pif_graph::{ProcId, Topology};
+use pif_par::par_map;
 
 use crate::report::{Stats, Table};
-use crate::runner::par_map;
 use crate::workloads::{recovery_suite, DaemonKind};
 
 /// The report label of one case of Theorem 2.

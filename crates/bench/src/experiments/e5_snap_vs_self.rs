@@ -16,10 +16,10 @@ use pif_baselines::tree_pif::TreePifBaseline;
 use pif_baselines::FirstWave;
 use pif_daemon::RunLimits;
 use pif_graph::{ProcId, Topology};
+use pif_par::par_map;
 
 use crate::contestants::SnapPifContestant;
 use crate::report::Table;
-use crate::runner::par_map;
 use crate::workloads::recovery_suite;
 
 /// First-wave success counts for one contestant on one topology.

@@ -14,9 +14,9 @@ use pif_core::wave::{UnitAggregate, WaveRunner};
 use pif_core::{initial, PifProtocol};
 use pif_daemon::{RunLimits, Simulator};
 use pif_graph::{chordless, metrics, ProcId, Topology};
+use pif_par::par_map;
 
 use crate::report::Table;
-use crate::runner::par_map;
 use crate::workloads::{DaemonKind};
 
 /// One topology's E6 measurements.

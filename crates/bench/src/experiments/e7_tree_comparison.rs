@@ -10,9 +10,9 @@ use pif_core::PifProtocol;
 use pif_daemon::daemons::Synchronous;
 use pif_daemon::{RunLimits, Simulator};
 use pif_graph::{ProcId, Topology};
+use pif_par::par_map;
 
 use crate::report::Table;
-use crate::runner::par_map;
 use crate::workloads::tree_suite;
 
 /// One tree's comparison row.

@@ -12,9 +12,9 @@ use pif_core::analysis::InvariantMonitor;
 use pif_core::{initial, PifProtocol};
 use pif_daemon::{RunLimits, Simulator};
 use pif_graph::{ProcId, Topology};
+use pif_par::par_map;
 
 use crate::report::Table;
-use crate::runner::par_map;
 use crate::workloads::{recovery_suite, DaemonKind};
 
 /// One topology's monitoring totals.

@@ -1,6 +1,7 @@
 //! Shared infrastructure for the experiment binaries: text/CSV report
-//! tables, a parallel seed-sweep runner, the standard workload suite, and
-//! the snap-PIF contestant for the delivery-contrast experiment.
+//! tables, the standard workload suite, and the snap-PIF contestant for
+//! the delivery-contrast experiment. Seed sweeps fan out with
+//! `pif_par::par_map`.
 //!
 //! Each experiment binary (`exp_*`) regenerates one row-set of
 //! EXPERIMENTS.md; `exp_all` runs the complete battery.
@@ -12,6 +13,5 @@ pub mod contestants;
 pub mod error;
 pub mod experiments;
 pub mod report;
-pub mod runner;
 pub mod step_measure;
 pub mod workloads;

@@ -2,7 +2,6 @@
 
 use pif_daemon::View;
 use pif_graph::{Graph, ProcId};
-use serde::{Deserialize, Serialize};
 
 use crate::analysis::trees::legal_tree;
 use crate::protocol::PifProtocol;
@@ -11,7 +10,7 @@ use crate::state::{Phase, PifState};
 /// The configuration classes of Definitions 8–14. A configuration can
 /// belong to several classes at once (e.g. SBN implies SB and Normal);
 /// [`ConfigSummary::classes`] lists all that apply.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum ConfigClass {
     /// Definition 8 — every processor satisfies `Normal(p)`.
     Normal,

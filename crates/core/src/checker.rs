@@ -35,6 +35,18 @@ pub struct SnapReport {
 }
 
 impl SnapReport {
+    /// The report of one wave, naming the processors it missed.
+    fn of(outcome: CycleOutcome<()>) -> Self {
+        let missed = outcome
+            .received
+            .iter()
+            .enumerate()
+            .filter(|&(_, &r)| !r)
+            .map(|(i, _)| ProcId::from_index(i))
+            .collect();
+        SnapReport { outcome, missed }
+    }
+
     /// Whether the first wave satisfied the snap-stabilization contract.
     pub fn holds(&self) -> bool {
         self.outcome.satisfies_spec()
@@ -61,14 +73,7 @@ pub fn check_first_wave(
 ) -> Result<SnapReport, SimError> {
     let mut runner = WaveRunner::with_states(graph, protocol, UnitAggregate, initial);
     let outcome = runner.run_cycle_limited(0xD15EA5Eu64, daemon, limits)?;
-    let missed = outcome
-        .received
-        .iter()
-        .enumerate()
-        .filter(|&(_, &r)| !r)
-        .map(|(i, _)| ProcId::from_index(i))
-        .collect();
-    Ok(SnapReport { outcome, missed })
+    Ok(SnapReport::of(outcome))
 }
 
 /// Verifies `cycles` consecutive waves from one initial configuration —
@@ -90,14 +95,7 @@ pub fn check_waves(
     let mut reports = Vec::with_capacity(cycles);
     for i in 0..cycles {
         let outcome = runner.run_cycle_limited(0xBEEF_0000u64 + i as u64, daemon, limits)?;
-        let missed = outcome
-            .received
-            .iter()
-            .enumerate()
-            .filter(|&(_, &r)| !r)
-            .map(|(j, _)| ProcId::from_index(j))
-            .collect();
-        reports.push(SnapReport { outcome, missed });
+        reports.push(SnapReport::of(outcome));
     }
     Ok(reports)
 }

@@ -13,11 +13,13 @@
 //! The per-guard functions ([`PifProtocol::broadcast_guard`] …
 //! [`PifProtocol::f_correction_guard`]) are the literal transliteration:
 //! each composes the macros and predicates above, so evaluating all seven
-//! walks the neighborhood five to eight times. [`Protocol::enabled_actions`]
+//! walks the neighborhood five to eight times. [`PifProtocol::enabled_mask`]
 //! instead evaluates them in one pass: it dispatches on the root and on
 //! `Pif_p`, decides the parent conjuncts of `Normal(p)` first, and stops
 //! the neighbor scan as soon as the enabled set is settled — the same
-//! phase split as the `SoA` `GuardKernel::mask`. The property tests in
+//! phase split as the `SoA` `GuardKernel::mask`.
+//! [`Protocol::enabled_actions`] unpacks that mask, and the exhaustive
+//! checks of `pif-verify` read it directly. The property tests in
 //! `tests/prop_protocol.rs` check it against the per-guard composition
 //! and against the kernel on arbitrary configurations under every
 //! [`Features`] ablation.
@@ -589,16 +591,37 @@ impl PifProtocol {
     }
 
     // ------------------------------------------------------------------
-    // Fused guard evaluation, the body of `enabled_actions` (module docs,
-    // "Guard evaluation"). Each phase enables a disjoint action subset, so
-    // each scan below tracks only what its guards read. A scan returns a
-    // mask, bit k ⇔ ActionId(k), the encoding of the SoA
-    // `GuardKernel::mask`, and reads registers only through the `View`, so
-    // the analyzer's spy probe observes every read.
+    // Fused guard evaluation: `enabled_mask`, which `enabled_actions`
+    // unpacks (module docs, "Guard evaluation"). Each phase enables a
+    // disjoint action subset, so each scan below tracks only what its
+    // guards read. A scan returns a mask, bit k ⇔ ActionId(k), the
+    // encoding of the SoA `GuardKernel::mask`, and reads registers only
+    // through the `View`, so the analyzer's spy probe observes every read.
+    // The scans are `#[inline]` like `enabled_mask`: an inlinable public
+    // function exports its private callees, and LLVM then calls them out
+    // of line from `enabled_actions` instead of fusing them into it.
     // ------------------------------------------------------------------
+
+    /// The enabled actions of `view`'s processor as a mask, bit k ⇔
+    /// `ActionId(k)`: all seven guards evaluated in one neighborhood pass
+    /// (module docs, "Guard evaluation").
+    #[inline]
+    pub fn enabled_mask(&self, view: View<'_, PifState>) -> u8 {
+        let me = view.me();
+        if view.pid() == self.root {
+            self.root_mask(view, me)
+        } else {
+            match me.phase {
+                Phase::C => self.clean_mask(view),
+                Phase::B => self.broadcast_mask(view, me),
+                Phase::F => self.feedback_mask(view, me),
+            }
+        }
+    }
 
     /// Algorithm 1. `B-action` and `C-action` need every neighbor clean;
     /// under `Pif_r = B` the guards read `BFree(r)` and `Sum_r`.
+    #[inline]
     fn root_mask(&self, view: View<'_, PifState>, me: &PifState) -> u8 {
         if me.phase != Phase::B {
             // Normal(r) holds vacuously outside B.
@@ -646,6 +669,7 @@ impl PifProtocol {
     /// fire — `(¬leaf_guard ∨ Leaf(p)) ∧ Pre_Potential_p ≠ ∅`. Under the
     /// leaf guard a claimer settles the mask to `0`; without it, the first
     /// `Pre_Potential_p` member settles it to `B-action`.
+    #[inline]
     fn clean_mask(&self, view: View<'_, PifState>) -> u8 {
         let leaf_guard = self.features.leaf_guard;
         let mut pre_potential = false;
@@ -677,6 +701,7 @@ impl PifProtocol {
     /// `GoodFok`; one pass over the broadcasting claimers decides `BLeaf(p)`
     /// and `Sum_p`. Under `Fok_p`, `Sum_Set_p` is empty, so the first
     /// claimer settles the pass.
+    #[inline]
     fn broadcast_mask(&self, view: View<'_, PifState>, me: &PifState) -> u8 {
         let par = view.state(me.par);
         // With Pif_p = B: GoodPif ⇔ Pif_Par = B; GoodFok ⇔ (Fok_p ⇒ Fok_Par).
@@ -721,6 +746,7 @@ impl PifProtocol {
     /// `Pif_p = F`, `p ≠ r`: the parent alone decides `Normal(p)`
     /// (`GoodCount` holds vacuously); then `Leaf(p) ∧ BFree(p)` fails at
     /// the first neighbor that broadcasts or is a participating claimer.
+    #[inline]
     fn feedback_mask(&self, view: View<'_, PifState>, me: &PifState) -> u8 {
         let par = view.state(me.par);
         // With Pif_p = F: GoodPif ⇔ Pif_Par ≠ C; GoodFok ⇔ (Pif_Par = B ⇒
@@ -755,21 +781,11 @@ impl Protocol for PifProtocol {
         ACTION_NAMES
     }
 
-    /// Evaluates all seven guards in one neighborhood pass (module docs,
-    /// "Guard evaluation") and pushes the enabled actions in ascending
+    /// Pushes the bits of [`PifProtocol::enabled_mask`] in ascending
     /// [`ActionId`] order, the order of the guard list: a first-action
     /// daemon selects the first entry.
     fn enabled_actions(&self, view: View<'_, PifState>, out: &mut Vec<ActionId>) {
-        let me = view.me();
-        let mut mask = if view.pid() == self.root {
-            self.root_mask(view, me)
-        } else {
-            match me.phase {
-                Phase::C => self.clean_mask(view),
-                Phase::B => self.broadcast_mask(view, me),
-                Phase::F => self.feedback_mask(view, me),
-            }
-        };
+        let mut mask = self.enabled_mask(view);
         while mask != 0 {
             out.push(ActionId(mask.trailing_zeros() as usize));
             mask &= mask - 1;

@@ -5,7 +5,6 @@
 use std::fmt;
 
 use pif_graph::ProcId;
-use serde::{Deserialize, Serialize};
 
 /// The phase register `Pif_p` of the algorithm.
 ///
@@ -16,7 +15,7 @@ use serde::{Deserialize, Serialize};
 ///   offering it to its neighbors;
 /// * `F` — the processor is in the *feedback* phase: every processor it
 ///   forwarded the message to has acknowledged it.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Default)]
 pub enum Phase {
     /// Broadcast phase.
     B,
@@ -60,7 +59,7 @@ impl fmt::Display for Phase {
 /// as `⊥` (represented as the root's own id) and `0`. Fuzzers must respect
 /// the domains above — they describe what the registers are physically able
 /// to hold, which is what "arbitrary initial configuration" ranges over.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub struct PifState {
     /// Phase register `Pif_p`.
     pub phase: Phase,

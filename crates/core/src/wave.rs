@@ -485,14 +485,8 @@ impl<M: Clone + PartialEq + fmt::Debug, A: Aggregate> WaveRunner<M, A> {
         let cycle_steps = self.sim.steps() - steps_b;
 
         let received = self.received_flags();
-        let pif1 = received.iter().all(|&r| r);
-        let pif2 = pif1 && self.overlay.all_acknowledged() && {
-            // Every acknowledging processor must have held the right value.
-            self.sim
-                .graph()
-                .procs()
-                .all(|p| self.overlay.message_of(p) == self.overlay.armed.as_ref())
-        };
+        let pif1 = self.overlay.armed.as_ref().is_some_and(|m| self.overlay.all_received(m));
+        let pif2 = pif1 && self.overlay.all_acknowledged();
         let height = self.overlay.observed_height(self.sim.states());
         let feedback = self.overlay.root_feedback.clone();
 

@@ -1,8 +1,8 @@
 //! Minimal hand-rolled JSON support: the trace file format, the
 //! analyzer's report output and the `BENCH_*.json` envelopes.
 //!
-//! The workspace is hermetic (no network, and the vendored `serde` is a
-//! no-op shim), so it carries its own tiny JSON layer: a string escaper
+//! The workspace is hermetic (no network, and no serialization
+//! dependency), so it carries its own tiny JSON layer: a string escaper
 //! for writing and a recursive-descent parser producing a [`Json`] value
 //! tree. Numbers keep their source lexeme so 64-bit integers (daemon
 //! seeds) survive without `f64` precision loss. The parser is a byte

@@ -2,14 +2,13 @@ use std::cell::Cell;
 use std::fmt;
 
 use pif_graph::{Graph, ProcId};
-use serde::{Deserialize, Serialize};
 
 /// Index of an action in a protocol's guarded-action list.
 ///
 /// Actions are identified by their position in [`Protocol::action_names`];
 /// the paper's `B-action`, `F-action`, … become `ActionId(0)`, `ActionId(1)`,
 /// ….
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct ActionId(pub usize);
 
 impl ActionId {

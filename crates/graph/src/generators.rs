@@ -10,7 +10,6 @@
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{RngExt, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 use crate::{Graph, GraphBuilder, GraphError, ProcId};
 
@@ -399,7 +398,7 @@ pub fn random_connected(n: usize, p: f64, seed: u64) -> Result<Graph, GraphError
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 #[non_exhaustive]
 pub enum Topology {
     /// See [`chain`].

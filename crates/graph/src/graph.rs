@@ -1,7 +1,5 @@
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::{GraphBuilder, GraphError, ProcId};
 
 /// An immutable, connected, undirected network topology.
@@ -31,7 +29,7 @@ use crate::{GraphBuilder, GraphError, ProcId};
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq)]
 pub struct Graph {
     /// CSR offsets: neighbors of `p` live in `adjacency[offsets[p]..offsets[p + 1]]`.
     offsets: Vec<u32>,

@@ -1,7 +1,5 @@
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// Identifier of a processor in the network.
 ///
 /// Processors are numbered densely from `0` to `N - 1`. The identifier also
@@ -20,7 +18,7 @@ use serde::{Deserialize, Serialize};
 /// assert!(ProcId(1) < ProcId(2));
 /// assert_eq!(format!("{p}"), "p3");
 /// ```
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Default)]
 pub struct ProcId(pub u32);
 
 impl ProcId {

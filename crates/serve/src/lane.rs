@@ -394,11 +394,7 @@ impl<M: Clone + PartialEq + fmt::Debug> Lane<M> {
     }
 
     fn complete(&self, cur: &InFlight<M>, bstep: u64, fstep: u64) -> RequestRecord {
-        let pif1 = self
-            .sim
-            .graph()
-            .procs()
-            .all(|p| self.overlay.message_of(p) == Some(&cur.payload));
+        let pif1 = self.overlay.all_received(&cur.payload);
         let pif2 = pif1 && self.overlay.all_acknowledged();
         let feedback = self.overlay.root_feedback().copied();
         let max_delivered = self

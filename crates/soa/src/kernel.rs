@@ -3,8 +3,8 @@
 //! [`GuardKernel::mask`] evaluates all seven guards of one processor in a
 //! **single ascending pass** over its CSR neighbor list, returning a 7-bit
 //! mask (bit *k* set ⇔ `ActionId(k)` enabled). It is the packed-register
-//! twin of the fused scan behind the array-of-structs
-//! `PifProtocol::enabled_actions`: the same dispatch on `Pif_p`, reading
+//! twin of the array-of-structs fused scan
+//! `PifProtocol::enabled_mask`: the same dispatch on `Pif_p`, reading
 //! one tag byte per neighbor where the `AoS` scan reads a `PifState`
 //! through a `View`. [`GuardKernel::execute`] is the matching
 //! allocation-free action semantics.
@@ -399,9 +399,7 @@ mod tests {
 
     /// Reference mask straight from the `AoS` protocol.
     fn aos_mask(proto: &PifProtocol, graph: &Graph, states: &[PifState], p: ProcId) -> u8 {
-        let mut acts = Vec::new();
-        proto.enabled_actions(View::new(graph, states, p), &mut acts);
-        acts.iter().fold(0u8, |m, a| m | 1 << a.0)
+        proto.enabled_mask(View::new(graph, states, p))
     }
 
     fn assert_masks_match(proto: &PifProtocol, graph: &Graph, states: &[PifState]) {

@@ -7,8 +7,9 @@
 //! ```
 use pif_core::PifProtocol;
 use pif_graph::{generators, ProcId};
-use pif_verify::StateSpace;
+use pif_verify::{Checker, StateSpace};
 fn main() {
+    let checker = Checker::auto();
     for (name, g, root) in [
         ("chain(2)", generators::chain(2).unwrap(), ProcId(0)),
         ("chain(3)", generators::chain(3).unwrap(), ProcId(0)),
@@ -19,7 +20,7 @@ fn main() {
         let space = StateSpace::new(g, proto);
         let mut minimal = paper;
         for b in (1..=paper).rev() {
-            if space.check_correction_bound(b).verified() {
+            if checker.check_correction_bound(&space, b).verified() {
                 minimal = b;
             } else {
                 break;

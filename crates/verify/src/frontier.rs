@@ -204,11 +204,11 @@ impl<S: Send> Search<S> {
             expected: config.expected / n,
             shard_count: (config.shard_count / n).next_power_of_two(),
             spill_budget: config.spill_budget.map(|b| b / n),
-            ..config.clone()
+            ..*config
         };
         let owners = (0..n)
             .map(|_| Owner {
-                table: LocalSet::with_config(share.clone()),
+                table: LocalSet::with_config(share),
                 frontier: Vec::new(),
                 pos: 0,
                 next: Vec::new(),
@@ -480,9 +480,9 @@ mod tests {
     #[test]
     fn find_min_violation_is_deterministic() {
         for workers in [1, 2, 8] {
-            let got = find_min_violation(workers, 1_000_000, || (), |_, id| id % 7777 == 7000);
+            let got = find_min_violation(workers, 1_000_000, || (), |(), id| id % 7777 == 7000);
             assert_eq!(got, Some(7000));
         }
-        assert_eq!(find_min_violation(4, 1_000_000, || (), |_, _| false), None);
+        assert_eq!(find_min_violation(4, 1_000_000, || (), |(), _| false), None);
     }
 }

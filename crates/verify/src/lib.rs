@@ -9,9 +9,9 @@
 //!   assignment of in-domain values to every register of every processor
 //!   (`Pif ∈ {B,F,C}`, `Par ∈ Neig_p`, `L ∈ [1, L_max]`,
 //!   `Count ∈ [1, N']`, `Fok ∈ 𝔹`).
-//! * [`StateSpace::check_universal`] evaluates a predicate over *all*
+//! * [`Checker::check_universal`] evaluates a predicate over *all*
 //!   configurations (used for Property 1 and deadlock-freedom).
-//! * [`StateSpace::check_snap_safety`] runs a breadth-first search over
+//! * [`Checker::check_snap_safety`] runs a breadth-first search over
 //!   the **product** of the configuration space with the
 //!   message-delivery overlay, branching over *every* daemon choice
 //!   (every non-empty subset of enabled processors × every enabled action
@@ -46,8 +46,18 @@
 //! `states_explored`, same verdicts, same retained violation examples —
 //! because the visited-set closure of a breadth-first search is
 //! independent of expansion order, of which owner holds a state and of
-//! which worker expands it, and violations are canonically sorted. The
-//! convenience methods on [`StateSpace`] delegate to [`Checker::auto`].
+//! which worker expands it, and violations are canonically sorted.
+//! [`Checker::auto`] is the default engine.
+//!
+//! # Guard evaluation
+//!
+//! Every check reads guards through one function:
+//! [`PifProtocol::enabled_mask`], the protocol as the simulators run it
+//! and the analyzer certifies it. The product searches share a memo of
+//! those masks over the whole configuration space when it fits
+//! (`DESIGN.md` §11.5); abnormality and the set of round-owing
+//! processors are read off the masks, so no second guard evaluation
+//! exists.
 //!
 //! # Reductions
 //!
@@ -66,7 +76,7 @@
 //! [`Reduction`].
 //!
 //! For instances whose full product space is out of reach (n = 5 and
-//! beyond), [`StateSpace::check_snap_wave`] verifies \[PIF1\]/\[PIF2\]
+//! beyond), [`Checker::check_snap_wave`] verifies \[PIF1\]/\[PIF2\]
 //! over every daemon interleaving reachable from the paper's *normal
 //! starting configuration* — the same safety property restricted to the
 //! wave region the protocol actually operates in, which stays tractable
@@ -77,14 +87,14 @@
 //! ```
 //! use pif_core::PifProtocol;
 //! use pif_graph::{generators, ProcId};
-//! use pif_verify::StateSpace;
+//! use pif_verify::{Checker, StateSpace};
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let g = generators::chain(2)?;
 //! let protocol = PifProtocol::new(ProcId(0), &g);
 //! let space = StateSpace::new(g, protocol);
 //! assert_eq!(space.config_count(), 144);
-//! let report = space.check_snap_safety(true);
+//! let report = Checker::auto().check_snap_safety(&space, true);
 //! assert!(report.verified());
 //! # Ok(())
 //! # }
@@ -99,7 +109,6 @@ mod por;
 mod symmetry;
 pub mod visited;
 
-use std::collections::HashMap;
 use std::sync::OnceLock;
 
 use frontier::Search;
@@ -119,6 +128,20 @@ use visited::VisitedConfig;
 /// processor in phase `C` is always normal), so `mask & CORRECTION_BITS`
 /// decides abnormality without a second guard evaluation.
 const CORRECTION_BITS: u8 = (1 << B_CORRECTION.0) | (1 << F_CORRECTION.0);
+
+/// What the correction search reads off one configuration's guard masks:
+/// `None` when every processor is normal (no mask has a
+/// [`CORRECTION_BITS`] bit), else the pending set, the processors with an
+/// enabled action.
+fn correction_pending(masks: &[u8]) -> Option<u16> {
+    let mut abnormal = false;
+    let mut pending = 0u16;
+    for (i, &mask) in masks.iter().enumerate() {
+        abnormal |= mask & CORRECTION_BITS != 0;
+        pending |= u16::from(mask != 0) << i;
+    }
+    abnormal.then_some(pending)
+}
 
 /// Error raised when an instance is outside what exhaustive checking can
 /// handle, or when a query refers to states outside the register domains.
@@ -144,6 +167,13 @@ pub enum VerifyError {
         /// The offending state.
         state: PifState,
     },
+    /// A queried configuration does not hold one state per processor.
+    WrongLength {
+        /// States in the queried configuration.
+        states: usize,
+        /// Processors in the network.
+        procs: usize,
+    },
 }
 
 impl std::fmt::Display for VerifyError {
@@ -158,6 +188,9 @@ impl std::fmt::Display for VerifyError {
             VerifyError::OutOfDomain { proc, state } => {
                 write!(f, "state {state} out of domain for processor {proc}")
             }
+            VerifyError::WrongLength { states, procs } => {
+                write!(f, "configuration of {states} states for a network of {procs} processors")
+            }
         }
     }
 }
@@ -166,9 +199,9 @@ impl std::error::Error for VerifyError {}
 
 /// Arithmetic description of one processor's register domain, mirroring
 /// the nested enumeration order of `StateSpace::domain_of`: phase
-/// (outermost) → parent → level → count → fok (innermost). Gives the
-/// search hot loops an O(1) state → domain-index function with no hash
-/// lookups.
+/// (outermost) → parent → level → count → fok (innermost). The one
+/// state → domain-index function, O(1) with no hash lookups, for the
+/// search hot loops and the fallible [`StateSpace::try_encode`] alike.
 #[derive(Clone, Debug)]
 struct DomainShape {
     /// Position of each potential parent in the enumeration, by
@@ -180,21 +213,23 @@ struct DomainShape {
 }
 
 impl DomainShape {
+    /// The domain index of `s`, or `None` when `s` is outside the domain:
+    /// a parent that is not a potential parent (any index of 16 or more
+    /// included), a level outside `1..=level_count` or a count outside
+    /// `1..=N'`.
     #[inline]
-    fn index_of(&self, s: &PifState) -> u32 {
+    fn index_of(&self, s: &PifState) -> Option<u32> {
         let phase = match s.phase {
             Phase::B => 0u32,
             Phase::F => 1,
             Phase::C => 2,
         };
-        let par = u32::from(self.par_pos[s.par.index()]);
-        debug_assert_ne!(par, u32::from(u8::MAX), "parent {} not in domain", s.par);
-        (((phase * self.par_count + par) * self.level_count + u32::from(s.level) - 1)
-            * self.count_count
-            + s.count
-            - 1)
-            * 2
-            + u32::from(s.fok)
+        let par = *self.par_pos.get(s.par.index()).filter(|&&k| k != u8::MAX)?;
+        let level = u32::from(s.level).checked_sub(1).filter(|&l| l < self.level_count)?;
+        let count = s.count.checked_sub(1).filter(|&c| c < self.count_count)?;
+        // Mixed radix, outermost digit first.
+        let idx = (phase * self.par_count + u32::from(par)) * self.level_count + level;
+        Some((idx * self.count_count + count) * 2 + u32::from(s.fok))
     }
 }
 
@@ -208,20 +243,16 @@ pub struct StateSpace {
     domains: Vec<Vec<PifState>>,
     /// Mixed-radix strides for encoding a configuration as a `u64`.
     strides: Vec<u64>,
-    /// Reverse lookup: per-processor state → domain index. Used by the
-    /// fallible [`StateSpace::try_encode`]; the search hot loops use the
-    /// arithmetic [`DomainShape`] instead.
-    index: Vec<HashMap<PifState, u32>>,
     /// Arithmetic state → domain-index functions, one per processor.
     shapes: Vec<DomainShape>,
     total: u64,
-    /// Lazily built, shared per-configuration guard memo (`None` inside
-    /// once built if the space exceeds the memo budget).
+    /// Lazily built, shared per-configuration guard-mask memo (`None`
+    /// inside once built if the space exceeds the memo budget).
     memo: OnceLock<Option<EnabledMemo>>,
 }
 
 /// The result of an exhaustive Theorem 1 round-bound search
-/// ([`StateSpace::check_correction_bound`]).
+/// ([`Checker::check_correction_bound`]).
 #[derive(Clone, Debug)]
 pub struct CorrectionBoundReport {
     /// The round bound checked (the paper's `3·L_max + 3`).
@@ -250,7 +281,7 @@ impl CorrectionBoundReport {
     }
 }
 
-/// A violation found by [`StateSpace::check_snap_safety`].
+/// A violation found by [`Checker::check_snap_safety`].
 #[derive(Clone, Debug)]
 pub struct SnapViolation {
     /// The configuration in which the root's `F-action` closed the wave.
@@ -318,7 +349,7 @@ impl StateSpace {
     /// search overlays are `u16` bitmaps), [`VerifyError::SpaceTooLarge`]
     /// when the configuration count would exceed `2^50` — a bound the
     /// *product* searches cannot exhaust, but the reachable-region wave
-    /// search ([`StateSpace::check_snap_wave`]) and the universal scans
+    /// search ([`Checker::check_snap_wave`]) and the universal scans
     /// do not need to; the packed search keys still fit `u128` with
     /// room to spare (`50 + 33` bits).
     pub fn try_new(graph: Graph, protocol: PifProtocol) -> Result<Self, VerifyError> {
@@ -342,16 +373,11 @@ impl StateSpace {
                 .filter(|&t| t < (1 << LIMIT_LOG2))
                 .ok_or(VerifyError::SpaceTooLarge { limit_log2: LIMIT_LOG2 })?;
         }
-        let index = domains
-            .iter()
-            .map(|d| d.iter().enumerate().map(|(i, s)| (*s, i as u32)).collect())
-            .collect();
         Ok(StateSpace {
             graph,
             protocol,
             domains,
             strides,
-            index,
             shapes,
             total,
             memo: OnceLock::new(),
@@ -465,92 +491,50 @@ impl StateSpace {
     ///
     /// # Errors
     ///
-    /// [`VerifyError::OutOfDomain`] naming the first offending processor.
+    /// [`VerifyError::WrongLength`] unless `states` holds one state per
+    /// processor, else [`VerifyError::OutOfDomain`] naming the first
+    /// offending processor.
     pub fn try_encode(&self, states: &[PifState]) -> Result<u64, VerifyError> {
+        if states.len() != self.shapes.len() {
+            return Err(VerifyError::WrongLength { states: states.len(), procs: self.shapes.len() });
+        }
         let mut id = 0u64;
-        for (i, s) in states.iter().enumerate() {
-            let di = *self.index[i].get(s).ok_or(VerifyError::OutOfDomain {
-                proc: ProcId::from_index(i),
-                state: *s,
-            })?;
+        for (i, (s, shape)) in states.iter().zip(&self.shapes).enumerate() {
+            let di = shape
+                .index_of(s)
+                .ok_or(VerifyError::OutOfDomain { proc: ProcId::from_index(i), state: *s })?;
             id += u64::from(di) * self.strides[i];
         }
         Ok(id)
     }
 
-    /// The shared guard memo, built on first use by `workers` threads
-    /// (`None` when the space exceeds the memo budget).
+    /// [`PifProtocol::enabled_mask`] of every processor of `states`, in
+    /// processor order.
+    fn guard_masks<'s>(&'s self, states: &'s [PifState]) -> impl Iterator<Item = u8> + 's {
+        self.graph
+            .procs()
+            .map(move |p| self.protocol.enabled_mask(View::new(&self.graph, states, p)))
+    }
+
+    /// The shared guard-mask memo, built on first use by `workers`
+    /// threads (`None` when the space exceeds the memo budget).
     fn memo(&self, workers: usize) -> Option<&EnabledMemo> {
         self.memo
             .get_or_init(|| {
                 let n = self.graph.len();
                 let mut memo = EnabledMemo::allocate(self.total, n)?;
-                let chunks = memo.fill_chunks();
-                // The packed SoA kernel computes all seven guard bits of a
-                // processor in one neighbor scan; correction actions (bits
-                // 5 and 6) are enabled exactly on abnormal processors, so
-                // the abnormality plane falls out of the masks for free.
-                let kernel = pif_soa::GuardKernel::new(&self.protocol, &self.graph);
-                pif_par::par_map_workers(chunks, workers, |(base, masks, abnormal)| {
-                    let mut states: Vec<PifState> = Vec::with_capacity(n);
-                    let mut packed = pif_soa::SoaConfig::new(n);
-                    let configs = masks.len() / n;
-                    for j in 0..configs {
-                        let cfg = base + j as u64;
+                pif_par::par_map_workers(memo.fill_chunks(), workers, |(base, masks)| {
+                    let mut states = Vec::with_capacity(n);
+                    for (cfg, row) in (base..).zip(masks.chunks_exact_mut(n)) {
                         self.decode_into(cfg, &mut states);
-                        packed.load(&states);
-                        let mut any_abnormal = false;
-                        for i in 0..n {
-                            let mask = kernel.mask(&packed, i);
-                            masks[j * n + i] = mask;
-                            any_abnormal |= mask & CORRECTION_BITS != 0;
-                        }
-                        if any_abnormal {
-                            abnormal[j / 64] |= 1 << (j % 64);
+                        for (slot, mask) in row.iter_mut().zip(self.guard_masks(&states)) {
+                            *slot = mask;
                         }
                     }
                 });
                 Some(memo)
             })
             .as_ref()
-    }
-
-    /// Evaluates `predicate` over **every** configuration, returning the
-    /// first violating configuration (decoded) if any. Delegates to
-    /// [`Checker::auto`].
-    pub fn check_universal<F>(&self, predicate: F) -> Option<Vec<PifState>>
-    where
-        F: Fn(&PifProtocol, &Graph, &[PifState]) -> bool + Sync,
-    {
-        Checker::auto().check_universal(self, predicate)
-    }
-
-    /// Verifies that **no** configuration is terminal: in every
-    /// configuration some action is enabled, so the PIF scheme can never
-    /// seize up. Returns the first deadlocked configuration if one
-    /// exists. Delegates to [`Checker::auto`].
-    pub fn check_no_deadlock(&self) -> Option<Vec<PifState>> {
-        Checker::auto().check_no_deadlock(self)
-    }
-
-    /// Exhaustively verifies Theorem 1's round bound. Delegates to
-    /// [`Checker::auto`]; see [`Checker::check_correction_bound`].
-    pub fn check_correction_bound(&self, bound: u32) -> CorrectionBoundReport {
-        Checker::auto().check_correction_bound(self, bound)
-    }
-
-    /// Exhaustive snap-safety search over the product of the
-    /// configuration space with the delivery overlay. Delegates to
-    /// [`Checker::auto`]; see [`Checker::check_snap_safety`].
-    pub fn check_snap_safety(&self, track_acks: bool) -> SnapSafetyReport {
-        Checker::auto().check_snap_safety(self, track_acks)
-    }
-
-    /// Snap-safety search restricted to the wave region reachable from
-    /// the normal starting configuration. Delegates to
-    /// [`Checker::auto`]; see [`Checker::check_snap_wave`].
-    pub fn check_snap_wave(&self, track_acks: bool) -> SnapSafetyReport {
-        Checker::auto().check_snap_wave(self, track_acks)
     }
 }
 
@@ -694,6 +678,7 @@ impl Checker {
     }
 
     /// The same engine with a [`Reduction`] layered over it.
+    #[must_use]
     pub fn with_reduction(self, reduction: Reduction) -> Self {
         Checker { reduction, ..self }
     }
@@ -703,6 +688,7 @@ impl Checker {
     /// table gets an equal share) and overflow freezes into sorted
     /// on-disk runs (see [`visited`]). Verdicts and reports are
     /// unaffected; peak RSS is.
+    #[must_use]
     pub fn with_spill_budget(self, bytes: usize) -> Self {
         Checker { spill_budget: Some(bytes), ..self }
     }
@@ -763,17 +749,10 @@ impl Checker {
         frontier::find_min_violation(
             self.workers,
             space.total,
-            // Per-worker scratch: decoded states plus one reused
-            // enabled-actions buffer (hoisted out of the per-
-            // configuration closure).
-            || (Vec::with_capacity(n), Vec::<ActionId>::new()),
-            |(states, acts), id| {
+            || Vec::with_capacity(n),
+            |states, id| {
                 space.decode_into(id, states);
-                !space.graph.procs().any(|p| {
-                    acts.clear();
-                    space.protocol.enabled_actions(View::new(&space.graph, states, p), acts);
-                    !acts.is_empty()
-                })
+                space.guard_masks(states).all(|mask| mask == 0)
             },
         )
         .map(|id| space.decode(id))
@@ -980,13 +959,14 @@ struct Scratch {
     /// quotient (the canonicalizer maps indices, not states).
     idxs2: Vec<u32>,
     next: Vec<PifState>,
+    /// Guard masks of the configuration at hand when there is no memo:
+    /// the expanded one until its moves are listed, then each successor.
     masks: Vec<u8>,
     /// Every enabled move, grouped by processor (actions ascending).
     moves: Vec<Move>,
     /// Per enabled processor: its moves plus "skip".
     counts: Vec<usize>,
     selection: Vec<Move>,
-    acts: Vec<ActionId>,
     transitions: u64,
     violation_count: u64,
     corr_violations: Vec<(u64, Vec<PifState>)>,
@@ -1004,7 +984,6 @@ impl Scratch {
             moves: Vec::new(),
             counts: Vec::with_capacity(n),
             selection: Vec::with_capacity(n),
-            acts: Vec::new(),
             transitions: 0,
             violation_count: 0,
             corr_violations: Vec::new(),
@@ -1059,48 +1038,16 @@ impl SearchCtx<'_> {
 }
 
 impl SearchCtx<'_> {
-    /// Fills `masks` with the per-processor enabled-action bitmasks of
-    /// configuration `cfg` (whose decoded states are `states`).
-    fn fill_masks(&self, cfg: u64, states: &[PifState], masks: &mut Vec<u8>, acts: &mut Vec<ActionId>) {
-        masks.clear();
+    /// The per-processor guard masks of configuration `cfg`, whose
+    /// decoded states are `states`: the memo's row, or without a memo the
+    /// masks computed into `buf`.
+    fn masks<'s>(&'s self, cfg: u64, states: &[PifState], buf: &'s mut Vec<u8>) -> &'s [u8] {
         if let Some(m) = self.memo {
-            masks.extend_from_slice(m.masks_of(cfg));
-            return;
+            return m.masks_of(cfg);
         }
-        for p in self.space.graph.procs() {
-            acts.clear();
-            self.space.protocol.enabled_actions(View::new(&self.space.graph, states, p), acts);
-            masks.push(acts.iter().fold(0u8, |m, a| m | 1 << a.index()));
-        }
-    }
-
-    /// Whether any processor is abnormal in configuration `cfg` (whose
-    /// decoded states are `states`).
-    fn is_abnormal(&self, cfg: u64, states: &[PifState]) -> bool {
-        if let Some(m) = self.memo {
-            return m.is_abnormal(cfg);
-        }
-        self.space
-            .graph
-            .procs()
-            .any(|p| !self.space.protocol.normal(View::new(&self.space.graph, states, p)))
-    }
-
-    /// Bitmask of processors with an enabled action in configuration
-    /// `cfg` (whose decoded states are `states`).
-    fn pending_mask(&self, cfg: u64, states: &[PifState], acts: &mut Vec<ActionId>) -> u16 {
-        if let Some(m) = self.memo {
-            return m.pending_mask(cfg);
-        }
-        let mut mask = 0u16;
-        for (i, p) in self.space.graph.procs().enumerate() {
-            acts.clear();
-            self.space.protocol.enabled_actions(View::new(&self.space.graph, states, p), acts);
-            if !acts.is_empty() {
-                mask |= 1 << i;
-            }
-        }
-        mask
+        buf.clear();
+        buf.extend(self.space.guard_masks(states));
+        buf
     }
 
     /// Decodes `cfg` into `sc` and executes every enabled action of
@@ -1112,8 +1059,8 @@ impl SearchCtx<'_> {
     fn moves(&self, sc: &mut Scratch, cfg: u64) -> usize {
         let space = self.space;
         space.decode_indices_into(cfg, &mut sc.states, &mut sc.idxs);
-        let Scratch { states, idxs, masks, moves, counts, acts, .. } = sc;
-        self.fill_masks(cfg, states, masks, acts);
+        let Scratch { states, idxs, masks, moves, counts, .. } = sc;
+        let masks = self.masks(cfg, states, masks);
         moves.clear();
         counts.clear();
         for (i, &mask) in masks.iter().enumerate().filter(|&(_, &mask)| mask != 0) {
@@ -1124,6 +1071,7 @@ impl SearchCtx<'_> {
                 bits &= bits - 1;
                 let state = space.protocol.execute(view, action);
                 let idx = space.shapes[i].index_of(&state);
+                let idx = idx.expect("actions keep registers in their domains");
                 let delta = (i64::from(idx) - i64::from(idxs[i])) * space.strides[i] as i64;
                 moves.push(Move { proc: i, action, state, idx, delta });
             }
@@ -1195,11 +1143,10 @@ impl SearchCtx<'_> {
                 continue;
             }
             let cfg2 = self.apply(sc, cfg);
-            let Scratch { idxs2, next, selection, acts, violation_count, corr_violations, .. } = sc;
-            if !self.is_abnormal(cfg2, next) {
+            let Scratch { idxs2, next, masks, selection, violation_count, corr_violations, .. } = sc;
+            let Some(next_enabled) = correction_pending(self.masks(cfg2, next, masks)) else {
                 continue; // goal reached on this branch
-            }
-            let next_enabled = self.pending_mask(cfg2, next, acts);
+            };
             // Round accounting: executed and now-disabled processors
             // leave the pending set.
             let mut pending2 = pending;
@@ -1241,12 +1188,8 @@ impl SearchCtx<'_> {
     /// has one: every *abnormal* configuration starts a search path with
     /// zero completed rounds and every enabled processor owing one.
     fn correction_seed(&self, sc: &mut Scratch, cfg: u64) -> Option<u16> {
-        if let Some(m) = self.memo {
-            return m.is_abnormal(cfg).then(|| m.pending_mask(cfg));
-        }
         self.space.decode_into(cfg, &mut sc.states);
-        let Scratch { states, acts, .. } = sc;
-        self.is_abnormal(cfg, states).then(|| self.pending_mask(cfg, states, acts))
+        correction_pending(self.masks(cfg, &sc.states, &mut sc.masks))
     }
 
     /// Correction-bound search: level 0 scans every configuration and
@@ -1405,7 +1348,8 @@ impl SearchCtx<'_> {
         let cfg0 = space.encode(&start);
         search.seed(match &self.sym {
             Some(sym) => {
-                let idxs: Vec<u32> = start.iter().zip(&space.shapes).map(|(s, shape)| shape.index_of(s)).collect();
+                let (mut states, mut idxs) = (Vec::new(), Vec::new());
+                space.decode_indices_into(cfg0, &mut states, &mut idxs);
                 sym.canon_snap(&idxs, (cfg0, 0, 0, false))
             }
             None => pack_snap(cfg0, 0, 0, false),
@@ -1459,7 +1403,7 @@ mod tests {
         }] {
             for (p, domain) in s.domains.iter().enumerate() {
                 for (i, st) in domain.iter().enumerate() {
-                    assert_eq!(s.shapes[p].index_of(st), i as u32, "proc {p} state {st:?}");
+                    assert_eq!(s.shapes[p].index_of(st), Some(i as u32), "proc {p} state {st:?}");
                 }
             }
         }
@@ -1481,26 +1425,100 @@ mod tests {
 
     #[test]
     fn out_of_domain_encode_is_a_typed_error() {
+        // chain(3) rooted at 0: N' = 3, L_max = 2; p1's potential parents
+        // are 0 and 2, p2's only 1.
+        // chain(3) rooted at 0: N' = 3, L_max = 2, the root's level is the
+        // constant 1; p1's potential parents are 0 and 2, p2's only 1.
         let s = space(3);
-        // p1's level domain is [1, l_max]; level 0 is physically impossible.
+        let st = |proc: usize| s.decode(0)[proc];
+        for (proc, state) in [
+            (1, PifState { par: ProcId(16), ..st(1) }),
+            (1, PifState { par: ProcId(1), ..st(1) }),
+            (2, PifState { par: ProcId(0), ..st(2) }),
+            (1, PifState { level: 0, ..st(1) }),
+            (2, PifState { level: 3, ..st(2) }),
+            (0, PifState { level: 2, ..st(0) }),
+            (2, PifState { count: 0, ..st(2) }),
+            (1, PifState { count: 4, ..st(1) }),
+        ] {
+            let mut states = s.decode(0);
+            states[proc] = state;
+            let err = VerifyError::OutOfDomain { proc: ProcId::from_index(proc), state };
+            assert_eq!(s.try_encode(&states), Err(err));
+        }
+    }
+
+    #[test]
+    fn wrong_length_encode_is_a_typed_error() {
+        let s = space(3);
         let mut states = s.decode(0);
-        states[1].level = 0;
+        states.push(states[0]);
+        assert_eq!(s.try_encode(&states), Err(VerifyError::WrongLength { states: 4, procs: 3 }));
+        states.truncate(2);
         let err = s.try_encode(&states).unwrap_err();
-        assert!(matches!(err, VerifyError::OutOfDomain { proc: ProcId(1), .. }), "{err}");
+        assert_eq!(err, VerifyError::WrongLength { states: 2, procs: 3 });
+        assert!(!err.to_string().is_empty());
+    }
+
+    /// The premise of reading abnormality off the guard masks, checked on
+    /// every configuration of chain(3) from both roots and of the
+    /// triangle, under the paper's protocol and each single-mechanism
+    /// ablation: some processor is abnormal iff some mask has a
+    /// [`CORRECTION_BITS`] bit, and every mask is the per-guard
+    /// composition.
+    #[test]
+    fn guard_masks_match_the_per_guard_composition_everywhere() {
+        fn composed(proto: &PifProtocol, view: View<'_, PifState>) -> u8 {
+            [
+                proto.broadcast_guard(view),
+                proto.features().fok_wave && proto.change_fok_guard(view),
+                proto.feedback_guard(view),
+                proto.cleaning_guard(view),
+                proto.new_count_guard(view),
+                proto.b_correction_guard(view),
+                proto.f_correction_guard(view),
+            ]
+            .into_iter()
+            .enumerate()
+            .fold(0, |mask, (k, on)| mask | u8::from(on) << k)
+        }
+        let paper = Features::paper();
+        let ablations = [
+            paper,
+            Features { leaf_guard: false, ..paper },
+            Features { fok_wave: false, ..paper },
+            Features { chordless_potential: false, ..paper },
+            Features { level_guard: false, ..paper },
+        ];
+        let instances = [
+            (generators::chain(3).unwrap(), ProcId(0)),
+            (generators::chain(3).unwrap(), ProcId(1)),
+            (generators::complete(3).unwrap(), ProcId(0)),
+        ];
+        for (g, root) in instances {
+            for features in ablations {
+                let s = StateSpace::new(g.clone(), PifProtocol::new(root, &g).with_features(features));
+                let witness = Checker::auto().check_universal(&s, |proto, g, states| {
+                    let masks: Vec<u8> = s.guard_masks(states).collect();
+                    let abnormal = g.procs().any(|p| !proto.normal(View::new(g, states, p)));
+                    abnormal == correction_pending(&masks).is_some()
+                        && g.procs().all(|p| masks[p.index()] == composed(proto, View::new(g, states, p)))
+                });
+                assert_eq!(witness, None, "{} rooted at {root} under {features:?}", g.name());
+            }
+        }
     }
 
     #[test]
     fn no_configuration_deadlocks_chain3() {
         let s = space(3);
-        assert_eq!(s.check_no_deadlock(), None, "found a terminal configuration");
+        assert_eq!(Checker::auto().check_no_deadlock(&s), None, "found a terminal configuration");
     }
 
     #[test]
     fn property1_universal_chain3() {
         let s = space(3);
-        let witness = s.check_universal(|proto, g, states| {
-            pif_core::analysis::property1_holds(proto, g, states)
-        });
+        let witness = Checker::auto().check_universal(&s, pif_core::analysis::property1_holds);
         assert_eq!(witness, None);
     }
 
@@ -1521,7 +1539,7 @@ mod tests {
     #[test]
     fn snap_safety_exhaustive_chain2() {
         let s = space(2);
-        let report = s.check_snap_safety(true);
+        let report = Checker::auto().check_snap_safety(&s, true);
         assert!(report.verified(), "violations: {:#?}", report.violations);
         assert!(report.states_explored >= s.config_count());
         assert!(report.acks_tracked);
@@ -1535,7 +1553,7 @@ mod tests {
         let p = PifProtocol::new(ProcId(0), &g)
             .with_features(Features { leaf_guard: false, ..Features::paper() });
         let s = StateSpace::new(g, p);
-        let report = s.check_snap_safety(false);
+        let report = Checker::auto().check_snap_safety(&s, false);
         assert!(!report.verified(), "the ablated protocol must have a reachable violation");
         assert!(!report.violations[0].not_received.is_empty());
         assert!(report.violation_count >= report.violations.len() as u64);
@@ -1545,7 +1563,7 @@ mod tests {
     fn theorem1_bound_exhaustive_chain2() {
         let s = space(2);
         // L_max = 1 → bound 6.
-        let report = s.check_correction_bound(6);
+        let report = Checker::auto().check_correction_bound(&s, 6);
         assert!(report.verified(), "violations: {:#?}", report.violations);
         assert!(report.states_explored > 0);
     }
@@ -1555,7 +1573,7 @@ mod tests {
         // Sensitivity: a bound of 0 rounds must be refuted (corrupted
         // configurations need at least one round to correct).
         let s = space(2);
-        let report = s.check_correction_bound(0);
+        let report = Checker::auto().check_correction_bound(&s, 0);
         assert!(!report.verified(), "a zero-round bound cannot hold");
     }
 
@@ -1585,7 +1603,7 @@ mod tests {
     fn theorem1_bound_exhaustive_chain3() {
         let s = space(3);
         // L_max = 2 → bound 9.
-        let report = s.check_correction_bound(9);
+        let report = Checker::auto().check_correction_bound(&s, 9);
         assert!(report.verified(), "violations: {:#?}", report.violations);
     }
 
@@ -1593,7 +1611,7 @@ mod tests {
     #[ignore = "full product space of chain(3); run with --ignored in release"]
     fn snap_safety_exhaustive_chain3() {
         let s = space(3);
-        let report = s.check_snap_safety(true);
+        let report = Checker::auto().check_snap_safety(&s, true);
         assert!(report.verified(), "violations: {:#?}", report.violations);
     }
 
@@ -1649,7 +1667,7 @@ mod tests {
     #[test]
     fn wave_check_is_a_tiny_slice_of_the_product() {
         let s = space(4);
-        let report = s.check_snap_wave(true);
+        let report = Checker::auto().check_snap_wave(&s, true);
         assert!(report.verified(), "violations: {:#?}", report.violations);
         assert!(report.acks_tracked);
         assert!(
@@ -1671,7 +1689,7 @@ mod tests {
         let p = PifProtocol::new(ProcId(0), &g)
             .with_features(Features { fok_wave: false, ..Features::paper() });
         let s = StateSpace::new(g, p);
-        let report = s.check_snap_wave(true);
+        let report = Checker::auto().check_snap_wave(&s, true);
         assert!(!report.verified(), "the ablated protocol must violate on the wave slice");
     }
 

@@ -1,30 +1,27 @@
-//! Per-configuration memo of enabled-action masks and abnormality.
+//! Per-configuration memo of guard masks.
 //!
-//! Both product searches repeatedly ask two questions whose answers
-//! depend only on the configuration id, not on the search overlay it is
-//! paired with: *which actions are enabled at each processor* and *is
-//! any processor abnormal*. A configuration id recurs many times during
+//! Both product searches repeatedly ask for the guard masks of a
+//! configuration — `PifProtocol::enabled_mask` of every processor — an
+//! answer that depends only on the configuration id, not on the search
+//! overlay it is paired with. A configuration id recurs many times during
 //! a search — once per overlay variant it is reached with, and once per
-//! transition that lands on it — so the answers are computed exactly
-//! once, in a parallel pass over the id range, and stored flat:
-//!
-//! * `masks[cfg * n + i]` — bitmask over [`pif_daemon::ActionId`]
-//!   indices of the actions enabled at processor `i` (the protocol has 7
-//!   actions, so a `u8` suffices);
-//! * one abnormality bit per configuration, packed into `u64` words.
+//! transition that lands on it — so the masks are computed exactly once,
+//! in a parallel pass over the id range, and stored flat:
+//! `masks[cfg * n + i]` is the mask of processor `i` (bit k ⇔
+//! `ActionId(k)`; the protocol has 7 actions, so a `u8` suffices).
+//! Abnormality and the pending set are read off the masks.
 //!
 //! Successor states then pay **no** guard re-evaluation at all: the
-//! expansion encodes the successor id incrementally and looks both
-//! answers up. The memo is skipped (and the engines fall back to direct
-//! guard evaluation) when the space is too large for the flat tables —
-//! see [`EnabledMemo::BYTE_LIMIT`].
+//! expansion encodes the successor id incrementally and looks its masks
+//! up. The memo is skipped (and the engines fall back to direct guard
+//! evaluation) when the space is too large for the flat table — see
+//! [`EnabledMemo::BYTE_LIMIT`].
 
-/// Memoized per-configuration guard evaluations. See the module docs.
+/// Memoized per-configuration guard masks. See the module docs.
 #[derive(Clone)]
 pub(crate) struct EnabledMemo {
     n: usize,
     masks: Vec<u8>,
-    abnormal: Vec<u64>,
 }
 
 impl EnabledMemo {
@@ -34,60 +31,33 @@ impl EnabledMemo {
     /// the CI hosts.
     pub const BYTE_LIMIT: u128 = 1 << 30;
 
-    /// Allocates zeroed tables for `total` configurations of `n`
-    /// processors, or `None` if the mask table would exceed
-    /// [`Self::BYTE_LIMIT`].
+    /// Allocates a zeroed table for `total` configurations of `n`
+    /// processors, or `None` if it would exceed [`Self::BYTE_LIMIT`].
     pub fn allocate(total: u64, n: usize) -> Option<Self> {
         if u128::from(total) * n as u128 > Self::BYTE_LIMIT {
             return None;
         }
         let total = usize::try_from(total).ok()?;
-        Some(EnabledMemo {
-            n,
-            masks: vec![0u8; total * n],
-            abnormal: vec![0u64; total.div_ceil(64)],
-        })
+        Some(EnabledMemo { n, masks: vec![0u8; total * n] })
     }
 
-    /// Number of configurations per parallel fill chunk. A multiple of
-    /// 64 so each chunk owns whole words of the abnormality bitset.
+    /// Number of configurations per parallel fill chunk.
     pub const FILL_CHUNK: usize = 1 << 12;
 
-    /// Splits the tables into disjoint mutable chunks of
+    /// Splits the table into disjoint mutable chunks of
     /// [`Self::FILL_CHUNK`] configurations for the parallel fill: each
-    /// entry is `(first_cfg, masks_chunk, abnormal_words_chunk)`.
-    pub fn fill_chunks(&mut self) -> Vec<(u64, &mut [u8], &mut [u64])> {
-        let n = self.n;
-        self.masks
-            .chunks_mut(Self::FILL_CHUNK * n)
-            .zip(self.abnormal.chunks_mut(Self::FILL_CHUNK / 64))
-            .enumerate()
-            .map(|(ci, (m, a))| ((ci * Self::FILL_CHUNK) as u64, m, a))
+    /// entry is `(first_cfg, masks_chunk)`.
+    pub fn fill_chunks(&mut self) -> Vec<(u64, &mut [u8])> {
+        (0u64..)
+            .step_by(Self::FILL_CHUNK)
+            .zip(self.masks.chunks_mut(Self::FILL_CHUNK * self.n))
             .collect()
     }
 
-    /// Enabled-action masks of every processor in configuration `cfg`.
+    /// Guard masks of every processor in configuration `cfg`.
     #[inline]
     pub fn masks_of(&self, cfg: u64) -> &[u8] {
         &self.masks[cfg as usize * self.n..][..self.n]
-    }
-
-    /// Whether any processor is abnormal in configuration `cfg`.
-    #[inline]
-    pub fn is_abnormal(&self, cfg: u64) -> bool {
-        self.abnormal[cfg as usize / 64] >> (cfg % 64) & 1 != 0
-    }
-
-    /// Bitmask of processors with at least one enabled action in `cfg`.
-    #[inline]
-    pub fn pending_mask(&self, cfg: u64) -> u16 {
-        let mut m = 0u16;
-        for (i, &mask) in self.masks_of(cfg).iter().enumerate() {
-            if mask != 0 {
-                m |= 1 << i;
-            }
-        }
-        m
     }
 }
 
@@ -96,6 +66,6 @@ impl std::fmt::Debug for EnabledMemo {
         f.debug_struct("EnabledMemo")
             .field("procs", &self.n)
             .field("configs", &(self.masks.len() / self.n.max(1)))
-            .finish()
+            .finish_non_exhaustive()
     }
 }

@@ -3,7 +3,7 @@
 //! The product searches branch over *every* daemon choice: each
 //! non-empty subset of enabled processors, times an enabled action per
 //! selected processor. Most of that branching is redundant. The
-//! `pif-analyze` InterferenceGraph — the proven-complete 7×7 action
+//! `pif-analyze` `InterferenceGraph` — the proven-complete 7×7 action
 //! interference relation for PIF — contains only *own-register* and
 //! *across-one-link* edges: every guard and every effect of a processor
 //! reads at most its distance-1 neighborhood, so moves of processors at
@@ -122,7 +122,7 @@ mod tests {
         let ctx = PorCtx::with_radius(&generators::chain(5).unwrap(), 1);
         for sel in 1u16..(1 << 5) {
             let lo = sel.trailing_zeros();
-            let hi = 15 - sel.leading_zeros();
+            let hi = sel.ilog2();
             let interval = sel.count_ones() == hi - lo + 1;
             assert_eq!(ctx.connected(sel), interval, "sel {sel:#07b}");
         }

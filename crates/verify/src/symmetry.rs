@@ -106,7 +106,9 @@ impl Quotient {
                                 } else {
                                     PifState { par: sigma[s.par.index()], ..*s }
                                 };
-                                space.strides[ti] * u64::from(space.shapes[ti].index_of(&mapped))
+                                let idx = space.shapes[ti].index_of(&mapped);
+                                let idx = idx.expect("automorphisms map domains onto domains");
+                                space.strides[ti] * u64::from(idx)
                             })
                             .collect()
                     })
@@ -173,6 +175,13 @@ mod tests {
         StateSpace::new(g, p)
     }
 
+    /// Configuration `cfg` of `s` decoded, with its domain indices.
+    fn decoded(s: &StateSpace, cfg: u64) -> (Vec<PifState>, Vec<u32>) {
+        let (mut states, mut idxs) = (Vec::new(), Vec::new());
+        s.decode_indices_into(cfg, &mut states, &mut idxs);
+        (states, idxs)
+    }
+
     /// Symmetric instances used across the tests: (space, group order).
     fn symmetric_instances() -> Vec<(StateSpace, usize)> {
         vec![
@@ -223,27 +232,18 @@ mod tests {
             let mut rng = 0xC0FFEEu64;
             for _ in 0..300 {
                 let cfg = splitmix(&mut rng) % s.config_count();
-                let states = s.decode(cfg);
-                let idxs: Vec<u32> = (0..n)
-                    .map(|i| s.shapes[i].index_of(&states[i]))
-                    .collect();
+                let (states, idxs) = decoded(&s, cfg);
                 for perm in &q.perms {
                     let mapped_cfg = perm.map_cfg(&idxs);
                     let mapped = s.decode(mapped_cfg);
                     for i in 0..n {
                         let ti = usize::from(perm.map[i]);
-                        let mut acts_a: Vec<ActionId> = Vec::new();
-                        let mut acts_b: Vec<ActionId> = Vec::new();
-                        s.protocol().enabled_actions(
-                            View::new(s.graph(), &states, ProcId::from_index(i)),
-                            &mut acts_a,
-                        );
-                        s.protocol().enabled_actions(
-                            View::new(s.graph(), &mapped, ProcId::from_index(ti)),
-                            &mut acts_b,
-                        );
-                        assert_eq!(acts_a, acts_b, "masks diverge at proc {i} of {}", s.graph().name());
-                        for &a in &acts_a {
+                        let view = View::new(s.graph(), &states, ProcId::from_index(i));
+                        let mask = s.protocol().enabled_mask(view);
+                        let view = View::new(s.graph(), &mapped, ProcId::from_index(ti));
+                        let mask_mapped = s.protocol().enabled_mask(view);
+                        assert_eq!(mask, mask_mapped, "masks diverge at proc {i} of {}", s.graph().name());
+                        for a in (0..8).filter(|a| mask >> a & 1 != 0).map(ActionId) {
                             let succ = s.protocol().execute(
                                 View::new(s.graph(), &states, ProcId::from_index(i)),
                                 a,
@@ -280,25 +280,19 @@ mod tests {
                 let overlay = splitmix(&mut rng);
                 let pending = (overlay as u16) & ((1 << n) - 1);
                 let rounds = (overlay >> 16) as u32 % 8;
-                let states = s.decode(cfg);
-                let idxs: Vec<u32> =
-                    (0..n).map(|i| s.shapes[i].index_of(&states[i])).collect();
+                let (_, idxs) = decoded(&s, cfg);
                 let key = q.canon_corr(&idxs, (cfg, pending, rounds));
                 let item = unpack_corr(key);
                 assert_eq!(item.2, rounds, "the round counter is σ-invariant");
                 // Idempotent: canonicalizing the representative is a
                 // fixed point.
-                let rep_states = s.decode(item.0);
-                let rep_idxs: Vec<u32> =
-                    (0..n).map(|i| s.shapes[i].index_of(&rep_states[i])).collect();
+                let (_, rep_idxs) = decoded(&s, item.0);
                 assert_eq!(q.canon_corr(&rep_idxs, item), key);
                 // Orbit-invariant: every image canonicalizes to the
                 // same representative.
                 for perm in &q.perms {
                     let img = (perm.map_cfg(&idxs), perm.map_bits(pending), rounds);
-                    let img_states = s.decode(img.0);
-                    let img_idxs: Vec<u32> =
-                        (0..n).map(|i| s.shapes[i].index_of(&img_states[i])).collect();
+                    let (_, img_idxs) = decoded(&s, img.0);
                     assert_eq!(q.canon_corr(&img_idxs, img), key);
                 }
             }
@@ -318,13 +312,10 @@ mod tests {
             let mut reps = 0;
             for _ in 0..2_000 {
                 let cfg = splitmix(&mut rng) % s.config_count();
-                let states = s.decode(cfg);
-                let idxs: Vec<u32> = (0..n).map(|i| s.shapes[i].index_of(&states[i])).collect();
-                let pending = (0..n).fold(0u16, |mask, i| {
-                    let mut acts: Vec<ActionId> = Vec::new();
+                let (states, idxs) = decoded(&s, cfg);
+                let pending = (0..n).fold(0u16, |pending, i| {
                     let view = View::new(s.graph(), &states, ProcId::from_index(i));
-                    s.protocol().enabled_actions(view, &mut acts);
-                    mask | u16::from(!acts.is_empty()) << i
+                    pending | u16::from(s.protocol().enabled_mask(view) != 0) << i
                 });
                 let rep = q.is_representative(&idxs, cfg);
                 let snap_seed = (cfg, 0, 0, false);
@@ -348,17 +339,14 @@ mod tests {
             let has = (bits as u16) & ((1 << n) - 1);
             let ack = ((bits >> 16) as u16) & ((1 << n) - 1);
             let active = bits >> 32 & 1 == 1;
-            let states = s.decode(cfg);
-            let idxs: Vec<u32> = (0..n).map(|i| s.shapes[i].index_of(&states[i])).collect();
+            let (_, idxs) = decoded(&s, cfg);
             let key = q.canon_snap(&idxs, (cfg, has, ack, active));
             assert!(key <= pack_snap(cfg, has, ack, active));
             assert_eq!(unpack_snap(key).3, active, "the wave flag is σ-invariant");
             for perm in &q.perms {
                 let img =
                     (perm.map_cfg(&idxs), perm.map_bits(has), perm.map_bits(ack), active);
-                let img_states = s.decode(img.0);
-                let img_idxs: Vec<u32> =
-                    (0..n).map(|i| s.shapes[i].index_of(&img_states[i])).collect();
+                let (_, img_idxs) = decoded(&s, img.0);
                 assert_eq!(q.canon_snap(&img_idxs, img), key);
             }
         }

@@ -91,7 +91,7 @@ pub(crate) fn hash(key: u128) -> u64 {
 }
 
 /// Construction parameters for a visited set.
-#[derive(Clone, Debug)]
+#[derive(Clone, Copy, Debug)]
 pub struct VisitedConfig {
     /// Expected number of distinct keys: the live tables are pre-sized
     /// for it (spread evenly over the shards) so steady-state inserts
@@ -269,7 +269,7 @@ impl Run {
         };
         let (mut lo, mut hi) = (0usize, count);
         while lo < hi {
-            let mid = (lo + hi) / 2;
+            let mid = lo.midpoint(hi);
             match decode(mid).cmp(&key) {
                 std::cmp::Ordering::Less => lo = mid + 1,
                 std::cmp::Ordering::Equal => return true,
