@@ -246,7 +246,6 @@ pub fn build<P: DomainModel>(protocol: &P, graph: &Graph) -> Option<AbstractMach
     };
 
     let mut states: Vec<P::State> = domains.iter().map(|d| d[0].clone()).collect();
-    let mut enabled: Vec<ActionId> = Vec::new();
     for p in graph.procs() {
         let bi = builder_of[p.index()];
         let nbhd: Vec<ProcId> = std::iter::once(p).chain(graph.neighbors(p)).collect();
@@ -260,9 +259,7 @@ pub fn build<P: DomainModel>(protocol: &P, graph: &Graph) -> Option<AbstractMach
             let normal = protocol.locally_normal(View::new(graph, &states, p));
             let from = builders[bi].intern(abs_of(&projections[p.index()][idx[0]], normal));
 
-            enabled.clear();
-            protocol.enabled_actions(View::new(graph, &states, p), &mut enabled);
-            for &a in &enabled {
+            for a in protocol.enabled_actions(View::new(graph, &states, p)) {
                 live[a.index()] = true;
                 let succ = protocol.execute(View::new(graph, &states, p), a);
                 let proj2 = protocol.project(&succ);

@@ -160,9 +160,6 @@ pub fn derive_and_check<P: DomainModel>(
     let mut pair_probes = 0u64;
     let mut sampled = false;
     let mut states = base.clone();
-    let mut enabled_w: Vec<ActionId> = Vec::new();
-    let mut enabled_p1: Vec<ActionId> = Vec::new();
-    let mut enabled_p2: Vec<ActionId> = Vec::new();
 
     for w in graph.procs() {
         for p in graph.procs() {
@@ -197,33 +194,30 @@ pub fn derive_and_check<P: DomainModel>(
                     states[q.index()] = domains[q.index()][di].clone();
                 }
 
-                enabled_w.clear();
-                protocol.enabled_actions(View::new(graph, &states, w), &mut enabled_w);
-                enabled_p1.clear();
-                protocol.enabled_actions(View::new(graph, &states, p), &mut enabled_p1);
+                let enabled_w = protocol.enabled_actions(View::new(graph, &states, w));
+                let enabled_p1 = protocol.enabled_actions(View::new(graph, &states, p));
                 let me_proj1 = protocol.project(&states[p.index()]);
                 let results1: Vec<Option<Vec<u64>>> = (0..names.len())
                     .map(|ai| {
-                        enabled_p1.contains(&ActionId(ai)).then(|| {
+                        enabled_p1.contains(ActionId(ai)).then(|| {
                             protocol
                                 .project(&protocol.execute(View::new(graph, &states, p), ActionId(ai)))
                         })
                     })
                     .collect();
 
-                for &src in &enabled_w {
+                for src in enabled_w {
                     let succ = protocol.execute(View::new(graph, &states, w), src);
                     if succ == states[w.index()] {
                         continue; // no-op move: nothing to observe
                     }
                     pair_probes += 1;
                     let saved = std::mem::replace(&mut states[w.index()], succ);
-                    enabled_p2.clear();
-                    protocol.enabled_actions(View::new(graph, &states, p), &mut enabled_p2);
+                    let enabled_p2 = protocol.enabled_actions(View::new(graph, &states, p));
                     let me_proj2 = protocol.project(&states[p.index()]);
                     for (ai, r1) in results1.iter().enumerate() {
                         let in1 = r1.is_some();
-                        let in2 = enabled_p2.contains(&ActionId(ai));
+                        let in2 = enabled_p2.contains(ActionId(ai));
                         let mut depends = in1 != in2;
                         if in1 && in2 {
                             let proj1 = r1.as_ref().unwrap();

@@ -471,8 +471,6 @@ impl<P: DomainModel> Ctx<'_, P> {
             .collect();
 
         let probe = ReadProbe::new();
-        let mut enabled: Vec<ActionId> = Vec::new();
-        let mut enabled2: Vec<ActionId> = Vec::new();
         let correction_actions: Vec<usize> = (0..self.names.len())
             .filter(|&ai| self.specs[ai].phase == PhaseTag::Correction)
             .collect();
@@ -486,12 +484,11 @@ impl<P: DomainModel> Ctx<'_, P> {
 
             probe.clear();
             let view = View::spied(self.graph, &states, p, &probe);
-            enabled.clear();
-            self.protocol.enabled_actions(view, &mut enabled);
+            let enabled = self.protocol.enabled_actions(view);
 
             // AN002: two co-enabled actions in the same priority class.
-            for (k, &a) in enabled.iter().enumerate() {
-                for &b in &enabled[k + 1..] {
+            for (k, a) in enabled.into_iter().enumerate() {
+                for b in enabled.into_iter().skip(k + 1) {
                     if self.specs[a.index()].priority == self.specs[b.index()].priority {
                         let w = witness_of(&nbhd, &states);
                         self.emit(
@@ -514,7 +511,7 @@ impl<P: DomainModel> Ctx<'_, P> {
             }
 
             // AN007: enabled at a processor class the spec excludes.
-            for &a in &enabled {
+            for a in enabled {
                 if !self.specs[a.index()].applicability.covers(is_root) {
                     let w = witness_of(&nbhd, &states);
                     self.emit(
@@ -536,7 +533,7 @@ impl<P: DomainModel> Ctx<'_, P> {
             // AN005: correction quiescence.
             if self.protocol.locally_normal(view) {
                 for &ai in &correction_actions {
-                    if enabled.contains(&ActionId(ai)) {
+                    if enabled.contains(ActionId(ai)) {
                         let w = witness_of(&nbhd, &states);
                         self.emit(
                             Code::AN005,
@@ -556,7 +553,7 @@ impl<P: DomainModel> Ctx<'_, P> {
             // AN001 (dynamic): observed writes outside the declared set.
             let me_proj = self.protocol.project(view.me());
             let mut results: Vec<Option<Vec<u64>>> = vec![None; self.names.len()];
-            for &a in &enabled {
+            for a in enabled {
                 let out = self.protocol.execute(view, a);
                 let proj = self.protocol.project(&out);
                 for (ri, reg) in self.registers.iter().enumerate() {
@@ -584,7 +581,7 @@ impl<P: DomainModel> Ctx<'_, P> {
             // AN006: any register read outside the closed neighborhood.
             if probe.mask() & !nbhd_mask != 0 {
                 let w = witness_of(&nbhd, &states);
-                let a = enabled.first().map_or(0, |a| a.index());
+                let a = enabled.first().map_or(0, ActionId::index);
                 self.emit(
                     Code::AN006,
                     a,
@@ -613,13 +610,12 @@ impl<P: DomainModel> Ctx<'_, P> {
                         states[q.index()] = domains[i][dj as usize].clone();
                         self.probes += 1;
                         let view2 = View::new(self.graph, &states, p);
-                        enabled2.clear();
-                        self.protocol.enabled_actions(view2, &mut enabled2);
+                        let enabled2 = self.protocol.enabled_actions(view2);
                         let me2_proj = self.protocol.project(view2.me());
                         for &ai in &narrow[scope_idx][ri] {
                             let a = ActionId(ai);
                             let in1 = results[ai].is_some();
-                            let in2 = enabled2.contains(&a);
+                            let in2 = enabled2.contains(a);
                             let mut depends = in1 != in2;
                             if in1 && in2 {
                                 let proj2 = self.protocol.project(&self.protocol.execute(view2, a));
@@ -751,6 +747,7 @@ pub fn analyze<P: DomainModel>(
 mod tests {
     use super::*;
     use pif_core::PifProtocol;
+    use pif_daemon::ActionSet;
     use pif_graph::generators;
 
     #[test]
@@ -786,7 +783,9 @@ mod tests {
             fn action_names(&self) -> &'static [&'static str] {
                 &["noop"]
             }
-            fn enabled_actions(&self, _: View<'_, u8>, _: &mut Vec<ActionId>) {}
+            fn enabled_actions(&self, _: View<'_, u8>) -> ActionSet {
+                ActionSet::EMPTY
+            }
             fn execute(&self, v: View<'_, u8>, _: ActionId) -> u8 {
                 *v.me()
             }

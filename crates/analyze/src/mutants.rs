@@ -17,7 +17,7 @@
 use pif_baselines::echo::{EchoProtocol, EchoState, ECHO_B};
 use pif_core::protocol::{B_CORRECTION, C_ACTION, COUNT_ACTION, FOK_ACTION, F_CORRECTION};
 use pif_core::{Phase, PifProtocol, PifState};
-use pif_daemon::{ActionId, ActionSpec, PhaseTag, Protocol, RegAccess, View};
+use pif_daemon::{ActionId, ActionSet, ActionSpec, PhaseTag, Protocol, RegAccess, View};
 use pif_graph::{Graph, ProcId};
 
 use crate::DomainModel;
@@ -77,16 +77,17 @@ impl Protocol for WidenedCorrectionPif {
         self.inner.action_names()
     }
 
-    fn enabled_actions(&self, view: View<'_, PifState>, out: &mut Vec<ActionId>) {
-        self.inner.enabled_actions(view, out);
+    fn enabled_actions(&self, view: View<'_, PifState>) -> ActionSet {
+        let mut set = self.inner.enabled_actions(view);
         // The mutation: `Pif_p = F` dropped from the F-correction guard —
         // it now also fires from an abnormal broadcast phase.
         if view.pid() != self.inner.root()
             && !self.inner.normal(view)
             && view.me().phase == Phase::B
         {
-            out.push(F_CORRECTION);
+            set.insert(F_CORRECTION);
         }
+        set
     }
 
     fn execute(&self, view: View<'_, PifState>, action: ActionId) -> PifState {
@@ -135,8 +136,8 @@ impl Protocol for NeighborWriteSpecPif {
         self.inner.action_names()
     }
 
-    fn enabled_actions(&self, view: View<'_, PifState>, out: &mut Vec<ActionId>) {
-        self.inner.enabled_actions(view, out);
+    fn enabled_actions(&self, view: View<'_, PifState>) -> ActionSet {
+        self.inner.enabled_actions(view)
     }
 
     fn execute(&self, view: View<'_, PifState>, action: ActionId) -> PifState {
@@ -212,8 +213,8 @@ impl Protocol for UnderReadEcho {
         self.inner.action_names()
     }
 
-    fn enabled_actions(&self, view: View<'_, EchoState>, out: &mut Vec<ActionId>) {
-        self.inner.enabled_actions(view, out);
+    fn enabled_actions(&self, view: View<'_, EchoState>) -> ActionSet {
+        self.inner.enabled_actions(view)
     }
 
     fn execute(&self, view: View<'_, EchoState>, action: ActionId) -> EchoState {
@@ -280,8 +281,8 @@ impl Protocol for SkipCleaningPif {
         self.inner.action_names()
     }
 
-    fn enabled_actions(&self, view: View<'_, PifState>, out: &mut Vec<ActionId>) {
-        self.inner.enabled_actions(view, out);
+    fn enabled_actions(&self, view: View<'_, PifState>) -> ActionSet {
+        self.inner.enabled_actions(view)
     }
 
     fn execute(&self, view: View<'_, PifState>, action: ActionId) -> PifState {
@@ -332,8 +333,8 @@ impl Protocol for CyclicCorrectionPif {
         self.inner.action_names()
     }
 
-    fn enabled_actions(&self, view: View<'_, PifState>, out: &mut Vec<ActionId>) {
-        self.inner.enabled_actions(view, out);
+    fn enabled_actions(&self, view: View<'_, PifState>) -> ActionSet {
+        self.inner.enabled_actions(view)
     }
 
     fn execute(&self, view: View<'_, PifState>, action: ActionId) -> PifState {
@@ -430,8 +431,8 @@ impl Protocol for OverclaimedInterferencePif {
         self.inner.action_names()
     }
 
-    fn enabled_actions(&self, view: View<'_, PifState>, out: &mut Vec<ActionId>) {
-        self.inner.enabled_actions(view, out);
+    fn enabled_actions(&self, view: View<'_, PifState>) -> ActionSet {
+        self.inner.enabled_actions(view)
     }
 
     fn execute(&self, view: View<'_, PifState>, action: ActionId) -> PifState {
@@ -475,10 +476,9 @@ impl Protocol for DisabledFokPif {
         self.inner.action_names()
     }
 
-    fn enabled_actions(&self, view: View<'_, PifState>, out: &mut Vec<ActionId>) {
-        self.inner.enabled_actions(view, out);
+    fn enabled_actions(&self, view: View<'_, PifState>) -> ActionSet {
         // The mutation: the Fok guard never holds.
-        out.retain(|&a| a != FOK_ACTION);
+        self.inner.enabled_actions(view).into_iter().filter(|&a| a != FOK_ACTION).collect()
     }
 
     fn execute(&self, view: View<'_, PifState>, action: ActionId) -> PifState {

@@ -54,11 +54,8 @@ fn assert_move_is_local(
     p: ProcId,
     action: ActionId,
 ) {
-    let enabled_of = |states: &[pif_core::PifState], q: ProcId| {
-        let mut out = Vec::new();
-        proto.enabled_actions(View::new(graph, states, q), &mut out);
-        out
-    };
+    let enabled_of =
+        |states: &[pif_core::PifState], q: ProcId| proto.enabled_actions(View::new(graph, states, q));
     let before: Vec<_> = graph.procs().map(|q| enabled_of(states, q)).collect();
     let new_state = proto.execute(View::new(graph, states, p), action);
     let old_state = std::mem::replace(&mut states[p.index()], new_state);
@@ -87,9 +84,7 @@ fn moves_only_disturb_the_closed_neighborhood() {
         for seed in 0..200 {
             let mut states = initial::random_config(&g, &proto, seed);
             for p in g.procs() {
-                let mut enabled = Vec::new();
-                proto.enabled_actions(View::new(&g, &states, p), &mut enabled);
-                for action in enabled {
+                for action in proto.enabled_actions(View::new(&g, &states, p)) {
                     assert_move_is_local(&g, &proto, &mut states, p, action);
                     checked += 1;
                 }

@@ -23,7 +23,7 @@ pub struct MonoidAggregate<V: Clone + std::fmt::Debug> {
 
 impl<V: Clone + std::fmt::Debug> std::fmt::Debug for MonoidAggregate<V> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("MonoidAggregate").field("values", &self.values).finish()
+        f.debug_struct("MonoidAggregate").field("values", &self.values).finish_non_exhaustive()
     }
 }
 
@@ -163,7 +163,6 @@ mod tests {
 
     #[test]
     fn custom_monoid_gcd() {
-        let g = generators::ring(6).unwrap();
         fn gcd(a: u64, b: u64) -> u64 {
             if b == 0 {
                 a
@@ -171,6 +170,7 @@ mod tests {
                 gcd(b, a % b)
             }
         }
+        let g = generators::ring(6).unwrap();
         let values = vec![12u64, 18, 24, 30, 42, 6];
         let result =
             compute_with(g, ProcId(0), values, gcd, &mut CentralRandom::new(3)).unwrap();

@@ -139,7 +139,7 @@ pub struct Transformer<F: GlobalFunction> {
 
 impl<F: GlobalFunction + fmt::Debug> fmt::Debug for Transformer<F> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("Transformer").field("request_id", &self.request_id).finish()
+        f.debug_struct("Transformer").field("request_id", &self.request_id).finish_non_exhaustive()
     }
 }
 

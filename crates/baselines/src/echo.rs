@@ -10,8 +10,8 @@
 //! processors whose registers were pre-set, without ever recovering.
 
 use pif_daemon::{
-    ActionId, ActionSpec, Applicability, Daemon, PhaseTag, Protocol, RegAccess, RunLimits,
-    Simulator, View,
+    ActionId, ActionSet, ActionSpec, Applicability, Daemon, PhaseTag, Protocol, RegAccess,
+    RunLimits, Simulator, View,
 };
 use pif_graph::{Graph, ProcId};
 use rand::rngs::StdRng;
@@ -111,27 +111,23 @@ impl Protocol for EchoProtocol {
         &["B-action", "F-action", "C-action"]
     }
 
-    fn enabled_actions(&self, view: View<'_, EchoState>, out: &mut Vec<ActionId>) {
+    fn enabled_actions(&self, view: View<'_, EchoState>) -> ActionSet {
         let me = view.me();
         let is_root = view.pid() == self.root;
-        match me.phase {
+        let action = match me.phase {
             EchoPhase::C => {
                 let can_b = if is_root {
                     view.neighbor_states().all(|(_, s)| s.phase == EchoPhase::C)
                 } else {
                     view.neighbor_states().any(|(_, s)| s.phase == EchoPhase::B)
                 };
-                if can_b {
-                    out.push(ECHO_B);
-                }
+                can_b.then_some(ECHO_B)
             }
             EchoPhase::B => {
                 // Feedback once every neighbor is engaged and every child
                 // has echoed.
                 let engaged = view.neighbor_states().all(|(_, s)| s.phase != EchoPhase::C);
-                if engaged && self.children_all_f(view) {
-                    out.push(ECHO_F);
-                }
+                (engaged && self.children_all_f(view)).then_some(ECHO_F)
             }
             EchoPhase::F => {
                 // Cleaning must wait until no neighbor broadcasts (the
@@ -143,11 +139,10 @@ impl Protocol for EchoProtocol {
                 } else {
                     view.neighbor_states().all(|(_, s)| s.phase != EchoPhase::B)
                 };
-                if can_c {
-                    out.push(ECHO_C);
-                }
+                can_c.then_some(ECHO_C)
             }
-        }
+        };
+        action.into_iter().collect()
     }
 
     fn execute(&self, view: View<'_, EchoState>, action: ActionId) -> EchoState {

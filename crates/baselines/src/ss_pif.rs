@@ -14,8 +14,8 @@
 //! delivery-contrast experiment (E5) measures it.
 
 use pif_daemon::{
-    ActionId, ActionSpec, Applicability, Daemon, PhaseTag, Protocol, RegAccess, RunLimits,
-    Simulator, View,
+    ActionId, ActionSet, ActionSpec, Applicability, Daemon, PhaseTag, Protocol, RegAccess,
+    RunLimits, Simulator, View,
 };
 use pif_graph::{Graph, ProcId};
 use rand::rngs::StdRng;
@@ -168,20 +168,19 @@ impl Protocol for SsPifProtocol {
         &["B-action", "F-action", "C-action", "Dist-action", "Reset-action"]
     }
 
-    fn enabled_actions(&self, view: View<'_, SsState>, out: &mut Vec<ActionId>) {
+    fn enabled_actions(&self, view: View<'_, SsState>) -> ActionSet {
         let me = view.me();
         let is_root = view.pid() == self.root;
 
         // BFS layer stabilizes independently of the wave layer.
         if !is_root && !self.bfs_consistent(view) {
-            out.push(SS_DIST);
-            return;
+            return ActionSet::of(SS_DIST);
         }
         // Wave layer: tree-PIF-style phases over the *current* parent
         // pointers. Broadcast only descends into fully cleaned subtrees,
         // which makes consecutive waves overlap-free (a broadcast can
         // never overtake the previous wave's cleaning).
-        match me.phase {
+        let action = match me.phase {
             SsPhase::C => {
                 let can_b = if is_root {
                     self.children_all(view, SsPhase::C)
@@ -189,30 +188,20 @@ impl Protocol for SsPifProtocol {
                     view.state(me.par).phase == SsPhase::B
                         && self.children_all(view, SsPhase::C)
                 };
-                if can_b {
-                    out.push(SS_B);
-                }
+                can_b.then_some(SS_B)
             }
-            SsPhase::B => {
-                if !is_root && view.state(me.par).phase != SsPhase::B {
-                    out.push(SS_RESET);
-                    return;
-                }
-                if self.children_all(view, SsPhase::F) {
-                    out.push(SS_F);
-                }
-            }
+            SsPhase::B if !is_root && view.state(me.par).phase != SsPhase::B => Some(SS_RESET),
+            SsPhase::B => self.children_all(view, SsPhase::F).then_some(SS_F),
             SsPhase::F => {
                 let can_c = if is_root {
                     self.children_all(view, SsPhase::C)
                 } else {
                     view.state(me.par).phase != SsPhase::B
                 };
-                if can_c {
-                    out.push(SS_C);
-                }
+                can_c.then_some(SS_C)
             }
-        }
+        };
+        action.into_iter().collect()
     }
 
     fn execute(&self, view: View<'_, SsState>, action: ActionId) -> SsState {

@@ -12,8 +12,8 @@
 //! the ICDCS 2002 machinery (dynamic parents, levels, counting, `Fok`).
 
 use pif_daemon::{
-    ActionId, ActionSpec, Applicability, Daemon, PhaseTag, Protocol, RegAccess, RunLimits,
-    Simulator, View,
+    ActionId, ActionSet, ActionSpec, Applicability, Daemon, PhaseTag, Protocol, RegAccess,
+    RunLimits, Simulator, View,
 };
 use pif_graph::{Graph, ProcId};
 use rand::rngs::StdRng;
@@ -128,7 +128,7 @@ impl Protocol for TreePifProtocol {
         &["B-action", "F-action", "C-action", "Correction"]
     }
 
-    fn enabled_actions(&self, view: View<'_, TreeState>, out: &mut Vec<ActionId>) {
+    fn enabled_actions(&self, view: View<'_, TreeState>) -> ActionSet {
         let me = view.me();
         let is_root = view.pid() == self.root;
         let par_phase = if is_root {
@@ -136,33 +136,23 @@ impl Protocol for TreePifProtocol {
         } else {
             view.state(self.parent[view.pid().index()]).phase
         };
-        match me.phase {
+        let action = match me.phase {
             TreePhase::C => {
                 let parent_ok = is_root || par_phase == TreePhase::B;
-                if parent_ok && self.children_all(view, TreePhase::C) {
-                    out.push(TREE_B);
-                }
+                (parent_ok && self.children_all(view, TreePhase::C)).then_some(TREE_B)
             }
-            TreePhase::B => {
-                if !is_root && par_phase != TreePhase::B {
-                    out.push(TREE_CORRECT);
-                    return;
-                }
-                if self.children_all(view, TreePhase::F) {
-                    out.push(TREE_F);
-                }
-            }
+            TreePhase::B if !is_root && par_phase != TreePhase::B => Some(TREE_CORRECT),
+            TreePhase::B => self.children_all(view, TreePhase::F).then_some(TREE_F),
             TreePhase::F => {
                 let can_c = if is_root {
                     self.children_all(view, TreePhase::C)
                 } else {
                     par_phase != TreePhase::B
                 };
-                if can_c {
-                    out.push(TREE_C);
-                }
+                can_c.then_some(TREE_C)
             }
-        }
+        };
+        action.into_iter().collect()
     }
 
     fn execute(&self, view: View<'_, TreeState>, action: ActionId) -> TreeState {
@@ -324,9 +314,9 @@ mod tests {
         let mut d = pif_daemon::daemons::FixedSchedule::new([vec![ProcId(0)]]);
         sim.step(&mut d).unwrap(); // root broadcasts
         assert!(
-            !sim.enabled_actions(ProcId(1)).contains(&TREE_B),
+            !sim.enabled_actions(ProcId(1)).contains(TREE_B),
             "p1 must wait for its stale child"
         );
-        assert!(sim.enabled_actions(ProcId(2)).contains(&TREE_CORRECT));
+        assert!(sim.enabled_actions(ProcId(2)).contains(TREE_CORRECT));
     }
 }

@@ -3,6 +3,9 @@ use pif_graph::{Graph, ProcId};
 
 /// The verdict for one protocol's first wave out of one initial
 /// configuration — the unit of the delivery-contrast experiment (E5).
+// Four independent observations of one wave: E5 reports each of the 16
+// combinations on its own, so plain bools model the verdict exactly.
+#[allow(clippy::struct_excessive_bools)]
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct WaveVerdict {
     /// Whether the root initiated a broadcast within the budget.

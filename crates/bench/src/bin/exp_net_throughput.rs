@@ -30,7 +30,7 @@ use pif_bench::experiments::e13_message_passing::{cells, trial, CellOutcome, Fau
 use pif_core::{initial, PifProtocol};
 use pif_daemon::daemons::Synchronous;
 use pif_daemon::json::{self, Json};
-use pif_daemon::{ActionId, Protocol, RunLimits, Simulator, View};
+use pif_daemon::{ActionId, ActionSet, Protocol, RunLimits, Simulator, View};
 use pif_graph::{generators, Graph, ProcId, Topology};
 use pif_net::{NetBuilder, NetSim, Transport};
 
@@ -253,10 +253,9 @@ impl Protocol for MaxProto {
     fn action_names(&self) -> &'static [&'static str] {
         &["adopt"]
     }
-    fn enabled_actions(&self, view: View<'_, u64>, out: &mut Vec<ActionId>) {
-        if view.neighbor_states().any(|(_, &s)| s > *view.me()) {
-            out.push(ActionId(0));
-        }
+    fn enabled_actions(&self, view: View<'_, u64>) -> ActionSet {
+        let adopt = view.neighbor_states().any(|(_, &s)| s > *view.me());
+        if adopt { ActionSet::of(ActionId(0)) } else { ActionSet::EMPTY }
     }
     fn execute(&self, view: View<'_, u64>, _: ActionId) -> u64 {
         view.neighbor_states().map(|(_, &s)| s).max().unwrap_or(0).max(*view.me())

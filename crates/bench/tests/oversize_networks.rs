@@ -5,7 +5,7 @@
 use std::path::PathBuf;
 use std::process::{Command, Output};
 
-use pif_daemon::{ActionId, PhaseReport, Protocol, Simulator, TraceRecorder, View};
+use pif_daemon::{ActionId, ActionSet, PhaseReport, Protocol, Simulator, TraceRecorder, View};
 use pif_graph::generators;
 
 fn pif_trace(args: &[&str]) -> Output {
@@ -39,7 +39,9 @@ impl Protocol for Idle {
     fn action_names(&self) -> &'static [&'static str] {
         &[]
     }
-    fn enabled_actions(&self, _: View<'_, u8>, _: &mut Vec<ActionId>) {}
+    fn enabled_actions(&self, _: View<'_, u8>) -> ActionSet {
+        ActionSet::EMPTY
+    }
     fn execute(&self, view: View<'_, u8>, _: ActionId) -> u8 {
         *view.me()
     }

@@ -143,7 +143,7 @@ impl<S> Daemon<S> for ScriptedAdversary {
             let scripted = (mask >> (i % 64)) & 1 == 1;
             let forced = self.ages.age(p) >= self.fairness_bound;
             if scripted || forced {
-                out.push((p, enabled.actions_of(p)[0]));
+                out.push((p, enabled.actions_of(p).first().expect("p is enabled")));
             }
         }
         if out.is_empty() {
@@ -153,7 +153,7 @@ impl<S> Daemon<S> for ScriptedAdversary {
                 .iter()
                 .max_by_key(|p| (self.ages.age(**p), p.0))
                 .expect("non-empty");
-            out.push((p, enabled.actions_of(p)[0]));
+            out.push((p, enabled.actions_of(p).first().expect("p is enabled")));
         }
         for &(p, _) in out.iter() {
             self.ages.selected(p);

@@ -13,13 +13,13 @@
 //! The per-guard functions ([`PifProtocol::broadcast_guard`] …
 //! [`PifProtocol::f_correction_guard`]) are the literal transliteration:
 //! each composes the macros and predicates above, so evaluating all seven
-//! walks the neighborhood five to eight times. [`PifProtocol::enabled_mask`]
+//! walks the neighborhood five to eight times. [`Protocol::enabled_actions`]
 //! instead evaluates them in one pass: it dispatches on the root and on
 //! `Pif_p`, decides the parent conjuncts of `Normal(p)` first, and stops
 //! the neighbor scan as soon as the enabled set is settled — the same
-//! phase split as the `SoA` `GuardKernel::mask`.
-//! [`Protocol::enabled_actions`] unpacks that mask, and the exhaustive
-//! checks of `pif-verify` read it directly. The property tests in
+//! phase split as the `SoA` `GuardKernel::mask`. The simulators, the
+//! lossy transport, the analyzer and the exhaustive checks of
+//! `pif-verify` all read that one scan. The property tests in
 //! `tests/prop_protocol.rs` check it against the per-guard composition
 //! and against the kernel on arbitrary configurations under every
 //! [`Features`] ablation.
@@ -50,7 +50,9 @@
 //!    the clamping is invisible in the model and merely keeps corrupted
 //!    executions finite.
 
-use pif_daemon::{ActionId, ActionSpec, Applicability, PhaseTag, Protocol, RegAccess, View};
+use pif_daemon::{
+    ActionId, ActionSet, ActionSpec, Applicability, PhaseTag, Protocol, RegAccess, View,
+};
 use pif_graph::{Graph, ProcId};
 
 use crate::state::{Phase, PifState};
@@ -591,53 +593,36 @@ impl PifProtocol {
     }
 
     // ------------------------------------------------------------------
-    // Fused guard evaluation: `enabled_mask`, which `enabled_actions`
-    // unpacks (module docs, "Guard evaluation"). Each phase enables a
-    // disjoint action subset, so each scan below tracks only what its
-    // guards read. A scan returns a mask, bit k ⇔ ActionId(k), the
-    // encoding of the SoA `GuardKernel::mask`, and reads registers only
-    // through the `View`, so the analyzer's spy probe observes every read.
-    // The scans are `#[inline]` like `enabled_mask`: an inlinable public
-    // function exports its private callees, and LLVM then calls them out
-    // of line from `enabled_actions` instead of fusing them into it.
+    // Fused guard evaluation: the phase scans behind `enabled_actions`
+    // (module docs, "Guard evaluation"). Each phase enables a disjoint
+    // action subset, so each scan below tracks only what its guards read.
+    // A scan returns an `ActionSet`, bit k ⇔ ActionId(k), the encoding of
+    // the SoA `GuardKernel::mask`, and reads registers only through the
+    // `View`, so the analyzer's spy probe observes every read. The scans
+    // are `#[inline]` like `enabled_actions`: an inlinable function
+    // exports its private callees, and LLVM then calls them out of line
+    // instead of fusing them into the trait method.
     // ------------------------------------------------------------------
-
-    /// The enabled actions of `view`'s processor as a mask, bit k ⇔
-    /// `ActionId(k)`: all seven guards evaluated in one neighborhood pass
-    /// (module docs, "Guard evaluation").
-    #[inline]
-    pub fn enabled_mask(&self, view: View<'_, PifState>) -> u8 {
-        let me = view.me();
-        if view.pid() == self.root {
-            self.root_mask(view, me)
-        } else {
-            match me.phase {
-                Phase::C => self.clean_mask(view),
-                Phase::B => self.broadcast_mask(view, me),
-                Phase::F => self.feedback_mask(view, me),
-            }
-        }
-    }
 
     /// Algorithm 1. `B-action` and `C-action` need every neighbor clean;
     /// under `Pif_r = B` the guards read `BFree(r)` and `Sum_r`.
     #[inline]
-    fn root_mask(&self, view: View<'_, PifState>, me: &PifState) -> u8 {
+    fn root_scan(&self, view: View<'_, PifState>, me: &PifState) -> ActionSet {
         if me.phase != Phase::B {
             // Normal(r) holds vacuously outside B.
             if !view.neighbor_states().all(|(_, s)| s.phase == Phase::C) {
-                return 0;
+                return ActionSet::EMPTY;
             }
-            return if me.phase == Phase::C { bit(B_ACTION) } else { bit(C_ACTION) };
+            return ActionSet::of(if me.phase == Phase::C { B_ACTION } else { C_ACTION });
         }
         // GoodFok(r): Fok_r = (Count_r = N).
         if me.fok != (me.count == self.n) {
-            return bit(B_CORRECTION);
+            return ActionSet::of(B_CORRECTION);
         }
         if me.fok {
             // GoodCount(r) holds and Count-action is off: only BFree(r)
             // is left to decide F-action.
-            return if self.bfree(view) { bit(F_ACTION) } else { 0 };
+            return if self.bfree(view) { ActionSet::of(F_ACTION) } else { ActionSet::EMPTY };
         }
         let mut bfree = true;
         let mut sum_raw: u64 = 1;
@@ -653,24 +638,24 @@ impl PifProtocol {
         let sum = sum_raw.min(u64::from(self.n_prime));
         let count = u64::from(me.count);
         if count > sum {
-            return bit(B_CORRECTION); // ¬GoodCount(r)
+            return ActionSet::of(B_CORRECTION); // ¬GoodCount(r)
         }
-        let mut m = 0;
+        let mut m = ActionSet::EMPTY;
         if !self.features.fok_wave && bfree {
-            m |= bit(F_ACTION);
+            m.insert(F_ACTION);
         }
         if count < sum {
-            m |= bit(COUNT_ACTION);
+            m.insert(COUNT_ACTION);
         }
         m
     }
 
     /// `Pif_p = C`, `p ≠ r`: `Normal(p)` holds, so only `B-action` can
     /// fire — `(¬leaf_guard ∨ Leaf(p)) ∧ Pre_Potential_p ≠ ∅`. Under the
-    /// leaf guard a claimer settles the mask to `0`; without it, the first
-    /// `Pre_Potential_p` member settles it to `B-action`.
+    /// leaf guard a claimer settles the set to empty; without it, the
+    /// first `Pre_Potential_p` member settles it to `B-action`.
     #[inline]
-    fn clean_mask(&self, view: View<'_, PifState>) -> u8 {
+    fn clean_scan(&self, view: View<'_, PifState>) -> ActionSet {
         let leaf_guard = self.features.leaf_guard;
         let mut pre_potential = false;
         for (q, s) in view.neighbor_states() {
@@ -681,7 +666,7 @@ impl PifProtocol {
                 // A participating claimer violates Leaf(p) and is outside
                 // Pre_Potential_p.
                 if leaf_guard {
-                    return 0;
+                    return ActionSet::EMPTY;
                 }
             } else if s.phase == Phase::B && !s.fok && self.level_of(q, s) < u32::from(self.l_max) {
                 pre_potential = true;
@@ -691,9 +676,9 @@ impl PifProtocol {
             }
         }
         if pre_potential {
-            bit(B_ACTION)
+            ActionSet::of(B_ACTION)
         } else {
-            0
+            ActionSet::EMPTY
         }
     }
 
@@ -702,13 +687,13 @@ impl PifProtocol {
     /// and `Sum_p`. Under `Fok_p`, `Sum_Set_p` is empty, so the first
     /// claimer settles the pass.
     #[inline]
-    fn broadcast_mask(&self, view: View<'_, PifState>, me: &PifState) -> u8 {
+    fn broadcast_scan(&self, view: View<'_, PifState>, me: &PifState) -> ActionSet {
         let par = view.state(me.par);
         // With Pif_p = B: GoodPif ⇔ Pif_Par = B; GoodFok ⇔ (Fok_p ⇒ Fok_Par).
         let good_level = !self.features.level_guard
             || u32::from(me.level) == self.level_of(me.par, par) + 1;
         if par.phase != Phase::B || !good_level || (me.fok && !par.fok) {
-            return bit(B_CORRECTION);
+            return ActionSet::of(B_CORRECTION);
         }
         let mut bleaf = true;
         let mut sum_raw: u64 = 1;
@@ -728,17 +713,17 @@ impl PifProtocol {
         let sum = sum_raw.min(u64::from(self.n_prime));
         let count = u64::from(me.count);
         if !me.fok && count > sum {
-            return bit(B_CORRECTION); // ¬GoodCount(p)
+            return ActionSet::of(B_CORRECTION); // ¬GoodCount(p)
         }
-        let mut m = 0;
+        let mut m = ActionSet::EMPTY;
         if self.features.fok_wave && me.fok != par.fok {
-            m |= bit(FOK_ACTION);
+            m.insert(FOK_ACTION);
         }
         if (!self.features.fok_wave || me.fok) && bleaf {
-            m |= bit(F_ACTION);
+            m.insert(F_ACTION);
         }
         if !me.fok && count < sum {
-            m |= bit(COUNT_ACTION);
+            m.insert(COUNT_ACTION);
         }
         m
     }
@@ -747,31 +732,25 @@ impl PifProtocol {
     /// (`GoodCount` holds vacuously); then `Leaf(p) ∧ BFree(p)` fails at
     /// the first neighbor that broadcasts or is a participating claimer.
     #[inline]
-    fn feedback_mask(&self, view: View<'_, PifState>, me: &PifState) -> u8 {
+    fn feedback_scan(&self, view: View<'_, PifState>, me: &PifState) -> ActionSet {
         let par = view.state(me.par);
         // With Pif_p = F: GoodPif ⇔ Pif_Par ≠ C; GoodFok ⇔ (Pif_Par = B ⇒
         // Fok_Par).
         let good_level = !self.features.level_guard
             || u32::from(me.level) == self.level_of(me.par, par) + 1;
         if par.phase == Phase::C || !good_level || (par.phase == Phase::B && !par.fok) {
-            return bit(F_CORRECTION);
+            return ActionSet::of(F_CORRECTION);
         }
         let cleaning = view.neighbor_states().all(|(q, s)| {
             s.phase == Phase::C
                 || (s.phase == Phase::F && !(s.par == view.pid() && q != self.root))
         });
         if cleaning {
-            bit(C_ACTION)
+            ActionSet::of(C_ACTION)
         } else {
-            0
+            ActionSet::EMPTY
         }
     }
-}
-
-/// The mask bit of `action`.
-#[inline]
-const fn bit(action: ActionId) -> u8 {
-    1 << action.0
 }
 
 impl Protocol for PifProtocol {
@@ -781,14 +760,20 @@ impl Protocol for PifProtocol {
         ACTION_NAMES
     }
 
-    /// Pushes the bits of [`PifProtocol::enabled_mask`] in ascending
-    /// [`ActionId`] order, the order of the guard list: a first-action
-    /// daemon selects the first entry.
-    fn enabled_actions(&self, view: View<'_, PifState>, out: &mut Vec<ActionId>) {
-        let mut mask = self.enabled_mask(view);
-        while mask != 0 {
-            out.push(ActionId(mask.trailing_zeros() as usize));
-            mask &= mask - 1;
+    /// All seven guards evaluated in one neighborhood pass (module docs,
+    /// "Guard evaluation"). Bit k ⇔ `ActionId(k)`, the order of the guard
+    /// list: a first-action daemon runs the lowest.
+    #[inline]
+    fn enabled_actions(&self, view: View<'_, PifState>) -> ActionSet {
+        let me = view.me();
+        if view.pid() == self.root {
+            self.root_scan(view, me)
+        } else {
+            match me.phase {
+                Phase::C => self.clean_scan(view),
+                Phase::B => self.broadcast_scan(view, me),
+                Phase::F => self.feedback_scan(view, me),
+            }
         }
     }
 
@@ -911,7 +896,7 @@ mod tests {
     fn only_root_enabled_in_normal_starting_configuration() {
         let sim = sim_on(generators::ring(5).unwrap());
         assert_eq!(sim.enabled_procs(), &[ProcId(0)]);
-        assert_eq!(sim.enabled_actions(ProcId(0)), &[B_ACTION]);
+        assert_eq!(sim.enabled_actions(ProcId(0)), ActionSet::of(B_ACTION));
     }
 
     #[test]
@@ -930,7 +915,7 @@ mod tests {
         let mut sim = sim_on(generators::chain(3).unwrap());
         let mut d = pif_daemon::daemons::Synchronous::first_action();
         sim.step(&mut d).unwrap(); // root B-action
-        assert_eq!(sim.enabled_actions(ProcId(1)), &[B_ACTION]);
+        assert_eq!(sim.enabled_actions(ProcId(1)), ActionSet::of(B_ACTION));
         sim.step(&mut d).unwrap(); // p1 joins
         let s1 = sim.state(ProcId(1));
         assert_eq!(s1.phase, Phase::B);
@@ -1087,7 +1072,7 @@ mod tests {
             ProcId(0),
             PifState { phase: Phase::B, par: ProcId(0), level: 1, count: 3, fok: false },
         );
-        assert!(sim.enabled_actions(ProcId(0)).contains(&B_CORRECTION));
+        assert!(sim.enabled_actions(ProcId(0)).contains(B_CORRECTION));
         let mut d = pif_daemon::daemons::CentralSequential::new();
         sim.step(&mut d).unwrap();
         assert_eq!(sim.state(ProcId(0)).phase, Phase::C);
@@ -1102,12 +1087,12 @@ mod tests {
             ProcId(2),
             PifState { phase: Phase::B, par: ProcId(1), level: 2, count: 1, fok: false },
         );
-        assert!(sim.enabled_actions(ProcId(2)).contains(&B_CORRECTION));
+        assert!(sim.enabled_actions(ProcId(2)).contains(B_CORRECTION));
         // B-correction demotes to F, F-correction then cleans.
         let mut d = pif_daemon::daemons::FixedSchedule::new([vec![ProcId(2)], vec![ProcId(2)]]);
         sim.step(&mut d).unwrap();
         assert_eq!(sim.state(ProcId(2)).phase, Phase::F);
-        assert!(sim.enabled_actions(ProcId(2)).contains(&F_CORRECTION));
+        assert!(sim.enabled_actions(ProcId(2)).contains(F_CORRECTION));
         sim.step(&mut d).unwrap();
         assert_eq!(sim.state(ProcId(2)).phase, Phase::C);
     }
@@ -1125,7 +1110,7 @@ mod tests {
         let mut d = pif_daemon::daemons::FixedSchedule::new([vec![ProcId(0)]]);
         sim.step(&mut d).unwrap(); // root broadcasts
         assert!(
-            !sim.enabled_actions(ProcId(1)).contains(&B_ACTION),
+            !sim.enabled_actions(ProcId(1)).contains(B_ACTION),
             "Leaf guard must block p1 while p2 claims it as parent"
         );
     }
@@ -1141,7 +1126,7 @@ mod tests {
         let mut d = pif_daemon::daemons::FixedSchedule::new([vec![ProcId(0)]]);
         sim.step(&mut d).unwrap();
         assert!(
-            sim.enabled_actions(ProcId(1)).contains(&B_ACTION),
+            sim.enabled_actions(ProcId(1)).contains(B_ACTION),
             "without the Leaf guard p1 may broadcast over the stale claim"
         );
     }
@@ -1201,7 +1186,7 @@ mod tests {
         ];
         let mut sim = Simulator::new(g, proto, init);
         assert!(!sim.is_terminal(), "the corrupted wave must be able to drain");
-        assert!(sim.enabled_actions(ProcId(1)).contains(&F_ACTION));
+        assert!(sim.enabled_actions(ProcId(1)).contains(F_ACTION));
         // And it drains all the way to the normal starting configuration.
         let mut d = pif_daemon::daemons::CentralSequential::new();
         let mut drained = |s: &Simulator<PifProtocol>| initial::is_normal_starting(s.states());

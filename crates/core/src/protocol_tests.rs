@@ -364,9 +364,7 @@ mod actions_preserve_domains {
             let states = initial::random_config(&g, &p, rng_seed);
             let sim = views(&g, &p, [states[0], states[1], states[2]]);
             for q in g.procs() {
-                let mut actions = Vec::new();
-                p.enabled_actions(View::new(&g, sim.states(), q), &mut actions);
-                for a in actions {
+                for a in p.enabled_actions(View::new(&g, sim.states(), q)) {
                     let next = p.execute(View::new(&g, sim.states(), q), a);
                     assert!((1..=p.n_prime()).contains(&next.count), "{q} {a}");
                     if q != p.root() && next.phase != Phase::C {

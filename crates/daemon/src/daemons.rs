@@ -23,65 +23,40 @@ use pif_graph::ProcId;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
-use crate::{ActionId, Daemon, EnabledSet};
+use crate::{ActionId, ActionSet, Daemon, EnabledSet};
 
-/// How a daemon chooses among several simultaneously enabled actions of the
-/// same processor.
-///
-/// For the paper's protocol at most two actions can be enabled at once
-/// (`Fok-action` and `Count-action`); the daemon resolves the choice.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-#[non_exhaustive]
-pub enum ActionPick {
-    /// The first enabled action in protocol order (the paper's listing
-    /// order).
-    #[default]
-    First,
-    /// The last enabled action in protocol order.
-    Last,
-    /// A uniformly random enabled action (uses the daemon's RNG).
-    Random,
+/// The first (lowest) action of an enabled processor's set.
+fn first(actions: ActionSet) -> ActionId {
+    actions.first().expect("an enabled processor has an enabled action")
 }
 
-fn pick(actions: &[ActionId], pick: ActionPick, rng: &mut Option<StdRng>) -> ActionId {
-    debug_assert!(!actions.is_empty());
-    match pick {
-        ActionPick::First => actions[0],
-        ActionPick::Last => *actions.last().expect("non-empty"),
-        ActionPick::Random => {
-            let rng = rng.as_mut().expect("ActionPick::Random requires a seeded daemon");
-            actions[rng.random_range(0..actions.len())]
-        }
-    }
+/// A uniformly random action of an enabled processor's set.
+fn random(actions: ActionSet, rng: &mut StdRng) -> ActionId {
+    actions
+        .nth(rng.random_range(0..actions.len()))
+        .expect("an enabled processor has an enabled action")
 }
 
-/// The synchronous daemon: selects *every* enabled processor each step.
+/// The synchronous daemon: selects *every* enabled processor each step,
+/// each running its first (lowest) enabled action.
 ///
 /// Under this daemon each computation step closes exactly one round, so
 /// measured step counts equal round counts — the most convenient instrument
 /// for checking the paper's round bounds.
-#[derive(Debug)]
-pub struct Synchronous {
-    action_pick: ActionPick,
-    rng: Option<StdRng>,
-}
+#[derive(Clone, Copy, Debug, Default)]
+pub struct Synchronous;
 
 impl Synchronous {
-    /// Synchronous daemon resolving action choices by protocol order.
+    /// The synchronous daemon.
     pub fn first_action() -> Self {
-        Synchronous { action_pick: ActionPick::First, rng: None }
-    }
-
-    /// Synchronous daemon resolving action choices uniformly at random.
-    pub fn random_actions(seed: u64) -> Self {
-        Synchronous { action_pick: ActionPick::Random, rng: Some(StdRng::seed_from_u64(seed)) }
+        Synchronous
     }
 }
 
 impl<S> Daemon<S> for Synchronous {
     fn select(&mut self, enabled: &EnabledSet<'_, S>, out: &mut Vec<(ProcId, ActionId)>) {
         for &p in enabled.enabled_procs() {
-            out.push((p, pick(enabled.actions_of(p), self.action_pick, &mut self.rng)));
+            out.push((p, first(enabled.actions_of(p))));
         }
     }
 
@@ -117,7 +92,7 @@ impl<S> Daemon<S> for CentralSequential {
             .find(|p| p.0 >= self.cursor)
             .unwrap_or(procs[0]);
         self.cursor = chosen.0 + 1;
-        out.push((chosen, enabled.actions_of(chosen)[0]));
+        out.push((chosen, first(enabled.actions_of(chosen))));
     }
 
     fn name(&self) -> &'static str {
@@ -130,13 +105,13 @@ impl<S> Daemon<S> for CentralSequential {
 /// probability 1.
 #[derive(Debug)]
 pub struct CentralRandom {
-    rng: Option<StdRng>,
+    rng: StdRng,
 }
 
 impl CentralRandom {
     /// Creates the daemon with a deterministic seed.
     pub fn new(seed: u64) -> Self {
-        CentralRandom { rng: Some(StdRng::seed_from_u64(seed)) }
+        CentralRandom { rng: StdRng::seed_from_u64(seed) }
     }
 }
 
@@ -146,10 +121,8 @@ impl<S> Daemon<S> for CentralRandom {
         if procs.is_empty() {
             return;
         }
-        let rng = self.rng.as_mut().expect("constructed with rng");
-        let p = procs[rng.random_range(0..procs.len())];
-        let actions = enabled.actions_of(p);
-        out.push((p, actions[rng.random_range(0..actions.len())]));
+        let p = procs[self.rng.random_range(0..procs.len())];
+        out.push((p, random(enabled.actions_of(p), &mut self.rng)));
     }
 
     fn name(&self) -> &'static str {
@@ -163,7 +136,7 @@ impl<S> Daemon<S> for CentralRandom {
 #[derive(Debug)]
 pub struct DistributedRandom {
     prob: f64,
-    rng: Option<StdRng>,
+    rng: StdRng,
 }
 
 impl DistributedRandom {
@@ -174,7 +147,7 @@ impl DistributedRandom {
     /// Panics if `prob` is not within `(0, 1]`.
     pub fn new(prob: f64, seed: u64) -> Self {
         assert!(prob > 0.0 && prob <= 1.0, "inclusion probability must be in (0, 1]");
-        DistributedRandom { prob, rng: Some(StdRng::seed_from_u64(seed)) }
+        DistributedRandom { prob, rng: StdRng::seed_from_u64(seed) }
     }
 }
 
@@ -184,17 +157,15 @@ impl<S> Daemon<S> for DistributedRandom {
         if procs.is_empty() {
             return;
         }
-        let rng = self.rng.as_mut().expect("constructed with rng");
+        let rng = &mut self.rng;
         for &p in procs {
             if rng.random_bool(self.prob) {
-                let actions = enabled.actions_of(p);
-                out.push((p, actions[rng.random_range(0..actions.len())]));
+                out.push((p, random(enabled.actions_of(p), rng)));
             }
         }
         if out.is_empty() {
             let p = procs[rng.random_range(0..procs.len())];
-            let actions = enabled.actions_of(p);
-            out.push((p, actions[rng.random_range(0..actions.len())]));
+            out.push((p, random(enabled.actions_of(p), rng)));
         }
     }
 
@@ -268,13 +239,12 @@ impl EnablementAges {
 /// stretch executions toward the paper's worst-case round bounds. Weak
 /// fairness is enforced explicitly: a processor continuously enabled for
 /// `fairness_bound` consecutive steps is selected unconditionally (oldest
-/// first).
+/// first). Each selected processor runs a uniformly random enabled action.
 #[derive(Debug)]
 pub struct AdversarialLifo {
     ages: EnablementAges,
     fairness_bound: u64,
-    action_pick: ActionPick,
-    rng: Option<StdRng>,
+    rng: StdRng,
 }
 
 impl AdversarialLifo {
@@ -292,16 +262,8 @@ impl AdversarialLifo {
         AdversarialLifo {
             ages: EnablementAges::default(),
             fairness_bound,
-            action_pick: ActionPick::Random,
-            rng: Some(StdRng::seed_from_u64(seed)),
+            rng: StdRng::seed_from_u64(seed),
         }
-    }
-
-    /// Sets how the adversary resolves multi-action choices.
-    #[must_use]
-    pub fn with_action_pick(mut self, action_pick: ActionPick) -> Self {
-        self.action_pick = action_pick;
-        self
     }
 }
 
@@ -315,7 +277,7 @@ impl<S> Daemon<S> for AdversarialLifo {
         // Forced selections keep the execution weakly fair.
         for &p in procs {
             if self.ages.age(p) >= self.fairness_bound {
-                out.push((p, pick(enabled.actions_of(p), self.action_pick, &mut self.rng)));
+                out.push((p, random(enabled.actions_of(p), &mut self.rng)));
             }
         }
         if out.is_empty() {
@@ -325,7 +287,7 @@ impl<S> Daemon<S> for AdversarialLifo {
                 .iter()
                 .min_by_key(|p| (self.ages.age(**p), u32::MAX - p.0))
                 .expect("non-empty");
-            out.push((p, pick(enabled.actions_of(p), self.action_pick, &mut self.rng)));
+            out.push((p, random(enabled.actions_of(p), &mut self.rng)));
         }
         for &(p, _) in out.iter() {
             self.ages.selected(p);
@@ -369,13 +331,13 @@ impl<S> Daemon<S> for FixedSchedule {
         }
         if let Some(group) = self.script.pop_front() {
             for p in group {
-                if !enabled.actions_of(p).is_empty() {
-                    out.push((p, enabled.actions_of(p)[0]));
+                if let Some(a) = enabled.actions_of(p).first() {
+                    out.push((p, a));
                 }
             }
         }
         if out.is_empty() {
-            out.push((procs[0], enabled.actions_of(procs[0])[0]));
+            out.push((procs[0], first(enabled.actions_of(procs[0]))));
         }
     }
 
@@ -412,10 +374,8 @@ mod tests {
         fn action_names(&self) -> &'static [&'static str] {
             &["dec"]
         }
-        fn enabled_actions(&self, view: View<'_, u8>, out: &mut Vec<ActionId>) {
-            if *view.me() > 0 {
-                out.push(ActionId(0));
-            }
+        fn enabled_actions(&self, view: View<'_, u8>) -> ActionSet {
+            if *view.me() > 0 { ActionSet::of(ActionId(0)) } else { ActionSet::EMPTY }
         }
         fn execute(&self, view: View<'_, u8>, _: ActionId) -> u8 {
             *view.me() - 1

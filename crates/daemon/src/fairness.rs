@@ -20,15 +20,15 @@ use crate::{Observer, Protocol, StepDelta, View};
 /// ```
 /// use pif_daemon::fairness::FairnessAuditor;
 /// use pif_daemon::daemons::CentralSequential;
-/// use pif_daemon::{ActionId, Protocol, RunLimits, Simulator, StopPolicy, View};
+/// use pif_daemon::{ActionId, ActionSet, Protocol, RunLimits, Simulator, StopPolicy, View};
 /// use pif_graph::generators;
 ///
 /// struct Dec;
 /// impl Protocol for Dec {
 ///     type State = u8;
 ///     fn action_names(&self) -> &'static [&'static str] { &["dec"] }
-///     fn enabled_actions(&self, v: View<'_, u8>, out: &mut Vec<ActionId>) {
-///         if *v.me() > 0 { out.push(ActionId(0)); }
+///     fn enabled_actions(&self, v: View<'_, u8>) -> ActionSet {
+///         if *v.me() > 0 { ActionSet::of(ActionId(0)) } else { ActionSet::EMPTY }
 ///     }
 ///     fn execute(&self, v: View<'_, u8>, _: ActionId) -> u8 { *v.me() - 1 }
 /// }
@@ -103,11 +103,8 @@ impl<P: Protocol> Observer<P> for FairnessAuditor<P> {
         // A processor accrues starvation if it was enabled in the
         // configuration the daemon chose from (`before`) and was not
         // selected.
-        let mut buf = Vec::new();
         for p in graph.procs() {
-            buf.clear();
-            self.protocol.enabled_actions(View::new(graph, before, p), &mut buf);
-            let was_enabled = !buf.is_empty();
+            let was_enabled = !self.protocol.enabled_actions(View::new(graph, before, p)).is_empty();
             let was_selected = executed.iter().any(|&(q, _)| q == p);
             if was_selected || !was_enabled {
                 self.streak[p.index()] = 0;
@@ -124,7 +121,7 @@ impl<P: Protocol> Observer<P> for FairnessAuditor<P> {
 mod tests {
     use super::*;
     use crate::daemons::{AdversarialLifo, CentralSequential, Synchronous};
-    use crate::{ActionId, RunLimits, Simulator};
+    use crate::{ActionId, ActionSet, RunLimits, Simulator};
     use pif_graph::generators;
 
     struct Dec;
@@ -133,10 +130,8 @@ mod tests {
         fn action_names(&self) -> &'static [&'static str] {
             &["dec"]
         }
-        fn enabled_actions(&self, v: View<'_, u8>, out: &mut Vec<ActionId>) {
-            if *v.me() > 0 {
-                out.push(ActionId(0));
-            }
+        fn enabled_actions(&self, v: View<'_, u8>) -> ActionSet {
+            if *v.me() > 0 { ActionSet::of(ActionId(0)) } else { ActionSet::EMPTY }
         }
         fn execute(&self, v: View<'_, u8>, _: ActionId) -> u8 {
             *v.me() - 1

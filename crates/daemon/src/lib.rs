@@ -39,7 +39,7 @@
 //! A one-register "maximum propagation" protocol, simulated to fixpoint:
 //!
 //! ```
-//! use pif_daemon::{ActionId, Daemon, NoOpObserver, Protocol, RunLimits, Simulator,
+//! use pif_daemon::{ActionId, ActionSet, NoOpObserver, Protocol, RunLimits, Simulator,
 //!     StopPolicy, View};
 //! use pif_daemon::daemons::Synchronous;
 //! use pif_graph::generators;
@@ -51,11 +51,9 @@
 //!     fn action_names(&self) -> &'static [&'static str] {
 //!         &["adopt-max"]
 //!     }
-//!     fn enabled_actions(&self, view: View<'_, u32>, out: &mut Vec<ActionId>) {
+//!     fn enabled_actions(&self, view: View<'_, u32>) -> ActionSet {
 //!         let best = view.neighbor_states().map(|(_, &s)| s).max().unwrap_or(0);
-//!         if best > *view.me() {
-//!             out.push(ActionId(0));
-//!         }
+//!         if best > *view.me() { ActionSet::of(ActionId(0)) } else { ActionSet::EMPTY }
 //!     }
 //!     fn execute(&self, view: View<'_, u32>, _a: ActionId) -> u32 {
 //!         view.neighbor_states().map(|(_, &s)| s).max().unwrap()
@@ -99,8 +97,8 @@ pub use error::SimError;
 pub use interference::{InterferenceEdge, InterferenceGraph};
 pub use metrics::{MetricsObserver, PhaseReport};
 pub use protocol::{
-    ActionId, ActionSpec, Applicability, EnabledSet, PhaseTag, Protocol, ReadProbe, RegAccess,
-    Scope, View,
+    ActionId, ActionSet, ActionSetIter, ActionSpec, Applicability, EnabledSet, PhaseTag, Protocol,
+    ReadProbe, RegAccess, Scope, View,
 };
 pub use sim::{
     Fanout, NoOpObserver, Observer, RegisterStore, RunLimits, RunStats, SimBuilder, Simulator,

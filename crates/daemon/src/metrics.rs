@@ -67,16 +67,15 @@ impl PhaseReport {
 /// ```
 /// use pif_daemon::daemons::Synchronous;
 /// use pif_daemon::{MetricsObserver, PhaseTag, RunLimits, Simulator, StopPolicy};
-/// # use pif_daemon::{ActionId, Protocol, View};
+/// # use pif_daemon::{ActionId, ActionSet, Protocol, View};
 /// # use pif_graph::generators;
 /// # struct MaxProto;
 /// # impl Protocol for MaxProto {
 /// #     type State = u32;
 /// #     fn action_names(&self) -> &'static [&'static str] { &["adopt-max"] }
-/// #     fn enabled_actions(&self, v: View<'_, u32>, out: &mut Vec<ActionId>) {
-/// #         if v.neighbor_states().map(|(_, &s)| s).max().unwrap_or(0) > *v.me() {
-/// #             out.push(ActionId(0));
-/// #         }
+/// #     fn enabled_actions(&self, v: View<'_, u32>) -> ActionSet {
+/// #         let best = v.neighbor_states().map(|(_, &s)| s).max().unwrap_or(0);
+/// #         if best > *v.me() { ActionSet::of(ActionId(0)) } else { ActionSet::EMPTY }
 /// #     }
 /// #     fn execute(&self, v: View<'_, u32>, _: ActionId) -> u32 {
 /// #         v.neighbor_states().map(|(_, &s)| s).max().unwrap()
@@ -192,7 +191,7 @@ impl<P: Protocol> Observer<P> for MetricsObserver {
 mod tests {
     use super::*;
     use crate::daemons::Synchronous;
-    use crate::{ActionId, RunLimits, Simulator, StopPolicy, View};
+    use crate::{ActionId, ActionSet, RunLimits, Simulator, StopPolicy, View};
     use pif_graph::generators;
 
     /// Two-action toy protocol: "grow" while below a cap, then "settle"
@@ -207,11 +206,11 @@ mod tests {
         fn action_names(&self) -> &'static [&'static str] {
             &["grow", "settle"]
         }
-        fn enabled_actions(&self, v: View<'_, i32>, out: &mut Vec<ActionId>) {
-            if *v.me() >= 0 && *v.me() < self.cap {
-                out.push(ActionId(0));
-            } else if *v.me() < 0 {
-                out.push(ActionId(1));
+        fn enabled_actions(&self, v: View<'_, i32>) -> ActionSet {
+            match *v.me() {
+                x if x < 0 => ActionSet::of(ActionId(1)),
+                x if x < self.cap => ActionSet::of(ActionId(0)),
+                _ => ActionSet::EMPTY,
             }
         }
         fn execute(&self, v: View<'_, i32>, a: ActionId) -> i32 {

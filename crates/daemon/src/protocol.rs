@@ -25,6 +25,129 @@ impl fmt::Display for ActionId {
     }
 }
 
+/// A set of a protocol's actions, one bit each: bit k ⇔ `ActionId(k)`.
+///
+/// [`Protocol::enabled_actions`] reports a processor's enabled actions as
+/// one, and the simulator, the daemons and the lossy transport pass it
+/// around by value. Iteration is ascending, so the *first* enabled action
+/// is the lowest [`ActionId`]. A protocol has at most
+/// [`ActionSet::CAPACITY`] actions; adding a higher id panics.
+///
+/// ```
+/// use pif_daemon::{ActionId, ActionSet};
+///
+/// let set: ActionSet = [ActionId(4), ActionId(1)].into_iter().collect();
+/// assert_eq!(set.first(), Some(ActionId(1)));
+/// assert_eq!(set.nth(1), Some(ActionId(4)));
+/// assert_eq!(set.len(), 2);
+/// assert!(set.contains(ActionId(4)) && !set.contains(ActionId(0)));
+/// assert_eq!(set.into_iter().collect::<Vec<_>>(), [ActionId(1), ActionId(4)]);
+/// ```
+#[derive(Clone, Copy, PartialEq, Eq)]
+pub struct ActionSet(u32);
+
+impl ActionSet {
+    /// Most actions a protocol may have.
+    pub const CAPACITY: usize = u32::BITS as usize;
+
+    /// The empty set: no action enabled.
+    pub const EMPTY: ActionSet = ActionSet(0);
+
+    /// The set whose bit k is `bits`' bit k.
+    #[inline]
+    pub const fn from_bits(bits: u32) -> Self {
+        ActionSet(bits)
+    }
+
+    /// The set as bits, bit k ⇔ `ActionId(k)`.
+    #[inline]
+    pub const fn bits(self) -> u32 {
+        self.0
+    }
+
+    /// The set holding `action` alone.
+    #[inline]
+    pub const fn of(action: ActionId) -> Self {
+        assert!(action.0 < Self::CAPACITY, "action id beyond the set's capacity");
+        ActionSet(1 << action.0)
+    }
+
+    /// Adds `action`.
+    #[inline]
+    pub fn insert(&mut self, action: ActionId) {
+        self.0 |= Self::of(action).0;
+    }
+
+    /// Whether `action` is in the set.
+    #[inline]
+    pub const fn contains(self, action: ActionId) -> bool {
+        action.0 < Self::CAPACITY && self.0 >> action.0 & 1 != 0
+    }
+
+    /// Whether the set is empty (the processor is disabled).
+    #[inline]
+    pub const fn is_empty(self) -> bool {
+        self.0 == 0
+    }
+
+    /// Number of actions in the set.
+    #[inline]
+    pub const fn len(self) -> usize {
+        self.0.count_ones() as usize
+    }
+
+    /// The lowest action, `None` if the set is empty.
+    #[inline]
+    pub fn first(self) -> Option<ActionId> {
+        (self.0 != 0).then(|| ActionId(self.0.trailing_zeros() as usize))
+    }
+
+    /// The `n`-th lowest action, counting from 0; `None` past the last.
+    #[inline]
+    pub fn nth(self, n: usize) -> Option<ActionId> {
+        self.into_iter().nth(n)
+    }
+}
+
+impl fmt::Debug for ActionSet {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_set().entries(*self).finish()
+    }
+}
+
+impl FromIterator<ActionId> for ActionSet {
+    fn from_iter<I: IntoIterator<Item = ActionId>>(iter: I) -> Self {
+        let mut set = ActionSet::EMPTY;
+        iter.into_iter().for_each(|a| set.insert(a));
+        set
+    }
+}
+
+impl IntoIterator for ActionSet {
+    type Item = ActionId;
+    type IntoIter = ActionSetIter;
+
+    #[inline]
+    fn into_iter(self) -> ActionSetIter {
+        ActionSetIter(self.0)
+    }
+}
+
+/// The actions of an [`ActionSet`], ascending.
+#[derive(Clone, Debug)]
+pub struct ActionSetIter(u32);
+
+impl Iterator for ActionSetIter {
+    type Item = ActionId;
+
+    #[inline]
+    fn next(&mut self) -> Option<ActionId> {
+        let first = ActionSet(self.0).first()?;
+        self.0 &= self.0 - 1;
+        Some(first)
+    }
+}
+
 /// Phase of the paper's PIF wave that an action belongs to.
 ///
 /// The PIF cycle is built from a broadcast wave (`B`), the normality
@@ -309,6 +432,7 @@ impl ReadProbe {
 /// reports which guards hold, and [`execute`] computes the processor's next
 /// state for one chosen action. Guard evaluation and execution against the
 /// same configuration form one atomic step, exactly as in the paper's model.
+/// A protocol has at most [`ActionSet::CAPACITY`] actions.
 ///
 /// Implementations must be *pure*: the same view must always produce the
 /// same enabled set and the same successor state. The simulator relies on
@@ -323,10 +447,10 @@ pub trait Protocol {
     /// Names of the protocol's actions, indexed by [`ActionId`].
     fn action_names(&self) -> &'static [&'static str];
 
-    /// Appends the identifiers of every action whose guard holds for the
-    /// viewed processor. The order does not matter to the simulator; daemons
-    /// may use it as a tie-breaking hint.
-    fn enabled_actions(&self, view: View<'_, Self::State>, out: &mut Vec<ActionId>);
+    /// The actions whose guards hold for the viewed processor. A daemon
+    /// that runs a processor's *first* enabled action runs the lowest
+    /// [`ActionId`] in the set.
+    fn enabled_actions(&self, view: View<'_, Self::State>) -> ActionSet;
 
     /// Computes the viewed processor's next state under `action`.
     ///
@@ -530,13 +654,14 @@ impl<S: fmt::Debug> fmt::Debug for View<'_, S> {
 
 /// The per-step enabled-set snapshot handed to a [`crate::Daemon`].
 ///
-/// Exposes which processors are enabled, which of their actions are enabled,
+/// Exposes which processors are enabled, which of their actions are enabled
+/// (an [`ActionSet`] each, whose first action is the lowest [`ActionId`]),
 /// and (for state-aware adversarial daemons) the full configuration.
 pub struct EnabledSet<'a, S> {
     graph: &'a Graph,
     states: &'a [S],
-    /// `actions[p]` lists the enabled actions of processor `p` (possibly empty).
-    actions: &'a [Vec<ActionId>],
+    /// `actions[p]` holds the enabled actions of processor `p` (possibly none).
+    actions: &'a [ActionSet],
     /// Processors with at least one enabled action, ascending.
     procs: &'a [ProcId],
     /// Zero-based index of the step about to be executed.
@@ -551,7 +676,7 @@ impl<'a, S> EnabledSet<'a, S> {
     pub(crate) fn new(
         graph: &'a Graph,
         states: &'a [S],
-        actions: &'a [Vec<ActionId>],
+        actions: &'a [ActionSet],
         procs: &'a [ProcId],
         step: u64,
     ) -> Self {
@@ -566,8 +691,8 @@ impl<'a, S> EnabledSet<'a, S> {
 
     /// The enabled actions of processor `p` (empty if `p` is disabled).
     #[inline]
-    pub fn actions_of(&self, p: ProcId) -> &'a [ActionId] {
-        &self.actions[p.index()]
+    pub fn actions_of(&self, p: ProcId) -> ActionSet {
+        self.actions[p.index()]
     }
 
     /// Whether any processor is enabled.
@@ -633,6 +758,24 @@ mod tests {
     fn action_id_display() {
         assert_eq!(ActionId(4).to_string(), "a4");
         assert_eq!(ActionId(4).index(), 4);
+    }
+
+    #[test]
+    fn action_set_is_an_ascending_bitset() {
+        let ids = [ActionId(0), ActionId(3), ActionId(6), ActionId(31)];
+        let set: ActionSet = ids.into_iter().collect();
+        assert_eq!(set.into_iter().collect::<Vec<_>>(), ids);
+        assert_eq!(ids.into_iter().rev().collect::<ActionSet>(), set);
+        assert_eq!((set.first(), set.len()), (Some(ActionId(0)), 4));
+        for (i, &a) in ids.iter().enumerate() {
+            assert_eq!(set.nth(i), Some(a));
+        }
+        assert_eq!(set.nth(ids.len()), None);
+        for k in 0..ActionSet::CAPACITY + 2 {
+            assert_eq!(set.contains(ActionId(k)), ids.contains(&ActionId(k)), "a{k}");
+        }
+        assert_eq!(set.bits(), 1 << 31 | 1 << 6 | 1 << 3 | 1);
+        assert!(ActionSet::EMPTY.is_empty() && ActionSet::EMPTY.first().is_none());
     }
 
     #[test]

@@ -1,7 +1,7 @@
 use pif_graph::{Graph, ProcId};
 
 use crate::rounds::RoundCounter;
-use crate::{ActionId, Daemon, EnabledIndex, EnabledSet, Protocol, SimError, View};
+use crate::{ActionId, ActionSet, Daemon, EnabledIndex, EnabledSet, Protocol, SimError, View};
 
 /// Budget limits for a simulation run.
 ///
@@ -237,19 +237,19 @@ pub trait RegisterStore<P: Protocol> {
 
     /// Re-evaluates the guards of every `dirty` processor, rewriting its
     /// entry of `enabled`, and pushes `(processor, now enabled)` onto
-    /// `changes` for each one whose list went from empty to non-empty or
+    /// `changes` for each one whose set went from empty to non-empty or
     /// back.
     fn refresh(
         &mut self,
         graph: &Graph,
         protocol: &P,
         dirty: &[ProcId],
-        enabled: &mut [Vec<ActionId>],
+        enabled: &mut [ActionSet],
         changes: &mut Vec<(ProcId, bool)>,
     );
 
     /// Re-evaluates every processor's guards, rewriting all of `enabled`.
-    fn refresh_all(&mut self, graph: &Graph, protocol: &P, enabled: &mut [Vec<ActionId>]);
+    fn refresh_all(&mut self, graph: &Graph, protocol: &P, enabled: &mut [ActionSet]);
 }
 
 impl<P: Protocol> RegisterStore<P> for Vec<P::State> {
@@ -282,25 +282,20 @@ impl<P: Protocol> RegisterStore<P> for Vec<P::State> {
         graph: &Graph,
         protocol: &P,
         dirty: &[ProcId],
-        enabled: &mut [Vec<ActionId>],
+        enabled: &mut [ActionSet],
         changes: &mut Vec<(ProcId, bool)>,
     ) {
         for &p in dirty {
-            let acts = &mut enabled[p.index()];
-            let was = !acts.is_empty();
-            acts.clear();
-            protocol.enabled_actions(View::new(graph, self, p), acts);
-            if was == acts.is_empty() {
-                changes.push((p, !was));
+            let now = protocol.enabled_actions(View::new(graph, self, p));
+            if std::mem::replace(&mut enabled[p.index()], now).is_empty() != now.is_empty() {
+                changes.push((p, !now.is_empty()));
             }
         }
     }
 
-    fn refresh_all(&mut self, graph: &Graph, protocol: &P, enabled: &mut [Vec<ActionId>]) {
+    fn refresh_all(&mut self, graph: &Graph, protocol: &P, enabled: &mut [ActionSet]) {
         for p in graph.procs() {
-            let acts = &mut enabled[p.index()];
-            acts.clear();
-            protocol.enabled_actions(View::new(graph, self, p), acts);
+            enabled[p.index()] = protocol.enabled_actions(View::new(graph, self, p));
         }
     }
 }
@@ -330,7 +325,7 @@ pub struct Simulator<P: Protocol, S: RegisterStore<P> = Vec<<P as Protocol>::Sta
     protocol: P,
     store: S,
     /// Enabled actions per processor, kept current by the store.
-    enabled: Vec<Vec<ActionId>>,
+    enabled: Vec<ActionSet>,
     /// Processors with at least one enabled action.
     index: EnabledIndex,
     steps: u64,
@@ -372,13 +367,13 @@ impl<P: Protocol> Simulator<P> {
     /// validation and default run budget in one expression.
     ///
     /// ```
-    /// # use pif_daemon::{Simulator, RunLimits, Protocol, View, ActionId};
+    /// # use pif_daemon::{Simulator, RunLimits, Protocol, View, ActionId, ActionSet};
     /// # use pif_graph::generators;
     /// # struct Noop;
     /// # impl Protocol for Noop {
     /// #     type State = u8;
     /// #     fn action_names(&self) -> &'static [&'static str] { &[] }
-    /// #     fn enabled_actions(&self, _: View<'_, u8>, _: &mut Vec<ActionId>) {}
+    /// #     fn enabled_actions(&self, _: View<'_, u8>) -> ActionSet { ActionSet::EMPTY }
     /// #     fn execute(&self, _: View<'_, u8>, _: ActionId) -> u8 { 0 }
     /// # }
     /// let sim = Simulator::builder(generators::chain(4).unwrap(), Noop)
@@ -408,7 +403,7 @@ impl<P: Protocol, S: RegisterStore<P>> Simulator<P, S> {
             graph,
             protocol,
             store,
-            enabled: vec![Vec::new(); n],
+            enabled: vec![ActionSet::EMPTY; n],
             index: EnabledIndex::new(n, std::iter::empty()),
             steps: 0,
             rounds: RoundCounter::new(std::iter::repeat_n(false, n)),
@@ -542,8 +537,8 @@ impl<P: Protocol, S: RegisterStore<P>> Simulator<P, S> {
 
     /// Enabled actions of processor `p` in the current configuration.
     #[inline]
-    pub fn enabled_actions(&self, p: ProcId) -> &[ActionId] {
-        &self.enabled[p.index()]
+    pub fn enabled_actions(&self, p: ProcId) -> ActionSet {
+        self.enabled[p.index()]
     }
 
     /// The `(processor, action)` pairs executed by the most recent step
@@ -615,7 +610,7 @@ impl<P: Protocol, S: RegisterStore<P>> Simulator<P, S> {
     }
 
     /// The synchronous fast path: every enabled processor executes its
-    /// first enabled action. Equivalent to one [`Simulator::step`] under
+    /// first (lowest) enabled action. Equivalent to one [`Simulator::step`] under
     /// `Synchronous::first_action`, without the snapshot, daemon dispatch,
     /// validation or observer. A terminal configuration is a no-op
     /// returning an empty report.
@@ -627,7 +622,9 @@ impl<P: Protocol, S: RegisterStore<P>> Simulator<P, S> {
         let mut selection = std::mem::take(&mut self.selection);
         selection.clear();
         let enabled = &self.enabled;
-        selection.extend(self.index.procs().iter().map(|&p| (p, enabled[p.index()][0])));
+        selection.extend(self.index.procs().iter().map(|&p| {
+            (p, enabled[p.index()].first().expect("an enabled processor has an enabled action"))
+        }));
         self.apply(selection, &mut NoOpObserver)
     }
 
@@ -824,7 +821,7 @@ impl<P: Protocol, S: RegisterStore<P>> Simulator<P, S> {
                 });
             }
             self.stamp[p.index()] = epoch;
-            if !self.enabled[p.index()].contains(&a) {
+            if !self.enabled[p.index()].contains(a) {
                 return Err(SimError::InvalidSelection {
                     reason: "action not enabled for processor".into(),
                     proc: Some(p),
@@ -981,11 +978,10 @@ mod tests {
         fn action_names(&self) -> &'static [&'static str] {
             &["push"]
         }
-        fn enabled_actions(&self, view: View<'_, i32>, out: &mut Vec<ActionId>) {
+        fn enabled_actions(&self, view: View<'_, i32>) -> ActionSet {
             // Enabled iff some neighbor with larger id has a smaller value.
-            if view.neighbor_states().any(|(q, &s)| q > view.pid() && s < *view.me()) {
-                out.push(ActionId(0));
-            }
+            let push = view.neighbor_states().any(|(q, &s)| q > view.pid() && s < *view.me());
+            if push { ActionSet::of(ActionId(0)) } else { ActionSet::EMPTY }
         }
         fn execute(&self, view: View<'_, i32>, _: ActionId) -> i32 {
             *view.me() - 1
@@ -1087,7 +1083,7 @@ mod tests {
                 out: &mut Vec<(ProcId, ActionId)>,
             ) {
                 let p = snap.enabled_procs()[0];
-                let a = snap.actions_of(p)[0];
+                let a = snap.actions_of(p).first().unwrap();
                 out.push((p, a));
                 out.push((p, a));
             }
@@ -1299,23 +1295,27 @@ mod tests {
         assert_eq!(obs.rounds_seen, sim.rounds());
     }
 
-    /// [`PushRight`] with a second action listed first: an even excess
-    /// halves instead, so "first enabled action" means list order.
+    /// [`PushRight`] with a second, lower-numbered action: an even excess
+    /// halves instead, so "first enabled action" means the lowest id.
     struct HalveOrPush;
 
     impl Protocol for HalveOrPush {
         type State = i32;
         fn action_names(&self) -> &'static [&'static str] {
-            &["push", "halve"]
+            &["halve", "push"]
         }
-        fn enabled_actions(&self, view: View<'_, i32>, out: &mut Vec<ActionId>) {
-            PushRight.enabled_actions(view, out);
-            if !out.is_empty() && *view.me() % 2 == 0 {
-                out.insert(0, ActionId(1));
+        fn enabled_actions(&self, view: View<'_, i32>) -> ActionSet {
+            let mut set = ActionSet::EMPTY;
+            if !PushRight.enabled_actions(view).is_empty() {
+                set.insert(ActionId(1));
+                if *view.me() % 2 == 0 {
+                    set.insert(ActionId(0));
+                }
             }
+            set
         }
         fn execute(&self, view: View<'_, i32>, a: ActionId) -> i32 {
-            if a == ActionId(1) { *view.me() / 2 } else { *view.me() - 1 }
+            if a == ActionId(0) { *view.me() / 2 } else { *view.me() - 1 }
         }
     }
 
@@ -1333,9 +1333,9 @@ mod tests {
             assert_eq!(fast.states(), by_daemon.states());
             assert_eq!(fast.enabled_procs(), by_daemon.enabled_procs());
             assert_eq!((fast.steps(), fast.rounds()), (by_daemon.steps(), by_daemon.rounds()));
-            halved |= fast.last_executed().iter().any(|&(_, a)| a == ActionId(1));
+            halved |= fast.last_executed().iter().any(|&(_, a)| a == ActionId(0));
         }
-        assert!(halved, "the listed-first action never ran");
+        assert!(halved, "the lowest-numbered action never ran");
         assert_eq!(fast.step_sync().executed, 0);
     }
 

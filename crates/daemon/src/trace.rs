@@ -26,7 +26,7 @@ pub struct TraceStep {
 ///
 /// ```
 /// use pif_daemon::trace::Trace;
-/// use pif_daemon::{ActionId, Protocol, RunLimits, Simulator, StopPolicy, View};
+/// use pif_daemon::{ActionId, ActionSet, Protocol, RunLimits, Simulator, StopPolicy, View};
 /// use pif_daemon::daemons::Synchronous;
 /// use pif_graph::generators;
 ///
@@ -34,8 +34,8 @@ pub struct TraceStep {
 /// impl Protocol for Zeroing {
 ///     type State = u8;
 ///     fn action_names(&self) -> &'static [&'static str] { &["zero"] }
-///     fn enabled_actions(&self, v: View<'_, u8>, out: &mut Vec<ActionId>) {
-///         if *v.me() != 0 { out.push(ActionId(0)); }
+///     fn enabled_actions(&self, v: View<'_, u8>) -> ActionSet {
+///         if *v.me() != 0 { ActionSet::of(ActionId(0)) } else { ActionSet::EMPTY }
 ///     }
 ///     fn execute(&self, _: View<'_, u8>, _: ActionId) -> u8 { 0 }
 /// }
@@ -143,7 +143,7 @@ impl<P: Protocol> Observer<P> for Trace<P> {
 mod tests {
     use super::*;
     use crate::daemons::CentralSequential;
-    use crate::{RunLimits, Simulator, View};
+    use crate::{ActionSet, RunLimits, Simulator, View};
     use pif_graph::generators;
 
     struct Dec;
@@ -152,10 +152,8 @@ mod tests {
         fn action_names(&self) -> &'static [&'static str] {
             &["dec"]
         }
-        fn enabled_actions(&self, v: View<'_, u8>, out: &mut Vec<ActionId>) {
-            if *v.me() > 0 {
-                out.push(ActionId(0));
-            }
+        fn enabled_actions(&self, v: View<'_, u8>) -> ActionSet {
+            if *v.me() > 0 { ActionSet::of(ActionId(0)) } else { ActionSet::EMPTY }
         }
         fn execute(&self, v: View<'_, u8>, _: ActionId) -> u8 {
             *v.me() - 1

@@ -677,7 +677,7 @@ pub fn diff(a: &RecordedTrace, b: &RecordedTrace) -> Vec<String> {
 mod tests {
     use super::*;
     use crate::daemons::CentralRandom;
-    use crate::{RunLimits, StopPolicy, View};
+    use crate::{ActionSet, RunLimits, StopPolicy, View};
     use pif_graph::generators;
 
     /// Max-propagation toy protocol with a correction flavor: adopting a
@@ -690,11 +690,11 @@ mod tests {
         fn action_names(&self) -> &'static [&'static str] {
             &["adopt-max", "clamp"]
         }
-        fn enabled_actions(&self, v: View<'_, i32>, out: &mut Vec<ActionId>) {
-            if *v.me() < 0 {
-                out.push(ActionId(1));
-            } else if v.neighbor_states().any(|(_, &s)| s > *v.me()) {
-                out.push(ActionId(0));
+        fn enabled_actions(&self, v: View<'_, i32>) -> ActionSet {
+            match *v.me() {
+                x if x < 0 => ActionSet::of(ActionId(1)),
+                x if v.neighbor_states().any(|(_, &s)| s > x) => ActionSet::of(ActionId(0)),
+                _ => ActionSet::EMPTY,
             }
         }
         fn execute(&self, v: View<'_, i32>, a: ActionId) -> i32 {

@@ -39,6 +39,16 @@ pub enum GraphError {
         /// Human-readable description of the violated constraint.
         reason: String,
     },
+    /// A topology spec describes more processors or links than the
+    /// generators build (`generators::MAX_NODES`, `generators::MAX_EDGES`);
+    /// reported before anything is allocated.
+    TooLarge {
+        /// The processors it describes (`None` if the count overflows).
+        nodes: Option<usize>,
+        /// The links it describes, or for `random` its pair draws (`None`
+        /// if the count overflows).
+        edges: Option<usize>,
+    },
 }
 
 impl fmt::Display for GraphError {
@@ -54,6 +64,17 @@ impl fmt::Display for GraphError {
             }
             GraphError::InvalidParameter { reason } => {
                 write!(f, "invalid generator parameter: {reason}")
+            }
+            GraphError::TooLarge { nodes, edges } => {
+                let count = |c: &Option<usize>| c.map_or("overflowing".into(), |c| c.to_string());
+                write!(
+                    f,
+                    "topology too large: {} processors and {} links, limits {} and {}",
+                    count(nodes),
+                    count(edges),
+                    crate::generators::MAX_NODES,
+                    crate::generators::MAX_EDGES
+                )
             }
         }
     }
@@ -73,6 +94,7 @@ mod tests {
             GraphError::SelfLoop { node: ProcId(2) },
             GraphError::Disconnected { witness: ProcId(3) },
             GraphError::InvalidParameter { reason: "grid side must be positive".into() },
+            GraphError::TooLarge { nodes: Some(1_000_000), edges: None },
         ];
         for e in errs {
             let msg = e.to_string();

@@ -13,6 +13,35 @@ use rand::{RngExt, SeedableRng};
 
 use crate::{Graph, GraphBuilder, GraphError, ProcId};
 
+/// Most processors a generated topology may have: `hypercube:20`'s 2^20.
+pub const MAX_NODES: usize = 1 << 20;
+
+/// Most links a generated topology may have: `hypercube:20`'s 20 · 2^19.
+/// For `random`, the n(n−1)/2 pair draws count instead, since each one
+/// may add a link.
+pub const MAX_EDGES: usize = 20 << 19;
+
+/// Accepts a family instance of `(processors, links)` (`None` when a
+/// count overflows `usize`) within [`MAX_NODES`] and [`MAX_EDGES`], before
+/// anything is allocated.
+fn check_size((nodes, edges): (Option<usize>, Option<usize>)) -> Result<(), GraphError> {
+    match (nodes, edges) {
+        (Some(n), Some(m)) if n <= MAX_NODES && m <= MAX_EDGES => Ok(()),
+        _ => Err(GraphError::TooLarge { nodes, edges }),
+    }
+}
+
+/// The processors and links of `Q_d`: 2^d and d · 2^(d−1).
+fn hypercube_size(d: u32) -> (Option<usize>, Option<usize>) {
+    let n = 1usize.checked_shl(d);
+    (n, n.and_then(|n| (n / 2).checked_mul(d as usize)))
+}
+
+/// The links of a clique on `n` processors, n(n−1)/2.
+fn pairs(n: usize) -> Option<usize> {
+    n.checked_mul(n.saturating_sub(1)).map(|m| m / 2)
+}
+
 /// A single processor with no links. The smallest valid network (`N = 1`).
 pub fn singleton() -> Graph {
     GraphBuilder::new(1).name("singleton").build().expect("singleton is always valid")
@@ -191,14 +220,10 @@ pub fn torus(w: usize, h: usize) -> Result<Graph, GraphError> {
 ///
 /// # Errors
 ///
-/// Returns [`GraphError::InvalidParameter`] if `d > 20` (guard against
-/// accidental enormous graphs). `d = 0` yields the singleton.
+/// Returns [`GraphError::TooLarge`] if `d > 20` (guard against accidental
+/// enormous graphs). `d = 0` yields the singleton.
 pub fn hypercube(d: u32) -> Result<Graph, GraphError> {
-    if d > 20 {
-        return Err(GraphError::InvalidParameter {
-            reason: format!("hypercube dimension {d} too large (max 20)"),
-        });
-    }
+    check_size(hypercube_size(d))?;
     let n = 1usize << d;
     let mut b = GraphBuilder::new(n);
     for i in 0..n {
@@ -505,8 +530,11 @@ impl Topology {
     ///
     /// # Errors
     ///
-    /// Propagates the underlying generator's [`GraphError`].
+    /// [`GraphError::TooLarge`] past [`MAX_NODES`] processors or
+    /// [`MAX_EDGES`] links, judged from the parameters before anything is
+    /// allocated; otherwise the underlying generator's [`GraphError`].
     pub fn build(&self) -> Result<Graph, GraphError> {
+        check_size(self.size())?;
         match *self {
             Topology::Chain { n } => chain(n),
             Topology::Ring { n } => ring(n),
@@ -524,6 +552,48 @@ impl Topology {
             Topology::Petersen => Ok(petersen()),
             Topology::Barbell { clique, bridge } => barbell(clique, bridge),
             Topology::Random { n, p, seed } => random_connected(n, p, seed),
+        }
+    }
+
+    /// The instance's processor and link counts (for `random`, its pair
+    /// draws), computed from its parameters; `None` where one overflows.
+    fn size(&self) -> (Option<usize>, Option<usize>) {
+        match *self {
+            Topology::Chain { n }
+            | Topology::Star { n }
+            | Topology::KaryTree { n, .. }
+            | Topology::RandomTree { n, .. } => (Some(n), Some(n.saturating_sub(1))),
+            Topology::Ring { n } => (Some(n), Some(n)),
+            Topology::Complete { n } | Topology::Random { n, .. } => (Some(n), pairs(n)),
+            Topology::Grid { w, h } => (
+                w.checked_mul(h),
+                w.saturating_sub(1)
+                    .checked_mul(h)
+                    .zip(h.saturating_sub(1).checked_mul(w))
+                    .and_then(|(a, b)| a.checked_add(b)),
+            ),
+            Topology::Torus { w, h } => {
+                let n = w.checked_mul(h);
+                (n, n.and_then(|n| n.checked_mul(2)))
+            }
+            Topology::Hypercube { d } => hypercube_size(d),
+            Topology::Lollipop { clique, tail } => {
+                (clique.checked_add(tail), pairs(clique).and_then(|m| m.checked_add(tail)))
+            }
+            Topology::Caterpillar { spine, legs } => (
+                legs.checked_add(1).and_then(|l| l.checked_mul(spine)),
+                legs.checked_mul(spine).and_then(|m| m.checked_add(spine.saturating_sub(1))),
+            ),
+            Topology::Wheel { n } => (Some(n), n.saturating_sub(1).checked_mul(2)),
+            Topology::Bipartite { a, b } => (a.checked_add(b), a.checked_mul(b)),
+            Topology::Petersen => (Some(10), Some(15)),
+            Topology::Barbell { clique, bridge } => (
+                clique.checked_mul(2).and_then(|c| c.checked_add(bridge)),
+                pairs(clique)
+                    .and_then(|m| m.checked_mul(2))
+                    .and_then(|m| m.checked_add(bridge))
+                    .and_then(|m| m.checked_add(1)),
+            ),
         }
     }
 
@@ -865,6 +935,42 @@ mod tests {
             assert_eq!(got, want, "{spec}");
             got.build().unwrap_or_else(|e| panic!("{spec} build: {e}"));
         }
+    }
+
+    #[test]
+    fn sizes_match_the_built_graphs() {
+        let mut topologies = Topology::standard_suite();
+        topologies.extend([Topology::Hypercube { d: 0 }, Topology::Chain { n: 1 }]);
+        for t in topologies {
+            let g = t.build().unwrap();
+            let (nodes, edges) = t.size();
+            assert_eq!(nodes, Some(g.len()), "{t}");
+            if let Topology::Random { n, .. } = t {
+                assert_eq!(edges, Some(n * (n - 1) / 2), "{t}");
+            } else {
+                assert_eq!(edges, Some(g.edge_count()), "{t}");
+            }
+        }
+    }
+
+    #[test]
+    fn oversize_specs_are_refused_before_anything_is_built() {
+        let overflowing = format!("torus:{0}x{0}", 1usize << (usize::BITS / 2));
+        for spec in [
+            "complete:1000000",
+            "grid:100000x100000",
+            &overflowing,
+            "random:1000000:0.5:1",
+            "hypercube:21",
+        ] {
+            let err = Topology::parse(spec).unwrap().build().unwrap_err();
+            assert!(matches!(err, GraphError::TooLarge { .. }), "{spec}: {err}");
+        }
+        // The limits are hypercube:20's size, which stays admitted.
+        let q20 = Topology::Hypercube { d: 20 }.size();
+        assert_eq!(q20, (Some(MAX_NODES), Some(MAX_EDGES)));
+        assert_eq!(check_size(q20), Ok(()));
+        assert_eq!(check_size(Topology::Chain { n: 65_537 }.size()), Ok(()));
     }
 
     #[test]

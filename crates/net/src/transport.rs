@@ -327,7 +327,6 @@ where
             enabled: EnabledIndex::new(n, std::iter::empty()),
             pool: FramePool::default(),
             view,
-            actions_scratch: Vec::new(),
             payload_scratch: Vec::new(),
             frame_scratch: Vec::new(),
             before_scratch: Vec::new(),
@@ -417,7 +416,6 @@ where
     // Scratch buffers reused across events (contents meaningless between
     // calls); the byte buffers are taken while in use to satisfy the
     // borrow checker.
-    actions_scratch: Vec<ActionId>,
     payload_scratch: Vec<u8>,
     frame_scratch: Vec<u8>,
     before_scratch: Vec<P::State>,
@@ -560,10 +558,7 @@ where
     /// pure function of that view, so the enabled status would not move.
     fn recompute_enabled(&mut self, p: ProcId) {
         self.sync.local_view_into(&self.graph, &self.states[p.index()], p, &mut self.view);
-        self.actions_scratch.clear();
-        self.protocol
-            .enabled_actions(View::new(&self.graph, &self.view, p), &mut self.actions_scratch);
-        let now = !self.actions_scratch.is_empty();
+        let now = !self.protocol.enabled_actions(View::new(&self.graph, &self.view, p)).is_empty();
         if now != self.enabled.contains(p) {
             self.enabled.apply(&[(p, now)]);
         }
@@ -599,11 +594,11 @@ where
         let idx = self.rng.random_range(0..self.enabled.procs().len());
         let p = self.enabled.procs()[idx];
         self.sync.local_view_into(&self.graph, &self.states[p.index()], p, &mut self.view);
-        self.actions_scratch.clear();
-        self.protocol
-            .enabled_actions(View::new(&self.graph, &self.view, p), &mut self.actions_scratch);
-        let action =
-            *self.actions_scratch.first().expect("enabled index implies an enabled action");
+        let action = self
+            .protocol
+            .enabled_actions(View::new(&self.graph, &self.view, p))
+            .first()
+            .expect("enabled index implies an enabled action");
         let next = self.protocol.execute(View::new(&self.graph, &self.view, p), action);
 
         let old = self.states[p.index()].clone();
@@ -809,7 +804,7 @@ mod tests {
     use super::*;
     use pif_core::{initial, Phase, PifProtocol, PifState};
     use pif_daemon::daemons::Synchronous;
-    use pif_daemon::{RunLimits, Simulator};
+    use pif_daemon::{ActionSet, RunLimits, Simulator};
     use pif_graph::generators;
 
     fn pif_builder(n: usize) -> NetBuilder<PifProtocol> {
@@ -1032,10 +1027,9 @@ mod tests {
         fn action_names(&self) -> &'static [&'static str] {
             &["adopt"]
         }
-        fn enabled_actions(&self, view: View<'_, u64>, out: &mut Vec<ActionId>) {
-            if view.neighbor_states().any(|(_, &s)| s > *view.me()) {
-                out.push(ActionId(0));
-            }
+        fn enabled_actions(&self, view: View<'_, u64>) -> ActionSet {
+            let adopt = view.neighbor_states().any(|(_, &s)| s > *view.me());
+            if adopt { ActionSet::of(ActionId(0)) } else { ActionSet::EMPTY }
         }
         fn execute(&self, view: View<'_, u64>, _: ActionId) -> u64 {
             view.neighbor_states().map(|(_, &s)| s).max().unwrap_or(0).max(*view.me())

@@ -4,7 +4,9 @@
 //! engine-agnostic.
 
 use pif_core::{PifProtocol, PifState};
-use pif_daemon::{ActionId, Daemon, Observer, SimBuilder, SimError, Simulator, StepReport};
+use pif_daemon::{
+    ActionId, ActionSet, Daemon, Observer, SimBuilder, SimError, Simulator, StepReport,
+};
 use pif_graph::{Graph, ProcId};
 
 use crate::sim::{Packed, SoaSimulator};
@@ -185,7 +187,7 @@ impl EngineSim {
     }
 
     /// Enabled actions of processor `p`.
-    pub fn enabled_actions(&self, p: ProcId) -> &[ActionId] {
+    pub fn enabled_actions(&self, p: ProcId) -> ActionSet {
         on_engine!(self, s => s.enabled_actions(p))
     }
 

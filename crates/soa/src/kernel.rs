@@ -2,11 +2,11 @@
 //!
 //! [`GuardKernel::mask`] evaluates all seven guards of one processor in a
 //! **single ascending pass** over its CSR neighbor list, returning a 7-bit
-//! mask (bit *k* set ⇔ `ActionId(k)` enabled). It is the packed-register
-//! twin of the array-of-structs fused scan
-//! `PifProtocol::enabled_mask`: the same dispatch on `Pif_p`, reading
-//! one tag byte per neighbor where the `AoS` scan reads a `PifState`
-//! through a `View`. [`GuardKernel::execute`] is the matching
+//! mask (bit *k* set ⇔ `ActionId(k)` enabled, the bits of an
+//! `ActionSet`). It is the packed-register twin of the array-of-structs
+//! fused scan in `PifProtocol::enabled_actions`: the same dispatch on
+//! `Pif_p`, reading one tag byte per neighbor where the `AoS` scan reads
+//! a `PifState` through a `View`. [`GuardKernel::execute`] is the matching
 //! allocation-free action semantics.
 //!
 //! Equivalence with [`pif_core::PifProtocol`] is bit-for-bit — including
@@ -25,8 +25,8 @@ use pif_daemon::ActionId;
 use crate::config::{SoaConfig, TAG_B, TAG_F, TAG_FOK};
 
 /// Bit positions of the seven actions in a guard mask, in guard-evaluation
-/// order (`enabled_actions` push order): the lowest set bit of a mask is
-/// exactly the action `Synchronous::first_action` would select.
+/// order (ascending `ActionId`): the lowest set bit of a mask is exactly
+/// the action `Synchronous::first_action` would select.
 pub const ACTION_BITS: usize = 7;
 
 /// The guard/action kernel: protocol parameters flattened next to a CSR
@@ -394,13 +394,8 @@ impl<'a> GuardKernel<'a> {
 mod tests {
     use super::*;
     use pif_core::initial;
-    use pif_daemon::{Protocol, View};
+    use pif_daemon::{ActionSet, Protocol, View};
     use pif_graph::generators;
-
-    /// Reference mask straight from the `AoS` protocol.
-    fn aos_mask(proto: &PifProtocol, graph: &Graph, states: &[PifState], p: ProcId) -> u8 {
-        proto.enabled_mask(View::new(graph, states, p))
-    }
 
     fn assert_masks_match(proto: &PifProtocol, graph: &Graph, states: &[PifState]) {
         let mut cfg = SoaConfig::new(graph.len());
@@ -408,8 +403,8 @@ mod tests {
         let kernel = GuardKernel::new(proto, graph);
         for p in graph.procs() {
             assert_eq!(
-                kernel.mask(&cfg, p.index()),
-                aos_mask(proto, graph, states, p),
+                ActionSet::from_bits(kernel.mask(&cfg, p.index()).into()),
+                proto.enabled_actions(View::new(graph, states, p)),
                 "guard mask diverges at {p} in {states:?}"
             );
         }
@@ -464,13 +459,10 @@ mod tests {
             let states = initial::random_config(&g, &proto, seed);
             cfg.load(&states);
             for p in g.procs() {
-                let mask = kernel.mask(&cfg, p.index());
-                for a in 0..ACTION_BITS {
-                    if mask >> a & 1 != 0 {
-                        let aos = proto.execute(View::new(&g, &states, p), ActionId(a));
-                        let soa = kernel.execute(&cfg, p.index(), ActionId(a));
-                        assert_eq!(soa, aos, "execute diverges: {p} action {a}");
-                    }
+                for a in ActionSet::from_bits(kernel.mask(&cfg, p.index()).into()) {
+                    let aos = proto.execute(View::new(&g, &states, p), a);
+                    let soa = kernel.execute(&cfg, p.index(), a);
+                    assert_eq!(soa, aos, "execute diverges: {p} action {a}");
                 }
             }
         }

@@ -15,11 +15,13 @@
 //!   `L_q < L_max` test is the one scalar comparison in the scatter pass.
 //! * **Per-step evaluation** re-runs the scalar kernel only over the dirty
 //!   set the simulator hands over (executed processors and their
-//!   neighbors), building one [`GuardKernel`] per step and rewriting only
-//!   the action lists whose mask changed.
+//!   neighbors), building one [`GuardKernel`] per step.
+//!
+//! Either way a mask is written straight into the simulator's
+//! [`ActionSet`] of the processor: the store keeps no copy of its own.
 
 use pif_core::{PifProtocol, PifState};
-use pif_daemon::{ActionId, RegisterStore, Simulator};
+use pif_daemon::{ActionId, ActionSet, RegisterStore, Simulator};
 use pif_graph::{Graph, ProcId};
 
 use crate::config::SoaConfig;
@@ -32,7 +34,7 @@ use crate::kernel::GuardKernel;
 /// that).
 pub type SoaSimulator = Simulator<PifProtocol, Packed>;
 
-/// PIF's registers in packed planes, with one guard mask per processor.
+/// PIF's registers in packed planes.
 #[derive(Clone, Debug)]
 pub struct Packed {
     /// The packed configuration (source of truth for guard evaluation).
@@ -40,8 +42,6 @@ pub struct Packed {
     /// Array-of-structs mirror, kept in lockstep per written processor so
     /// [`RegisterStore::states`] and the daemon snapshot are zero-cost.
     mirror: Vec<PifState>,
-    /// Per-processor guard masks (bit `k` ⇔ `ActionId(k)` enabled).
-    masks: Vec<u8>,
     /// Scatter plane: some participating non-root neighbor claims `p` as
     /// parent (violates `Leaf(p)`).
     plane_claimed: Vec<u64>,
@@ -50,7 +50,7 @@ pub struct Packed {
 }
 
 impl Packed {
-    /// Packs an initial configuration. The masks are computed when a
+    /// Packs an initial configuration. The guards are evaluated when a
     /// simulator is built over the store.
     pub fn new(init: Vec<PifState>) -> Self {
         let n = init.len();
@@ -60,7 +60,6 @@ impl Packed {
         Packed {
             cfg,
             mirror: init,
-            masks: vec![0; n],
             plane_claimed: vec![0; words],
             plane_prepot: vec![0; words],
         }
@@ -70,22 +69,6 @@ impl Packed {
     #[inline]
     pub fn config(&self) -> &SoaConfig {
         &self.cfg
-    }
-
-    /// The guard mask of processor `p` (bit `k` ⇔ `ActionId(k)` enabled).
-    #[inline]
-    pub fn mask_of(&self, p: ProcId) -> u8 {
-        self.masks[p.index()]
-    }
-}
-
-/// Rewrites an action list from a guard mask, ascending.
-fn write_actions(acts: &mut Vec<ActionId>, mask: u8) {
-    acts.clear();
-    let mut bits = mask;
-    while bits != 0 {
-        acts.push(ActionId(bits.trailing_zeros() as usize));
-        bits &= bits - 1;
     }
 }
 
@@ -124,21 +107,14 @@ impl RegisterStore<PifProtocol> for Packed {
         graph: &Graph,
         protocol: &PifProtocol,
         dirty: &[ProcId],
-        enabled: &mut [Vec<ActionId>],
+        enabled: &mut [ActionSet],
         changes: &mut Vec<(ProcId, bool)>,
     ) {
         let kernel = GuardKernel::new(protocol, graph);
         for &p in dirty {
-            let pi = p.index();
-            let old = self.masks[pi];
-            let new = kernel.mask(&self.cfg, pi);
-            if old == new {
-                continue;
-            }
-            self.masks[pi] = new;
-            write_actions(&mut enabled[pi], new);
-            if (old != 0) != (new != 0) {
-                changes.push((p, new != 0));
+            let now = ActionSet::from_bits(kernel.mask(&self.cfg, p.index()).into());
+            if std::mem::replace(&mut enabled[p.index()], now).is_empty() != now.is_empty() {
+                changes.push((p, !now.is_empty()));
             }
         }
     }
@@ -147,13 +123,8 @@ impl RegisterStore<PifProtocol> for Packed {
     /// scatter `claimed` and `pre-potential` planes, settle every clean
     /// non-root processor with word algebra, run the scalar kernel over
     /// participants and the root only.
-    fn refresh_all(
-        &mut self,
-        graph: &Graph,
-        protocol: &PifProtocol,
-        enabled: &mut [Vec<ActionId>],
-    ) {
-        let Packed { cfg, masks, plane_claimed, plane_prepot, .. } = self;
+    fn refresh_all(&mut self, graph: &Graph, protocol: &PifProtocol, enabled: &mut [ActionSet]) {
+        let Packed { cfg, plane_claimed, plane_prepot, .. } = self;
         cfg.sync_planes();
         let kernel = GuardKernel::new(protocol, graph);
         let n = graph.len();
@@ -209,21 +180,14 @@ impl RegisterStore<PifProtocol> for Packed {
             let mut quiet = valid & !scalar;
             while quiet != 0 {
                 let bit = quiet.trailing_zeros() as usize;
-                masks[lo + bit] = (b_enable >> bit & 1) as u8;
+                enabled[lo + bit] = ActionSet::from_bits((b_enable >> bit & 1) as u32);
                 quiet &= quiet - 1;
             }
             let mut hard = scalar;
             while hard != 0 {
                 let bit = hard.trailing_zeros() as usize;
-                masks[lo + bit] = kernel.mask(cfg, lo + bit);
+                enabled[lo + bit] = ActionSet::from_bits(kernel.mask(cfg, lo + bit).into());
                 hard &= hard - 1;
-            }
-
-            let mut all = valid;
-            while all != 0 {
-                let p = lo + all.trailing_zeros() as usize;
-                write_actions(&mut enabled[p], masks[p]);
-                all &= all - 1;
             }
         }
     }
@@ -280,8 +244,8 @@ mod tests {
                 let kernel = GuardKernel::new(&proto, &g);
                 for p in 0..n {
                     assert_eq!(
-                        soa.store().mask_of(ProcId::from_index(p)),
-                        kernel.mask(soa.store().config(), p),
+                        soa.enabled_actions(ProcId::from_index(p)),
+                        ActionSet::from_bits(kernel.mask(soa.store().config(), p).into()),
                         "mask diverges at p{p} (n={n}, seed={seed})"
                     );
                 }
@@ -342,7 +306,7 @@ mod tests {
                 let fresh = Simulator::new(g.clone(), soa.protocol().clone(), soa.states().to_vec());
                 assert_eq!(soa.enabled_procs(), fresh.enabled_procs(), "{name}, step {step}");
                 let flips =
-                    g.procs().filter(|&p| was[p.index()] != (soa.store().mask_of(p) != 0)).count();
+                    g.procs().filter(|&p| was[p.index()] == soa.enabled_actions(p).is_empty()).count();
                 in_place |= flips == 1 && enabled_before >= 12;
                 rebuilt |= flips >= 20;
             }
@@ -421,7 +385,7 @@ mod tests {
                 out: &mut Vec<(ProcId, ActionId)>,
             ) {
                 let p = snap.enabled_procs()[0];
-                let a = snap.actions_of(p)[0];
+                let a = snap.actions_of(p).first().unwrap();
                 out.push((p, a));
                 out.push((p, a));
             }

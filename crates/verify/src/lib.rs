@@ -51,13 +51,13 @@
 //!
 //! # Guard evaluation
 //!
-//! Every check reads guards through one function:
-//! [`PifProtocol::enabled_mask`], the protocol as the simulators run it
+//! Every check reads guards through one function: `PifProtocol`'s
+//! [`Protocol::enabled_actions`], the protocol as the simulators run it
 //! and the analyzer certifies it. The product searches share a memo of
-//! those masks over the whole configuration space when it fits
-//! (`DESIGN.md` §11.5); abnormality and the set of round-owing
-//! processors are read off the masks, so no second guard evaluation
-//! exists.
+//! those sets, one byte per processor, over the whole configuration
+//! space when it fits (`DESIGN.md` §11.5); abnormality and the set of
+//! round-owing processors are read off the masks, so no second guard
+//! evaluation exists.
 //!
 //! # Reductions
 //!
@@ -115,7 +115,7 @@ use frontier::Search;
 use memo::EnabledMemo;
 use pif_core::protocol::{B_ACTION, B_CORRECTION, F_ACTION, F_CORRECTION};
 use pif_core::{Phase, PifProtocol, PifState};
-use pif_daemon::{ActionId, Protocol, View};
+use pif_daemon::{ActionId, ActionSet, Protocol, View};
 use pif_graph::{automorphism, Graph, ProcId};
 use por::PorCtx;
 use symmetry::Quotient;
@@ -174,6 +174,13 @@ pub enum VerifyError {
         /// Processors in the network.
         procs: usize,
     },
+    /// A queried configuration id is not below the configuration count.
+    IdOutOfRange {
+        /// The offending id.
+        id: u64,
+        /// The number of configurations, the first id out of range.
+        configs: u64,
+    },
 }
 
 impl std::fmt::Display for VerifyError {
@@ -190,6 +197,9 @@ impl std::fmt::Display for VerifyError {
             }
             VerifyError::WrongLength { states, procs } => {
                 write!(f, "configuration of {states} states for a network of {procs} processors")
+            }
+            VerifyError::IdOutOfRange { id, configs } => {
+                write!(f, "configuration id {id} out of range for {configs} configurations")
             }
         }
     }
@@ -444,15 +454,35 @@ impl StateSpace {
     }
 
     /// Decodes a configuration id into register states.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id` is not below [`StateSpace::config_count`];
+    /// [`StateSpace::try_decode`] reports that as a typed error instead.
     pub fn decode(&self, id: u64) -> Vec<PifState> {
+        self.try_decode(id).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// Decodes a configuration id into register states, reporting an id
+    /// outside the space as a typed error.
+    ///
+    /// # Errors
+    ///
+    /// [`VerifyError::IdOutOfRange`] unless `id` is below
+    /// [`StateSpace::config_count`].
+    pub fn try_decode(&self, id: u64) -> Result<Vec<PifState>, VerifyError> {
+        if id >= self.total {
+            return Err(VerifyError::IdOutOfRange { id, configs: self.total });
+        }
         let mut out = Vec::with_capacity(self.domains.len());
         self.decode_into(id, &mut out);
-        out
+        Ok(out)
     }
 
     /// Decodes into a caller-owned buffer — the search loops decode one
     /// configuration per dequeued product state, and reusing the buffer
-    /// keeps them allocation-free after warmup.
+    /// keeps them allocation-free after warmup. Unchecked: their ids are
+    /// below the configuration count by construction.
     fn decode_into(&self, mut id: u64, out: &mut Vec<PifState>) {
         out.clear();
         for d in &self.domains {
@@ -508,12 +538,13 @@ impl StateSpace {
         Ok(id)
     }
 
-    /// [`PifProtocol::enabled_mask`] of every processor of `states`, in
-    /// processor order.
+    /// [`Protocol::enabled_actions`] of every processor of `states`, in
+    /// processor order, narrowed to the memo's byte: PIF's seven actions
+    /// fit in one.
     fn guard_masks<'s>(&'s self, states: &'s [PifState]) -> impl Iterator<Item = u8> + 's {
-        self.graph
-            .procs()
-            .map(move |p| self.protocol.enabled_mask(View::new(&self.graph, states, p)))
+        self.graph.procs().map(move |p| {
+            self.protocol.enabled_actions(View::new(&self.graph, states, p)).bits() as u8
+        })
     }
 
     /// The shared guard-mask memo, built on first use by `workers`
@@ -1065,17 +1096,15 @@ impl SearchCtx<'_> {
         counts.clear();
         for (i, &mask) in masks.iter().enumerate().filter(|&(_, &mask)| mask != 0) {
             let view = View::new(&space.graph, states, ProcId::from_index(i));
-            let mut bits = mask;
-            while bits != 0 {
-                let action = ActionId(bits.trailing_zeros() as usize);
-                bits &= bits - 1;
+            let actions = ActionSet::from_bits(mask.into());
+            for action in actions {
                 let state = space.protocol.execute(view, action);
                 let idx = space.shapes[i].index_of(&state);
                 let idx = idx.expect("actions keep registers in their domains");
                 let delta = (i64::from(idx) - i64::from(idxs[i])) * space.strides[i] as i64;
                 moves.push(Move { proc: i, action, state, idx, delta });
             }
-            counts.push(mask.count_ones() as usize + 1);
+            counts.push(actions.len() + 1);
         }
         counts.iter().product()
     }
@@ -1389,6 +1418,24 @@ mod tests {
             let states = s.decode(id);
             assert_eq!(s.encode(&states), id);
         }
+    }
+
+    #[test]
+    fn decode_rejects_ids_past_the_configuration_count() {
+        let s = space(3);
+        let configs = s.config_count();
+        for id in [configs, configs + 5] {
+            assert_eq!(s.try_decode(id), Err(VerifyError::IdOutOfRange { id, configs }));
+        }
+        let last = s.try_decode(configs - 1).unwrap();
+        assert_eq!(s.encode(&last), configs - 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn decode_panics_instead_of_aliasing_id_0() {
+        let s = space(3);
+        let _ = s.decode(s.config_count());
     }
 
     #[test]

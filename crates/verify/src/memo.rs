@@ -1,9 +1,9 @@
 //! Per-configuration memo of guard masks.
 //!
 //! Both product searches repeatedly ask for the guard masks of a
-//! configuration — `PifProtocol::enabled_mask` of every processor — an
-//! answer that depends only on the configuration id, not on the search
-//! overlay it is paired with. A configuration id recurs many times during
+//! configuration — `PifProtocol`'s `enabled_actions` of every processor,
+//! narrowed from its `ActionSet` to a byte — an answer that depends only
+//! on the configuration id, not on the search overlay it is paired with. A configuration id recurs many times during
 //! a search — once per overlay variant it is reached with, and once per
 //! transition that lands on it — so the masks are computed exactly once,
 //! in a parallel pass over the id range, and stored flat:

@@ -167,7 +167,7 @@ mod tests {
     use super::*;
     use crate::{unpack_corr, unpack_snap};
     use pif_core::PifProtocol;
-    use pif_daemon::{ActionId, Protocol, View};
+    use pif_daemon::{Protocol, View};
     use pif_graph::{generators, Graph, ProcId};
 
     fn space_of(g: Graph, root: ProcId) -> StateSpace {
@@ -239,11 +239,11 @@ mod tests {
                     for i in 0..n {
                         let ti = usize::from(perm.map[i]);
                         let view = View::new(s.graph(), &states, ProcId::from_index(i));
-                        let mask = s.protocol().enabled_mask(view);
+                        let actions = s.protocol().enabled_actions(view);
                         let view = View::new(s.graph(), &mapped, ProcId::from_index(ti));
-                        let mask_mapped = s.protocol().enabled_mask(view);
-                        assert_eq!(mask, mask_mapped, "masks diverge at proc {i} of {}", s.graph().name());
-                        for a in (0..8).filter(|a| mask >> a & 1 != 0).map(ActionId) {
+                        let mapped_actions = s.protocol().enabled_actions(view);
+                        assert_eq!(actions, mapped_actions, "masks diverge at proc {i} of {}", s.graph().name());
+                        for a in actions {
                             let succ = s.protocol().execute(
                                 View::new(s.graph(), &states, ProcId::from_index(i)),
                                 a,
@@ -315,7 +315,7 @@ mod tests {
                 let (states, idxs) = decoded(&s, cfg);
                 let pending = (0..n).fold(0u16, |pending, i| {
                     let view = View::new(s.graph(), &states, ProcId::from_index(i));
-                    pending | u16::from(s.protocol().enabled_mask(view) != 0) << i
+                    pending | u16::from(!s.protocol().enabled_actions(view).is_empty()) << i
                 });
                 let rep = q.is_representative(&idxs, cfg);
                 let snap_seed = (cfg, 0, 0, false);

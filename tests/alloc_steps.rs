@@ -8,20 +8,21 @@
 //! `std::alloc::System`, counts every `alloc`/`realloc`/`alloc_zeroed`,
 //! and asserts the counter does not move across a long post-warmup run.
 //!
-//! Counting is gated on a thread-local flag so only allocations made by
-//! the thread driving the simulator are charged — the libtest harness's
-//! main thread waits alongside the test thread and occasionally
-//! allocates on its own schedule, which is not the simulator's doing.
+//! Counting is gated on a thread-local flag, and the count is
+//! thread-local too, so only allocations made by the thread driving the
+//! simulator are charged — the libtest harness's main thread waits
+//! alongside the test thread and occasionally allocates on its own
+//! schedule, and tests running in parallel each count their own.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 use pif_chaos::ScriptedAdversary;
 use pif_core::{initial, PifProtocol, PifState};
 use pif_daemon::daemons::{AdversarialLifo, CentralRandom};
+use pif_daemon::fairness::FairnessAuditor;
 use pif_daemon::{
-    ActionId, Daemon, MetricsObserver, Protocol, RegisterStore, Simulator, View,
+    ActionId, ActionSet, Daemon, MetricsObserver, Protocol, RegisterStore, Simulator, View,
 };
 use pif_graph::{generators, ProcId};
 use pif_net::{FaultPlan, NetBuilder, Transport};
@@ -29,20 +30,24 @@ use pif_soa::{Packed, SoaSimulator};
 
 struct CountingAlloc;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-
 std::thread_local! {
-    // `const`-initialized so reading it never allocates (no lazy init),
-    // which keeps the global allocator re-entrancy-safe.
+    // `const`-initialized so reading them never allocates (no lazy
+    // init), which keeps the global allocator re-entrancy-safe.
     static TRACKING: Cell<bool> = const { Cell::new(false) };
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
 }
 
 fn count_if_tracking() {
     // `try_with` tolerates allocator calls during thread teardown, after
-    // the TLS slot is gone.
+    // the TLS slots are gone.
     if TRACKING.try_with(Cell::get).unwrap_or(false) {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
     }
+}
+
+/// Allocations counted on this thread so far.
+fn allocations() -> u64 {
+    ALLOCATIONS.with(Cell::get)
 }
 
 unsafe impl GlobalAlloc for CountingAlloc {
@@ -91,13 +96,11 @@ impl Protocol for TokenRing {
         &["advance"]
     }
 
-    fn enabled_actions(&self, v: View<'_, u32>, out: &mut Vec<ActionId>) {
+    fn enabled_actions(&self, v: View<'_, u32>) -> ActionSet {
         let prev = *v.state(self.predecessor(v.pid()));
         let holds_token =
             if v.pid().index() == 0 { *v.me() == prev } else { *v.me() != prev };
-        if holds_token {
-            out.push(ActionId(0));
-        }
+        if holds_token { ActionSet::of(ActionId(0)) } else { ActionSet::EMPTY }
     }
 
     fn execute(&self, v: View<'_, u32>, _a: ActionId) -> u32 {
@@ -127,13 +130,13 @@ fn steady_state_steps_do_not_allocate() {
         assert!(!rep.terminal, "token ring must never terminate");
     }
 
-    let before = ALLOCATIONS.load(Ordering::SeqCst);
+    let before = allocations();
     TRACKING.with(|t| t.set(true));
     for _ in 0..10_000 {
         sim.step(&mut daemon).unwrap();
     }
     TRACKING.with(|t| t.set(false));
-    let after = ALLOCATIONS.load(Ordering::SeqCst);
+    let after = allocations();
 
     assert_eq!(
         after - before,
@@ -142,6 +145,81 @@ fn steady_state_steps_do_not_allocate() {
         after - before
     );
     assert!(sim.rounds() > 0, "round accounting must still advance");
+}
+
+/// The allocations `build` makes on this thread; what it builds is
+/// dropped uncounted.
+fn allocations_of<T>(build: impl FnOnce() -> T) -> u64 {
+    let before = allocations();
+    TRACKING.with(|t| t.set(true));
+    let built = build();
+    TRACKING.with(|t| t.set(false));
+    let after = allocations();
+    drop(built);
+    after - before
+}
+
+#[test]
+fn construction_allocates_the_same_however_many_processors_are_enabled() {
+    // Enabled actions are one set per processor, held inline: building a
+    // simulator from a configuration with one enabled processor and from
+    // one with hundreds costs the same allocations, on either store.
+    let g = generators::torus(32, 32).unwrap();
+    let protocol = PifProtocol::new(ProcId(0), &g);
+    // (enabled processors, generic-store allocations, SoA allocations)
+    let build = |init: Vec<PifState>| {
+        let (g1, p1, s1) = (g.clone(), protocol.clone(), init.clone());
+        let mut enabled = 0;
+        let aos = allocations_of(|| {
+            let sim = Simulator::new(g1, p1, s1);
+            enabled = sim.enabled_procs().len();
+            sim
+        });
+        let (g2, p2) = (g.clone(), protocol.clone());
+        let soa = allocations_of(|| SoaSimulator::with_store(g2, p2, Packed::new(init)));
+        (enabled, aos, soa)
+    };
+    let quiet = build(initial::normal_starting(&g));
+    let busy = build(initial::random_config(&g, &protocol, 0xB05));
+    assert_eq!(quiet.0, 1, "the normal starting configuration enables only the root");
+    assert!(busy.0 >= 100, "a random configuration enables hundreds: {}", busy.0);
+    assert_eq!(busy.1, quiet.1, "generic store");
+    assert_eq!(busy.2, quiet.2, "SoA store");
+}
+
+#[test]
+fn fairness_auditing_steady_state_steps_do_not_allocate() {
+    // The auditor re-evaluates every processor's guards against the
+    // configuration the daemon chose from, each step; the sets it reads
+    // are values, so auditing moves no heap memory.
+    let g = generators::torus(8, 8).unwrap();
+    let protocol = PifProtocol::new(ProcId(0), &g);
+    let init = initial::random_config(&g, &protocol, 0xFA1);
+    let mut auditor = FairnessAuditor::new(protocol.clone());
+    let mut sim = Simulator::new(g, protocol, init);
+    let mut daemon = CentralRandom::new(0xFA1);
+
+    for _ in 0..2_000 {
+        let rep = sim.step_observed(&mut daemon, &mut auditor).unwrap();
+        assert!(!rep.terminal, "PIF waves must keep cycling");
+    }
+
+    let before = allocations();
+    TRACKING.with(|t| t.set(true));
+    for _ in 0..10_000 {
+        sim.step_observed(&mut daemon, &mut auditor).unwrap();
+    }
+    TRACKING.with(|t| t.set(false));
+    let after = allocations();
+
+    assert_eq!(
+        after - before,
+        0,
+        "fairness-audited hot loop allocated {} time(s) across 10k steady-state steps",
+        after - before
+    );
+    assert_eq!(auditor.steps(), 12_000);
+    assert!(auditor.max_streak() > 0, "a central daemon starves someone for a step");
 }
 
 #[test]
@@ -164,13 +242,13 @@ fn steady_state_metrics_observation_does_not_allocate() {
         assert!(!rep.terminal, "token ring must never terminate");
     }
 
-    let before = ALLOCATIONS.load(Ordering::SeqCst);
+    let before = allocations();
     TRACKING.with(|t| t.set(true));
     for _ in 0..10_000 {
         sim.step_observed(&mut daemon, &mut metrics).unwrap();
     }
     TRACKING.with(|t| t.set(false));
-    let after = ALLOCATIONS.load(Ordering::SeqCst);
+    let after = allocations();
 
     assert_eq!(
         after - before,
@@ -207,13 +285,13 @@ fn soa_steady_state_steps_do_not_allocate() {
         assert!(!rep.terminal, "PIF waves must keep cycling");
     }
 
-    let before = ALLOCATIONS.load(Ordering::SeqCst);
+    let before = allocations();
     TRACKING.with(|t| t.set(true));
     for _ in 0..10_000 {
         sim.step(&mut daemon).unwrap();
     }
     TRACKING.with(|t| t.set(false));
-    let after = ALLOCATIONS.load(Ordering::SeqCst);
+    let after = allocations();
 
     assert_eq!(
         after - before,
@@ -241,13 +319,13 @@ fn pif_steady_state_steps_do_not_allocate() {
         assert!(!rep.terminal, "PIF waves must keep cycling");
     }
 
-    let before = ALLOCATIONS.load(Ordering::SeqCst);
+    let before = allocations();
     TRACKING.with(|t| t.set(true));
     for _ in 0..10_000 {
         sim.step(&mut daemon).unwrap();
     }
     TRACKING.with(|t| t.set(false));
-    let after = ALLOCATIONS.load(Ordering::SeqCst);
+    let after = allocations();
 
     assert_eq!(
         after - before,
@@ -269,13 +347,13 @@ fn assert_sync_steps_do_not_allocate<S: RegisterStore<PifProtocol>>(
         assert!(!rep.terminal, "PIF waves must keep cycling");
     }
 
-    let before = ALLOCATIONS.load(Ordering::SeqCst);
+    let before = allocations();
     TRACKING.with(|t| t.set(true));
     for _ in 0..10_000 {
         sim.step_sync();
     }
     TRACKING.with(|t| t.set(false));
-    let after = ALLOCATIONS.load(Ordering::SeqCst);
+    let after = allocations();
 
     assert_eq!(
         after - before,
@@ -318,13 +396,13 @@ fn adversarial_daemons_select_without_allocating() {
             assert!(!rep.terminal, "PIF waves must keep cycling");
         }
 
-        let before = ALLOCATIONS.load(Ordering::SeqCst);
+        let before = allocations();
         TRACKING.with(|t| t.set(true));
         for _ in 0..10_000 {
             sim.step(&mut *daemon).unwrap();
         }
         TRACKING.with(|t| t.set(false));
-        let after = ALLOCATIONS.load(Ordering::SeqCst);
+        let after = allocations();
 
         assert_eq!(
             after - before,
@@ -371,13 +449,13 @@ fn lossy_transport_ticks_do_not_allocate() {
         net.tick();
     }
 
-    let before = ALLOCATIONS.load(Ordering::SeqCst);
+    let before = allocations();
     TRACKING.with(|t| t.set(true));
     for _ in 0..100_000 {
         net.tick();
     }
     TRACKING.with(|t| t.set(false));
-    let after = ALLOCATIONS.load(Ordering::SeqCst);
+    let after = allocations();
 
     assert_eq!(
         after - before,
@@ -419,13 +497,13 @@ fn pif_lossy_transport_ticks_do_not_allocate() {
         net.tick();
     }
 
-    let before = ALLOCATIONS.load(Ordering::SeqCst);
+    let before = allocations();
     TRACKING.with(|t| t.set(true));
     for _ in 0..100_000 {
         net.tick();
     }
     TRACKING.with(|t| t.set(false));
-    let after = ALLOCATIONS.load(Ordering::SeqCst);
+    let after = allocations();
 
     assert_eq!(
         after - before,

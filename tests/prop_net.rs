@@ -14,7 +14,7 @@
 //!   and every valid frame round-trips.
 
 use pif_daemon::daemons::Synchronous;
-use pif_daemon::{ActionId, Protocol, RunLimits, Simulator, View};
+use pif_daemon::{ActionId, ActionSet, Protocol, RunLimits, Simulator, View};
 use pif_graph::{generators, Graph, ProcId};
 use pif_net::{
     crc32, decode_frame, encode_frame, FaultPlan, FrameError, FrameHeader, FrameKind, NetBuilder,
@@ -34,10 +34,9 @@ impl Protocol for MaxProto {
     fn action_names(&self) -> &'static [&'static str] {
         &["adopt"]
     }
-    fn enabled_actions(&self, view: View<'_, u64>, out: &mut Vec<ActionId>) {
-        if view.neighbor_states().any(|(_, &s)| s > *view.me()) {
-            out.push(ActionId(0));
-        }
+    fn enabled_actions(&self, view: View<'_, u64>) -> ActionSet {
+        let adopt = view.neighbor_states().any(|(_, &s)| s > *view.me());
+        if adopt { ActionSet::of(ActionId(0)) } else { ActionSet::EMPTY }
     }
     fn execute(&self, view: View<'_, u64>, _: ActionId) -> u64 {
         view.neighbor_states().map(|(_, &s)| s).max().unwrap_or(0).max(*view.me())

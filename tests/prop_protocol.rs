@@ -9,7 +9,9 @@ use pif_core::protocol::{
 use pif_core::wave::{UnitAggregate, WaveRunner};
 use pif_core::{analysis, initial, Features, Phase, PifProtocol, PifState};
 use pif_daemon::daemons::{CentralRandom, DistributedRandom, Synchronous};
-use pif_daemon::{ActionId, Daemon, Observer, Protocol, RunLimits, Simulator, StepDelta, View};
+use pif_daemon::{
+    ActionId, ActionSet, Daemon, Observer, Protocol, RunLimits, Simulator, StepDelta, View,
+};
 use pif_graph::{generators, Graph, ProcId};
 use pif_soa::kernel::ACTION_BITS;
 use pif_soa::{GuardKernel, Packed, SoaConfig, SoaSimulator};
@@ -48,7 +50,7 @@ impl Observer<PifProtocol> for RecordingObserver {
 /// The seven guards composed literally from the public per-guard
 /// functions, in guard order, with `fok_wave` gating `Fok-action` — the
 /// oracle for the fused neighbor scan behind `enabled_actions`.
-fn composed_guards(proto: &PifProtocol, view: View<'_, PifState>) -> Vec<ActionId> {
+fn composed_guards(proto: &PifProtocol, view: View<'_, PifState>) -> ActionSet {
     [
         (B_ACTION, proto.broadcast_guard(view)),
         (FOK_ACTION, proto.features().fok_wave && proto.change_fok_guard(view)),
@@ -100,15 +102,11 @@ fn fused_guards_agree(
     let mut cfg = SoaConfig::new(g.len());
     cfg.load(states);
     let kernel = GuardKernel::new(proto, g);
-    let mut fused = Vec::new();
     for p in g.procs() {
         let view = View::new(g, states, p);
-        fused.clear();
-        proto.enabled_actions(view, &mut fused);
+        let fused = proto.enabled_actions(view);
         let composed = composed_guards(proto, view);
-        let mask = kernel.mask(&cfg, p.index());
-        let soa: Vec<ActionId> =
-            (0..ACTION_BITS).filter(|a| mask >> a & 1 != 0).map(ActionId).collect();
+        let soa = ActionSet::from_bits(kernel.mask(&cfg, p.index()).into());
         if fused != composed || fused != soa {
             return Err(format!(
                 "{p} under {:?}: fused {fused:?}, composed {composed:?}, kernel {soa:?} \
@@ -116,7 +114,7 @@ fn fused_guards_agree(
                 proto.features()
             ));
         }
-        for a in &fused {
+        for a in fused {
             seen[usize::from(p == proto.root())][a.index()] += 1;
         }
     }

@@ -18,7 +18,7 @@
 
 use pif_suite::analyze::{DomainModel, InterferenceGraph};
 use pif_suite::core::PifProtocol;
-use pif_suite::daemon::{ActionId, Protocol, View};
+use pif_suite::daemon::{ActionId, ActionSet, Protocol, View};
 use pif_suite::graph::{generators, ProcId};
 use pif_suite::verify::StateSpace;
 
@@ -72,8 +72,8 @@ fn por_consumes_the_machine_derived_radius() {
     struct NoSpecs(PifProtocol);
     impl Protocol for NoSpecs {
         type State = <PifProtocol as Protocol>::State;
-        fn enabled_actions(&self, view: View<'_, Self::State>, out: &mut Vec<ActionId>) {
-            self.0.enabled_actions(view, out);
+        fn enabled_actions(&self, view: View<'_, Self::State>) -> ActionSet {
+            self.0.enabled_actions(view)
         }
         fn execute(&self, view: View<'_, Self::State>, action: ActionId) -> Self::State {
             self.0.execute(view, action)
@@ -101,21 +101,18 @@ fn distant_moves_commute_on_sampled_configurations() {
         let cfg = splitmix(&mut rng) % space.config_count();
         let states = space.decode(cfg);
         for &(i, j) in &pairs {
-            let mut acts_i: Vec<ActionId> = Vec::new();
-            let mut acts_j: Vec<ActionId> = Vec::new();
             let p = space.protocol();
-            p.enabled_actions(View::new(&g, &states, ProcId::from_index(i)), &mut acts_i);
-            p.enabled_actions(View::new(&g, &states, ProcId::from_index(j)), &mut acts_j);
-            for &ai in &acts_i {
+            let acts_i = p.enabled_actions(View::new(&g, &states, ProcId::from_index(i)));
+            let acts_j = p.enabled_actions(View::new(&g, &states, ProcId::from_index(j)));
+            for ai in acts_i {
                 let si = p.execute(View::new(&g, &states, ProcId::from_index(i)), ai);
                 let mut after_i = states.clone();
                 after_i[i] = si;
                 // Enabledness preservation: i's move must not change j's
                 // enabled set.
-                let mut acts_j2: Vec<ActionId> = Vec::new();
-                p.enabled_actions(View::new(&g, &after_i, ProcId::from_index(j)), &mut acts_j2);
+                let acts_j2 = p.enabled_actions(View::new(&g, &after_i, ProcId::from_index(j)));
                 assert_eq!(acts_j, acts_j2, "cfg {cfg}: move of {i} changed {j}'s guards");
-                for &aj in &acts_j {
+                for aj in acts_j {
                     // Effect preservation: j's successor is the same
                     // before and after i's move.
                     let sj_before = p.execute(View::new(&g, &states, ProcId::from_index(j)), aj);
