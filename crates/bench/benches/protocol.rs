@@ -28,7 +28,7 @@ fn bench_step_throughput(c: &mut Criterion) {
                 sim.step(&mut d).unwrap();
             }
             black_box(sim.steps())
-        })
+        });
     });
 }
 
@@ -55,7 +55,7 @@ fn bench_cycle_latency(c: &mut Criterion) {
                     .unwrap();
                 assert!(out.satisfies_spec());
                 black_box(out.cycle_rounds)
-            })
+            });
         });
     }
     group.finish();
@@ -83,7 +83,7 @@ fn bench_correction(c: &mut Criterion) {
                 )
                 .unwrap();
             black_box(stats.rounds)
-        })
+        });
     });
 }
 
@@ -93,10 +93,10 @@ fn bench_analysis(c: &mut Criterion) {
     let proto = PifProtocol::new(ProcId(0), &g);
     let states = initial::adversarial_config(&g, &proto, ProcId(100), 7);
     c.bench_function("analysis/classify/torus(12x12)", |b| {
-        b.iter(|| black_box(analysis::classify(&proto, &g, &states)))
+        b.iter(|| black_box(analysis::classify(&proto, &g, &states)));
     });
     c.bench_function("analysis/legal_tree/torus(12x12)", |b| {
-        b.iter(|| black_box(analysis::legal_tree(&proto, &g, &states).legal_size()))
+        b.iter(|| black_box(analysis::legal_tree(&proto, &g, &states).legal_size()));
     });
 }
 
@@ -104,13 +104,13 @@ fn bench_analysis(c: &mut Criterion) {
 fn bench_graphgen(c: &mut Criterion) {
     let mut group = c.benchmark_group("graphgen");
     group.bench_function("random_connected(256,0.05)", |b| {
-        b.iter(|| black_box(generators::random_connected(256, 0.05, 1).unwrap().edge_count()))
+        b.iter(|| black_box(generators::random_connected(256, 0.05, 1).unwrap().edge_count()));
     });
     group.bench_function("torus(16x16)", |b| {
-        b.iter(|| black_box(generators::torus(16, 16).unwrap().edge_count()))
+        b.iter(|| black_box(generators::torus(16, 16).unwrap().edge_count()));
     });
     group.bench_function("random_tree(256)", |b| {
-        b.iter(|| black_box(generators::random_tree(256, 1).unwrap().edge_count()))
+        b.iter(|| black_box(generators::random_tree(256, 1).unwrap().edge_count()));
     });
     group.finish();
 }
@@ -121,7 +121,7 @@ fn bench_chordless(c: &mut Criterion) {
     for t in [Topology::Torus { w: 4, h: 4 }, Topology::Hypercube { d: 4 }] {
         let g = t.build().unwrap();
         group.bench_with_input(BenchmarkId::from_parameter(&t), &g, |b, g| {
-            b.iter(|| black_box(chordless::longest(g, 500_000).length()))
+            b.iter(|| black_box(chordless::longest(g, 500_000).length()));
         });
     }
     group.finish();
@@ -141,7 +141,7 @@ fn bench_daemons(c: &mut Criterion) {
                     .unwrap()
                     .cycle_steps,
             )
-        })
+        });
     });
     group.bench_function("central_random", |b| {
         b.iter(|| {
@@ -153,7 +153,7 @@ fn bench_daemons(c: &mut Criterion) {
                     .unwrap()
                     .cycle_steps,
             )
-        })
+        });
     });
     group.finish();
 }
@@ -177,7 +177,7 @@ fn bench_netsim(c: &mut Criterion) {
                 })
                 .expect("fault-free cycle completes");
             black_box(stats.deliveries)
-        })
+        });
     });
 }
 
@@ -191,7 +191,7 @@ fn bench_verify(c: &mut Criterion) {
             let report = pif_verify::Checker::auto().check_snap_safety(&space, true);
             assert!(report.verified());
             black_box(report.states_explored)
-        })
+        });
     });
 }
 

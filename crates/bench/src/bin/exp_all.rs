@@ -1,5 +1,9 @@
 //! Runs the complete experiment battery (E1-E10) and writes all CSVs.
-use pif_bench::experiments::*;
+use pif_bench::experiments::{
+    e10_ablations, e12_severity, e13_message_passing, e15_service, e18_chaos, e1_cycle_bounds,
+    e2_error_correction, e3_glt_formation, e4_phase_bounds, e5_snap_vs_self, e6_chordless,
+    e7_tree_comparison, e8_invariants, e9_space,
+};
 
 fn main() {
     let t0 = std::time::Instant::now();

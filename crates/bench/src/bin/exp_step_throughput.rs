@@ -1,5 +1,5 @@
 //! Emits the step-throughput benchmark (`BENCH_step_throughput.json`) on
-//! stdout, comparing the AoS and SoA step engines.
+//! stdout, comparing the `AoS` and `SoA` step engines.
 //!
 //! ```text
 //! cargo run --release --bin exp_step_throughput -- \
@@ -17,7 +17,7 @@
 //! Units: `*_steps_per_sec` counts computation steps under the central
 //! daemon (one processor move per step, so steps = moves there);
 //! `soa_sync_moves_per_sec` counts individual processor moves under the
-//! synchronous daemon on the SoA fast path, where one step executes
+//! synchronous daemon on the `SoA` fast path, where one step executes
 //! `|enabled|` moves — the unit the ≥10M/s batch-stepping target is
 //! stated in.
 
@@ -43,13 +43,13 @@ fn main() -> ExitCode {
     let spec = opt(&args, "--engine").unwrap_or("both");
     let engines: Vec<Engine> = match spec {
         "both" => Engine::ALL.to_vec(),
-        other => match Engine::parse(other) {
-            Some(e) => vec![e],
-            None => {
+        other => {
+            let Some(e) = Engine::parse(other) else {
                 eprintln!("exp_step_throughput: bad value for --engine: {other:?}");
                 return ExitCode::from(2);
-            }
-        },
+            };
+            vec![e]
+        }
     };
     let extended = args.iter().any(|a| a == "--extended");
     let soa = engines.contains(&Engine::Soa);

@@ -43,7 +43,7 @@ use pif_verify::{Checker, Reduction, StateSpace};
 const MIN_SECS: f64 = 0.3;
 
 /// Pre-rewrite single-threaded throughput (states/sec), measured at
-/// commit 2ca1ba9: (instance, check, states_per_sec).
+/// commit 2ca1ba9: (instance, check, `states_per_sec`).
 const BASELINE: &[(&str, &str, f64)] = &[
     ("chain2", "correction_bound", 1_446_631.0),
     ("chain2", "snap_safety", 2_944_196.0),

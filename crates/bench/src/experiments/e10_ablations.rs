@@ -155,6 +155,10 @@ pub fn ablate_chordless(n: usize) -> AblationRow {
 
 /// Ablation (d): remove the `GoodLevel` check.
 pub fn ablate_level_guard() -> AblationRow {
+    fn s_root_b(sim: &Simulator<PifProtocol>) -> bool {
+        sim.state(ProcId(0)).phase == Phase::B
+    }
+
     let g = generators::complete(4).expect("complete");
     let scenario = "complete(4), parent cycle p1->p2->p3->p1 at equal levels".to_string();
 
@@ -182,9 +186,6 @@ pub fn ablate_level_guard() -> AblationRow {
         );
         matches!(result, Ok(stats) if !stats.terminal || s_root_b(&sim))
     };
-    fn s_root_b(sim: &Simulator<PifProtocol>) -> bool {
-        sim.state(ProcId(0)).phase == Phase::B
-    }
 
     let full = initiates(Features::paper());
     let ablated = initiates(Features { level_guard: false, ..Features::paper() });

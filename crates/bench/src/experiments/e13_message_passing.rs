@@ -118,6 +118,7 @@ fn blocking(_: ProcId, q: ProcId) -> PifState {
 /// initiated after it, which is exactly the population the snap claim
 /// covers. `budget` bounds the total scheduler events per request.
 pub fn trial(topology: &Topology, cell: &FaultCell, seed: u64, requests: u64) -> CellOutcome {
+    const BUDGET_PER_REQUEST: u64 = 400_000;
     let g = topology.build().expect("suite topologies are valid");
     let n = g.len();
     let root = ProcId(0);
@@ -136,7 +137,6 @@ pub fn trial(topology: &Topology, cell: &FaultCell, seed: u64, requests: u64) ->
 
     let mut overlay: WaveOverlay<u64, UnitAggregate> = WaveOverlay::new(n, root, UnitAggregate);
     let mut out = CellOutcome::default();
-    const BUDGET_PER_REQUEST: u64 = 400_000;
     for r in 0..requests {
         overlay.arm(r);
         let mut done = false;

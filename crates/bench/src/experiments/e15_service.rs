@@ -129,7 +129,7 @@ pub fn measure(
     let summary = ledger.summary();
     let cycle_rounds: Vec<u64> = ledger
         .records()
-        .filter(|r| r.is_correct())
+        .filter(pif_serve::RequestRecord::is_correct)
         .map(|r| r.cycle_rounds)
         .collect();
     let report = ServiceReport::capture(&service, scenario.fault);

@@ -1,5 +1,5 @@
 //! **E3 — Theorem 3.** Starting from any configuration, the protocol
-//! creates the GoodLegalTree within `8·L_max + 7` rounds.
+//! creates the `GoodLegalTree` within `8·L_max + 7` rounds.
 //!
 //! Operationally: measure the rounds until the configuration is a *Good
 //! Configuration* (Definition 15 — at which point the legal tree is, by

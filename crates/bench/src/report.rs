@@ -27,7 +27,7 @@ impl Table {
     pub fn new(title: impl Into<String>, headers: &[&str]) -> Self {
         Table {
             title: title.into(),
-            headers: headers.iter().map(|s| s.to_string()).collect(),
+            headers: headers.iter().map(ToString::to_string).collect(),
             rows: Vec::new(),
         }
     }
@@ -39,7 +39,7 @@ impl Table {
     /// Panics if the row length differs from the header length.
     pub fn row(&mut self, cells: &[&str]) -> &mut Self {
         assert_eq!(cells.len(), self.headers.len(), "row arity mismatch");
-        self.rows.push(cells.iter().map(|s| s.to_string()).collect());
+        self.rows.push(cells.iter().map(ToString::to_string).collect());
         self
     }
 
@@ -62,7 +62,7 @@ impl Table {
 
     /// Renders the table as aligned monospace text.
     pub fn render(&self) -> String {
-        let mut widths: Vec<usize> = self.headers.iter().map(|h| h.len()).collect();
+        let mut widths: Vec<usize> = self.headers.iter().map(String::len).collect();
         for row in &self.rows {
             for (i, c) in row.iter().enumerate() {
                 widths[i] = widths[i].max(c.len());

@@ -13,7 +13,7 @@
 //!   loss at large `n`. The unit is computation steps (= moves, since the
 //!   central daemon executes exactly one move per step).
 //! * [`SyncWorkload`] — the daemon-free synchronous fast path
-//!   (`Simulator::step_sync`) on the SoA store: every enabled processor
+//!   (`Simulator::step_sync`) on the `SoA` store: every enabled processor
 //!   moves every step, and the headline unit is **moves per second**
 //!   (individual guarded-action executions — the unit the ≥10M/s batch
 //!   stepping target is stated in).
@@ -76,7 +76,7 @@ impl Topology {
 /// The standard benchmark sizes (torus requires perfect squares).
 pub const SIZES: [usize; 4] = [16, 64, 256, 1024];
 
-/// Extended sizes exercising the SoA engine at scale (64² and 128² tori).
+/// Extended sizes exercising the `SoA` engine at scale (64² and 128² tori).
 pub const EXT_SIZES: [usize; 2] = [4096, 16384];
 
 /// A ready-to-step workload: engine-selected simulator plus central daemon.
@@ -130,9 +130,9 @@ impl Workload {
     }
 }
 
-/// The synchronous batch-stepping workload on the SoA fast path.
+/// The synchronous batch-stepping workload on the `SoA` fast path.
 pub struct SyncWorkload {
-    /// The SoA simulator.
+    /// The `SoA` simulator.
     pub sim: SoaSimulator,
     seed: u64,
 }
@@ -181,7 +181,7 @@ pub struct Measurement {
     pub steps: u64,
 }
 
-/// One measured point of the synchronous SoA fast path.
+/// One measured point of the synchronous `SoA` fast path.
 #[derive(Clone, Debug)]
 pub struct SyncMeasurement {
     /// Topology label.
@@ -216,7 +216,7 @@ pub fn measure(topology: Topology, n: usize, min_duration_secs: f64, engine: Eng
     Measurement { topology: topology.label(), n, steps_per_sec: steps as f64 / secs, steps }
 }
 
-/// Measures the SoA synchronous fast path in moves/second for one
+/// Measures the `SoA` synchronous fast path in moves/second for one
 /// topology/size point.
 pub fn measure_sync(topology: Topology, n: usize, min_duration_secs: f64) -> SyncMeasurement {
     let mut w = SyncWorkload::new(topology, n);

@@ -107,7 +107,9 @@ impl DaemonKind {
     /// Instantiates a fresh daemon of this kind for a network of `n`
     /// processors, seeded deterministically.
     pub fn build(self, n: usize, seed: u64) -> Box<dyn Daemon<PifState>> {
-        use pif_daemon::daemons::*;
+        use pif_daemon::daemons::{
+            AdversarialLifo, CentralRandom, CentralSequential, DistributedRandom, Synchronous,
+        };
         match self {
             DaemonKind::Synchronous => Box::new(Synchronous::first_action()),
             DaemonKind::CentralSeq => Box::new(CentralSequential::new()),

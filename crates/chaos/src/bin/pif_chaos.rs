@@ -230,8 +230,10 @@ fn search_cmd(args: &[String]) -> Result<(), ChaosError> {
     let spec = opt(args, "--topology").unwrap_or("chain:6");
     let topology =
         Topology::parse(spec).map_err(|e| ChaosError::Report(format!("bad topology: {e}")))?;
+    if let Some(procs) = topology.processors() {
+        PifProtocol::check_size(procs).map_err(ChaosError::NetworkTooLarge)?;
+    }
     let g = topology.build()?;
-    PifProtocol::check_size(g.len()).map_err(ChaosError::NetworkTooLarge)?;
     let root_ix: usize = parse_num(args, "--root", 0)?;
     if root_ix >= g.len() {
         return Err(ChaosError::Report(format!("--root {root_ix} outside {spec}")));

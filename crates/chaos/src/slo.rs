@@ -28,7 +28,7 @@
 use std::fmt::Write as _;
 use std::time::Instant;
 
-use pif_core::{initial, PifState};
+use pif_core::{initial, PifProtocol, PifState};
 use pif_daemon::json::{self, Json};
 use pif_daemon::splitmix64;
 use pif_graph::{metrics, ProcId, Topology};
@@ -407,10 +407,15 @@ fn percentile(sorted: &[u64], p: u64) -> u64 {
 ///
 /// # Errors
 ///
-/// [`ChaosError::Graph`] for an invalid base topology, or
-/// [`ChaosError::Serve`] if the serving layer rejects a campaign step.
+/// [`ChaosError::Graph`] for an invalid base topology,
+/// [`ChaosError::NetworkTooLarge`] for one with more processors than the
+/// protocol admits (judged before it is built), or [`ChaosError::Serve`]
+/// if the serving layer rejects a campaign step.
 pub fn run_campaign(cfg: &CampaignConfig) -> Result<ChaosCell, ChaosError> {
     let start = Instant::now();
+    if let Some(procs) = cfg.topology.processors() {
+        PifProtocol::check_size(procs).map_err(ChaosError::NetworkTooLarge)?;
+    }
     let base = cfg.topology.build()?;
     let disturb_end = cfg.disturbance_end();
     let plan = match cfg.churn {

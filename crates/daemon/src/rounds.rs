@@ -61,13 +61,32 @@ impl RoundCounter {
         I: IntoIterator<Item = bool>,
     {
         let flags: Vec<bool> = enabled.into_iter().collect();
-        let mut bits = BitSet::new(flags.len());
-        for (i, &en) in flags.iter().enumerate() {
+        let mut rc = RoundCounter::none_enabled(flags.len());
+        rc.restart(flags);
+        rc
+    }
+
+    /// A counter over `n` processors, none of them enabled, for
+    /// [`RoundCounter::restart`] to seed.
+    pub(crate) fn none_enabled(n: usize) -> Self {
+        RoundCounter { pending: BitSet::new(n), enabled: BitSet::new(n), completed: 0 }
+    }
+
+    /// Starts counting afresh, as [`RoundCounter::new`] would, from a new
+    /// configuration's enabled flags (one per processor, as many as at
+    /// construction), reusing this counter's storage: no allocation.
+    pub(crate) fn restart<I>(&mut self, enabled: I)
+    where
+        I: IntoIterator<Item = bool>,
+    {
+        self.enabled.clear();
+        for (i, en) in enabled.into_iter().enumerate() {
             if en {
-                bits.insert(i);
+                self.enabled.insert(i);
             }
         }
-        RoundCounter { pending: bits.clone(), enabled: bits, completed: 0 }
+        self.pending.copy_from(&self.enabled);
+        self.completed = 0;
     }
 
     /// Number of fully completed rounds so far.
@@ -170,6 +189,21 @@ mod tests {
         let mut rc = RoundCounter::new([false, false]);
         // No one pending: every observation closes a (vacuous) round.
         assert!(rc.observe_step(std::iter::empty(), std::iter::empty()));
+        assert_eq!(rc.completed(), 1);
+    }
+
+    #[test]
+    fn restart_equals_a_fresh_counter() {
+        let mut rc = RoundCounter::new([true, true, false, true]);
+        assert!(!rc.observe_step([ProcId(0)], changes(&[(2, true)])));
+        assert!(rc.observe_step([ProcId(1), ProcId(3)], std::iter::empty()));
+        rc.restart([false, true, true, false]);
+        let fresh = RoundCounter::new([false, true, true, false]);
+        assert_eq!(rc.completed(), 0);
+        assert_eq!(rc.pending, fresh.pending);
+        assert_eq!(rc.enabled, fresh.enabled);
+        assert!(!rc.observe_step([ProcId(1)], std::iter::empty()));
+        assert!(rc.observe_step([ProcId(2)], std::iter::empty()));
         assert_eq!(rc.completed(), 1);
     }
 

@@ -406,7 +406,7 @@ impl<P: Protocol, S: RegisterStore<P>> Simulator<P, S> {
             enabled: vec![ActionSet::EMPTY; n],
             index: EnabledIndex::new(n, std::iter::empty()),
             steps: 0,
-            rounds: RoundCounter::new(std::iter::repeat_n(false, n)),
+            rounds: RoundCounter::none_enabled(n),
             validate: cfg!(debug_assertions),
             limits: RunLimits::default(),
             selection: Vec::new(),
@@ -832,13 +832,14 @@ impl<P: Protocol, S: RegisterStore<P>> Simulator<P, S> {
         Ok(())
     }
 
-    /// Recomputes every enabled set and restarts round accounting (on
-    /// construction and configuration overwrites, never per step).
+    /// Recomputes every enabled set and restarts round accounting in
+    /// place (on construction and configuration overwrites, never per
+    /// step); allocates nothing.
     fn reset_bookkeeping(&mut self) {
         self.store.refresh_all(&self.graph, &self.protocol, &mut self.enabled);
         self.index.reset(self.enabled.iter().map(|a| !a.is_empty()));
         self.selection.clear();
-        self.rounds = RoundCounter::new(self.enabled.iter().map(|a| !a.is_empty()));
+        self.rounds.restart(self.enabled.iter().map(|a| !a.is_empty()));
     }
 
     /// Recomputes enabled actions only where they can have changed: the

@@ -7,6 +7,9 @@
 //! The [`Topology`] enum is a serializable description of a family instance,
 //! convenient for writing parameter sweeps.
 
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{RngExt, SeedableRng};
@@ -149,20 +152,19 @@ pub fn random_tree(n: usize, seed: u64) -> Result<Graph, GraphError> {
     let mut b = GraphBuilder::new(n);
     // Standard Prüfer decoding: repeatedly join the smallest current leaf to
     // the next sequence element.
-    let mut leaves: std::collections::BTreeSet<usize> =
-        (0..n).filter(|&i| degree[i] == 1).collect();
+    let mut leaves: BinaryHeap<Reverse<usize>> =
+        (0..n).filter(|&i| degree[i] == 1).map(Reverse).collect();
     for &x in &prufer {
-        let u = *leaves.iter().next().expect("a tree always has a leaf");
-        leaves.remove(&u);
+        let Reverse(u) = leaves.pop().expect("a tree always has a leaf");
         b.edge(ProcId::from_index(u), ProcId::from_index(x));
         degree[x] -= 1;
         if degree[x] == 1 {
-            leaves.insert(x);
+            leaves.push(Reverse(x));
         }
     }
     // The two remaining leaves form the last edge.
-    let mut it = leaves.iter();
-    let (&u, &v) = (it.next().expect("two leaves remain"), it.next().expect("two leaves remain"));
+    let mut last = || leaves.pop().expect("two leaves remain").0;
+    let (u, v) = (last(), last());
     b.edge(ProcId::from_index(u), ProcId::from_index(v));
     b.name(format!("random-tree({n},s{seed})")).build()
 }
@@ -555,6 +557,15 @@ impl Topology {
         }
     }
 
+    /// The instance's processor count, computed from its parameters
+    /// without building anything (`None` if it overflows `usize`, which
+    /// [`Topology::build`] reports as [`GraphError::TooLarge`]). It equals
+    /// the built graph's [`Graph::len`], so a size limit can be checked
+    /// before the graph is built.
+    pub fn processors(&self) -> Option<usize> {
+        self.size().0
+    }
+
     /// The instance's processor and link counts (for `random`, its pair
     /// draws), computed from its parameters; `None` where one overflows.
     fn size(&self) -> (Option<usize>, Option<usize>) {
@@ -945,6 +956,7 @@ mod tests {
             let g = t.build().unwrap();
             let (nodes, edges) = t.size();
             assert_eq!(nodes, Some(g.len()), "{t}");
+            assert_eq!(t.processors(), Some(g.len()), "{t}");
             if let Topology::Random { n, .. } = t {
                 assert_eq!(edges, Some(n * (n - 1) / 2), "{t}");
             } else {

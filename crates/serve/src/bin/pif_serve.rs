@@ -111,7 +111,13 @@ fn soak(args: &[String]) -> Result<(), ServeError> {
         ));
     }
 
-    let n = topology.build()?.len();
+    // Counted from the spec rather than built, so `WaveService::new` can
+    // refuse an oversize one before any graph exists (a count that
+    // overflows is left to the build's own error).
+    let n = match topology.processors() {
+        Some(n) => n,
+        None => topology.build()?.len(),
+    };
     let scenario = Scenario {
         topology,
         initiators: spread_initiators(n, initiators),

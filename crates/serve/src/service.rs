@@ -300,8 +300,8 @@ impl<M: Clone + PartialEq + fmt::Debug + Send> WaveService<M> {
     /// [`ServeError::NoInitiators`], [`ServeError::DuplicateInitiator`],
     /// [`ServeError::UnknownInitiator`] (initiator outside the network),
     /// [`ServeError::Graph`], or [`ServeError::NetworkTooLarge`] (more
-    /// processors than the level register spans) — all before any lane
-    /// is built.
+    /// processors than the level register spans, judged before the
+    /// topology is built) — all before any lane is built.
     ///
     /// # Panics
     ///
@@ -311,13 +311,21 @@ impl<M: Clone + PartialEq + fmt::Debug + Send> WaveService<M> {
         if config.initiators.is_empty() {
             return Err(ServeError::NoInitiators);
         }
+        // A topology spec is size-checked on its processor count, before
+        // its graph is built.
+        let procs = match &config.graph {
+            Some(g) => Some(g.len()),
+            None => config.topology.processors(),
+        };
+        if let Some(procs) = procs {
+            PifProtocol::check_size(procs)
+                .map_err(|e| ServeError::NetworkTooLarge { procs: e.procs, max: e.max })?;
+        }
         let graph = match &config.graph {
             Some(g) => g.clone(),
             None => config.topology.build()?,
         };
         let n = graph.len();
-        PifProtocol::check_size(n)
-            .map_err(|e| ServeError::NetworkTooLarge { procs: e.procs, max: e.max })?;
         if let Some(ls) = &config.lane_states {
             for (p, states) in ls {
                 assert_eq!(

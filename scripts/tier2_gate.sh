@@ -268,9 +268,10 @@ else
 fi
 
 # Clippy pedantic subset on the analyzer, baseline, application, protocol
-# core, step loop, graph, transport, parallel, serving and verifier crates
-# (--no-deps keeps the stricter bar scoped to them; pif-core holds the AoS
-# guard scan every engine but SoA runs and the exhaustive checks read,
+# core, step loop, graph, transport, parallel, serving and verifier crates,
+# and on pif-bench, which holds the experiment binaries and the pif-trace
+# CLI (--no-deps keeps the stricter bar scoped to them; pif-core holds the
+# AoS guard scan every engine but SoA runs and the exhaustive checks read,
 # pif-daemon the one step loop both engines share). The curated
 # allow-list drops
 # pedantic lints that fight the workspace idiom: narrowing casts in
@@ -278,7 +279,7 @@ fi
 # naming/length conventions the rest of the workspace does not follow,
 # and inline(always) on the SoA hot-path accessors (deliberate: the
 # batch-stepping kernel depends on those loads folding into the scan).
-cargo clippy -p pif-analyze -p pif-apps -p pif-baselines -p pif-chaos -p pif-core -p pif-daemon -p pif-graph -p pif-net -p pif-par -p pif-serve -p pif-soa -p pif-verify --no-deps --all-targets -- -D warnings \
+cargo clippy -p pif-analyze -p pif-apps -p pif-baselines -p pif-bench -p pif-chaos -p pif-core -p pif-daemon -p pif-graph -p pif-net -p pif-par -p pif-serve -p pif-soa -p pif-verify --no-deps --all-targets -- -D warnings \
     -W clippy::pedantic \
     -A clippy::cast-possible-truncation \
     -A clippy::cast-possible-wrap \

@@ -24,8 +24,9 @@ use pif_daemon::fairness::FairnessAuditor;
 use pif_daemon::{
     ActionId, ActionSet, Daemon, MetricsObserver, Protocol, RegisterStore, Simulator, View,
 };
-use pif_graph::{generators, ProcId};
+use pif_graph::{generators, ProcId, Topology};
 use pif_net::{FaultPlan, NetBuilder, Transport};
+use pif_serve::{ServeConfig, ServeError, WaveService};
 use pif_soa::{Packed, SoaSimulator};
 
 struct CountingAlloc;
@@ -377,6 +378,78 @@ fn generic_store_sync_steps_do_not_allocate() {
     let protocol = PifProtocol::new(ProcId(0), &g);
     let init = initial::random_config(&g, &protocol, 0x50A);
     assert_sync_steps_do_not_allocate(&mut Simulator::new(g, protocol, init), "generic-store");
+}
+
+/// Warms `sim` up, then asserts that register-corruption batches, each
+/// followed by a few steps, move no heap memory: the bookkeeping reset
+/// (whole-network guard refresh, enabled index, round counter) reuses its
+/// storage.
+fn assert_corrupt_many_does_not_allocate<S: RegisterStore<PifProtocol>>(
+    sim: &mut Simulator<PifProtocol, S>,
+    store: &str,
+) {
+    let donor = initial::random_config(sim.graph(), sim.protocol(), 0xC0FF);
+    let corruptions: Vec<(ProcId, PifState)> = (0..8)
+        .map(|i| {
+            let p = ProcId::from_index(i * 7 % donor.len());
+            (p, donor[p.index()])
+        })
+        .collect();
+    let mut daemon = CentralRandom::new(0xC0FF);
+    for _ in 0..2_000 {
+        sim.step(&mut daemon).unwrap();
+    }
+    sim.corrupt_many(&corruptions);
+
+    let allocated = allocations_of(|| {
+        for _ in 0..200 {
+            sim.corrupt_many(&corruptions);
+            for _ in 0..20 {
+                sim.step(&mut daemon).unwrap();
+            }
+        }
+    });
+    assert_eq!(allocated, 0, "{store} corrupt_many allocated {allocated} time(s) over 200 batches");
+    for _ in 0..2_000 {
+        sim.step(&mut daemon).unwrap();
+    }
+    assert!(sim.rounds() > 0, "round accounting must still advance");
+    sim.corrupt_many(&corruptions);
+    assert_eq!(sim.rounds(), 0, "a corruption batch restarts round accounting");
+}
+
+#[test]
+fn corrupt_many_on_a_warmed_simulator_does_not_allocate() {
+    assert_corrupt_many_does_not_allocate(&mut soa_pif_sim(0xC0A), "SoA");
+    let g = generators::torus(8, 8).unwrap();
+    let protocol = PifProtocol::new(ProcId(0), &g);
+    let init = initial::random_config(&g, &protocol, 0xC0A);
+    assert_corrupt_many_does_not_allocate(&mut Simulator::new(g, protocol, init), "generic-store");
+}
+
+#[test]
+fn topology_builds_allocate_a_small_constant() {
+    // The builder gathers links in one vector and lays the neighbor lists
+    // out by counting sort: a handful of allocations for the vectors, the
+    // name and the connectivity check, plus the link vector's doublings.
+    let allocated = allocations_of(|| Topology::Torus { w: 32, h: 32 }.build().unwrap());
+    assert!(allocated <= 24, "torus:32x32 took {allocated} allocations to build");
+}
+
+#[test]
+fn oversize_topologies_are_refused_before_they_are_built() {
+    // hypercube:17 is within the graph generators' limits but past the
+    // level register's: `WaveService::new` refuses it from the spec's
+    // processor count, without building its 131,072-processor graph.
+    let config = ServeConfig::new(Topology::Hypercube { d: 17 }).initiators(vec![ProcId(0)]);
+    let allocated = allocations_of(|| {
+        let refused = WaveService::<u64>::new(config);
+        assert!(
+            matches!(refused, Err(ServeError::NetworkTooLarge { procs: 131_072, max: 65_536 })),
+            "hypercube:17 must be refused as too large"
+        );
+    });
+    assert!(allocated <= 4, "refusing hypercube:17 took {allocated} allocations");
 }
 
 #[test]
