@@ -162,7 +162,7 @@ fn main() {
     println!("  \"unit\": \"states_per_sec\",");
     println!("  \"protocol\": \"PifProtocol (arbitrary-network snap PIF)\",");
     println!(
-        "  \"method\": \"cargo run --release --bin exp_verify_throughput; per engine: fresh StateSpace, one cold run (builds the shared guard memo), then repeated runs for >= {MIN_SECS}s; rate = states_explored / steady-state run time. par1/parN = the owner-partitioned frontier search with 1 and N workers: keys are partitioned among owners (one for one worker, four per worker otherwise), each with its own lock-free table, and the workers of a threaded round claim owners until none is left (one worker runs inline, no spawns; product searches store non-seed states only), reduced = one worker under Reduction::Full (connected-selection POR + symmetry quotient). snap_wave rows search the slice reachable from the clean starting configuration instead of seeding every configuration; full_space_configs is what the product search would seed. baseline = pre-rewrite single-threaded checker at commit 2ca1ba9 (null where that commit could not run the instance). Verdicts are asserted identical across worker counts and reductions before rates are published.\","
+        "  \"method\": \"cargo run --release --bin exp_verify_throughput; per engine: fresh StateSpace, one cold run (builds the shared guard memo), then repeated runs for >= {MIN_SECS}s; rate = states_explored / steady-state run time. par1/parN = the owner-partitioned frontier search with 1 and N workers: keys are partitioned among owners (one for one worker, four per worker otherwise), each with its own lock-free table, and the workers of a threaded round claim owners until none is left (one worker runs inline, no spawns; product searches store non-seed states only, and the snap search counts the seeds whose root cannot open a wave instead of expanding them), reduced = one worker under Reduction::Full (connected-selection POR + symmetry quotient). snap_wave rows search the slice reachable from the clean starting configuration instead of seeding every configuration; full_space_configs is what the product search would seed. baseline = pre-rewrite single-threaded checker at commit 2ca1ba9 (null where that commit could not run the instance). Verdicts are asserted identical across worker counts and reductions before rates are published.\","
     );
     println!("  \"workers\": {workers},");
     println!("  \"host_parallelism\": {},", pif_par::host_parallelism());

@@ -1,3 +1,4 @@
+use crate::generators::MAX_EDGES;
 use crate::{Graph, GraphError, ProcId};
 
 /// Incremental builder for [`Graph`] values.
@@ -34,7 +35,14 @@ pub struct GraphBuilder {
 impl GraphBuilder {
     /// Starts building a graph over `n` processors (identified `0..n`).
     pub fn new(n: usize) -> Self {
-        GraphBuilder { n, edges: Vec::new(), name: String::new() }
+        Self::with_capacity(n, 0)
+    }
+
+    /// Starts building a graph over `n` processors with room for `links`
+    /// links, so adding that many reallocates nothing. The reservation is
+    /// capped at [`MAX_EDGES`], the most links a generated topology has.
+    pub fn with_capacity(n: usize, links: usize) -> Self {
+        GraphBuilder { n, edges: Vec::with_capacity(links.min(MAX_EDGES)), name: String::new() }
     }
 
     /// Adds the undirected link `{u, v}`. Order of endpoints is irrelevant;

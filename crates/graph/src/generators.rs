@@ -59,7 +59,7 @@ pub fn singleton() -> Graph {
 ///
 /// Returns [`GraphError::Empty`] if `n == 0`.
 pub fn chain(n: usize) -> Result<Graph, GraphError> {
-    let mut b = GraphBuilder::new(n);
+    let mut b = GraphBuilder::with_capacity(n, Topology::Chain { n }.links());
     for i in 1..n {
         b.edge(ProcId::from_index(i - 1), ProcId::from_index(i));
     }
@@ -75,7 +75,7 @@ pub fn ring(n: usize) -> Result<Graph, GraphError> {
     if n < 3 {
         return Err(GraphError::InvalidParameter { reason: format!("ring needs n >= 3, got {n}") });
     }
-    let mut b = GraphBuilder::new(n);
+    let mut b = GraphBuilder::with_capacity(n, Topology::Ring { n }.links());
     for i in 0..n {
         b.edge(ProcId::from_index(i), ProcId::from_index((i + 1) % n));
     }
@@ -94,7 +94,7 @@ pub fn star(n: usize) -> Result<Graph, GraphError> {
     if n < 2 {
         return Err(GraphError::InvalidParameter { reason: format!("star needs n >= 2, got {n}") });
     }
-    let mut b = GraphBuilder::new(n);
+    let mut b = GraphBuilder::with_capacity(n, Topology::Star { n }.links());
     for i in 1..n {
         b.edge(ProcId(0), ProcId::from_index(i));
     }
@@ -107,7 +107,7 @@ pub fn star(n: usize) -> Result<Graph, GraphError> {
 ///
 /// Returns [`GraphError::Empty`] if `n == 0`.
 pub fn complete(n: usize) -> Result<Graph, GraphError> {
-    let mut b = GraphBuilder::new(n);
+    let mut b = GraphBuilder::with_capacity(n, Topology::Complete { n }.links());
     for i in 0..n {
         for j in (i + 1)..n {
             b.edge(ProcId::from_index(i), ProcId::from_index(j));
@@ -127,7 +127,7 @@ pub fn kary_tree(n: usize, k: usize) -> Result<Graph, GraphError> {
     if k == 0 {
         return Err(GraphError::InvalidParameter { reason: "tree arity k must be >= 1".into() });
     }
-    let mut b = GraphBuilder::new(n);
+    let mut b = GraphBuilder::with_capacity(n, Topology::KaryTree { n, k }.links());
     for i in 1..n {
         b.edge(ProcId::from_index(i), ProcId::from_index((i - 1) / k));
     }
@@ -149,7 +149,7 @@ pub fn random_tree(n: usize, seed: u64) -> Result<Graph, GraphError> {
     for &x in &prufer {
         degree[x] += 1;
     }
-    let mut b = GraphBuilder::new(n);
+    let mut b = GraphBuilder::with_capacity(n, Topology::RandomTree { n, seed }.links());
     // Standard Prüfer decoding: repeatedly join the smallest current leaf to
     // the next sequence element.
     let mut leaves: BinaryHeap<Reverse<usize>> =
@@ -181,7 +181,7 @@ pub fn grid(w: usize, h: usize) -> Result<Graph, GraphError> {
         });
     }
     let idx = |x: usize, y: usize| ProcId::from_index(y * w + x);
-    let mut b = GraphBuilder::new(w * h);
+    let mut b = GraphBuilder::with_capacity(w * h, Topology::Grid { w, h }.links());
     for y in 0..h {
         for x in 0..w {
             if x + 1 < w {
@@ -208,7 +208,7 @@ pub fn torus(w: usize, h: usize) -> Result<Graph, GraphError> {
         });
     }
     let idx = |x: usize, y: usize| ProcId::from_index(y * w + x);
-    let mut b = GraphBuilder::new(w * h);
+    let mut b = GraphBuilder::with_capacity(w * h, Topology::Torus { w, h }.links());
     for y in 0..h {
         for x in 0..w {
             b.edge(idx(x, y), idx((x + 1) % w, y));
@@ -227,7 +227,7 @@ pub fn torus(w: usize, h: usize) -> Result<Graph, GraphError> {
 pub fn hypercube(d: u32) -> Result<Graph, GraphError> {
     check_size(hypercube_size(d))?;
     let n = 1usize << d;
-    let mut b = GraphBuilder::new(n);
+    let mut b = GraphBuilder::with_capacity(n, Topology::Hypercube { d }.links());
     for i in 0..n {
         for bit in 0..d {
             let j = i ^ (1 << bit);
@@ -253,7 +253,7 @@ pub fn lollipop(clique: usize, tail: usize) -> Result<Graph, GraphError> {
         return Err(GraphError::InvalidParameter { reason: "lollipop clique must be >= 1".into() });
     }
     let n = clique + tail;
-    let mut b = GraphBuilder::new(n);
+    let mut b = GraphBuilder::with_capacity(n, Topology::Lollipop { clique, tail }.links());
     for i in 0..clique {
         for j in (i + 1)..clique {
             b.edge(ProcId::from_index(i), ProcId::from_index(j));
@@ -277,7 +277,7 @@ pub fn caterpillar(spine: usize, legs: usize) -> Result<Graph, GraphError> {
         return Err(GraphError::InvalidParameter { reason: "caterpillar spine must be >= 1".into() });
     }
     let n = spine * (1 + legs);
-    let mut b = GraphBuilder::new(n);
+    let mut b = GraphBuilder::with_capacity(n, Topology::Caterpillar { spine, legs }.links());
     for s in 1..spine {
         b.edge(ProcId::from_index(s - 1), ProcId::from_index(s));
     }
@@ -300,7 +300,7 @@ pub fn wheel(n: usize) -> Result<Graph, GraphError> {
         return Err(GraphError::InvalidParameter { reason: format!("wheel needs n >= 4, got {n}") });
     }
     let m = n - 1;
-    let mut b = GraphBuilder::new(n);
+    let mut b = GraphBuilder::with_capacity(n, Topology::Wheel { n }.links());
     for i in 0..m {
         b.edge(ProcId::from_index(1 + i), ProcId::from_index(1 + (i + 1) % m));
         b.edge(ProcId(0), ProcId::from_index(1 + i));
@@ -320,7 +320,7 @@ pub fn complete_bipartite(a: usize, b: usize) -> Result<Graph, GraphError> {
             reason: format!("bipartite sides must be non-empty, got {a} and {b}"),
         });
     }
-    let mut builder = GraphBuilder::new(a + b);
+    let mut builder = GraphBuilder::with_capacity(a + b, Topology::Bipartite { a, b }.links());
     for i in 0..a {
         for j in 0..b {
             builder.edge(ProcId::from_index(i), ProcId::from_index(a + j));
@@ -332,7 +332,7 @@ pub fn complete_bipartite(a: usize, b: usize) -> Result<Graph, GraphError> {
 /// The Petersen graph: 10 processors, 3-regular, girth 5 — a classical
 /// stress topology (vertex-transitive, no short chordless shortcuts).
 pub fn petersen() -> Graph {
-    let mut b = GraphBuilder::new(10);
+    let mut b = GraphBuilder::with_capacity(10, Topology::Petersen.links());
     for i in 0..5u32 {
         b.edge(ProcId(i), ProcId((i + 1) % 5)); // outer pentagon
         b.edge(ProcId(5 + i), ProcId(5 + (i + 2) % 5)); // inner pentagram
@@ -354,7 +354,7 @@ pub fn barbell(clique: usize, bridge: usize) -> Result<Graph, GraphError> {
         });
     }
     let n = 2 * clique + bridge;
-    let mut b = GraphBuilder::new(n);
+    let mut b = GraphBuilder::with_capacity(n, Topology::Barbell { clique, bridge }.links());
     let left = |i: usize| ProcId::from_index(i);
     let right = |i: usize| ProcId::from_index(clique + bridge + i);
     for i in 0..clique {
@@ -392,7 +392,7 @@ pub fn random_connected(n: usize, p: f64, seed: u64) -> Result<Graph, GraphError
         return Err(GraphError::Empty);
     }
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut b = GraphBuilder::new(n);
+    let mut b = GraphBuilder::with_capacity(n, Topology::Random { n, p, seed }.links());
     // Random spanning tree: random permutation, attach each node to a random
     // earlier node.
     let mut order: Vec<usize> = (0..n).collect();
@@ -564,6 +564,19 @@ impl Topology {
     /// before the graph is built.
     pub fn processors(&self) -> Option<usize> {
         self.size().0
+    }
+
+    /// The links its generator reserves room for: the link count, or for
+    /// `random` the spanning tree's n − 1 links plus the expected number
+    /// of extra pair draws, saturating where a count overflows.
+    fn links(&self) -> usize {
+        match *self {
+            Topology::Random { n, p, .. } => {
+                let extra = pairs(n).map_or(f64::MAX, |m| p * m as f64);
+                n.saturating_sub(1).saturating_add(extra as usize)
+            }
+            _ => self.size().1.unwrap_or(usize::MAX),
+        }
     }
 
     /// The instance's processor and link counts (for `random`, its pair

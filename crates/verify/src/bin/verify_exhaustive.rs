@@ -8,7 +8,9 @@
 //! By default the fast instance set runs (everything up to the triangle
 //! as a full product search, chain(4) scans only). `--tier2` adds the
 //! large exhaustive instances gated in CI: chain(4) + ring(4)
-//! correction-bound and chain(4) snap-safety product searches.
+//! correction-bound and chain(4) snap-safety product searches. Under
+//! `--reduction none` (the default) it also asserts their published
+//! state and transition counts.
 //! `--workers N` pins the worker count (0 is clamped to 1; one worker
 //! runs the search inline on the main thread), `--reduction
 //! none|por|symmetry|full` selects the state-space reduction.
@@ -81,6 +83,7 @@ fn verify_tier2(opts: &Opts) {
     println!("\ntier-2 exhaustive coverage (one size class up):");
 
     // chain(4): Theorem 1 bound and full snap-safety product search.
+    // The counts are EXPERIMENTS.md E11's, on any worker count.
     {
         let g = generators::chain(4).unwrap();
         let protocol = PifProtocol::new(ProcId(0), &g);
@@ -94,6 +97,7 @@ fn verify_tier2(opts: &Opts) {
             t1.states_explored,
             t0.elapsed().as_secs_f64()
         );
+        assert_published(opts, "chain(4) correction states", t1.states_explored, 98_200_935);
         let t0 = std::time::Instant::now();
         let snap = opts.checker.check_snap_safety(&space, true);
         assert!(snap.verified(), "snap safety violated on chain(4): {:#?}", snap.violations);
@@ -103,6 +107,8 @@ fn verify_tier2(opts: &Opts) {
             snap.transitions,
             t0.elapsed().as_secs_f64()
         );
+        assert_published(opts, "chain(4) snap states", snap.states_explored, 36_346_391);
+        assert_published(opts, "chain(4) snap transitions", snap.transitions, 195_050_189);
     }
 
     // ring(4): first tier-2 cyclic instance — exercises the
@@ -121,6 +127,15 @@ fn verify_tier2(opts: &Opts) {
             t1.states_explored,
             t0.elapsed().as_secs_f64()
         );
+        assert_published(opts, "ring(4) correction states", t1.states_explored, 178_657_168);
+    }
+}
+
+/// Asserts a tier-2 count equals its published value. Only the exhaustive
+/// reference is held to it: a reduction explores fewer states by design.
+fn assert_published(opts: &Opts, what: &str, got: u64, published: u64) {
+    if opts.checker.reduction() == Reduction::None {
+        assert_eq!(got, published, "{what} differ from the published count");
     }
 }
 

@@ -39,7 +39,10 @@
 //! barrier. The product searches never store their seeds: level 0
 //! scans the configuration ids and expands each seed in place, and a
 //! successor that is itself a seed is recognized by an O(1) test on its
-//! overlay and dropped, so the tables hold only non-seed states.
+//! overlay and dropped, so the tables hold only non-seed states. A snap
+//! seed whose root cannot open a wave has only seeds for successors, so
+//! it is not expanded at all: its retained daemon selections are counted
+//! off its guard masks.
 //! [`Checker::with_workers`] picks the worker count; one worker runs the
 //! same driver inline on the calling thread, with no spawns and no
 //! routing. Reports are **bit-identical across worker counts** — same
@@ -1081,6 +1084,45 @@ impl SearchCtx<'_> {
         buf
     }
 
+    /// The guard masks of configuration `cfg` at the level-0 scan, before
+    /// anything decoded it: the memo's row by id, or without a memo `cfg`
+    /// decoded into `sc.states` and its masks computed into `sc.masks`.
+    fn seed_masks<'s>(&'s self, sc: &'s mut Scratch, cfg: u64) -> &'s [u8] {
+        if self.memo.is_none() {
+            self.space.decode_into(cfg, &mut sc.states);
+        }
+        self.masks(cfg, &sc.states, &mut sc.masks)
+    }
+
+    /// How many of the daemon combos of a configuration with guard masks
+    /// `masks` `select` retains, counted without listing them. Without
+    /// the partial-order reduction every combo but the all-skip is kept:
+    /// `Π(|actions_i| + 1) − 1`. Under it, each retained selected set (a
+    /// connected one; a single processor is) contributes `Π|actions_i|`
+    /// over its processors.
+    fn retained_selections(&self, masks: &[u8]) -> u64 {
+        let moves = |i: usize| u64::from(masks[i].count_ones());
+        let Some(por) = &self.por else {
+            return (0..masks.len()).map(|i| moves(i) + 1).product::<u64>() - 1;
+        };
+        let enabled = (0..masks.len()).fold(0u16, |set, i| set | u16::from(masks[i] != 0) << i);
+        let mut retained = 0;
+        // Every non-empty subset of the enabled processors.
+        let mut sel = enabled;
+        while sel != 0 {
+            if por.connected(sel) {
+                let (mut product, mut rest) = (1, sel);
+                while rest != 0 {
+                    product *= moves(rest.trailing_zeros() as usize);
+                    rest &= rest - 1;
+                }
+                retained += product;
+            }
+            sel = (sel - 1) & enabled;
+        }
+        retained
+    }
+
     /// Decodes `cfg` into `sc` and executes every enabled action of
     /// every processor once, filling `sc.moves` and `sc.counts`. Returns
     /// the number of daemon combos — each enabled processor
@@ -1217,8 +1259,7 @@ impl SearchCtx<'_> {
     /// has one: every *abnormal* configuration starts a search path with
     /// zero completed rounds and every enabled processor owing one.
     fn correction_seed(&self, sc: &mut Scratch, cfg: u64) -> Option<u16> {
-        self.space.decode_into(cfg, &mut sc.states);
-        correction_pending(self.masks(cfg, &sc.states, &mut sc.masks))
+        correction_pending(self.seed_masks(sc, cfg))
     }
 
     /// Correction-bound search: level 0 scans every configuration and
@@ -1258,6 +1299,17 @@ impl SearchCtx<'_> {
         let (cfg, has, ack, active) = item;
         let n = self.space.graph.len();
         let root = self.space.protocol.root().index();
+        if drop_seeds && !active {
+            // A seed whose root cannot open a wave has only seeds for
+            // successors: its retained selections are counted as
+            // transitions, with nothing decoded, executed or listed.
+            let masks = self.seed_masks(sc, cfg);
+            if !ActionSet::from_bits(masks[root].into()).contains(B_ACTION) {
+                let transitions = self.retained_selections(masks);
+                sc.transitions += transitions;
+                return;
+            }
+        }
         for combo in 1..self.moves(sc, cfg) {
             // Only combos the partial-order reduction retains count as
             // explored transitions.
@@ -1709,6 +1761,33 @@ mod tests {
             por.transitions,
             full.transitions
         );
+    }
+
+    #[test]
+    fn counted_selections_match_the_retained_combos() {
+        // A snap seed whose root cannot open a wave is settled by counting
+        // its retained daemon selections instead of listing them. On every
+        // configuration of chain(3) (whose {0, 2} selections POR drops)
+        // and the triangle, with and without POR and with masks from the
+        // memo or from guard evaluation, the count must be what `select`
+        // keeps.
+        for g in [generators::chain(3).unwrap(), generators::complete(3).unwrap()] {
+            let s = StateSpace::new(g.clone(), PifProtocol::new(ProcId(0), &g));
+            for red in [Reduction::None, Reduction::Por] {
+                for memoized in [true, false] {
+                    let ctx = Checker::with_workers(1).with_reduction(red).ctx(&s, memoized);
+                    let mut sc = Scratch::new(g.len());
+                    for cfg in 0..s.config_count() {
+                        // Counted first, as the level-0 scan does: nothing
+                        // has decoded `cfg` yet.
+                        let counted = ctx.retained_selections(ctx.seed_masks(&mut sc, cfg));
+                        let combos = ctx.moves(&mut sc, cfg);
+                        let kept = (1..combos).filter(|&combo| ctx.select(&mut sc, combo)).count();
+                        assert_eq!(counted, kept as u64, "{} {red} memo {memoized} cfg {cfg}", g.name());
+                    }
+                }
+            }
+        }
     }
 
     #[test]
