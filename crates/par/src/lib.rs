@@ -1,11 +1,14 @@
 //! Shared parallel-execution primitives built on std's scoped threads.
 //!
-//! Two consumers with different shapes of parallelism share this crate:
+//! Three consumers with different shapes of parallelism share this crate:
 //!
 //! * the experiment harness (`pif-bench`) fans thousands of independent
 //!   simulations out over the cores with [`par_map`];
-//! * the exhaustive checker (`pif-verify`) runs frontier-parallel
-//!   breadth-first searches and range-parallel scans with [`run_workers`].
+//! * the exhaustive checker (`pif-verify`) runs range-parallel scans with
+//!   [`run_workers`], and the threaded rounds of its frontier searches
+//!   with [`fan_out`];
+//! * the wave service (`pif-serve`) runs its busy shards with
+//!   [`fan_out`], so a call with one busy shard spawns nothing.
 //!
 //! [`par_map`] claims items through a shared atomic index (a work-stealing
 //! loop) rather than pre-chunking the input, so uneven per-item costs —
@@ -247,6 +250,46 @@ where
     })
 }
 
+/// Runs `f` on every item, with the calling thread as one of the
+/// workers: each item after the first gets its own scoped thread, then
+/// the first runs on the caller, and the call returns once all are done.
+/// With at most one item no scope is entered, so a lone item runs with
+/// no spawn and no allocation.
+///
+/// # Panics
+///
+/// Propagates a panicking item's panic, with its own payload, once every
+/// thread has finished.
+///
+/// # Examples
+///
+/// ```
+/// let mut cells = [1u64, 2, 3];
+/// pif_par::fan_out(cells.iter_mut(), |c| *c *= 10);
+/// assert_eq!(cells, [10, 20, 30]);
+/// ```
+pub fn fan_out<I, F>(items: I, f: F)
+where
+    I: IntoIterator,
+    I::Item: Send,
+    F: Fn(I::Item) + Sync,
+{
+    let mut items = items.into_iter();
+    let Some(first) = items.next() else { return };
+    let Some(second) = items.next() else { return f(first) };
+    std::thread::scope(|scope| {
+        let f = &f;
+        let handles: Vec<_> =
+            std::iter::once(second).chain(items).map(|item| scope.spawn(move || f(item))).collect();
+        f(first);
+        for h in handles {
+            if let Err(panic) = h.join() {
+                std::panic::resume_unwind(panic);
+            }
+        }
+    });
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -355,6 +398,42 @@ mod tests {
     fn run_workers_collects_in_worker_order() {
         let out = run_workers(4, |w| w * 10);
         assert_eq!(out, vec![0, 10, 20, 30]);
+    }
+
+    /// The thread each item ran on, in item order.
+    fn fan_out_threads(items: usize) -> Vec<std::thread::ThreadId> {
+        let ran = std::sync::Mutex::new(vec![None; items]);
+        fan_out(0..items, |i| {
+            ran.lock().unwrap()[i] = Some(std::thread::current().id());
+        });
+        ran.into_inner().unwrap().into_iter().map(|t| t.expect("every item runs")).collect()
+    }
+
+    #[test]
+    fn fan_out_runs_the_first_item_on_the_caller() {
+        let me = std::thread::current().id();
+        assert_eq!(fan_out_threads(1), vec![me]);
+        for items in [2, 3, 5] {
+            let threads = fan_out_threads(items);
+            assert_eq!(threads[0], me, "{items} items");
+            for (i, t) in threads.iter().enumerate().skip(1) {
+                assert_ne!(*t, me, "item {i} of {items} ran on the caller");
+                assert!(!threads[i + 1..].contains(t), "items share a thread");
+            }
+        }
+        fan_out(std::iter::empty::<usize>(), |_| unreachable!("no items"));
+    }
+
+    #[test]
+    #[should_panic(expected = "first boom")]
+    fn fan_out_propagates_the_callers_panic() {
+        fan_out(0..3, |i| assert_ne!(i, 0, "first boom"));
+    }
+
+    #[test]
+    #[should_panic(expected = "later boom")]
+    fn fan_out_propagates_a_threads_panic() {
+        fan_out(0..3, |i| assert_ne!(i, 2, "later boom"));
     }
 
     #[test]

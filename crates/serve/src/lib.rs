@@ -22,10 +22,11 @@
 //!   state reconstruction ever happens;
 //! * initiators are deterministically assigned to **shards** (ordered by
 //!   a seeded splitmix key, dealt round-robin so the load stays
-//!   balanced), each shard owning a full topology replica and running
-//!   on its own worker thread via [`pif_par`]; shards share nothing, so
-//!   the served outcomes are bit-identical regardless of how the OS
-//!   schedules the workers;
+//!   balanced), each shard owning a full topology replica; a run puts
+//!   the idle shards and the first busy one on the calling thread and
+//!   each further busy shard on its own scoped thread
+//!   ([`pif_par::fan_out`]); shards share nothing, so the served
+//!   outcomes are bit-identical whichever thread runs a shard;
 //! * per-initiator request queues are **bounded**, with an explicit
 //!   [`ShedPolicy`] and typed [`ServeError`]s for overload;
 //! * every request is scored in a [`ledger::DeliveryLedger`] that records

@@ -449,23 +449,24 @@ impl<M: Clone + PartialEq + fmt::Debug + Send> WaveService<M> {
         }
     }
 
-    /// Drains every queue: shards run concurrently (one worker per
-    /// shard), each interleaving its live lanes under its seeded RNG.
-    /// Outcomes are deterministic in the configuration seed — shards
-    /// share nothing, so thread scheduling cannot reorder anything
-    /// observable.
+    /// Drains every queue, each shard interleaving its live lanes under
+    /// its seeded RNG. The calling thread is one of the workers: it runs
+    /// the idle shards (firing their due campaigns) and the first busy
+    /// shard, and every further busy shard runs concurrently on its own
+    /// scoped thread ([`pif_par::fan_out`]). A call with one busy shard,
+    /// such as a closed-loop request, spawns nothing. Outcomes are
+    /// deterministic in the configuration seed — shards share nothing,
+    /// so which thread runs a shard cannot change anything observable.
     ///
     /// # Errors
     ///
     /// The first [`ServeError::Sim`] any shard hit, if any.
     pub fn run(&mut self) -> Result<(), ServeError> {
         let start = Instant::now();
-        let shards = std::mem::take(&mut self.shards);
-        let workers = shards.len().max(1);
-        self.shards = pif_par::par_map_workers(shards, workers, |mut shard| {
+        for shard in self.shards.iter_mut().filter(|s| !s.is_busy()) {
             shard.run();
-            shard
-        });
+        }
+        pif_par::fan_out(self.shards.iter_mut().filter(|s| s.is_busy()), Shard::run);
         self.run_seconds += start.elapsed().as_secs_f64();
         for shard in &mut self.shards {
             if let Some(e) = shard.take_error() {

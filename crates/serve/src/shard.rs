@@ -52,6 +52,11 @@ impl<M: Clone + PartialEq + fmt::Debug> Shard<M> {
         &self.records
     }
 
+    /// Whether some lane has queued or in-flight work.
+    pub(crate) fn is_busy(&self) -> bool {
+        self.lanes.iter().any(Lane::is_live)
+    }
+
     /// Moves the first error out of the shard (the service reports it).
     pub(crate) fn take_error(&mut self) -> Option<ServeError> {
         self.error.take()

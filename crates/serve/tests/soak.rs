@@ -235,30 +235,77 @@ fn topologies_beyond_the_level_register_are_rejected() {
 }
 
 /// Same seed ⇒ bit-identical deterministic report fields; different seed
-/// ⇒ (with randomized daemons) different trajectories.
+/// ⇒ (with randomized daemons) different trajectories. One shard runs
+/// the whole service on the calling thread; two run one shard there and
+/// one on a spawned thread; at four shards one of them has no lane, and
+/// its campaign fires on the calling thread.
 #[test]
 fn reports_replay_deterministically_from_their_seed() {
-    let scenario = |seed: u64| Scenario {
-        topology: Topology::Torus { w: 3, h: 3 },
-        initiators: spread_initiators(9, 3),
-        shards: 2,
-        seed,
-        daemon: ServeDaemon::CentralRandom,
-        requests: 60,
-        fault: Some((12, 6, seed)),
+    for shards in [1, 2, 4] {
+        let scenario = |seed: u64| Scenario {
+            topology: Topology::Torus { w: 3, h: 3 },
+            initiators: spread_initiators(9, 3),
+            shards,
+            seed,
+            daemon: ServeDaemon::CentralRandom,
+            requests: 60,
+            fault: Some((12, 6, seed)),
+        };
+        let run = |s: &Scenario| ServiceReport::capture(&run_scenario(s).unwrap(), s.fault);
+        let a = run(&scenario(7));
+        let b = run(&scenario(7));
+        assert!(a.deterministic_eq(&b), "{shards} shards");
+        assert!(a.summary.post_fault_total > 0, "{shards} shards: the campaign never fired");
+        // Round-trip through the recorded envelope, then replay from the
+        // reconstructed scenario — the `pif-serve check` path.
+        let text = pif_serve::report::envelope(7, std::slice::from_ref(&a));
+        let (_, parsed) = pif_serve::report::parse_envelope(&text).unwrap();
+        let replayed = run(&parsed[0].scenario().unwrap());
+        assert!(replayed.deterministic_eq(&a), "{shards} shards");
+        let c = run(&scenario(8));
+        assert!(!c.deterministic_eq(&a), "{shards} shards: different seeds should diverge");
+    }
+}
+
+/// A closed loop (submit one request, run, repeat) has one busy shard
+/// per call, which runs on the calling thread with the idle ones. Two
+/// closed-loop runs of one seed, with campaigns scheduled between
+/// requests, serve identically.
+#[test]
+fn closed_loop_runs_replay_deterministically() {
+    let initiators = spread_initiators(9, 3);
+    let serve = |shards: usize| {
+        let config = ServeConfig::new(Topology::Torus { w: 3, h: 3 })
+            .initiators(initiators.clone())
+            .shards(shards)
+            .seed(23)
+            .daemon(ServeDaemon::CentralRandom);
+        let mut svc = WaveService::<u64>::new(config).unwrap();
+        for i in 0..60u64 {
+            if i % 10 == 5 {
+                svc.schedule_fault(FaultSpec {
+                    after_completions: 0,
+                    registers_per_lane: 4,
+                    seed: 0xC105_ED00 ^ i,
+                });
+            }
+            let k = i as usize;
+            svc.submit(Request::new(initiators[k % 3], i, AggregateKind::ALL[k % 4])).unwrap();
+            svc.run().unwrap();
+        }
+        svc
     };
-    let run = |s: &Scenario| ServiceReport::capture(&run_scenario(s).unwrap(), s.fault);
-    let a = run(&scenario(7));
-    let b = run(&scenario(7));
-    assert!(a.deterministic_eq(&b));
-    // Round-trip through the recorded envelope, then replay from the
-    // reconstructed scenario — the `pif-serve check` path.
-    let text = pif_serve::report::envelope(7, std::slice::from_ref(&a));
-    let (_, parsed) = pif_serve::report::parse_envelope(&text).unwrap();
-    let replayed = run(&parsed[0].scenario().unwrap());
-    assert!(replayed.deterministic_eq(&a));
-    let c = run(&scenario(8));
-    assert!(!c.deterministic_eq(&a), "different seeds should diverge");
+    for shards in [1, 2, 4] {
+        let (a, b) = (serve(shards), serve(shards));
+        let (ra, rb) = (ServiceReport::capture(&a, None), ServiceReport::capture(&b, None));
+        assert!(ra.deterministic_eq(&rb), "{shards} shards\na: {ra:?}\nb: {rb:?}");
+        assert_eq!(a.phase_report(), b.phase_report(), "{shards} shards");
+        let records = |s: &WaveService<u64>| s.ledger().records().collect::<Vec<_>>();
+        assert_eq!(records(&a), records(&b), "{shards} shards");
+        assert_eq!(ra.summary.total, 60, "{shards} shards");
+        assert!(ra.summary.post_fault_total > 0, "{shards} shards: no campaign fired");
+        a.ledger().assert_snap().unwrap();
+    }
 }
 
 /// Both step engines serve the same scenario bit-identically: the `SoA`

@@ -16,15 +16,16 @@
 //! A round with fewer than [`INLINE_LEVEL`] keys of work runs every turn
 //! on the calling thread, and its router inserts each successor straight
 //! into its owner's table (one probe) and, if new, onto that owner's
-//! next level. A larger round runs on one scoped thread per worker, each
-//! claiming the next unclaimed owner until none is left, and ends at a
-//! barrier. A worker may touch only the owner whose turn it runs: a
-//! successor that owner holds goes straight into its table, and a
-//! successor another owner holds goes into that owner's outbox. At the
-//! barrier each outbox is swapped with its owner's drained inbox: the
-//! filled buffer moves to the owner without copying a key, and the
-//! emptied one comes back as the next outbox, so the steady state
-//! allocates nothing.
+//! next level. A larger round runs on every worker, the calling thread
+//! being the first and each other worker a scoped thread
+//! ([`pif_par::fan_out`]), each claiming the next unclaimed owner until
+//! none is left, and ends at a barrier. A worker may touch only the
+//! owner whose turn it runs: a successor that owner holds goes straight
+//! into its table, and a successor another owner holds goes into that
+//! owner's outbox. At the barrier each outbox is swapped with its
+//! owner's drained inbox: the filled buffer moves to the owner without
+//! copying a key, and the emptied one comes back as the next outbox, so
+//! the steady state allocates nothing.
 //!
 //! Owners outnumber workers so that a threaded round balances itself. A
 //! barrier waits for the slowest worker, and on a shared host a CPU is
@@ -287,17 +288,18 @@ impl<S: Send> Search<S> {
     /// in which `turn(scratch, keys, router)` expands the claimed `keys`
     /// and returns the number of seeds it scanned. Inline when there is
     /// one worker or fewer than [`INLINE_LEVEL`] keys of work; otherwise
-    /// threaded, ending with the barrier's mail exchange.
+    /// on every worker, the calling thread first ([`pif_par::fan_out`]),
+    /// ending with the barrier's mail exchange.
     fn round<F>(&mut self, size: usize, level: bool, turn: F)
     where
         F: Fn(&mut S, &[u128], &mut Router<'_>) -> u64 + Sync,
     {
         let Search { scratches, owners } = self;
-        let (first, rest) = scratches.split_first_mut().expect("at least one worker");
-        if rest.is_empty() || size < INLINE_LEVEL {
+        if scratches.len() <= 1 || size < INLINE_LEVEL {
+            let scratch = scratches.first_mut().expect("at least one worker");
             for me in 0..owners.len() {
                 let (frontier, keys) = owners[me].start_turn(level);
-                let seeds = turn(first, &frontier[keys], &mut Router(Route::Direct(owners)));
+                let seeds = turn(scratch, &frontier[keys], &mut Router(Route::Direct(owners)));
                 owners[me].end_turn(frontier, seeds);
             }
             return;
@@ -313,13 +315,7 @@ impl<S: Send> Search<S> {
             let seeds = turn(scratch, &frontier[keys], &mut Router(Route::Mail { me, table, next, outbox }));
             owner.end_turn(frontier, seeds);
         };
-        std::thread::scope(|scope| {
-            for scratch in rest {
-                let work = &work;
-                scope.spawn(move || work(scratch));
-            }
-            work(first);
-        });
+        pif_par::fan_out(scratches.iter_mut(), work);
         self.exchange();
     }
 

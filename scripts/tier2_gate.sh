@@ -113,22 +113,31 @@ cargo run --release -p pif-suite --example concurrent_initiators
 # with a spotless ledger, and the same soak with a mid-flight
 # register-corruption campaign must keep every post-fault request
 # correct (the binary exits non-zero on any ledger violation in either
-# mode). The emitted JSON must carry the documented report shape.
+# mode). The emitted JSON must carry the documented report shape. The
+# fault soak runs at three shard counts, since the calling thread is one
+# of the service's workers (§13.3): one shard runs the whole service on
+# the caller, two run one shard there and one on a spawned thread, and
+# three (with four initiators) run one there and two on spawned threads.
 ./target/release/pif-serve soak --topology torus:4x4 --initiators 4 --shards 2 \
     --seed 11 --requests 400 --json "$trace_dir/soak_clean.json"
-./target/release/pif-serve soak --topology torus:3x3 --initiators 3 --shards 2 \
-    --seed 17 --requests 200 --daemon central-random \
-    --corrupt-after 30 --corrupt-registers 10 \
-    --json "$trace_dir/soak_fault.json"
-for f in soak_clean soak_fault; do
+for spec in "3 1" "3 2" "4 3"; do
+    set -- $spec
+    ./target/release/pif-serve soak --topology torus:3x3 --initiators "$1" --shards "$2" \
+        --seed 17 --requests 200 --daemon central-random \
+        --corrupt-after 30 --corrupt-registers 10 \
+        --json "$trace_dir/soak_fault_$2.json"
+done
+for f in soak_clean soak_fault_1 soak_fault_2 soak_fault_3; do
     jq -e '.benchmark == "service_throughput" and .version == 1
            and (.results | length == 1)' "$trace_dir/$f.json" > /dev/null
 done
 jq -e '.results[0] | .summary.completed_ok == 400 and .summary.casualties == 0' \
     "$trace_dir/soak_clean.json" > /dev/null
-jq -e '.results[0].summary
-       | .post_fault_total > 0 and .post_fault_ok == .post_fault_total
-         and .timed_out == 0' "$trace_dir/soak_fault.json" > /dev/null
+for f in soak_fault_1 soak_fault_2 soak_fault_3; do
+    jq -e '.results[0].summary
+           | .post_fault_total > 0 and .post_fault_ok == .post_fault_total
+             and .timed_out == 0' "$trace_dir/$f.json" > /dev/null
+done
 # The committed service benchmark must parse with the right shape and
 # replay bit-identically from its recorded seed (deterministic fields
 # only; `check` exits non-zero on any mismatch). The records were made on
