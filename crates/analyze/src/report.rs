@@ -1,10 +1,9 @@
 //! Machine-readable JSON report for analyzer runs.
 //!
-//! The report is hand-rolled on top of `pif_daemon::json` (the same
-//! dependency-free module the trace replayer uses): [`render`] emits the
-//! document and the daemon's [`pif_daemon::json::parse`] reads it back,
-//! which is exactly how the gate script and the round-trip test validate
-//! the shape.
+//! [`render`] builds the document as a [`pif_daemon::json::Json`] value
+//! and writes it in that codec's compact form (the codec the trace files
+//! use); [`pif_daemon::json::parse`] reads it back, which is how the gate
+//! script and the round-trip test validate the shape.
 //!
 //! Top-level shape:
 //!
@@ -47,161 +46,95 @@
 //! PR) adds the `abstract`, `ranking` and `derived` sections for the
 //! AN008–AN011 checks.
 
-use std::fmt::Write as _;
-
-use pif_daemon::json::write_string;
+use pif_daemon::json::Json;
 
 use crate::{Analysis, Diagnostic, InterferenceEdge};
 
 /// Report format version, bumped on any shape change.
 pub const REPORT_VERSION: u64 = 2;
 
-fn push_str_field(out: &mut String, key: &str, value: &str) {
-    write_string(key, out);
-    out.push(':');
-    write_string(value, out);
+fn diagnostic(d: &Diagnostic) -> Json {
+    Json::obj([
+        ("code", d.code.as_str().into()),
+        ("title", d.code.title().into()),
+        ("action", (&d.action).into()),
+        ("other_action", d.other_action.as_deref().into()),
+        ("proc", d.proc.index().into()),
+        ("processor_class", d.processor_class.into()),
+        ("register", d.register.as_deref().into()),
+        ("witness", d.witness.as_deref().into()),
+        ("message", (&d.message).into()),
+    ])
 }
 
-fn push_opt_field(out: &mut String, key: &str, value: Option<&str>) {
-    write_string(key, out);
-    out.push(':');
-    match value {
-        Some(v) => write_string(v, out),
-        None => out.push_str("null"),
-    }
+fn edge(e: &InterferenceEdge) -> Json {
+    Json::obj([
+        ("src", (&e.src).into()),
+        ("dst", (&e.dst).into()),
+        ("across_link", e.across_link.into()),
+        ("registers", e.registers.iter().collect()),
+    ])
 }
 
-fn render_diagnostic(d: &Diagnostic, out: &mut String) {
-    out.push('{');
-    push_str_field(out, "code", d.code.as_str());
-    out.push(',');
-    push_str_field(out, "title", d.code.title());
-    out.push(',');
-    push_str_field(out, "action", &d.action);
-    out.push(',');
-    push_opt_field(out, "other_action", d.other_action.as_deref());
-    out.push(',');
-    let _ = write!(out, "\"proc\":{},", d.proc.index());
-    push_str_field(out, "processor_class", d.processor_class);
-    out.push(',');
-    push_opt_field(out, "register", d.register.as_deref());
-    out.push(',');
-    push_opt_field(out, "witness", d.witness.as_deref());
-    out.push(',');
-    push_str_field(out, "message", &d.message);
-    out.push('}');
-}
-
-fn render_edge(e: &InterferenceEdge, out: &mut String) {
-    out.push('{');
-    push_str_field(out, "src", &e.src);
-    out.push(',');
-    push_str_field(out, "dst", &e.dst);
-    out.push(',');
-    let _ = write!(out, "\"across_link\":{},", e.across_link);
-    out.push_str("\"registers\":[");
-    for (i, r) in e.registers.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        write_string(r, out);
-    }
-    out.push_str("]}");
-}
-
-fn render_run(a: &Analysis, out: &mut String) {
-    out.push('{');
-    push_str_field(out, "protocol", &a.protocol);
-    out.push(',');
-    push_str_field(out, "topology", &a.topology);
-    out.push(',');
-    let _ = write!(out, "\"processors\":{},", a.processors);
-    out.push_str("\"actions\":[");
-    for (i, name) in a.actions.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        write_string(name, out);
-    }
-    out.push_str("],");
-    let _ = write!(out, "\"views_checked\":{},\"probes\":{},", a.views_checked, a.probes);
-    out.push_str("\"diagnostics\":[");
-    for (i, d) in a.diagnostics.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        render_diagnostic(d, out);
-    }
-    out.push_str("],");
-    out.push_str("\"interference\":{\"edges\":[");
-    for (i, e) in a.interference.edges.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        render_edge(e, out);
-    }
-    out.push_str("]},");
-    out.push_str("\"abstract\":[");
-    for (i, r) in a.abstract_roles.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push('{');
-        push_str_field(out, "role", r.role.name());
-        let _ = write!(out, ",\"states\":{},\"edges\":{}}}", r.states, r.edges);
-    }
-    out.push_str("],");
-    out.push_str("\"ranking\":{\"components\":[");
-    for (i, c) in a.ranking.components.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        write_string(c, out);
-    }
-    let _ = write!(
-        out,
-        "],\"max_depth\":{},\"abnormal_states\":{},\"window\":{},\"certified\":{}}},",
-        a.ranking.max_depth, a.ranking.abnormal_states, a.ranking.window, a.ranking.certified
-    );
-    let _ = write!(
-        out,
-        "\"derived\":{{\"derived_edges\":{},\"derived_radius\":{},\
-         \"advertised_edges\":{},\"observed_edges\":{},\"observed_radius\":{},\
-         \"pair_probes\":{},\"sampled\":{}}}",
-        a.derived.derived_edges,
-        a.derived.derived_radius,
-        a.derived.advertised_edges,
-        a.derived.observed.len(),
-        a.derived.observed_radius,
-        a.derived.pair_probes,
-        a.derived.sampled
-    );
-    out.push('}');
+fn run(a: &Analysis) -> Json {
+    let roles = a.abstract_roles.iter().map(|r| {
+        let role = r.role.name().into();
+        Json::obj([("role", role), ("states", r.states.into()), ("edges", r.edges.into())])
+    });
+    let ranking = &a.ranking;
+    let derived = &a.derived;
+    Json::obj([
+        ("protocol", (&a.protocol).into()),
+        ("topology", (&a.topology).into()),
+        ("processors", a.processors.into()),
+        ("actions", a.actions.iter().collect()),
+        ("views_checked", a.views_checked.into()),
+        ("probes", a.probes.into()),
+        ("diagnostics", a.diagnostics.iter().map(diagnostic).collect()),
+        ("interference", Json::obj([("edges", a.interference.edges.iter().map(edge).collect())])),
+        ("abstract", roles.collect()),
+        (
+            "ranking",
+            Json::obj([
+                ("components", ranking.components.iter().copied().collect()),
+                ("max_depth", ranking.max_depth.into()),
+                ("abnormal_states", ranking.abnormal_states.into()),
+                ("window", ranking.window.into()),
+                ("certified", ranking.certified.into()),
+            ]),
+        ),
+        (
+            "derived",
+            Json::obj([
+                ("derived_edges", derived.derived_edges.into()),
+                ("derived_radius", derived.derived_radius.into()),
+                ("advertised_edges", derived.advertised_edges.into()),
+                ("observed_edges", derived.observed.len().into()),
+                ("observed_radius", derived.observed_radius.into()),
+                ("pair_probes", derived.pair_probes.into()),
+                ("sampled", derived.sampled.into()),
+            ]),
+        ),
+    ])
 }
 
 /// Renders the full report document for a batch of analyses.
 pub fn render(analyses: &[Analysis]) -> String {
     let total: usize = analyses.iter().map(|a| a.diagnostics.len()).sum();
-    let mut out = String::new();
-    out.push('{');
-    push_str_field(&mut out, "analyzer", "pif-analyze");
-    out.push(',');
-    let _ = write!(out, "\"version\":{REPORT_VERSION},\"total_diagnostics\":{total},");
-    out.push_str("\"runs\":[");
-    for (i, a) in analyses.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        render_run(a, &mut out);
-    }
-    out.push_str("]}");
-    out
+    Json::obj([
+        ("analyzer", "pif-analyze".into()),
+        ("version", REPORT_VERSION.into()),
+        ("total_diagnostics", total.into()),
+        ("runs", analyses.iter().map(run).collect()),
+    ])
+    .to_string()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::analyze;
+    use pif_daemon::json;
     use pif_core::PifProtocol;
     use pif_graph::{generators, ProcId};
 
@@ -211,53 +144,41 @@ mod tests {
         let proto = PifProtocol::new(ProcId(0), &g);
         let a = analyze(&proto, &g, "pif", "chain2");
         let text = render(std::slice::from_ref(&a));
-        let doc = pif_daemon::json::parse(&text).expect("report must be valid JSON");
-        assert_eq!(doc.get("analyzer").and_then(|j| j.as_str()), Some("pif-analyze"));
-        assert_eq!(doc.get("version").and_then(pif_daemon::json::Json::as_u64), Some(REPORT_VERSION));
-        assert_eq!(doc.get("total_diagnostics").and_then(pif_daemon::json::Json::as_u64), Some(0));
-        let runs = doc.get("runs").and_then(|j| j.as_array()).unwrap();
+        let doc = json::parse(&text).expect("report must be valid JSON");
+        assert_eq!(doc.field("analyzer"), Ok("pif-analyze"));
+        assert_eq!(doc.field("version"), Ok(REPORT_VERSION));
+        assert_eq!(doc.field("total_diagnostics"), Ok(0u64));
+        let runs: &[Json] = doc.field("runs").unwrap();
         assert_eq!(runs.len(), 1);
         let run = &runs[0];
-        assert_eq!(run.get("protocol").and_then(|j| j.as_str()), Some("pif"));
-        assert_eq!(run.get("processors").and_then(pif_daemon::json::Json::as_u64), Some(2));
-        assert_eq!(
-            run.get("actions").and_then(|j| j.as_array()).map(<[_]>::len),
-            Some(7)
-        );
-        let edges = run
-            .get("interference")
-            .and_then(|j| j.get("edges"))
-            .and_then(|j| j.as_array())
-            .unwrap();
+        assert_eq!(run.field("protocol"), Ok("pif"));
+        assert_eq!(run.field("processors"), Ok(2u64));
+        assert_eq!(run.field::<Vec<&str>>("actions").map(|a| a.len()), Ok(7));
+        let edges: &[Json] = run.field::<&Json>("interference").unwrap().field("edges").unwrap();
         assert!(!edges.is_empty());
         for e in edges {
-            assert!(e.get("src").and_then(|j| j.as_str()).is_some());
-            assert!(e.get("dst").and_then(|j| j.as_str()).is_some());
-            assert!(e.get("across_link").is_some());
+            assert!(e.field::<&str>("src").is_ok());
+            assert!(e.field::<&str>("dst").is_ok());
+            assert!(e.field::<bool>("across_link").is_ok());
         }
-        let roles = run.get("abstract").and_then(|j| j.as_array()).unwrap();
+        let roles: &[Json] = run.field("abstract").unwrap();
         assert!(!roles.is_empty(), "PIF must yield at least the root role machine");
         for r in roles {
-            assert!(r.get("role").and_then(|j| j.as_str()).is_some());
-            assert!(r.get("states").and_then(pif_daemon::json::Json::as_u64).unwrap() > 0);
+            assert!(r.field::<&str>("role").is_ok());
+            assert!(r.field::<u64>("states").unwrap() > 0);
         }
-        let ranking = run.get("ranking").unwrap();
-        assert_eq!(ranking.get("certified").and_then(pif_daemon::json::Json::as_bool), Some(true));
-        assert!(ranking.get("components").and_then(|j| j.as_array()).map(<[_]>::len).unwrap() > 0);
-        let derived = run.get("derived").unwrap();
-        assert_eq!(
-            derived.get("derived_radius").and_then(pif_daemon::json::Json::as_u64),
-            Some(1)
-        );
-        assert!(
-            derived.get("pair_probes").and_then(pif_daemon::json::Json::as_u64).unwrap() > 0
-        );
+        let ranking: &Json = run.field("ranking").unwrap();
+        assert_eq!(ranking.field("certified"), Ok(true));
+        assert!(!ranking.field::<&[Json]>("components").unwrap().is_empty());
+        let derived: &Json = run.field("derived").unwrap();
+        assert_eq!(derived.field("derived_radius"), Ok(1u64));
+        assert!(derived.field::<u64>("pair_probes").unwrap() > 0);
     }
 
     #[test]
     fn witness_strings_are_escaped() {
         // Witness strings come from Debug formatting and contain quotes
-        // in pathological cases; write_string must keep the document
+        // in pathological cases; the writer must keep the document
         // parseable. Build a synthetic diagnostic to exercise escaping.
         let mut a = analyze(
             &PifProtocol::new(ProcId(0), &generators::chain(2).unwrap()),
@@ -267,11 +188,8 @@ mod tests {
         );
         a.protocol = "pif\"quoted".to_string();
         let text = render(std::slice::from_ref(&a));
-        let doc = pif_daemon::json::parse(&text).unwrap();
-        let runs = doc.get("runs").and_then(|j| j.as_array()).unwrap();
-        assert_eq!(
-            runs[0].get("protocol").and_then(|j| j.as_str()),
-            Some("pif\"quoted")
-        );
+        let doc = json::parse(&text).unwrap();
+        let runs: &[Json] = doc.field("runs").unwrap();
+        assert_eq!(runs[0].field("protocol"), Ok("pif\"quoted"));
     }
 }

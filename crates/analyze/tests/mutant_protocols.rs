@@ -9,6 +9,7 @@ use pif_analyze::mutants::{
     SkipCleaningPif, UnderReadEcho, WidenedCorrectionPif,
 };
 use pif_analyze::{analyze, report, Code};
+use pif_daemon::json::Json;
 use pif_graph::{generators, ProcId};
 
 #[test]
@@ -232,16 +233,14 @@ fn mutant_report_carries_codes_and_exit_contract() {
     ];
     let text = report::render(&runs);
     let doc = pif_daemon::json::parse(&text).unwrap();
-    assert!(doc.get("total_diagnostics").and_then(pif_daemon::json::Json::as_u64).unwrap() >= 7);
+    assert!(doc.field::<u64>("total_diagnostics").unwrap() >= 7);
     let expected = ["AN002", "AN001", "AN003", "AN008", "AN009", "AN010", "AN011"];
-    let parsed_runs = doc.get("runs").and_then(|j| j.as_array()).unwrap();
+    let parsed_runs: &[Json] = doc.field("runs").unwrap();
     assert_eq!(parsed_runs.len(), 7);
     for (run, code) in parsed_runs.iter().zip(expected) {
-        let diags = run.get("diagnostics").and_then(|j| j.as_array()).unwrap();
+        let diags: &[Json] = run.field("diagnostics").unwrap();
         assert!(
-            diags
-                .iter()
-                .any(|d| d.get("code").and_then(|j| j.as_str()) == Some(code)),
+            diags.iter().any(|d| d.field("code") == Ok(code)),
             "run {:?} missing {code}",
             run.get("protocol")
         );

@@ -115,50 +115,47 @@ fn main() -> ExitCode {
     }
     let duration: f64 = opt(&args, "--duration").and_then(|d| d.parse().ok()).unwrap_or(1.0);
 
-    println!("{{");
-    println!("  \"benchmark\": \"net_throughput\",");
-    println!("  \"unit\": \"events_per_sec\",");
-    println!("  \"protocol\": \"PifProtocol over pif-net (framed snapshots, lossy links)\",");
-    println!(
-        "  \"method\": \"cargo run --release --bin exp_net_throughput -- --duration 1.0; \
-         single-threaded, one seeded NetSim per point ticked for the measured window; a wave \
-         is one root B->F cycle. certification fields come from 4 seeds x 4 requests per \
-         point from post-fault random starts (deterministic; replayed by --check). \
-         adversarial cell = drop 0.2, duplicate 0.1, reorder 0.3, corrupt 0.05 per link.\","
-    );
-    println!(
-        "  \"acceptance\": \"every point certifies completed == 16 with pif1 == pif2 == 16 \
-         and corrupt_applied == 0; adversarial points keep waves flowing \
-         (waves_per_sec > 0)\","
-    );
-    println!("  \"results\": [");
-    let mut first = true;
+    let mut rows = Vec::new();
     for (t, c) in points() {
-        if !first {
-            println!(",");
-        }
-        first = false;
         let (events_s, execs_s, waves_s) = measure_point(&t, &c, duration);
         let cert = certify(&t, &c);
-        print!(
-            "    {{\"topology\": \"{t}\", \"cell\": \"{}\", \"events_per_sec\": {events_s:.0}, \
-             \"executions_per_sec\": {execs_s:.0}, \"waves_per_sec\": {waves_s:.1}, \
-             \"requests\": 16",
-            c.name,
-        );
-        for (field, value) in recorded_fields(&cert) {
-            print!(", \"{field}\": {value}");
-        }
-        print!("}}");
+        let mut row = vec![
+            ("topology".to_string(), t.to_string().into()),
+            ("cell".to_string(), c.name.into()),
+            ("events_per_sec".to_string(), Json::fixed(events_s, 0)),
+            ("executions_per_sec".to_string(), Json::fixed(execs_s, 0)),
+            ("waves_per_sec".to_string(), Json::fixed(waves_s, 1)),
+            ("requests".to_string(), 16u64.into()),
+        ];
+        row.extend(recorded_fields(&cert).map(|(field, value)| (field.to_string(), value.into())));
+        rows.push(Json::Obj(row));
         eprintln!(
             "{t:>14} [{:<11}] {events_s:>11.0} events/s {waves_s:>7.1} waves/s \
              cert {}/16 pif2 {}/16",
             c.name, cert.completed, cert.pif2_ok
         );
     }
-    println!();
-    println!("  ]");
-    println!("}}");
+    let header = [
+        ("benchmark", "net_throughput".into()),
+        ("unit", "events_per_sec".into()),
+        ("protocol", "PifProtocol over pif-net (framed snapshots, lossy links)".into()),
+        (
+            "method",
+            "cargo run --release --bin exp_net_throughput -- --duration 1.0; single-threaded, \
+             one seeded NetSim per point ticked for the measured window; a wave is one root \
+             B->F cycle. certification fields come from 4 seeds x 4 requests per point from \
+             post-fault random starts (deterministic; replayed by --check). adversarial cell = \
+             drop 0.2, duplicate 0.1, reorder 0.3, corrupt 0.05 per link."
+                .into(),
+        ),
+        (
+            "acceptance",
+            "every point certifies completed == 16 with pif1 == pif2 == 16 and corrupt_applied \
+             == 0; adversarial points keep waves flowing (waves_per_sec > 0)"
+                .into(),
+        ),
+    ];
+    print!("{}", json::write_envelope(&header, rows));
     ExitCode::SUCCESS
 }
 
@@ -179,10 +176,7 @@ fn recorded_fields(cert: &CellOutcome) -> [(&'static str, u64); 6] {
 fn committed_rows(path: &str) -> Result<Vec<Json>, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
     let doc = json::parse(&text).map_err(|e| format!("{path}: {e}"))?;
-    let rows = doc
-        .get("results")
-        .and_then(Json::as_array)
-        .ok_or_else(|| format!("{path}: no results array"))?;
+    let rows: &[Json] = doc.field("results").map_err(|e| format!("{path}: {e}"))?;
     if rows.len() != points().len() {
         return Err(format!("{path}: {} results, want {}", rows.len(), points().len()));
     }
@@ -204,8 +198,8 @@ fn check(bench: &str) -> ExitCode {
     for (t, c) in points() {
         let topology = t.to_string();
         let Some(row) = rows.iter().find(|r| {
-            r.get("topology").and_then(Json::as_str) == Some(topology.as_str())
-                && r.get("cell").and_then(Json::as_str) == Some(c.name)
+            r.field::<&str>("topology") == Ok(topology.as_str())
+                && r.field::<&str>("cell") == Ok(c.name)
         }) else {
             eprintln!("{bench} has no row for {t} [{}]", c.name);
             return ExitCode::FAILURE;
@@ -225,7 +219,7 @@ fn check(bench: &str) -> ExitCode {
             return ExitCode::FAILURE;
         }
         for (field, value) in recorded_fields(&a) {
-            let recorded = row.get(field).and_then(Json::as_u64);
+            let recorded = row.field::<u64>(field).ok();
             if recorded != Some(value) {
                 eprintln!(
                     "SCHEDULE DRIFT at {t} [{}]: {field} recomputed {value}, {bench} records \

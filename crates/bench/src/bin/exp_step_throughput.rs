@@ -26,6 +26,7 @@ use std::process::ExitCode;
 use pif_bench::step_measure::{measure, measure_sync, Topology, EXT_SIZES, SIZES};
 use pif_core::{initial, PifProtocol};
 use pif_daemon::daemons::{CentralRandom, DistributedRandom, Synchronous};
+use pif_daemon::json::{self, Json};
 use pif_daemon::Daemon;
 use pif_graph::ProcId;
 use pif_soa::{Engine, EngineSim};
@@ -59,41 +60,18 @@ fn main() -> ExitCode {
         sizes.extend(EXT_SIZES);
     }
 
-    println!("{{");
-    println!("  \"benchmark\": \"step_throughput\",");
-    println!("  \"unit\": \"moves_per_sec\",");
-    println!("  \"protocol\": \"PifProtocol (arbitrary-network snap PIF)\",");
-    println!(
-        "  \"method\": \"cargo run --release --bin exp_step_throughput -- --engine both \
-         --duration 1.0 --extended; single-threaded, one point per topology/size. \
-         aos_/soa_steps_per_sec: computation steps under CentralRandom (one processor move \
-         per step) on the array-of-structs vs packed structure-of-arrays engine. \
-         soa_sync_moves_per_sec: individual processor moves (one guarded-action execution \
-         each) under the synchronous daemon on the SoA word-parallel fast path, where one \
-         step executes |enabled| moves. speedup = soa_sync_moves_per_sec / \
-         aos_steps_per_sec at the same point.\","
-    );
-    println!(
-        "  \"acceptance\": \"torus n=1024 soa_sync_moves_per_sec >= 10000000 (10M \
-         moves/sec synchronous batch stepping); soa_sync_moves_per_sec > \
-         aos_steps_per_sec on every point\","
-    );
-    println!("  \"results\": [");
-    let mut first = true;
+    let mut rows = Vec::new();
     for t in Topology::ALL {
         for &n in &sizes {
-            if !first {
-                println!(",");
-            }
-            first = false;
-            print!("    {{\"topology\": \"{}\", \"n\": {n}", t.label());
+            let mut row =
+                vec![("topology".to_string(), t.label().into()), ("n".to_string(), n.into())];
             let mut aos_rate = None;
             for &engine in &engines {
                 let m = measure(t, n, duration, engine);
                 if engine == Engine::Aos {
                     aos_rate = Some(m.steps_per_sec);
                 }
-                print!(", \"{engine}_steps_per_sec\": {:.0}", m.steps_per_sec);
+                row.push((format!("{engine}_steps_per_sec"), Json::fixed(m.steps_per_sec, 0)));
                 eprintln!(
                     "{:>7} n={:<6} [{engine}]   {:>12.0} steps/s",
                     t.label(),
@@ -103,7 +81,7 @@ fn main() -> ExitCode {
             }
             if soa {
                 let s = measure_sync(t, n, duration);
-                print!(", \"soa_sync_moves_per_sec\": {:.0}", s.moves_per_sec);
+                row.push(("soa_sync_moves_per_sec".to_string(), Json::fixed(s.moves_per_sec, 0)));
                 eprintln!(
                     "{:>7} n={:<6} [soa/sync] {:>12.0} moves/s ({:.0} steps/s)",
                     t.label(),
@@ -112,15 +90,36 @@ fn main() -> ExitCode {
                     s.steps_per_sec
                 );
                 if let Some(aos) = aos_rate {
-                    print!(", \"speedup\": {:.2}", s.moves_per_sec / aos);
+                    row.push(("speedup".to_string(), Json::fixed(s.moves_per_sec / aos, 2)));
                 }
             }
-            print!("}}");
+            rows.push(Json::Obj(row));
         }
     }
-    println!();
-    println!("  ]");
-    println!("}}");
+    let header = [
+        ("benchmark", "step_throughput".into()),
+        ("unit", "moves_per_sec".into()),
+        ("protocol", "PifProtocol (arbitrary-network snap PIF)".into()),
+        (
+            "method",
+            "cargo run --release --bin exp_step_throughput -- --engine both --duration 1.0 \
+             --extended; single-threaded, one point per topology/size. aos_/soa_steps_per_sec: \
+             computation steps under CentralRandom (one processor move per step) on the \
+             array-of-structs vs packed structure-of-arrays engine. soa_sync_moves_per_sec: \
+             individual processor moves (one guarded-action execution each) under the \
+             synchronous daemon on the SoA word-parallel fast path, where one step executes \
+             |enabled| moves. speedup = soa_sync_moves_per_sec / aos_steps_per_sec at the same \
+             point."
+                .into(),
+        ),
+        (
+            "acceptance",
+            "torus n=1024 soa_sync_moves_per_sec >= 10000000 (10M moves/sec synchronous batch \
+             stepping); soa_sync_moves_per_sec > aos_steps_per_sec on every point"
+                .into(),
+        ),
+    ];
+    print!("{}", json::write_envelope(&header, rows));
     ExitCode::SUCCESS
 }
 

@@ -36,6 +36,7 @@
 //! rows added later carry `null`.
 
 use pif_core::PifProtocol;
+use pif_daemon::json::{self, Json};
 use pif_graph::{generators, Graph, ProcId};
 use pif_verify::{Checker, Reduction, StateSpace};
 
@@ -112,10 +113,6 @@ fn measure(graph: &Graph, root: ProcId, checker: Checker, check: &str) -> (Summa
     (summary, rate)
 }
 
-fn json_or_null(v: Option<f64>) -> String {
-    v.map_or_else(|| "null".to_string(), |r| format!("{r:.0}"))
-}
-
 fn main() {
     // A benchmark run under a misread PIF_WORKERS pin would report the
     // wrong engine configuration — refuse rather than fall back.
@@ -157,17 +154,7 @@ fn main() {
         v
     };
 
-    println!("{{");
-    println!("  \"benchmark\": \"verify_throughput\",");
-    println!("  \"unit\": \"states_per_sec\",");
-    println!("  \"protocol\": \"PifProtocol (arbitrary-network snap PIF)\",");
-    println!(
-        "  \"method\": \"cargo run --release --bin exp_verify_throughput; per engine: fresh StateSpace, one cold run (builds the shared guard memo), then repeated runs for >= {MIN_SECS}s; rate = states_explored / steady-state run time. par1/parN = the owner-partitioned frontier search with 1 and N workers: keys are partitioned among owners (one for one worker, four per worker otherwise), each with its own lock-free table, and the workers of a threaded round claim owners until none is left (one worker runs inline, no spawns; product searches store non-seed states only, and the snap search counts the seeds whose root cannot open a wave instead of expanding them), reduced = one worker under Reduction::Full (connected-selection POR + symmetry quotient). snap_wave rows search the slice reachable from the clean starting configuration instead of seeding every configuration; full_space_configs is what the product search would seed. baseline = pre-rewrite single-threaded checker at commit 2ca1ba9 (null where that commit could not run the instance). Verdicts are asserted identical across worker counts and reductions before rates are published.\","
-    );
-    println!("  \"workers\": {workers},");
-    println!("  \"host_parallelism\": {},", pif_par::host_parallelism());
-    println!("  \"results\": [");
-    let mut first = true;
+    let mut results = Vec::new();
     for (name, graph, root, check) in &rows {
         let (par1_sum, par1_rate) = measure(graph, *root, Checker::with_workers(1), check);
         let (parn_sum, parn_rate) = measure(graph, *root, Checker::with_workers(workers), check);
@@ -188,33 +175,40 @@ fn main() {
             .iter()
             .find(|&&(i, c, _)| i == *name && c == *check)
             .map(|&(_, _, r)| r);
-        if !first {
-            println!(",");
-        }
-        first = false;
-        print!(
-            "    {{\"instance\": \"{name}\", \"check\": \"{check}\", \"states_explored\": {}, \"verified\": {}, \"full_space_configs\": {config_count}, \"par1_states_per_sec\": {par1_rate:.0}, \"parN_states_per_sec\": {parn_rate:.0}, \"reduced_states_explored\": {}, \"reduced_states_per_sec\": {red_rate:.0}, \"states_ratio\": {:.3}, \"baseline_states_per_sec\": {}, \"par1_vs_baseline\": {}, \"parN_vs_par1\": {:.2}}}",
-            par1_sum.states_explored,
-            par1_sum.verified,
-            red_sum.states_explored,
-            par1_sum.states_explored as f64 / red_sum.states_explored as f64,
-            json_or_null(baseline),
-            baseline.map_or_else(
-                || "null".to_string(),
-                |b| format!("{:.2}", par1_rate / b)
-            ),
-            parn_rate / par1_rate,
-        );
+        let states_ratio = par1_sum.states_explored as f64 / red_sum.states_explored as f64;
+        results.push(Json::obj([
+            ("instance", (*name).into()),
+            ("check", (*check).into()),
+            ("states_explored", par1_sum.states_explored.into()),
+            ("verified", par1_sum.verified.into()),
+            ("full_space_configs", config_count.into()),
+            ("par1_states_per_sec", Json::fixed(par1_rate, 0)),
+            ("parN_states_per_sec", Json::fixed(parn_rate, 0)),
+            ("reduced_states_explored", red_sum.states_explored.into()),
+            ("reduced_states_per_sec", Json::fixed(red_rate, 0)),
+            ("states_ratio", Json::fixed(states_ratio, 3)),
+            ("baseline_states_per_sec", baseline.map(|b| Json::fixed(b, 0)).into()),
+            ("par1_vs_baseline", baseline.map(|b| Json::fixed(par1_rate / b, 2)).into()),
+            ("parN_vs_par1", Json::fixed(parn_rate / par1_rate, 2)),
+        ]));
         eprintln!(
-            "{name:>10} {check:<17} states {:>9}  par1 {:>9.0}/s  par{workers} {:>9.0}/s  reduced {:>9} (x{:.2})",
+            "{name:>10} {check:<17} states {:>9}  par1 {:>9.0}/s  par{workers} {:>9.0}/s  reduced {:>9} (x{states_ratio:.2})",
             par1_sum.states_explored,
             par1_rate,
             parn_rate,
             red_sum.states_explored,
-            par1_sum.states_explored as f64 / red_sum.states_explored as f64,
         );
     }
-    println!();
-    println!("  ]");
-    println!("}}");
+    let method = format!(
+        "cargo run --release --bin exp_verify_throughput; per engine: fresh StateSpace, one cold run (builds the shared guard memo), then repeated runs for >= {MIN_SECS}s; rate = states_explored / steady-state run time. par1/parN = the owner-partitioned frontier search with 1 and N workers: keys are partitioned among owners (one for one worker, four per worker otherwise), each with its own lock-free table, and the workers of a threaded round claim owners until none is left (one worker runs inline, no spawns; product searches store non-seed states only, and the snap search counts the seeds whose root cannot open a wave instead of expanding them), reduced = one worker under Reduction::Full (connected-selection POR + symmetry quotient). snap_wave rows search the slice reachable from the clean starting configuration instead of seeding every configuration; full_space_configs is what the product search would seed. baseline = pre-rewrite single-threaded checker at commit 2ca1ba9 (null where that commit could not run the instance). Verdicts are asserted identical across worker counts and reductions before rates are published."
+    );
+    let header = [
+        ("benchmark", "verify_throughput".into()),
+        ("unit", "states_per_sec".into()),
+        ("protocol", "PifProtocol (arbitrary-network snap PIF)".into()),
+        ("method", method.into()),
+        ("workers", workers.into()),
+        ("host_parallelism", pif_par::host_parallelism().into()),
+    ];
+    print!("{}", json::write_envelope(&header, results));
 }

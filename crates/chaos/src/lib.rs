@@ -100,3 +100,9 @@ impl From<pif_daemon::json::EnvelopeError> for ChaosError {
         ChaosError::Report(e.to_string())
     }
 }
+
+impl From<pif_daemon::json::FieldError> for ChaosError {
+    fn from(e: pif_daemon::json::FieldError) -> Self {
+        ChaosError::Report(e.to_string())
+    }
+}

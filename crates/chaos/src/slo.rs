@@ -25,7 +25,6 @@
 //! [`CampaignConfig`] and [`run_campaign`] reproduces the cell
 //! ([`ChaosCell::deterministic_eq`]).
 
-use std::fmt::Write as _;
 use std::time::Instant;
 
 use pif_core::{initial, PifProtocol, PifState};
@@ -245,141 +244,108 @@ impl ChaosCell {
         strip(a) == strip(b)
     }
 
-    /// Serializes to a JSON object string.
-    pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        out.push('{');
-        out.push_str("\"topology\": ");
-        json::write_string(&self.topology, &mut out);
-        let _ = write!(out, ", \"n_base\": {}", self.n_base);
-        let _ = write!(out, ", \"initiators\": {}", self.initiators);
-        let _ = write!(out, ", \"shards\": {}", self.shards);
-        let _ = write!(out, ", \"seed\": {}", self.seed);
-        let _ = write!(out, ", \"epochs\": {}", self.epochs);
-        let _ = write!(out, ", \"requests_per_epoch\": {}", self.requests_per_epoch);
-        match self.churn {
-            Some(c) => {
-                let _ = write!(
-                    out,
-                    ", \"churn\": {{\"epochs\": {}, \"per_epoch\": {}, \"seed\": {}}}",
-                    c.epochs, c.per_epoch, c.seed
-                );
-            }
-            None => out.push_str(", \"churn\": null"),
-        }
-        let _ = write!(out, ", \"corrupt_registers\": {}", self.corrupt_registers);
-        out.push_str(", \"daemon\": ");
-        json::write_string(&self.daemon, &mut out);
-        out.push_str(", \"engine\": ");
-        json::write_string(&self.engine, &mut out);
-        let _ = write!(out, ", \"slo_k\": {}", self.slo_k);
-        let _ = write!(out, ", \"step_limit\": {}", self.step_limit);
-        let _ = write!(out, ", \"churn_applied\": {}", self.churn_applied);
-        let _ = write!(out, ", \"churn_skipped\": {}", self.churn_skipped);
-        let _ = write!(out, ", \"last_disturbance_epoch\": {}", self.last_disturbance_epoch);
-        let _ = write!(out, ", \"final_n\": {}", self.final_n);
-        let _ = write!(out, ", \"final_diameter\": {}", self.final_diameter);
-        let _ = write!(out, ", \"requests_total\": {}", self.requests_total);
-        let _ = write!(out, ", \"completed_ok\": {}", self.completed_ok);
-        let _ = write!(out, ", \"completed_bad\": {}", self.completed_bad);
-        let _ = write!(out, ", \"shed_displaced\": {}", self.shed_displaced);
-        let _ = write!(out, ", \"shed_retired\": {}", self.shed_retired);
-        let _ = write!(out, ", \"timed_out\": {}", self.timed_out);
-        let _ = write!(out, ", \"casualties\": {}", self.casualties);
-        let _ = write!(out, ", \"snap_ok\": {}", self.snap_ok);
-        let _ = write!(out, ", \"post_total\": {}", self.post_total);
-        let _ = write!(out, ", \"post_within_slo\": {}", self.post_within_slo);
-        let _ = write!(out, ", \"steady_total\": {}", self.steady_total);
-        let _ = write!(out, ", \"steady_within_slo\": {}", self.steady_within_slo);
-        let _ = write!(out, ", \"availability\": {:.6}", self.availability());
-        let _ = write!(out, ", \"steady_availability\": {:.6}", self.steady_availability());
-        let _ = write!(out, ", \"p50_turnaround_steps\": {}", self.p50_turnaround_steps);
-        let _ = write!(out, ", \"p99_turnaround_steps\": {}", self.p99_turnaround_steps);
-        let _ = write!(out, ", \"total_steps\": {}", self.total_steps);
-        let _ = write!(out, ", \"total_rounds\": {}", self.total_rounds);
-        let _ = write!(out, ", \"elapsed_seconds\": {:.6}", self.elapsed_seconds);
-        out.push('}');
-        out
+    /// The cell as one JSON row of the chaos envelope.
+    pub fn to_json(&self) -> Json {
+        let churn = self.churn.map(|c| {
+            Json::obj([
+                ("epochs", c.epochs.into()),
+                ("per_epoch", c.per_epoch.into()),
+                ("seed", c.seed.into()),
+            ])
+        });
+        Json::obj([
+            ("topology", (&self.topology).into()),
+            ("n_base", self.n_base.into()),
+            ("initiators", self.initiators.into()),
+            ("shards", self.shards.into()),
+            ("seed", self.seed.into()),
+            ("epochs", self.epochs.into()),
+            ("requests_per_epoch", self.requests_per_epoch.into()),
+            ("churn", churn.into()),
+            ("corrupt_registers", self.corrupt_registers.into()),
+            ("daemon", (&self.daemon).into()),
+            ("engine", (&self.engine).into()),
+            ("slo_k", self.slo_k.into()),
+            ("step_limit", self.step_limit.into()),
+            ("churn_applied", self.churn_applied.into()),
+            ("churn_skipped", self.churn_skipped.into()),
+            ("last_disturbance_epoch", self.last_disturbance_epoch.into()),
+            ("final_n", self.final_n.into()),
+            ("final_diameter", self.final_diameter.into()),
+            ("requests_total", self.requests_total.into()),
+            ("completed_ok", self.completed_ok.into()),
+            ("completed_bad", self.completed_bad.into()),
+            ("shed_displaced", self.shed_displaced.into()),
+            ("shed_retired", self.shed_retired.into()),
+            ("timed_out", self.timed_out.into()),
+            ("casualties", self.casualties.into()),
+            ("snap_ok", self.snap_ok.into()),
+            ("post_total", self.post_total.into()),
+            ("post_within_slo", self.post_within_slo.into()),
+            ("steady_total", self.steady_total.into()),
+            ("steady_within_slo", self.steady_within_slo.into()),
+            ("availability", Json::fixed(self.availability(), 6)),
+            ("steady_availability", Json::fixed(self.steady_availability(), 6)),
+            ("p50_turnaround_steps", self.p50_turnaround_steps.into()),
+            ("p99_turnaround_steps", self.p99_turnaround_steps.into()),
+            ("total_steps", self.total_steps.into()),
+            ("total_rounds", self.total_rounds.into()),
+            ("elapsed_seconds", Json::fixed(self.elapsed_seconds, 6)),
+        ])
     }
 
-    /// Parses one result object produced by [`ChaosCell::to_json`]
-    /// (derived availability figures are recomputed, not trusted).
+    /// Parses one result row produced by [`ChaosCell::to_json`] (derived
+    /// availability figures are recomputed, not trusted).
     ///
     /// # Errors
     ///
-    /// [`ChaosError::Report`] describing the first missing or ill-typed
-    /// field.
+    /// [`ChaosError::Report`] naming the first missing, mistyped or
+    /// out-of-range field.
     pub fn from_json(v: &Json) -> Result<Self, ChaosError> {
-        fn need<'a>(v: &'a Json, key: &str) -> Result<&'a Json, ChaosError> {
-            v.get(key).ok_or_else(|| ChaosError::Report(format!("missing field {key:?}")))
-        }
-        fn num(v: &Json, key: &str) -> Result<u64, ChaosError> {
-            need(v, key)?
-                .as_u64()
-                .ok_or_else(|| ChaosError::Report(format!("field {key:?} is not an integer")))
-        }
-        fn text(v: &Json, key: &str) -> Result<String, ChaosError> {
-            Ok(need(v, key)?
-                .as_str()
-                .ok_or_else(|| ChaosError::Report(format!("field {key:?} is not a string")))?
-                .to_string())
-        }
-        let churn = match need(v, "churn")? {
-            Json::Null => None,
-            c => Some(ChurnSpec {
-                epochs: u32::try_from(num(c, "epochs")?)
-                    .map_err(|_| ChaosError::Report("churn epochs out of range".into()))?,
-                per_epoch: u32::try_from(num(c, "per_epoch")?)
-                    .map_err(|_| ChaosError::Report("churn per_epoch out of range".into()))?,
-                seed: num(c, "seed")?,
+        let churn = match v.field::<Option<&Json>>("churn")? {
+            None => None,
+            Some(c) => Some(ChurnSpec {
+                epochs: c.field("epochs")?,
+                per_epoch: c.field("per_epoch")?,
+                seed: c.field("seed")?,
             }),
         };
-        let elapsed = match need(v, "elapsed_seconds")? {
-            Json::Num(s) => s
-                .parse()
-                .map_err(|_| ChaosError::Report("elapsed_seconds is not a number".into()))?,
-            _ => return Err(ChaosError::Report("elapsed_seconds is not a number".into())),
-        };
         Ok(ChaosCell {
-            topology: text(v, "topology")?,
-            n_base: num(v, "n_base")? as usize,
-            initiators: num(v, "initiators")? as usize,
-            shards: num(v, "shards")? as usize,
-            seed: num(v, "seed")?,
-            epochs: u32::try_from(num(v, "epochs")?)
-                .map_err(|_| ChaosError::Report("epochs out of range".into()))?,
-            requests_per_epoch: num(v, "requests_per_epoch")?,
+            topology: v.field("topology")?,
+            n_base: v.field("n_base")?,
+            initiators: v.field("initiators")?,
+            shards: v.field("shards")?,
+            seed: v.field("seed")?,
+            epochs: v.field("epochs")?,
+            requests_per_epoch: v.field("requests_per_epoch")?,
             churn,
-            corrupt_registers: num(v, "corrupt_registers")? as usize,
-            daemon: text(v, "daemon")?,
-            engine: text(v, "engine")?,
-            slo_k: num(v, "slo_k")?,
-            step_limit: num(v, "step_limit")?,
-            churn_applied: num(v, "churn_applied")?,
-            churn_skipped: num(v, "churn_skipped")?,
-            last_disturbance_epoch: u32::try_from(num(v, "last_disturbance_epoch")?)
-                .map_err(|_| ChaosError::Report("last_disturbance_epoch out of range".into()))?,
-            final_n: num(v, "final_n")? as usize,
-            final_diameter: num(v, "final_diameter")?,
-            requests_total: num(v, "requests_total")?,
-            completed_ok: num(v, "completed_ok")?,
-            completed_bad: num(v, "completed_bad")?,
-            shed_displaced: num(v, "shed_displaced")?,
-            shed_retired: num(v, "shed_retired")?,
-            timed_out: num(v, "timed_out")?,
-            casualties: num(v, "casualties")?,
-            snap_ok: need(v, "snap_ok")?
-                .as_bool()
-                .ok_or_else(|| ChaosError::Report("snap_ok is not a bool".into()))?,
-            post_total: num(v, "post_total")?,
-            post_within_slo: num(v, "post_within_slo")?,
-            steady_total: num(v, "steady_total")?,
-            steady_within_slo: num(v, "steady_within_slo")?,
-            p50_turnaround_steps: num(v, "p50_turnaround_steps")?,
-            p99_turnaround_steps: num(v, "p99_turnaround_steps")?,
-            total_steps: num(v, "total_steps")?,
-            total_rounds: num(v, "total_rounds")?,
-            elapsed_seconds: elapsed,
+            corrupt_registers: v.field("corrupt_registers")?,
+            daemon: v.field("daemon")?,
+            engine: v.field("engine")?,
+            slo_k: v.field("slo_k")?,
+            step_limit: v.field("step_limit")?,
+            churn_applied: v.field("churn_applied")?,
+            churn_skipped: v.field("churn_skipped")?,
+            last_disturbance_epoch: v.field("last_disturbance_epoch")?,
+            final_n: v.field("final_n")?,
+            final_diameter: v.field("final_diameter")?,
+            requests_total: v.field("requests_total")?,
+            completed_ok: v.field("completed_ok")?,
+            completed_bad: v.field("completed_bad")?,
+            shed_displaced: v.field("shed_displaced")?,
+            shed_retired: v.field("shed_retired")?,
+            timed_out: v.field("timed_out")?,
+            casualties: v.field("casualties")?,
+            snap_ok: v.field("snap_ok")?,
+            post_total: v.field("post_total")?,
+            post_within_slo: v.field("post_within_slo")?,
+            steady_total: v.field("steady_total")?,
+            steady_within_slo: v.field("steady_within_slo")?,
+            p50_turnaround_steps: v.field("p50_turnaround_steps")?,
+            p99_turnaround_steps: v.field("p99_turnaround_steps")?,
+            total_steps: v.field("total_steps")?,
+            total_rounds: v.field("total_rounds")?,
+            elapsed_seconds: v.field("elapsed_seconds")?,
         })
     }
 }
@@ -634,8 +600,12 @@ pub fn run_campaign(cfg: &CampaignConfig) -> Result<ChaosCell, ChaosError> {
 /// Wraps campaign cells in the versioned `chaos_slo` benchmark envelope
 /// (`BENCH_chaos_slo.json` format).
 pub fn envelope(seed: u64, cells: &[ChaosCell]) -> String {
-    let rows = cells.iter().map(ChaosCell::to_json);
-    json::write_envelope(BENCHMARK, CHAOS_REPORT_VERSION, seed, rows)
+    let header = [
+        ("benchmark", BENCHMARK.into()),
+        ("version", CHAOS_REPORT_VERSION.into()),
+        ("seed", seed.into()),
+    ];
+    json::write_envelope(&header, cells.iter().map(ChaosCell::to_json))
 }
 
 /// Parses a `chaos_slo` benchmark envelope back into its cells.

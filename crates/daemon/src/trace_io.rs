@@ -26,7 +26,7 @@ use std::path::Path;
 
 use pif_graph::{Graph, GraphError, ProcId};
 
-use crate::json::{self, Json};
+use crate::json::{self, FieldError, Json};
 use crate::metrics::{MetricsObserver, PhaseReport};
 use crate::{ActionId, Daemon, EnabledSet, Fanout, Observer, PhaseTag, Protocol, Simulator,
             StepDelta};
@@ -198,74 +198,36 @@ impl RecordedTrace {
     /// newline). Serialization is deterministic: equal traces produce
     /// byte-identical files.
     pub fn to_jsonl(&self) -> String {
-        let mut out = String::new();
-        // Header.
-        let _ = write!(out, "{{\"format\":\"pif-trace\",\"version\":{}", self.version);
-        let _ = write!(out, ",\"graph\":{{\"n\":{},\"name\":", self.n);
-        json::write_string(&self.graph_name, &mut out);
-        out.push_str(",\"edges\":[");
-        for (i, (u, v)) in self.edges.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "[{u},{v}]");
-        }
-        out.push_str("]},\"actions\":[");
-        for (i, a) in self.actions.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            json::write_string(a, &mut out);
-        }
-        out.push_str("],\"daemon\":");
-        json::write_string(&self.daemon, &mut out);
-        let _ = write!(out, ",\"seed\":{},\"init\":[", self.seed);
-        for (i, s) in self.init.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            json::write_string(s, &mut out);
-        }
-        out.push_str("]}\n");
-        // Steps.
+        let graph = Json::obj([
+            ("n", self.n.into()),
+            ("name", (&self.graph_name).into()),
+            ("edges", self.edges.iter().map(|&(u, v)| Json::from([u, v])).collect()),
+        ]);
+        let header = Json::obj([
+            ("format", "pif-trace".into()),
+            ("version", self.version.into()),
+            ("graph", graph),
+            ("actions", self.actions.iter().collect()),
+            ("daemon", (&self.daemon).into()),
+            ("seed", self.seed.into()),
+            ("init", self.init.iter().collect()),
+        ]);
+        let mut out = format!("{header}\n");
         for (k, sel) in self.steps.iter().enumerate() {
-            let _ = write!(out, "{{\"step\":{k},\"exec\":[");
-            for (i, (p, a)) in sel.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                let _ = write!(out, "[{},{}]", p.index(), a.index());
-            }
-            out.push_str("]}\n");
+            let exec = sel.iter().map(|(p, a)| Json::from([p.index(), a.index()])).collect();
+            let _ = writeln!(out, "{}", Json::obj([("step", k.into()), ("exec", exec)]));
         }
-        // Footer.
-        out.push_str("{\"final\":[");
-        for (i, s) in self.final_states.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            json::write_string(s, &mut out);
-        }
-        let _ = write!(
-            out,
-            "],\"totals\":[{},{},{}],\"phases\":{{",
-            self.totals.0, self.totals.1, self.totals.2
-        );
-        for (i, tag) in PhaseTag::ALL.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "\"{}\":[{},{},{}]",
-                tag.name(),
-                self.phases.moves_of(*tag),
-                self.phases.steps_of(*tag),
-                self.phases.rounds_of(*tag)
-            );
-        }
-        let _ = write!(out, "}},\"abnormal\":{}}}", self.phases.abnormal_procs);
-        out.push('\n');
+        let p = &self.phases;
+        let phases = PhaseTag::ALL.iter().map(|&t| {
+            (t.name().to_string(), Json::from([p.moves_of(t), p.steps_of(t), p.rounds_of(t)]))
+        });
+        let footer = Json::obj([
+            ("final", self.final_states.iter().collect()),
+            ("totals", Json::from([self.totals.0, self.totals.1, self.totals.2])),
+            ("phases", Json::Obj(phases.collect())),
+            ("abnormal", p.abnormal_procs.into()),
+        ]);
+        let _ = writeln!(out, "{footer}");
         out
     }
 
@@ -273,8 +235,9 @@ impl RecordedTrace {
     ///
     /// # Errors
     ///
-    /// [`TraceError::Parse`] on malformed JSON or missing fields,
-    /// [`TraceError::UnsupportedVersion`] on a version mismatch.
+    /// [`TraceError::Parse`] on malformed JSON or a missing, mistyped or
+    /// out-of-range field, [`TraceError::UnsupportedVersion`] on a
+    /// version mismatch.
     pub fn from_jsonl(text: &str) -> Result<Self, TraceError> {
         let mut lines = text
             .lines()
@@ -284,52 +247,23 @@ impl RecordedTrace {
         let (header_no, header_line) = lines
             .next()
             .ok_or_else(|| parse_err(1, "empty trace file"))?;
+        let at = |line: usize| move |e: FieldError| parse_err(line, e.to_string());
         let header = parse_json_line(header_no, header_line)?;
-        if header.get("format").and_then(Json::as_str) != Some("pif-trace") {
+        if header.field::<&str>("format") != Ok("pif-trace") {
             return Err(parse_err(header_no, "missing or wrong \"format\" marker"));
         }
-        let version = header
-            .get("version")
-            .and_then(Json::as_u64)
-            .ok_or_else(|| parse_err(header_no, "missing \"version\""))?;
+        let version = header.field("version").map_err(at(header_no))?;
         if version != TRACE_VERSION {
             return Err(TraceError::UnsupportedVersion { found: version });
         }
-        let graph = header
-            .get("graph")
-            .ok_or_else(|| parse_err(header_no, "missing \"graph\""))?;
-        let n = graph
-            .get("n")
-            .and_then(Json::as_usize)
-            .ok_or_else(|| parse_err(header_no, "missing graph size \"n\""))?;
-        let graph_name = graph
-            .get("name")
-            .and_then(Json::as_str)
-            .unwrap_or("unnamed")
-            .to_string();
-        let mut edges = Vec::new();
-        for e in required_array(graph.get("edges"), header_no, "graph \"edges\"")? {
-            let pair = e.as_array().filter(|a| a.len() == 2);
-            let (u, v) = match pair {
-                Some([u, v]) => (u.as_u64(), v.as_u64()),
-                _ => (None, None),
-            };
-            match (u, v) {
-                (Some(u), Some(v)) => edges.push((u as u32, v as u32)),
-                _ => return Err(parse_err(header_no, "malformed edge entry")),
-            }
-        }
-        let actions = string_array(header.get("actions"), header_no, "\"actions\"")?;
-        let daemon = header
-            .get("daemon")
-            .and_then(Json::as_str)
-            .ok_or_else(|| parse_err(header_no, "missing \"daemon\""))?
-            .to_string();
-        let seed = header
-            .get("seed")
-            .and_then(Json::as_u64)
-            .ok_or_else(|| parse_err(header_no, "missing \"seed\""))?;
-        let init = string_array(header.get("init"), header_no, "\"init\"")?;
+        let graph: &Json = header.field("graph").map_err(at(header_no))?;
+        let n: usize = graph.field("n").map_err(at(header_no))?;
+        let graph_name = graph.field::<&str>("name").unwrap_or("unnamed").to_string();
+        let edges = graph.field("edges").map_err(at(header_no))?;
+        let actions = header.field("actions").map_err(at(header_no))?;
+        let daemon = header.field("daemon").map_err(at(header_no))?;
+        let seed = header.field("seed").map_err(at(header_no))?;
+        let init: Vec<String> = header.field("init").map_err(at(header_no))?;
         if init.len() != n {
             return Err(parse_err(header_no, "\"init\" does not cover every processor"));
         }
@@ -345,67 +279,36 @@ impl RecordedTrace {
                 footer = Some((line_no, doc));
                 continue;
             }
-            let k = doc
-                .get("step")
-                .and_then(Json::as_usize)
-                .ok_or_else(|| parse_err(line_no, "step line missing \"step\""))?;
+            let k: usize = doc.field("step").map_err(at(line_no))?;
             if k != steps.len() {
                 return Err(parse_err(line_no, "step indices out of order"));
             }
-            let mut sel = Vec::new();
-            for e in required_array(doc.get("exec"), line_no, "\"exec\"")? {
-                let pair = e.as_array().filter(|a| a.len() == 2);
-                let (p, a) = match pair {
-                    Some([p, a]) => (p.as_usize(), a.as_usize()),
-                    _ => (None, None),
-                };
-                match (p, a) {
-                    (Some(p), Some(a)) if p < n => sel.push((ProcId::from_index(p), ActionId(a))),
-                    _ => return Err(parse_err(line_no, "malformed \"exec\" entry")),
-                }
+            let exec: Vec<(u32, usize)> = doc.field("exec").map_err(at(line_no))?;
+            if exec.iter().any(|&(p, _)| p as usize >= n) {
+                return Err(parse_err(line_no, "\"exec\" names a processor outside the graph"));
             }
-            steps.push(sel);
+            steps.push(exec.into_iter().map(|(p, a)| (ProcId(p), ActionId(a))).collect());
         }
         let (footer_no, footer) =
             footer.ok_or_else(|| parse_err(0, "trace has no footer line"))?;
-        let final_states = string_array(footer.get("final"), footer_no, "\"final\"")?;
+        let final_states: Vec<String> = footer.field("final").map_err(at(footer_no))?;
         if final_states.len() != n {
             return Err(parse_err(footer_no, "\"final\" does not cover every processor"));
         }
-        let totals_arr = required_array(footer.get("totals"), footer_no, "\"totals\"")?;
-        let totals = match totals_arr {
-            [s, r, m] => match (s.as_u64(), r.as_u64(), m.as_u64()) {
-                (Some(s), Some(r), Some(m)) => (s, r, m),
-                _ => return Err(parse_err(footer_no, "non-numeric \"totals\"")),
-            },
-            _ => return Err(parse_err(footer_no, "\"totals\" must have three entries")),
-        };
-        let phases_obj = footer
-            .get("phases")
-            .ok_or_else(|| parse_err(footer_no, "missing \"phases\""))?;
+        let totals: (u64, u64, u64) = footer.field("totals").map_err(at(footer_no))?;
+        let phases_obj: &Json = footer.field("phases").map_err(at(footer_no))?;
         let mut phases = PhaseReport {
             total_steps: totals.0,
             total_rounds: totals.1,
             total_moves: totals.2,
-            abnormal_procs: footer
-                .get("abnormal")
-                .and_then(Json::as_u64)
-                .ok_or_else(|| parse_err(footer_no, "missing \"abnormal\""))?,
+            abnormal_procs: footer.field("abnormal").map_err(at(footer_no))?,
             ..PhaseReport::default()
         };
         for tag in PhaseTag::ALL {
-            let triple = required_array(phases_obj.get(tag.name()), footer_no, "phase entry")?;
-            match triple {
-                [m, s, r] => match (m.as_u64(), s.as_u64(), r.as_u64()) {
-                    (Some(m), Some(s), Some(r)) => {
-                        phases.moves[tag.index()] = m;
-                        phases.steps[tag.index()] = s;
-                        phases.rounds[tag.index()] = r;
-                    }
-                    _ => return Err(parse_err(footer_no, "non-numeric phase entry")),
-                },
-                _ => return Err(parse_err(footer_no, "phase entry must have three counters")),
-            }
+            let (m, s, r) = phases_obj.field(tag.name()).map_err(at(footer_no))?;
+            phases.moves[tag.index()] = m;
+            phases.steps[tag.index()] = s;
+            phases.rounds[tag.index()] = r;
         }
 
         Ok(RecordedTrace {
@@ -450,27 +353,6 @@ fn parse_err(line: usize, msg: impl Into<String>) -> TraceError {
 
 fn parse_json_line(line_no: usize, line: &str) -> Result<Json, TraceError> {
     json::parse(line).map_err(|e| parse_err(line_no, e.to_string()))
-}
-
-fn required_array<'j>(
-    value: Option<&'j Json>,
-    line: usize,
-    what: &str,
-) -> Result<&'j [Json], TraceError> {
-    value
-        .and_then(Json::as_array)
-        .ok_or_else(|| parse_err(line, format!("missing or non-array {what}")))
-}
-
-fn string_array(value: Option<&Json>, line: usize, what: &str) -> Result<Vec<String>, TraceError> {
-    required_array(value, line, what)?
-        .iter()
-        .map(|v| {
-            v.as_str()
-                .map(str::to_string)
-                .ok_or_else(|| parse_err(line, format!("non-string entry in {what}")))
-        })
-        .collect()
 }
 
 fn decode_states<S: TraceState>(tokens: &[String]) -> Result<Vec<S>, TraceError> {

@@ -4,9 +4,8 @@
 //!
 //! * the experiment harness (`pif-bench`) fans thousands of independent
 //!   simulations out over the cores with [`par_map`];
-//! * the exhaustive checker (`pif-verify`) runs range-parallel scans with
-//!   [`run_workers`], and the threaded rounds of its frontier searches
-//!   with [`fan_out`];
+//! * the exhaustive checker (`pif-verify`) runs its range-parallel scans
+//!   and the threaded rounds of its frontier searches with [`fan_out`];
 //! * the wave service (`pif-serve`) runs its busy shards with
 //!   [`fan_out`], so a call with one busy shard spawns nothing.
 //!
@@ -218,38 +217,6 @@ where
         .collect()
 }
 
-/// Spawns `workers` scoped threads running `f(worker_index)` and returns
-/// their results in worker order. The backbone for parallel searches that
-/// manage their own work distribution (e.g. an atomic block counter over
-/// a shared frontier).
-///
-/// With `workers == 1` the closure runs inline on the calling thread —
-/// no spawn overhead, which matters for level-synchronous searches that
-/// would otherwise spawn per frontier level.
-///
-/// # Panics
-///
-/// Propagates a panic from any worker.
-pub fn run_workers<R, F>(workers: usize, f: F) -> Vec<R>
-where
-    R: Send,
-    F: Fn(usize) -> R + Sync,
-{
-    let workers = workers.max(1);
-    if workers == 1 {
-        return vec![f(0)];
-    }
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|w| {
-                let f = &f;
-                scope.spawn(move || f(w))
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().expect("worker panicked")).collect()
-    })
-}
-
 /// Runs `f` on every item, with the calling thread as one of the
 /// workers: each item after the first gets its own scoped thread, then
 /// the first runs on the caller, and the call returns once all are done.
@@ -394,12 +361,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn run_workers_collects_in_worker_order() {
-        let out = run_workers(4, |w| w * 10);
-        assert_eq!(out, vec![0, 10, 20, 30]);
-    }
-
     /// The thread each item ran on, in item order.
     fn fan_out_threads(items: usize) -> Vec<std::thread::ThreadId> {
         let ran = std::sync::Mutex::new(vec![None; items]);
@@ -434,16 +395,5 @@ mod tests {
     #[should_panic(expected = "later boom")]
     fn fan_out_propagates_a_threads_panic() {
         fan_out(0..3, |i| assert_ne!(i, 2, "later boom"));
-    }
-
-    #[test]
-    #[should_panic(expected = "worker panicked")]
-    fn run_workers_propagates_panics() {
-        let _ = run_workers(3, |w| {
-            if w == 1 {
-                panic!("boom");
-            }
-            w
-        });
     }
 }

@@ -66,7 +66,7 @@
 
 use std::fmt;
 
-use pif_daemon::json::EnvelopeError;
+use pif_daemon::json::{EnvelopeError, FieldError};
 use pif_daemon::SimError;
 use pif_graph::{GraphError, ProcId};
 use pif_net::NetError;
@@ -193,6 +193,12 @@ impl From<NetError> for ServeError {
 
 impl From<EnvelopeError> for ServeError {
     fn from(e: EnvelopeError) -> Self {
+        ServeError::Report(e.to_string())
+    }
+}
+
+impl From<FieldError> for ServeError {
+    fn from(e: FieldError) -> Self {
         ServeError::Report(e.to_string())
     }
 }

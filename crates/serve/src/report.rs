@@ -8,8 +8,6 @@
 //! bit by `pif-serve check`. JSON is emitted/parsed with the workspace's
 //! hermetic [`pif_daemon::json`] layer.
 
-use std::fmt::Write as _;
-
 use pif_daemon::json::{self, Json};
 use pif_daemon::{PhaseReport, PhaseTag};
 use pif_graph::Topology;
@@ -52,7 +50,7 @@ pub struct ServiceReport {
     /// Network size.
     pub n: usize,
     /// Configured initiators (processor ids).
-    pub initiators: Vec<u64>,
+    pub initiators: Vec<u32>,
     /// Shard count.
     pub shards: usize,
     /// Master seed (replay key).
@@ -130,7 +128,7 @@ impl ServiceReport {
         ServiceReport {
             topology: topology_spec(&service.config().topology),
             n: service.graph().len(),
-            initiators: service.config().initiators.iter().map(|p| u64::from(p.0)).collect(),
+            initiators: service.config().initiators.iter().map(|p| p.0).collect(),
             shards: service.config().shards,
             seed: service.config().seed,
             daemon: service.config().daemon.name().to_string(),
@@ -170,177 +168,101 @@ impl ServiceReport {
             && self.turnaround_steps == other.turnaround_steps
     }
 
-    /// Serializes to a JSON object string.
-    pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        out.push('{');
-        let _ = write!(out, "\"topology\": ");
-        json::write_string(&self.topology, &mut out);
-        let _ = write!(out, ", \"n\": {}", self.n);
-        let ids: Vec<String> = self.initiators.iter().map(ToString::to_string).collect();
-        let _ = write!(out, ", \"initiators\": [{}]", ids.join(", "));
-        let _ = write!(out, ", \"shards\": {}", self.shards);
-        let _ = write!(out, ", \"seed\": {}", self.seed);
-        let _ = write!(out, ", \"daemon\": ");
-        json::write_string(&self.daemon, &mut out);
-        let _ = write!(out, ", \"requests\": {}", self.requests);
+    /// The report as one JSON row of the service envelope.
+    pub fn to_json(&self) -> Json {
         let s = &self.summary;
-        let _ = write!(
-            out,
-            ", \"summary\": {{\"total\": {}, \"completed_ok\": {}, \"completed_bad\": {}, \
-             \"shed\": {}, \"timed_out\": {}, \"casualties\": {}, \"post_fault_total\": {}, \
-             \"post_fault_ok\": {}}}",
-            s.total,
-            s.completed_ok,
-            s.completed_bad,
-            s.shed,
-            s.timed_out,
-            s.casualties,
-            s.post_fault_total,
-            s.post_fault_ok
-        );
-        match self.fault {
-            Some((after, k, seed)) => {
-                let _ = write!(
-                    out,
-                    ", \"fault\": {{\"after_completions\": {after}, \"registers_per_lane\": {k}, \
-                     \"seed\": {seed}}}"
-                );
-            }
-            None => out.push_str(", \"fault\": null"),
-        }
-        let _ = write!(out, ", \"total_steps\": {}", self.total_steps);
-        let _ = write!(out, ", \"total_rounds\": {}", self.total_rounds);
-        out.push_str(", \"phase_moves\": {");
-        for (i, tag) in PhaseTag::ALL.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            let _ = write!(out, "\"{:?}\": {}", tag, self.phase_moves[i]);
-        }
-        out.push('}');
-        let hist = |name: &str, h: &SparseHist, out: &mut String| {
-            let _ = write!(out, ", \"{name}\": [");
-            for (i, (b, c)) in h.iter().enumerate() {
-                if i > 0 {
-                    out.push_str(", ");
-                }
-                let _ = write!(out, "[{b}, {c}]");
-            }
-            out.push(']');
-        };
-        hist("broadcast_steps_hist", &self.broadcast_steps, &mut out);
-        hist("feedback_steps_hist", &self.feedback_steps, &mut out);
-        hist("cycle_rounds_hist", &self.cycle_rounds, &mut out);
-        hist("turnaround_steps_hist", &self.turnaround_steps, &mut out);
-        let _ = write!(out, ", \"elapsed_seconds\": {:.6}", self.elapsed_seconds);
-        let _ = write!(out, ", \"requests_per_sec\": {:.3}", self.requests_per_sec);
-        out.push('}');
-        out
+        let summary = Json::obj([
+            ("total", s.total.into()),
+            ("completed_ok", s.completed_ok.into()),
+            ("completed_bad", s.completed_bad.into()),
+            ("shed", s.shed.into()),
+            ("timed_out", s.timed_out.into()),
+            ("casualties", s.casualties.into()),
+            ("post_fault_total", s.post_fault_total.into()),
+            ("post_fault_ok", s.post_fault_ok.into()),
+        ]);
+        let fault = self.fault.map(|(after, k, seed)| {
+            Json::obj([
+                ("after_completions", after.into()),
+                ("registers_per_lane", k.into()),
+                ("seed", seed.into()),
+            ])
+        });
+        let phase_moves =
+            PhaseTag::ALL.iter().zip(self.phase_moves).map(|(t, m)| (format!("{t:?}"), m.into()));
+        let hist = |h: &SparseHist| h.iter().map(|&(b, c)| Json::from([u64::from(b), c])).collect();
+        Json::obj([
+            ("topology", (&self.topology).into()),
+            ("n", self.n.into()),
+            ("initiators", self.initiators.iter().copied().collect()),
+            ("shards", self.shards.into()),
+            ("seed", self.seed.into()),
+            ("daemon", (&self.daemon).into()),
+            ("requests", self.requests.into()),
+            ("summary", summary),
+            ("fault", fault.into()),
+            ("total_steps", self.total_steps.into()),
+            ("total_rounds", self.total_rounds.into()),
+            ("phase_moves", Json::Obj(phase_moves.collect())),
+            ("broadcast_steps_hist", hist(&self.broadcast_steps)),
+            ("feedback_steps_hist", hist(&self.feedback_steps)),
+            ("cycle_rounds_hist", hist(&self.cycle_rounds)),
+            ("turnaround_steps_hist", hist(&self.turnaround_steps)),
+            ("elapsed_seconds", Json::fixed(self.elapsed_seconds, 6)),
+            ("requests_per_sec", Json::fixed(self.requests_per_sec, 3)),
+        ])
     }
 
-    /// Parses one result object produced by [`ServiceReport::to_json`].
+    /// Parses one result row produced by [`ServiceReport::to_json`].
     ///
     /// # Errors
     ///
-    /// [`ServeError::Report`] describing the first missing/ill-typed
-    /// field.
+    /// [`ServeError::Report`] naming the first missing, mistyped or
+    /// out-of-range field.
     pub fn from_json(v: &Json) -> Result<Self, ServeError> {
-        fn need<'a>(v: &'a Json, key: &str) -> Result<&'a Json, ServeError> {
-            v.get(key).ok_or_else(|| ServeError::Report(format!("missing field {key:?}")))
-        }
-        fn num(v: &Json, key: &str) -> Result<u64, ServeError> {
-            need(v, key)?
-                .as_u64()
-                .ok_or_else(|| ServeError::Report(format!("field {key:?} is not an integer")))
-        }
-        fn text(v: &Json, key: &str) -> Result<String, ServeError> {
-            Ok(need(v, key)?
-                .as_str()
-                .ok_or_else(|| ServeError::Report(format!("field {key:?} is not a string")))?
-                .to_string())
-        }
-        fn float(v: &Json, key: &str) -> Result<f64, ServeError> {
-            match need(v, key)? {
-                Json::Num(s) => s
-                    .parse()
-                    .map_err(|_| ServeError::Report(format!("field {key:?} is not a number"))),
-                _ => Err(ServeError::Report(format!("field {key:?} is not a number"))),
-            }
-        }
-        fn hist(v: &Json, key: &str) -> Result<SparseHist, ServeError> {
-            let arr = need(v, key)?
-                .as_array()
-                .ok_or_else(|| ServeError::Report(format!("field {key:?} is not an array")))?;
-            arr.iter()
-                .map(|pair| {
-                    let items = pair.as_array().filter(|a| a.len() == 2).ok_or_else(|| {
-                        ServeError::Report(format!("field {key:?} has a malformed bucket"))
-                    })?;
-                    let b = items[0].as_u64().and_then(|b| u32::try_from(b).ok());
-                    let c = items[1].as_u64();
-                    match (b, c) {
-                        (Some(b), Some(c)) => Ok((b, c)),
-                        _ => Err(ServeError::Report(format!(
-                            "field {key:?} has a non-integer bucket"
-                        ))),
-                    }
-                })
-                .collect()
-        }
-
-        let summary_v = need(v, "summary")?;
+        let summary_v: &Json = v.field("summary")?;
         let summary = LedgerSummary {
-            total: num(summary_v, "total")?,
-            completed_ok: num(summary_v, "completed_ok")?,
-            completed_bad: num(summary_v, "completed_bad")?,
-            shed: num(summary_v, "shed")?,
-            timed_out: num(summary_v, "timed_out")?,
-            casualties: num(summary_v, "casualties")?,
-            post_fault_total: num(summary_v, "post_fault_total")?,
-            post_fault_ok: num(summary_v, "post_fault_ok")?,
+            total: summary_v.field("total")?,
+            completed_ok: summary_v.field("completed_ok")?,
+            completed_bad: summary_v.field("completed_bad")?,
+            shed: summary_v.field("shed")?,
+            timed_out: summary_v.field("timed_out")?,
+            casualties: summary_v.field("casualties")?,
+            post_fault_total: summary_v.field("post_fault_total")?,
+            post_fault_ok: summary_v.field("post_fault_ok")?,
         };
-        let fault = match need(v, "fault")? {
-            Json::Null => None,
-            f => Some((
-                num(f, "after_completions")?,
-                num(f, "registers_per_lane")? as usize,
-                num(f, "seed")?,
+        let fault = match v.field::<Option<&Json>>("fault")? {
+            None => None,
+            Some(f) => Some((
+                f.field("after_completions")?,
+                f.field("registers_per_lane")?,
+                f.field("seed")?,
             )),
         };
-        let moves_v = need(v, "phase_moves")?;
+        let moves_v: &Json = v.field("phase_moves")?;
         let mut phase_moves = [0u64; PhaseTag::COUNT];
-        for (i, tag) in PhaseTag::ALL.iter().enumerate() {
-            phase_moves[i] = num(moves_v, &format!("{tag:?}"))?;
+        for (m, tag) in phase_moves.iter_mut().zip(PhaseTag::ALL) {
+            *m = moves_v.field(&format!("{tag:?}"))?;
         }
-        let initiators = need(v, "initiators")?
-            .as_array()
-            .ok_or_else(|| ServeError::Report("field \"initiators\" is not an array".into()))?
-            .iter()
-            .map(|j| {
-                j.as_u64()
-                    .ok_or_else(|| ServeError::Report("non-integer initiator id".into()))
-            })
-            .collect::<Result<Vec<u64>, _>>()?;
         Ok(ServiceReport {
-            topology: text(v, "topology")?,
-            n: num(v, "n")? as usize,
-            initiators,
-            shards: num(v, "shards")? as usize,
-            seed: num(v, "seed")?,
-            daemon: text(v, "daemon")?,
-            requests: num(v, "requests")?,
+            topology: v.field("topology")?,
+            n: v.field("n")?,
+            initiators: v.field("initiators")?,
+            shards: v.field("shards")?,
+            seed: v.field("seed")?,
+            daemon: v.field("daemon")?,
+            requests: v.field("requests")?,
             summary,
             fault,
-            total_steps: num(v, "total_steps")?,
-            total_rounds: num(v, "total_rounds")?,
+            total_steps: v.field("total_steps")?,
+            total_rounds: v.field("total_rounds")?,
             phase_moves,
-            broadcast_steps: hist(v, "broadcast_steps_hist")?,
-            feedback_steps: hist(v, "feedback_steps_hist")?,
-            cycle_rounds: hist(v, "cycle_rounds_hist")?,
-            turnaround_steps: hist(v, "turnaround_steps_hist")?,
-            elapsed_seconds: float(v, "elapsed_seconds")?,
-            requests_per_sec: float(v, "requests_per_sec")?,
+            broadcast_steps: v.field("broadcast_steps_hist")?,
+            feedback_steps: v.field("feedback_steps_hist")?,
+            cycle_rounds: v.field("cycle_rounds_hist")?,
+            turnaround_steps: v.field("turnaround_steps_hist")?,
+            elapsed_seconds: v.field("elapsed_seconds")?,
+            requests_per_sec: v.field("requests_per_sec")?,
         })
     }
 
@@ -364,11 +286,7 @@ impl ServiceReport {
             .map_err(|e| ServeError::Report(format!("bad topology spec: {e}")))?;
         Ok(Scenario {
             topology,
-            initiators: self
-                .initiators
-                .iter()
-                .map(|&i| pif_graph::ProcId::from_index(i as usize))
-                .collect(),
+            initiators: self.initiators.iter().map(|&i| pif_graph::ProcId(i)).collect(),
             shards: self.shards,
             seed: self.seed,
             daemon: self.daemon_kind()?,
@@ -381,8 +299,12 @@ impl ServiceReport {
 /// Wraps per-configuration reports in the versioned benchmark envelope
 /// (`BENCH_service_throughput.json` format).
 pub fn envelope(seed: u64, results: &[ServiceReport]) -> String {
-    let rows = results.iter().map(ServiceReport::to_json);
-    json::write_envelope(BENCHMARK, REPORT_VERSION, seed, rows)
+    let header = [
+        ("benchmark", BENCHMARK.into()),
+        ("version", REPORT_VERSION.into()),
+        ("seed", seed.into()),
+    ];
+    json::write_envelope(&header, results.iter().map(ServiceReport::to_json))
 }
 
 /// Parses a benchmark envelope back into its reports.
@@ -455,7 +377,7 @@ mod tests {
     #[test]
     fn report_round_trips_through_json() {
         let r = sample_report();
-        let text = r.to_json();
+        let text = r.to_json().to_string();
         let parsed = ServiceReport::from_json(&json::parse(&text).unwrap()).unwrap();
         assert!(r.deterministic_eq(&parsed));
         assert!((parsed.elapsed_seconds - r.elapsed_seconds).abs() < 1e-9);
@@ -469,6 +391,17 @@ mod tests {
         assert_eq!(seed, 7);
         assert_eq!(results.len(), 2);
         assert!(results[0].deterministic_eq(&r));
+    }
+
+    #[test]
+    fn out_of_range_initiator_is_a_report_error() {
+        let text = envelope(7, &[sample_report()]);
+        let wide = text.replace("\"initiators\":[0,5]", "\"initiators\":[4294967296]");
+        assert_ne!(wide, text);
+        match parse_envelope(&wide) {
+            Err(ServeError::Report(msg)) => assert!(msg.contains("initiators"), "{msg}"),
+            other => panic!("expected a report error, got {other:?}"),
+        }
     }
 
     #[test]

@@ -350,8 +350,9 @@ impl<S: Send> Search<S> {
     }
 }
 
-/// Evaluates `violates` over ids `0..total` with `workers` threads and
-/// returns the smallest id for which it holds, or `None`.
+/// Evaluates `violates` over ids `0..total` with `workers` workers, the
+/// calling thread first ([`pif_par::fan_out`]), and returns the smallest
+/// id for which it holds, or `None`.
 ///
 /// Each worker gets its own scratch from `init`. A shared atomic holds
 /// the best (smallest) violating id found so far; ids at or above it are
@@ -359,30 +360,29 @@ impl<S: Send> Search<S> {
 /// still returning the deterministic minimum.
 pub fn find_min_violation<S, I, F>(workers: usize, total: u64, init: I, violates: F) -> Option<u64>
 where
-    I: Fn() -> S + Sync,
+    S: Send,
+    I: Fn() -> S,
     F: Fn(&mut S, u64) -> bool + Sync,
 {
     let best = AtomicU64::new(u64::MAX);
     let counter = AtomicU64::new(0);
-    pif_par::run_workers(workers.max(1), |_| {
-        let mut scratch = init();
-        loop {
-            let start = counter.fetch_add(ID_BLOCK, Ordering::Relaxed);
-            // Blocks are claimed in increasing order, so once this
-            // worker's block starts at or beyond the best known
-            // violation, every id it could still claim is irrelevant.
-            if start >= total || start >= best.load(Ordering::Relaxed) {
+    let mut scratches: Vec<S> = (0..workers.max(1)).map(|_| init()).collect();
+    pif_par::fan_out(scratches.iter_mut(), |scratch| loop {
+        let start = counter.fetch_add(ID_BLOCK, Ordering::Relaxed);
+        // Blocks are claimed in increasing order, so once this
+        // worker's block starts at or beyond the best known
+        // violation, every id it could still claim is irrelevant.
+        if start >= total || start >= best.load(Ordering::Relaxed) {
+            break;
+        }
+        let end = (start + ID_BLOCK).min(total);
+        for id in start..end {
+            if id >= best.load(Ordering::Relaxed) {
                 break;
             }
-            let end = (start + ID_BLOCK).min(total);
-            for id in start..end {
-                if id >= best.load(Ordering::Relaxed) {
-                    break;
-                }
-                if violates(&mut scratch, id) {
-                    best.fetch_min(id, Ordering::Relaxed);
-                    break;
-                }
+            if violates(scratch, id) {
+                best.fetch_min(id, Ordering::Relaxed);
+                break;
             }
         }
     });

@@ -630,11 +630,11 @@ mod tests {
     #[test]
     fn concurrent_inserts_count_each_key_once() {
         let set = VisitedSet::with_capacity(1 << 12);
-        let winners: usize = pif_par::run_workers(8, |_| {
-            (0..10_000u128).filter(|&k| set.insert(k * 3)).count()
-        })
-        .into_iter()
-        .sum();
+        let mut wins = [0usize; 8];
+        pif_par::fan_out(wins.iter_mut(), |won| {
+            *won = (0..10_000u128).filter(|&k| set.insert(k * 3)).count();
+        });
+        let winners: usize = wins.iter().sum();
         assert_eq!(winners, 10_000, "each key must be claimed by exactly one worker");
         assert_eq!(set.len(), 10_000);
     }

@@ -138,6 +138,10 @@ for f in soak_fault_1 soak_fault_2 soak_fault_3; do
            | .post_fault_total > 0 and .post_fault_ok == .post_fault_total
              and .timed_out == 0' "$trace_dir/$f.json" > /dev/null
 done
+# The envelope just written must also read back through the CLI that
+# replays it, not only through jq: `check` re-runs the recorded scenario
+# and exits non-zero on any deterministic-field mismatch.
+./target/release/pif-serve check "$trace_dir/soak_fault_2.json"
 # The committed service benchmark must parse with the right shape and
 # replay bit-identically from its recorded seed (deterministic fields
 # only; `check` exits non-zero on any mismatch). The records were made on
@@ -220,8 +224,10 @@ for f in chaos_clean chaos_storm; do
         "$trace_dir/$f.json" > /dev/null
 done
 # The churned soak must have actually churned and retired or carried
-# lanes across at least one rebuild.
+# lanes across at least one rebuild, and its envelope must replay
+# bit-identically through `pif_chaos check`.
 jq -e '.results[0].churn_applied > 0' "$trace_dir/chaos_storm.json" > /dev/null
+./target/release/pif_chaos check "$trace_dir/chaos_storm.json"
 # The committed chaos benchmark must parse with the right shape — the
 # full matrix, every cell snap-clean and steady-available — and replay
 # bit-identically from its recorded seeds (`check` exits non-zero on any
