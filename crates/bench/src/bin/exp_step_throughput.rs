@@ -11,8 +11,9 @@
 //! * `--extended` adds the large sizes (n ∈ {4096, 16384}).
 //! * `--check` skips measurement and instead runs the AoS/SoA lockstep
 //!   differential (identical states, enabled sets, rounds, reports on
-//!   every step across daemons and topologies), exiting non-zero on any
-//!   divergence — the tier-2 gate's smoke mode.
+//!   every step across daemons and topologies, and each engine's enabled
+//!   sets equal to a rebuild from its configuration after every step),
+//!   exiting non-zero on any divergence — the tier-2 gate's smoke mode.
 //!
 //! Units: `*_steps_per_sec` counts computation steps under the central
 //! daemon (one processor move per step, so steps = moves there);
@@ -123,10 +124,11 @@ fn main() -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// AoS/SoA lockstep differential: identical executions step for step.
 /// Constructor for one of the daemon families exercised by `check`.
 type DaemonCtor = fn() -> Box<dyn Daemon<pif_core::PifState>>;
 
+/// AoS/SoA lockstep differential: identical executions step for step,
+/// and after every step each engine's enabled sets equal a rebuild's.
 fn check() -> ExitCode {
     let points: [(Topology, usize); 3] =
         [(Topology::Torus, 16), (Topology::Chain, 24), (Topology::Random, 20)];
@@ -158,7 +160,7 @@ fn check() -> ExitCode {
                 let rs = sims[1].step(&mut *ds[1]).expect("soa step");
                 let same = ra == rs
                     && sims[0].states() == sims[1].states()
-                    && sims[0].enabled_procs() == sims[1].enabled_procs()
+                    && sims[0].enabled_procs().eq(sims[1].enabled_procs())
                     && sims[0].rounds() == sims[1].rounds()
                     && sims[0].last_executed() == sims[1].last_executed();
                 if !same {
@@ -167,6 +169,22 @@ fn check() -> ExitCode {
                         t.label()
                     );
                     return ExitCode::FAILURE;
+                }
+                // Each engine's incremental enabled sets must equal a
+                // rebuild from its current configuration.
+                for (&engine, sim) in Engine::ALL.iter().zip(&sims) {
+                    let init = sim.states().to_vec();
+                    let fresh = EngineSim::new(engine, g.clone(), proto.clone(), init);
+                    if !sim.enabled_procs().eq(fresh.enabled_procs())
+                        || g.procs().any(|p| sim.enabled_actions(p) != fresh.enabled_actions(p))
+                    {
+                        eprintln!(
+                            "STALE ENABLED SET at {} n={n} step {step} on {engine}: differs \
+                             from a rebuild",
+                            t.label()
+                        );
+                        return ExitCode::FAILURE;
+                    }
                 }
                 checked_steps += 1;
             }

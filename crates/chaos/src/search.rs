@@ -132,14 +132,13 @@ impl ScriptedAdversary {
 
 impl<S> Daemon<S> for ScriptedAdversary {
     fn select(&mut self, enabled: &EnabledSet<'_, S>, out: &mut Vec<(ProcId, ActionId)>) {
-        let procs = enabled.enabled_procs();
-        if procs.is_empty() {
+        if enabled.is_terminal() {
             return;
         }
-        self.ages.advance(enabled.states().len(), procs);
+        self.ages.advance(enabled.states().len(), enabled.enabled_procs());
         let mask = self.masks[self.cursor % self.masks.len()];
         self.cursor += 1;
-        for (i, &p) in procs.iter().enumerate() {
+        for (i, p) in enabled.enabled_procs().enumerate() {
             let scripted = (mask >> (i % 64)) & 1 == 1;
             let forced = self.ages.age(p) >= self.fairness_bound;
             if scripted || forced {
@@ -149,9 +148,9 @@ impl<S> Daemon<S> for ScriptedAdversary {
         if out.is_empty() {
             // All-zero mask step: select the longest-enabled processor
             // (largest id on ties) so the selection is never empty.
-            let p = *procs
-                .iter()
-                .max_by_key(|p| (self.ages.age(**p), p.0))
+            let p = enabled
+                .enabled_procs()
+                .max_by_key(|p| (self.ages.age(*p), p.0))
                 .expect("non-empty");
             out.push((p, enabled.actions_of(p).first().expect("p is enabled")));
         }

@@ -51,7 +51,7 @@
 //!    executions finite.
 
 use pif_daemon::{
-    ActionId, ActionSet, ActionSpec, Applicability, PhaseTag, Protocol, RegAccess, View,
+    ActionId, ActionSet, ActionSpec, Applicability, PhaseTag, Protocol, Readers, RegAccess, View,
 };
 use pif_graph::{Graph, ProcId};
 
@@ -877,6 +877,22 @@ impl Protocol for PifProtocol {
     fn locally_normal(&self, view: View<'_, PifState>) -> bool {
         self.normal(view)
     }
+
+    /// A non-root `Count-action` writes only `Count_p`, and the only guards
+    /// that read a neighbor's `Count` are its parent's: `Sum_Set_q` counts
+    /// the `Count` of the neighbors whose `Par` is `q`. So the action's one
+    /// reader is `Par_p`, unchanged by the move. The root's `Count-action`
+    /// also writes `Fok_r`, which every child reads, and every other
+    /// action writes a register its neighbors read: those keep the
+    /// default.
+    #[inline]
+    fn readers(&self, p: ProcId, before: &PifState, action: ActionId) -> Readers {
+        if action == COUNT_ACTION && p != self.root {
+            Readers::Only(before.par)
+        } else {
+            Readers::Neighbors
+        }
+    }
 }
 
 #[cfg(test)]
@@ -895,7 +911,7 @@ mod tests {
     #[test]
     fn only_root_enabled_in_normal_starting_configuration() {
         let sim = sim_on(generators::ring(5).unwrap());
-        assert_eq!(sim.enabled_procs(), &[ProcId(0)]);
+        assert_eq!(sim.enabled_procs().collect::<Vec<_>>(), [ProcId(0)]);
         assert_eq!(sim.enabled_actions(ProcId(0)), ActionSet::of(B_ACTION));
     }
 

@@ -55,7 +55,7 @@ impl Synchronous {
 
 impl<S> Daemon<S> for Synchronous {
     fn select(&mut self, enabled: &EnabledSet<'_, S>, out: &mut Vec<(ProcId, ActionId)>) {
-        for &p in enabled.enabled_procs() {
+        for p in enabled.enabled_procs() {
             out.push((p, first(enabled.actions_of(p))));
         }
     }
@@ -81,16 +81,14 @@ impl CentralSequential {
 
 impl<S> Daemon<S> for CentralSequential {
     fn select(&mut self, enabled: &EnabledSet<'_, S>, out: &mut Vec<(ProcId, ActionId)>) {
-        let procs = enabled.enabled_procs();
-        if procs.is_empty() {
+        if enabled.is_terminal() {
             return;
         }
         // First enabled processor with id >= cursor, else wrap.
-        let chosen = procs
-            .iter()
-            .copied()
+        let chosen = enabled
+            .enabled_procs()
             .find(|p| p.0 >= self.cursor)
-            .unwrap_or(procs[0]);
+            .unwrap_or_else(|| enabled.nth_enabled(0));
         self.cursor = chosen.0 + 1;
         out.push((chosen, first(enabled.actions_of(chosen))));
     }
@@ -117,11 +115,10 @@ impl CentralRandom {
 
 impl<S> Daemon<S> for CentralRandom {
     fn select(&mut self, enabled: &EnabledSet<'_, S>, out: &mut Vec<(ProcId, ActionId)>) {
-        let procs = enabled.enabled_procs();
-        if procs.is_empty() {
+        if enabled.is_terminal() {
             return;
         }
-        let p = procs[self.rng.random_range(0..procs.len())];
+        let p = enabled.nth_enabled(self.rng.random_range(0..enabled.enabled_count()));
         out.push((p, random(enabled.actions_of(p), &mut self.rng)));
     }
 
@@ -153,18 +150,17 @@ impl DistributedRandom {
 
 impl<S> Daemon<S> for DistributedRandom {
     fn select(&mut self, enabled: &EnabledSet<'_, S>, out: &mut Vec<(ProcId, ActionId)>) {
-        let procs = enabled.enabled_procs();
-        if procs.is_empty() {
+        if enabled.is_terminal() {
             return;
         }
         let rng = &mut self.rng;
-        for &p in procs {
+        for p in enabled.enabled_procs() {
             if rng.random_bool(self.prob) {
                 out.push((p, random(enabled.actions_of(p), rng)));
             }
         }
         if out.is_empty() {
-            let p = procs[rng.random_range(0..procs.len())];
+            let p = enabled.nth_enabled(rng.random_range(0..enabled.enabled_count()));
             out.push((p, random(enabled.actions_of(p), rng)));
         }
     }
@@ -202,12 +198,12 @@ impl EnablementAges {
     /// Starts a selection on an `n`-processor network whose enabled
     /// processors are `enabled`: each of them ages by one, every other
     /// processor's age drops to 0. A change of `n` restarts every age.
-    pub fn advance(&mut self, n: usize, enabled: &[ProcId]) {
+    pub fn advance(&mut self, n: usize, enabled: impl IntoIterator<Item = ProcId>) {
         if self.ages.len() != n {
             *self = EnablementAges::new(n);
         }
         self.now += 1;
-        for &p in enabled {
+        for p in enabled {
             let i = p.index();
             self.ages[i] = if self.seen[i] + 1 == self.now { self.ages[i] + 1 } else { 1 };
             self.seen[i] = self.now;
@@ -269,13 +265,12 @@ impl AdversarialLifo {
 
 impl<S> Daemon<S> for AdversarialLifo {
     fn select(&mut self, enabled: &EnabledSet<'_, S>, out: &mut Vec<(ProcId, ActionId)>) {
-        let procs = enabled.enabled_procs();
-        self.ages.advance(enabled.states().len(), procs);
-        if procs.is_empty() {
+        self.ages.advance(enabled.states().len(), enabled.enabled_procs());
+        if enabled.is_terminal() {
             return;
         }
         // Forced selections keep the execution weakly fair.
-        for &p in procs {
+        for p in enabled.enabled_procs() {
             if self.ages.age(p) >= self.fairness_bound {
                 out.push((p, random(enabled.actions_of(p), &mut self.rng)));
             }
@@ -283,9 +278,9 @@ impl<S> Daemon<S> for AdversarialLifo {
         if out.is_empty() {
             // Youngest (most recently enabled) processor; ties broken by
             // the largest id to deviate from the natural order.
-            let p = *procs
-                .iter()
-                .min_by_key(|p| (self.ages.age(**p), u32::MAX - p.0))
+            let p = enabled
+                .enabled_procs()
+                .min_by_key(|p| (self.ages.age(*p), u32::MAX - p.0))
                 .expect("non-empty");
             out.push((p, random(enabled.actions_of(p), &mut self.rng)));
         }
@@ -325,8 +320,7 @@ impl FixedSchedule {
 
 impl<S> Daemon<S> for FixedSchedule {
     fn select(&mut self, enabled: &EnabledSet<'_, S>, out: &mut Vec<(ProcId, ActionId)>) {
-        let procs = enabled.enabled_procs();
-        if procs.is_empty() {
+        if enabled.is_terminal() {
             return;
         }
         if let Some(group) = self.script.pop_front() {
@@ -337,7 +331,8 @@ impl<S> Daemon<S> for FixedSchedule {
             }
         }
         if out.is_empty() {
-            out.push((procs[0], first(enabled.actions_of(procs[0]))));
+            let p = enabled.nth_enabled(0);
+            out.push((p, first(enabled.actions_of(p))));
         }
     }
 

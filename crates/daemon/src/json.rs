@@ -577,20 +577,46 @@ impl Parser<'_> {
         }
     }
 
+    /// One number, held to the JSON grammar
+    /// `-?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?`. A lexeme that
+    /// breaks it is an error here, whether or not a reader ever asks for
+    /// the field.
     fn number(&mut self) -> Result<Json, JsonError> {
         let start = self.pos;
         if self.peek() == Some(b'-') {
             self.pos += 1;
         }
-        while matches!(self.peek(), Some(b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-')) {
-            self.pos += 1;
+        match self.peek() {
+            Some(b'0') => self.pos += 1,
+            Some(b'1'..=b'9') => self.digits("expected digit")?,
+            _ => return Err(self.err("expected digit in number")),
         }
-        if self.pos == start {
-            return Err(self.err("expected number"));
+        if self.peek() == Some(b'.') {
+            self.pos += 1;
+            self.digits("expected digit after decimal point")?;
+        }
+        if matches!(self.peek(), Some(b'e' | b'E')) {
+            self.pos += 1;
+            if matches!(self.peek(), Some(b'+' | b'-')) {
+                self.pos += 1;
+            }
+            self.digits("expected digit in exponent")?;
         }
         let lexeme = std::str::from_utf8(&self.bytes[start..self.pos])
             .expect("number lexeme is ASCII");
         Ok(Json::Num(lexeme.to_string()))
+    }
+
+    /// Consumes a run of one or more decimal digits.
+    fn digits(&mut self, msg: &'static str) -> Result<(), JsonError> {
+        let start = self.pos;
+        while matches!(self.peek(), Some(b'0'..=b'9')) {
+            self.pos += 1;
+        }
+        if self.pos == start {
+            return Err(self.err(msg));
+        }
+        Ok(())
     }
 }
 
@@ -720,6 +746,25 @@ mod tests {
             Err(EnvelopeError::Field(FieldError::Missing("seed".into())))
         );
         assert!(matches!(read_envelope("not json", "demo", 3, x), Err(EnvelopeError::Syntax(_))));
+    }
+
+    #[test]
+    fn numbers_follow_the_json_grammar() {
+        let good = ["0", "-0", "7", "-12", "10.25", "0.5", "-0.000", "1e5", "1E+5", "2.5e-3"];
+        for text in good.into_iter().chain(["18446744073709551615", "-1.5E-07"]) {
+            assert_eq!(parse(text), Ok(Json::Num(text.into())), "{text}");
+            assert_eq!(parse(&format!("[{text}]")), Ok(Json::Arr(vec![Json::Num(text.into())])));
+        }
+        let bad = ["-", "--1", "+1", "01", "-01", "00", "1.", ".5", "1.e3", "1.2.3", "1e", "1e+"];
+        for text in bad.into_iter().chain(["1ee2", "1e5.0", "1-2", "0x10", "--1.2.3e", "-a"]) {
+            assert!(parse(text).is_err(), "{text} must not parse");
+            assert!(parse(&format!("[{text}]")).is_err(), "[{text}] must not parse");
+            assert!(parse(&format!("{{\"k\":{text}}}")).is_err(), "{{k:{text}}} must not parse");
+        }
+        let err = parse("{\"junk\":--1.2.3e,\"k\":1}").unwrap_err();
+        assert_eq!(err, JsonError { offset: 9, msg: "expected digit in number" });
+        let err = parse("[2.5e]").unwrap_err();
+        assert_eq!(err, JsonError { offset: 5, msg: "expected digit in exponent" });
     }
 
     #[test]

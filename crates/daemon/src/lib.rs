@@ -78,7 +78,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod bits;
+pub mod bits;
 pub mod daemons;
 mod enabled;
 mod error;
@@ -92,13 +92,13 @@ mod sim;
 pub mod trace;
 pub mod trace_io;
 
-pub use enabled::EnabledIndex;
+pub use enabled::{EnabledIndex, EnabledProcs};
 pub use error::SimError;
 pub use interference::{InterferenceEdge, InterferenceGraph};
 pub use metrics::{MetricsObserver, PhaseReport};
 pub use protocol::{
     ActionId, ActionSet, ActionSetIter, ActionSpec, Applicability, EnabledSet, PhaseTag, Protocol,
-    ReadProbe, RegAccess, Scope, View,
+    ReadProbe, Readers, RegAccess, Scope, View,
 };
 pub use sim::{
     Fanout, NoOpObserver, Observer, RegisterStore, RunLimits, RunStats, SimBuilder, Simulator,

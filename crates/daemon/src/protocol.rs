@@ -3,6 +3,8 @@ use std::fmt;
 
 use pif_graph::{Graph, ProcId};
 
+use crate::{EnabledIndex, EnabledProcs};
+
 /// Index of an action in a protocol's guarded-action list.
 ///
 /// Actions are identified by their position in [`Protocol::action_names`];
@@ -524,6 +526,30 @@ pub trait Protocol {
         let _ = view;
         true
     }
+
+    /// The processors other than `p` whose guards can read a register
+    /// that `p` writes by executing `action` from its state `before`: the
+    /// simulator re-evaluates only `p` and these after the move.
+    ///
+    /// The contract: every processor whose enabled set can change because
+    /// of the move is `p` itself or among the returned readers. Naming a
+    /// processor whose guards read nothing the move wrote only costs a
+    /// re-evaluation. The default, every neighbor of `p`, holds for any
+    /// protocol, since guards read only the local neighborhood.
+    fn readers(&self, p: ProcId, before: &Self::State, action: ActionId) -> Readers {
+        let _ = (p, before, action);
+        Readers::Neighbors
+    }
+}
+
+/// Whose guards can read what one move wrote, from
+/// [`Protocol::readers`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Readers {
+    /// Every neighbor of the mover.
+    Neighbors,
+    /// One processor only; one outside the network names nobody.
+    Only(ProcId),
 }
 
 /// A processor's read-only window onto a configuration: its own state, its
@@ -654,16 +680,18 @@ impl<S: fmt::Debug> fmt::Debug for View<'_, S> {
 
 /// The per-step enabled-set snapshot handed to a [`crate::Daemon`].
 ///
-/// Exposes which processors are enabled, which of their actions are enabled
-/// (an [`ActionSet`] each, whose first action is the lowest [`ActionId`]),
-/// and (for state-aware adversarial daemons) the full configuration.
+/// Exposes which processors are enabled (their count, the `rank`-th of
+/// them and all of them in ascending id order), which of their actions
+/// are enabled (an [`ActionSet`] each, whose first action is the lowest
+/// [`ActionId`]), and (for state-aware adversarial daemons) the full
+/// configuration.
 pub struct EnabledSet<'a, S> {
     graph: &'a Graph,
     states: &'a [S],
     /// `actions[p]` holds the enabled actions of processor `p` (possibly none).
     actions: &'a [ActionSet],
-    /// Processors with at least one enabled action, ascending.
-    procs: &'a [ProcId],
+    /// Processors with at least one enabled action.
+    index: &'a EnabledIndex,
     /// Zero-based index of the step about to be executed.
     step: u64,
 }
@@ -671,22 +699,40 @@ pub struct EnabledSet<'a, S> {
 impl<'a, S> EnabledSet<'a, S> {
     /// Builds the snapshot [`crate::Simulator`] hands its daemon, over any
     /// register store. `actions` must have one (possibly empty) entry per
-    /// processor, and `procs` must list exactly the processors with a
-    /// non-empty entry, in ascending id order.
+    /// processor, and `index` must hold exactly the processors with a
+    /// non-empty entry.
     pub(crate) fn new(
         graph: &'a Graph,
         states: &'a [S],
         actions: &'a [ActionSet],
-        procs: &'a [ProcId],
+        index: &'a EnabledIndex,
         step: u64,
     ) -> Self {
-        EnabledSet { graph, states, actions, procs, step }
+        EnabledSet { graph, states, actions, index, step }
     }
 
     /// Processors with at least one enabled action, in ascending id order.
     #[inline]
-    pub fn enabled_procs(&self) -> &'a [ProcId] {
-        self.procs
+    pub fn enabled_procs(&self) -> EnabledProcs<'a> {
+        self.index.iter()
+    }
+
+    /// How many processors have at least one enabled action.
+    #[inline]
+    pub fn enabled_count(&self) -> usize {
+        self.index.len()
+    }
+
+    /// The `rank`-th enabled processor in ascending id order: the
+    /// processor a daemon indexing [`EnabledSet::enabled_procs`] at
+    /// `rank` would pick.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `rank` is not below [`EnabledSet::enabled_count`].
+    #[inline]
+    pub fn nth_enabled(&self, rank: usize) -> ProcId {
+        self.index.select(rank)
     }
 
     /// The enabled actions of processor `p` (empty if `p` is disabled).
@@ -695,10 +741,10 @@ impl<'a, S> EnabledSet<'a, S> {
         self.actions[p.index()]
     }
 
-    /// Whether any processor is enabled.
+    /// Whether no processor is enabled.
     #[inline]
     pub fn is_terminal(&self) -> bool {
-        self.procs.is_empty()
+        self.index.is_empty()
     }
 
     /// The configuration the step will be evaluated against.
@@ -722,9 +768,15 @@ impl<'a, S> EnabledSet<'a, S> {
 
 impl<S> fmt::Debug for EnabledSet<'_, S> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        struct Procs<'a>(&'a EnabledIndex);
+        impl fmt::Debug for Procs<'_> {
+            fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+                f.debug_list().entries(self.0.iter()).finish()
+            }
+        }
         f.debug_struct("EnabledSet")
             .field("step", &self.step)
-            .field("enabled", &self.procs)
+            .field("enabled", &Procs(self.index))
             .finish()
     }
 }

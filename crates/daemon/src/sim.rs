@@ -1,7 +1,10 @@
 use pif_graph::{Graph, ProcId};
 
 use crate::rounds::RoundCounter;
-use crate::{ActionId, ActionSet, Daemon, EnabledIndex, EnabledSet, Protocol, SimError, View};
+use crate::{
+    ActionId, ActionSet, Daemon, EnabledIndex, EnabledProcs, EnabledSet, Protocol, Readers,
+    SimError, View,
+};
 
 /// Budget limits for a simulation run.
 ///
@@ -531,8 +534,24 @@ impl<P: Protocol, S: RegisterStore<P>> Simulator<P, S> {
 
     /// Processors currently enabled, ascending.
     #[inline]
-    pub fn enabled_procs(&self) -> &[ProcId] {
-        self.index.procs()
+    pub fn enabled_procs(&self) -> EnabledProcs<'_> {
+        self.index.iter()
+    }
+
+    /// How many processors are currently enabled.
+    #[inline]
+    pub fn enabled_count(&self) -> usize {
+        self.index.len()
+    }
+
+    /// The `rank`-th currently enabled processor in ascending id order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `rank` is not below [`Simulator::enabled_count`].
+    #[inline]
+    pub fn nth_enabled(&self, rank: usize) -> ProcId {
+        self.index.select(rank)
     }
 
     /// Enabled actions of processor `p` in the current configuration.
@@ -587,7 +606,7 @@ impl<P: Protocol, S: RegisterStore<P>> Simulator<P, S> {
                 &self.graph,
                 self.store.states(),
                 &self.enabled,
-                self.index.procs(),
+                &self.index,
                 self.steps,
             ),
             &mut selection,
@@ -622,7 +641,7 @@ impl<P: Protocol, S: RegisterStore<P>> Simulator<P, S> {
         let mut selection = std::mem::take(&mut self.selection);
         selection.clear();
         let enabled = &self.enabled;
-        selection.extend(self.index.procs().iter().map(|&p| {
+        selection.extend(self.index.iter().map(|p| {
             (p, enabled[p.index()].first().expect("an enabled processor has an enabled action"))
         }));
         self.apply(selection, &mut NoOpObserver)
@@ -654,7 +673,7 @@ impl<P: Protocol, S: RegisterStore<P>> Simulator<P, S> {
         }
         let step_index = self.steps;
         self.steps += 1;
-        self.refresh_after(&selection);
+        self.refresh_after(&selection, &old_states);
 
         // Round accounting settles before observers run, so the delta can
         // carry the authoritative round-completion flag.
@@ -842,23 +861,31 @@ impl<P: Protocol, S: RegisterStore<P>> Simulator<P, S> {
         self.rounds.restart(self.enabled.iter().map(|a| !a.is_empty()));
     }
 
-    /// Recomputes enabled actions only where they can have changed: the
-    /// executed processors and their neighbors (guards read only the local
-    /// neighborhood). Membership flips feed both the round counter and the
-    /// enabled index.
-    fn refresh_after(&mut self, executed: &[(ProcId, ActionId)]) {
+    /// Recomputes enabled actions only where they can have changed: each
+    /// executed processor and the readers of what it wrote
+    /// ([`Protocol::readers`]; by default its neighbors, since guards read
+    /// only the local neighborhood). `old_states` holds the executed
+    /// processors' pre-step states, parallel to `executed`. Membership
+    /// flips feed both the round counter and the enabled index.
+    fn refresh_after(&mut self, executed: &[(ProcId, ActionId)], old_states: &[P::State]) {
         self.epoch += 1;
         let epoch = self.epoch;
-        self.dirty.clear();
-        for &(p, _) in executed {
-            if self.stamp[p.index()] != epoch {
-                self.stamp[p.index()] = epoch;
-                self.dirty.push(p);
+        let Simulator { graph, protocol, stamp, dirty, .. } = self;
+        dirty.clear();
+        let mut mark = |q: ProcId| {
+            if stamp[q.index()] != epoch {
+                stamp[q.index()] = epoch;
+                dirty.push(q);
             }
-            for &q in self.graph.neighbor_slice(p) {
-                if self.stamp[q.index()] != epoch {
-                    self.stamp[q.index()] = epoch;
-                    self.dirty.push(q);
+        };
+        for (&(p, a), before) in executed.iter().zip(old_states) {
+            mark(p);
+            match protocol.readers(p, before, a) {
+                Readers::Neighbors => graph.neighbor_slice(p).iter().for_each(|&q| mark(q)),
+                Readers::Only(q) => {
+                    if q.index() < graph.len() {
+                        mark(q);
+                    }
                 }
             }
         }
@@ -1083,7 +1110,7 @@ mod tests {
                 snap: &EnabledSet<'_, i32>,
                 out: &mut Vec<(ProcId, ActionId)>,
             ) {
-                let p = snap.enabled_procs()[0];
+                let p = snap.nth_enabled(0);
                 let a = snap.actions_of(p).first().unwrap();
                 out.push((p, a));
                 out.push((p, a));
@@ -1107,7 +1134,7 @@ mod tests {
         assert!(sim.is_terminal());
         sim.corrupt(ProcId(0), 7);
         assert!(!sim.is_terminal());
-        assert_eq!(sim.enabled_procs(), &[ProcId(0)]);
+        assert_eq!(sim.enabled_procs().collect::<Vec<_>>(), [ProcId(0)]);
     }
 
     #[test]
@@ -1119,17 +1146,20 @@ mod tests {
         assert!(!sim.is_terminal());
         assert_eq!(sim.state(ProcId(0)), &7);
         assert_eq!(sim.state(ProcId(2)), &3);
-        assert_eq!(sim.enabled_procs(), &[ProcId(0), ProcId(2)]);
+        assert_eq!(sim.enabled_procs().collect::<Vec<_>>(), [ProcId(0), ProcId(2)]);
         // The batch is one fault event: bookkeeping must equal a fresh
         // simulator started from the corrupted configuration (which is what
         // a single round-accounting restart means).
         let fresh = Simulator::new(g, PushRight, sim.states().to_vec());
-        assert_eq!(sim.enabled_procs(), fresh.enabled_procs());
+        assert_eq!(
+            sim.enabled_procs().collect::<Vec<_>>(),
+            fresh.enabled_procs().collect::<Vec<_>>()
+        );
         assert_eq!(sim.rounds(), fresh.rounds());
         // An empty batch is a no-op (no spurious accounting restart).
-        let before: Vec<_> = sim.enabled_procs().to_vec();
+        let before: Vec<_> = sim.enabled_procs().collect();
         sim.corrupt_many(&[]);
-        assert_eq!(sim.enabled_procs(), &before[..]);
+        assert_eq!(sim.enabled_procs().collect::<Vec<_>>(), before);
     }
 
     #[test]
@@ -1197,7 +1227,10 @@ mod tests {
             .limits(RunLimits::new(42, 7))
             .build();
         assert_eq!(manual.states(), built.states());
-        assert_eq!(manual.enabled_procs(), built.enabled_procs());
+        assert_eq!(
+            manual.enabled_procs().collect::<Vec<_>>(),
+            built.enabled_procs().collect::<Vec<_>>()
+        );
         assert!(built.validation());
         assert_eq!(built.limits(), RunLimits::new(42, 7));
     }
@@ -1332,7 +1365,10 @@ mod tests {
             assert_eq!(fast.step_sync(), want);
             assert_eq!(fast.last_executed(), by_daemon.last_executed());
             assert_eq!(fast.states(), by_daemon.states());
-            assert_eq!(fast.enabled_procs(), by_daemon.enabled_procs());
+            assert_eq!(
+                fast.enabled_procs().collect::<Vec<_>>(),
+                by_daemon.enabled_procs().collect::<Vec<_>>()
+            );
             assert_eq!((fast.steps(), fast.rounds()), (by_daemon.steps(), by_daemon.rounds()));
             halved |= fast.last_executed().iter().any(|&(_, a)| a == ActionId(0));
         }
@@ -1353,7 +1389,10 @@ mod tests {
             sim.step(&mut d).unwrap();
             // Reference: recompute everything from scratch.
             let fresh = Simulator::new(g.clone(), PushRight, sim.states().to_vec());
-            assert_eq!(sim.enabled_procs(), fresh.enabled_procs());
+            assert_eq!(
+                sim.enabled_procs().collect::<Vec<_>>(),
+                fresh.enabled_procs().collect::<Vec<_>>()
+            );
             for p in g.procs() {
                 assert_eq!(sim.enabled_actions(p), fresh.enabled_actions(p));
             }

@@ -15,9 +15,7 @@
 //!
 //! Frame bytes live in buffers drawn from a [`FramePool`] shared by all
 //! links of one transport and returned to it when a frame leaves its
-//! channel, so steady-state traffic allocates nothing. [`LinkSet`] is the
-//! transport's index of nonempty links, the set its delivery draw picks
-//! from.
+//! channel, so steady-state traffic allocates nothing.
 
 use std::collections::VecDeque;
 
@@ -162,76 +160,6 @@ impl FramePool {
     pub(crate) fn put(&mut self, buf: Vec<u8>) {
         self.spare.push(buf);
     }
-}
-
-/// The set of nonempty links, keyed by flat link id, with position
-/// select: [`LinkSet::select`]`(i)` is the `i`-th member in ascending id
-/// order, found by a popcount scan over the bitset's words (4 words on
-/// an 8×8 torus) and a halving search inside the last one.
-#[derive(Clone, Debug)]
-pub(crate) struct LinkSet {
-    words: Vec<u64>,
-    len: usize,
-}
-
-impl LinkSet {
-    /// An empty set over link ids `0..links`.
-    pub(crate) fn new(links: usize) -> Self {
-        LinkSet { words: vec![0; links.div_ceil(64)], len: 0 }
-    }
-
-    /// Members.
-    pub(crate) fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Whether no link is a member.
-    pub(crate) fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Adds link `l`, which must not be a member.
-    pub(crate) fn insert(&mut self, l: usize) {
-        let bit = 1u64 << (l % 64);
-        debug_assert_eq!(self.words[l / 64] & bit, 0, "link {l} already nonempty");
-        self.words[l / 64] |= bit;
-        self.len += 1;
-    }
-
-    /// Removes link `l`, which must be a member.
-    pub(crate) fn remove(&mut self, l: usize) {
-        let bit = 1u64 << (l % 64);
-        debug_assert_ne!(self.words[l / 64] & bit, 0, "link {l} already empty");
-        self.words[l / 64] &= !bit;
-        self.len -= 1;
-    }
-
-    /// The `rank`-th member in ascending order (`rank < len`).
-    pub(crate) fn select(&self, mut rank: usize) -> usize {
-        for (i, &word) in self.words.iter().enumerate() {
-            let ones = word.count_ones() as usize;
-            if rank < ones {
-                return i * 64 + select_in_word(word, rank as u32);
-            }
-            rank -= ones;
-        }
-        panic!("select past the end of the nonempty-link set")
-    }
-}
-
-/// Position of the `rank`-th set bit of `word` (`rank < popcount`):
-/// halve the window six times, keeping the half that holds the target.
-fn select_in_word(mut word: u64, mut rank: u32) -> usize {
-    let mut pos = 0;
-    for half in [32u32, 16, 8, 4, 2, 1] {
-        let low = (word & ((1u64 << half) - 1)).count_ones();
-        if rank >= low {
-            rank -= low;
-            word >>= half;
-            pos += half;
-        }
-    }
-    pos as usize
 }
 
 /// What [`Link::send`] did with a frame. `Overflow` means the new frame
@@ -478,37 +406,6 @@ mod tests {
         assert_eq!(flushed, 4);
         assert!(link.is_empty());
         assert!(pool.spare.len() <= 4, "pool kept {} buffers", pool.spare.len());
-    }
-
-    #[test]
-    fn link_set_selects_members_in_ascending_order() {
-        let n = 300;
-        let mut set = LinkSet::new(n);
-        let mut members = Vec::new();
-        let mut x = 0x9E37_79B9u64;
-        for step in 0..2_000 {
-            x ^= x << 13;
-            x ^= x >> 7;
-            x ^= x << 17;
-            let l = (x % n as u64) as usize;
-            match members.binary_search(&l) {
-                Ok(at) => {
-                    members.remove(at);
-                    set.remove(l);
-                }
-                Err(at) => {
-                    members.insert(at, l);
-                    set.insert(l);
-                }
-            }
-            assert_eq!(set.len(), members.len(), "step {step}");
-            for (rank, &want) in members.iter().enumerate() {
-                assert_eq!(set.select(rank), want, "step {step}, rank {rank}");
-            }
-        }
-        assert_eq!(select_in_word(u64::MAX, 63), 63);
-        assert_eq!(select_in_word(1 << 63, 0), 63);
-        assert_eq!(select_in_word(0b1011_0000, 2), 7);
     }
 
     #[test]

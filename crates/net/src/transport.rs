@@ -14,6 +14,7 @@
 //! `pif_daemon::SimBuilder`'s fluent pattern with typed [`NetError`]s
 //! instead of panics.
 
+use pif_daemon::bits::BitSet;
 use pif_daemon::{
     splitmix64, ActionId, EnabledIndex, NoOpObserver, Observer, Protocol, StepDelta, View,
 };
@@ -23,7 +24,7 @@ use rand::{RngExt, SeedableRng};
 
 use crate::error::NetError;
 use crate::frame::{decode_frame, encode_frame, FrameHeader, FrameKind, WireState};
-use crate::link::{FaultPlan, FramePool, Link, LinkSet};
+use crate::link::{FaultPlan, FramePool, Link};
 use crate::stats::{LinkStats, NetStats};
 use crate::sync::RegisterSync;
 
@@ -323,7 +324,7 @@ where
             heartbeats: 0,
             cache_corruptions: 0,
             in_flight: 0,
-            nonempty: LinkSet::new(m),
+            nonempty: BitSet::new(m),
             enabled: EnabledIndex::new(n, std::iter::empty()),
             pool: FramePool::default(),
             view,
@@ -402,11 +403,11 @@ where
     heartbeats: u64,
     cache_corruptions: u64,
     in_flight: u64,
-    /// The links holding at least one frame; the delivery draw picks a
-    /// position among them.
-    nonempty: LinkSet,
-    /// The processors whose cached view enables an action, ascending;
-    /// the execution draw picks a position among them.
+    /// The links holding at least one frame, by flat link id; the
+    /// delivery draw picks a rank among them.
+    nonempty: BitSet,
+    /// The processors whose cached view enables an action; the
+    /// execution draw picks a rank among them, in ascending id order.
     enabled: EnabledIndex,
     pool: FramePool,
     /// The one view buffer every guard evaluation reads. Only the
@@ -591,8 +592,8 @@ where
 
     fn execute_one(&mut self, observer: &mut dyn Observer<P>) -> TickOutcome {
         // Pick the idx-th enabled processor in ascending id order.
-        let idx = self.rng.random_range(0..self.enabled.procs().len());
-        let p = self.enabled.procs()[idx];
+        let idx = self.rng.random_range(0..self.enabled.len());
+        let p = self.enabled.select(idx);
         self.sync.local_view_into(&self.graph, &self.states[p.index()], p, &mut self.view);
         let action = self
             .protocol
@@ -632,7 +633,7 @@ where
 
     fn deliver_one(&mut self) -> TickOutcome {
         // Pick the idx-th nonempty link in flat (receiver, slot) order.
-        let idx = self.rng.random_range(0..self.nonempty.len());
+        let idx = self.rng.random_range(0..self.nonempty.count());
         let l = self.nonempty.select(idx);
         let p = self.link_to[l];
         let k = l - self.link_base[p.index()];

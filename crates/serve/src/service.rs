@@ -127,7 +127,8 @@ pub struct ServeConfig {
     pub topology: Topology,
     /// Processors allowed to initiate broadcasts (one lane each).
     pub initiators: Vec<ProcId>,
-    /// Worker shards (initiators are hashed across them).
+    /// Worker shards (initiators are hashed across them). At most one
+    /// shard per initiator is built; reports record the value as set.
     pub shards: usize,
     /// Master seed: drives shard assignment, lane daemons, and shard
     /// interleaving.
@@ -353,7 +354,10 @@ impl<M: Clone + PartialEq + fmt::Debug + Send> WaveService<M> {
             None => (0..n).map(|i| (i + 1) as i64).collect(),
         };
 
-        let shard_count = config.shards.max(1);
+        // The deal below places initiator `pos` on shard `pos % shards`,
+        // so shards past the initiator count would only ever stay empty:
+        // they are not built.
+        let shard_count = config.shards.clamp(1, config.initiators.len());
         // Seeded deterministic assignment, balanced by construction:
         // initiators are ordered by a splitmix key and dealt round-robin,
         // so no seed can collapse every lane onto one shard.

@@ -237,8 +237,8 @@ fn topologies_beyond_the_level_register_are_rejected() {
 /// Same seed ⇒ bit-identical deterministic report fields; different seed
 /// ⇒ (with randomized daemons) different trajectories. One shard runs
 /// the whole service on the calling thread; two run one shard there and
-/// one on a spawned thread; at four shards one of them has no lane, and
-/// its campaign fires on the calling thread.
+/// one on a spawned thread; four, one more than the initiators, build
+/// three, since the deal would leave the fourth without a lane.
 #[test]
 fn reports_replay_deterministically_from_their_seed() {
     for shards in [1, 2, 4] {

@@ -5,7 +5,8 @@
 
 use pif_core::{PifProtocol, PifState};
 use pif_daemon::{
-    ActionId, ActionSet, Daemon, Observer, SimBuilder, SimError, Simulator, StepReport,
+    ActionId, ActionSet, Daemon, EnabledProcs, Observer, SimBuilder, SimError, Simulator,
+    StepReport,
 };
 use pif_graph::{Graph, ProcId};
 
@@ -182,7 +183,7 @@ impl EngineSim {
     }
 
     /// Processors currently enabled, ascending.
-    pub fn enabled_procs(&self) -> &[ProcId] {
+    pub fn enabled_procs(&self) -> EnabledProcs<'_> {
         on_engine!(self, s => s.enabled_procs())
     }
 
@@ -297,7 +298,10 @@ mod tests {
                 .collect();
             assert_eq!(reports[0], reports[1]);
             assert_eq!(sims[0].states(), sims[1].states());
-            assert_eq!(sims[0].enabled_procs(), sims[1].enabled_procs());
+            assert_eq!(
+                sims[0].enabled_procs().collect::<Vec<_>>(),
+                sims[1].enabled_procs().collect::<Vec<_>>()
+            );
         }
     }
 }

@@ -197,7 +197,7 @@ impl RegisterStore<PifProtocol> for Packed {
 mod tests {
     use super::*;
     use pif_core::initial;
-    use pif_daemon::daemons::{CentralRandom, Synchronous};
+    use pif_daemon::daemons::{AdversarialLifo, CentralRandom, DistributedRandom, Synchronous};
     use pif_daemon::{Daemon, EnabledSet, SimError};
     use pif_graph::generators;
 
@@ -212,7 +212,10 @@ mod tests {
 
     fn assert_agree(aos: &Simulator<PifProtocol>, soa: &SoaSimulator) {
         assert_eq!(aos.states(), soa.states());
-        assert_eq!(aos.enabled_procs(), soa.enabled_procs());
+        assert_eq!(
+            aos.enabled_procs().collect::<Vec<_>>(),
+            soa.enabled_procs().collect::<Vec<_>>()
+        );
         for p in aos.graph().procs() {
             assert_eq!(aos.enabled_actions(p), soa.enabled_actions(p), "actions diverge at {p}");
         }
@@ -272,46 +275,63 @@ mod tests {
         }
     }
 
+    /// Asserts that `sim`'s enabled list, count, rank select and
+    /// per-processor enabled sets equal those of `fresh`.
+    fn matches_fresh<S: RegisterStore<PifProtocol>>(
+        sim: &Simulator<PifProtocol, S>,
+        fresh: &Simulator<PifProtocol, S>,
+        at: &str,
+    ) {
+        let procs: Vec<ProcId> = sim.enabled_procs().collect();
+        assert_eq!(procs, fresh.enabled_procs().collect::<Vec<_>>(), "{at}: enabled list");
+        assert_eq!(sim.enabled_count(), procs.len(), "{at}: count");
+        for (rank, &p) in procs.iter().enumerate() {
+            assert_eq!(sim.nth_enabled(rank), p, "{at}: rank {rank}");
+        }
+        for p in sim.graph().procs() {
+            assert_eq!(sim.enabled_actions(p), fresh.enabled_actions(p), "{at}: {p}");
+        }
+    }
+
     #[test]
     fn multi_word_enabled_lists_match_a_full_rebuild_every_step() {
-        // n = 144 spans three bitset words. The enabled index applies a
-        // step's k flips in place while k·(32 + m/48) ≤ 16 + n/32 + m for
-        // m enabled processors: here one flip goes in place once 12 are
-        // enabled, and 20 flips are always a rebuild. A central move flips
-        // the mover and at most its 4 neighbors; a synchronous step from a
-        // random configuration can flip 20 or more.
-        let g = generators::torus(12, 12).unwrap();
+        // torus:24x24 spans nine bitset words and two 512-processor blocks
+        // of the enabled index. After every step, each store's enabled
+        // list, count, rank select and per-processor enabled sets must
+        // equal those of a simulator freshly built on the same store from
+        // the current configuration: a dirty set that missed a processor
+        // whose guards changed shows up here, on both stores at once
+        // (the AoS/SoA lockstep alone cannot see it, since both engines
+        // run the same step loop).
+        let g = generators::torus(24, 24).unwrap();
         let daemon = |name: &str| -> Box<dyn Daemon<PifState>> {
-            if name == "synchronous" {
-                Box::new(Synchronous::first_action())
-            } else {
-                Box::new(CentralRandom::new(12))
+            match name {
+                "synchronous" => Box::new(Synchronous::first_action()),
+                "central-random" => Box::new(CentralRandom::new(12)),
+                "distributed-random" => Box::new(DistributedRandom::new(0.3, 12)),
+                _ => Box::new(AdversarialLifo::new(4 * 576, 12)),
             }
         };
-        for name in ["central-random", "synchronous"] {
+        for name in ["synchronous", "central-random", "distributed-random", "adversarial-lifo"] {
             let (mut d_aos, mut d_soa) = (daemon(name), daemon(name));
             let (mut aos, mut soa) = both(&g, 0x12);
-            let (mut in_place, mut rebuilt) = (false, false);
             for step in 0..1_500 {
                 if aos.is_terminal() {
                     break;
                 }
-                let mut was = vec![false; g.len()];
-                for &p in soa.enabled_procs() {
-                    was[p.index()] = true;
-                }
-                let enabled_before = soa.enabled_procs().len();
                 assert_eq!(aos.step(&mut *d_aos).unwrap(), soa.step(&mut *d_soa).unwrap());
                 assert_agree(&aos, &soa);
-                let fresh = Simulator::new(g.clone(), soa.protocol().clone(), soa.states().to_vec());
-                assert_eq!(soa.enabled_procs(), fresh.enabled_procs(), "{name}, step {step}");
-                let flips =
-                    g.procs().filter(|&p| was[p.index()] == soa.enabled_actions(p).is_empty()).count();
-                in_place |= flips == 1 && enabled_before >= 12;
-                rebuilt |= flips >= 20;
+                let at = format!("{name}, step {step}");
+                let protocol = aos.protocol().clone();
+                let fresh = Simulator::new(g.clone(), protocol.clone(), aos.states().to_vec());
+                matches_fresh(&aos, &fresh, &format!("{at}, generic store"));
+                let fresh = SoaSimulator::with_store(
+                    g.clone(),
+                    protocol,
+                    Packed::new(soa.states().to_vec()),
+                );
+                matches_fresh(&soa, &fresh, &format!("{at}, SoA store"));
             }
-            let covered = if name == "synchronous" { rebuilt } else { in_place };
-            assert!(covered, "{name}: never took the branch it is meant to exercise");
         }
     }
 
@@ -353,7 +373,10 @@ mod tests {
         // Steps differ is fine (both kept their counters); bookkeeping and
         // round restart must agree.
         assert_eq!(aos.states(), soa.states());
-        assert_eq!(aos.enabled_procs(), soa.enabled_procs());
+        assert_eq!(
+            aos.enabled_procs().collect::<Vec<_>>(),
+            soa.enabled_procs().collect::<Vec<_>>()
+        );
         assert_eq!(aos.rounds(), soa.rounds());
     }
 
@@ -384,7 +407,7 @@ mod tests {
                 snap: &EnabledSet<'_, PifState>,
                 out: &mut Vec<(ProcId, ActionId)>,
             ) {
-                let p = snap.enabled_procs()[0];
+                let p = snap.nth_enabled(0);
                 let a = snap.actions_of(p).first().unwrap();
                 out.push((p, a));
                 out.push((p, a));

@@ -457,6 +457,27 @@ fn oversize_topologies_are_refused_before_they_are_built() {
 }
 
 #[test]
+fn shards_past_the_initiator_count_are_not_built() {
+    // The deal places the initiator at position `pos` on shard
+    // `pos % shards`, so shards past the initiator count would never hold
+    // a lane: a configured count of two million builds no more than one
+    // shard per initiator.
+    let build = |shards: usize| {
+        let config = ServeConfig::new(Topology::Torus { w: 4, h: 4 })
+            .initiators(spread_initiators(16, 4))
+            .shards(shards)
+            .seed(0x5E7);
+        allocations_of(|| WaveService::<u64>::new(config).unwrap())
+    };
+    let per_initiator = build(4);
+    let huge = build(2_000_000);
+    assert!(
+        huge <= per_initiator,
+        "2,000,000 shards took {huge} allocations, one per initiator {per_initiator}"
+    );
+}
+
+#[test]
 fn adversarial_daemons_select_without_allocating() {
     // The weakly fair adversaries keep continuous-enablement ages; after
     // warm-up, aging, forced selections and fallback picks must reuse

@@ -10,7 +10,7 @@ use pif_core::wave::{UnitAggregate, WaveRunner};
 use pif_core::{analysis, initial, Features, Phase, PifProtocol, PifState};
 use pif_daemon::daemons::{CentralRandom, DistributedRandom, Synchronous};
 use pif_daemon::{
-    ActionId, ActionSet, Daemon, Observer, Protocol, RunLimits, Simulator, StepDelta, View,
+    ActionId, ActionSet, Daemon, Observer, Protocol, Readers, RunLimits, Simulator, StepDelta, View,
 };
 use pif_graph::{generators, Graph, ProcId};
 use pif_soa::kernel::ACTION_BITS;
@@ -171,8 +171,221 @@ fn fused_guard_sweep_enables_every_action() {
     }
 }
 
+/// A configuration shaped like a broadcast in progress: every non-root
+/// processor names its BFS parent at a consistent level, most are in `B`
+/// without `Fok`, and counters are small. `Count-action` is enabled at
+/// many processors, next to the wave and correction actions of the rest.
+fn broadcast_config(proto: &PifProtocol, g: &Graph, rng: &mut StdRng) -> Vec<PifState> {
+    let root = proto.root();
+    let mut par = vec![root; g.len()];
+    let mut depth = vec![usize::MAX; g.len()];
+    depth[root.index()] = 0;
+    let mut queue = std::collections::VecDeque::from([root]);
+    while let Some(q) = queue.pop_front() {
+        for &r in g.neighbor_slice(q) {
+            if depth[r.index()] == usize::MAX {
+                depth[r.index()] = depth[q.index()] + 1;
+                par[r.index()] = q;
+                queue.push_back(r);
+            }
+        }
+    }
+    g.procs()
+        .map(|p| PifState {
+            phase: if rng.random_bool(0.8) { Phase::B } else { Phase::ALL[rng.random_range(0..3)] },
+            par: par[p.index()],
+            level: u16::try_from(depth[p.index()].max(1)).unwrap(),
+            count: rng.random_range(1..=proto.n_prime().min(3)),
+            fok: rng.random_bool(0.15),
+        })
+        .collect()
+}
+
+/// Executes every enabled action of every processor of `states`, one at
+/// a time, and checks that each neighbor outside the readers
+/// `PifProtocol::readers` names keeps its enabled set. Returns how many
+/// narrowed moves it checked, and at how many the named reader's
+/// enabled set did change.
+fn readers_cover_changed_guards(
+    proto: &PifProtocol,
+    g: &Graph,
+    states: &[PifState],
+) -> Result<(u64, u64), String> {
+    let enabled = |cfg: &[PifState], q: ProcId| proto.enabled_actions(View::new(g, cfg, q));
+    let (mut narrowed, mut reader_changed) = (0, 0);
+    let mut after = states.to_vec();
+    for p in g.procs() {
+        let view = View::new(g, states, p);
+        for a in proto.enabled_actions(view) {
+            let Readers::Only(reader) = proto.readers(p, &states[p.index()], a) else {
+                continue;
+            };
+            narrowed += 1;
+            after[p.index()] = proto.execute(view, a);
+            for &q in g.neighbor_slice(p) {
+                let (was, now) = (enabled(states, q), enabled(&after, q));
+                if q == reader {
+                    reader_changed += u64::from(was != now);
+                } else if was != now {
+                    return Err(format!(
+                        "{a} at {p} (readers: {reader}) moved {q} from {was:?} to {now:?} \
+                         under {:?} in {states:?}",
+                        proto.features()
+                    ));
+                }
+            }
+            after[p.index()] = states[p.index()];
+        }
+    }
+    Ok((narrowed, reader_changed))
+}
+
+/// Runs [`readers_cover_changed_guards`] on chain, ring, torus, complete
+/// and random graphs under all sixteen [`Features`] combinations, over
+/// `configs` wild and `configs` broadcast-shaped configurations each.
+fn readers_sweep(
+    n: usize,
+    root: usize,
+    gseed: u64,
+    cseed: u64,
+    configs: usize,
+) -> Result<(u64, u64), String> {
+    let graphs = [
+        generators::chain(n).unwrap(),
+        generators::ring(n.max(3)).unwrap(),
+        generators::torus(3, n.clamp(3, 5)).unwrap(),
+        generators::complete(n).unwrap(),
+        generators::random_connected(n, 0.35, gseed).unwrap(),
+    ];
+    let mut rng = StdRng::seed_from_u64(cseed);
+    let mut total = (0, 0);
+    for g in &graphs {
+        let root = ProcId::from_index(root % g.len());
+        for bits in 0..16u8 {
+            let proto = PifProtocol::new(root, g).with_features(features_of(bits));
+            for _ in 0..configs {
+                for states in
+                    [wild_config(&proto, g.len(), &mut rng), broadcast_config(&proto, g, &mut rng)]
+                {
+                    let (narrowed, changed) = readers_cover_changed_guards(&proto, g, &states)?;
+                    total.0 += narrowed;
+                    total.1 += changed;
+                }
+            }
+        }
+    }
+    Ok(total)
+}
+
+/// The sweep checks narrowed moves, and at some of them the one reader
+/// the protocol names does change its enabled set, so a narrowing that
+/// dropped it would be caught.
+#[test]
+fn readers_sweep_checks_moves_whose_reader_changes() {
+    let (mut narrowed, mut changed) = (0, 0);
+    for seed in 0..6u64 {
+        let (a, b) = readers_sweep(3 + seed as usize % 6, seed as usize, seed, seed, 4).unwrap();
+        narrowed += a;
+        changed += b;
+    }
+    assert!(narrowed > 1_000, "only {narrowed} narrowed moves checked");
+    assert!(changed > 100, "the named reader changed at only {changed} of {narrowed} moves");
+}
+
+/// `PifProtocol` counting its guard evaluations, with `readers` either
+/// its own or the trait default.
+struct Counted {
+    inner: PifProtocol,
+    narrow: bool,
+    evaluations: std::cell::Cell<u64>,
+}
+
+impl Protocol for Counted {
+    type State = PifState;
+
+    fn action_names(&self) -> &'static [&'static str] {
+        self.inner.action_names()
+    }
+
+    fn enabled_actions(&self, view: View<'_, PifState>) -> ActionSet {
+        self.evaluations.set(self.evaluations.get() + 1);
+        self.inner.enabled_actions(view)
+    }
+
+    fn execute(&self, view: View<'_, PifState>, action: ActionId) -> PifState {
+        self.inner.execute(view, action)
+    }
+
+    fn readers(&self, p: ProcId, before: &PifState, action: ActionId) -> Readers {
+        if self.narrow {
+            self.inner.readers(p, before, action)
+        } else {
+            Readers::Neighbors
+        }
+    }
+}
+
+/// On torus:32x32 under the central random daemon, with a corruption of
+/// eight processors halfway, the narrowed dirty set runs the same
+/// execution as the full neighborhood and evaluates fewer guards per
+/// step. Prints both counts (run with `--nocapture`).
+#[test]
+fn narrowed_readers_run_the_same_execution_with_fewer_guard_evaluations() {
+    let g = generators::torus(32, 32).unwrap();
+    let inner = PifProtocol::new(ProcId(0), &g);
+    let mut rng = StdRng::seed_from_u64(0xC0FF);
+    let corruption: Vec<(ProcId, PifState)> = (0..8)
+        .map(|_| {
+            let p = ProcId::from_index(rng.random_range(1..g.len()));
+            (p, initial::random_config(&g, &inner, rng.random_range(0..u64::MAX))[p.index()])
+        })
+        .collect();
+    let run = |narrow: bool| {
+        let protocol = Counted { inner: inner.clone(), narrow, evaluations: 0.into() };
+        let mut sim = Simulator::new(g.clone(), protocol, initial::normal_starting(&g));
+        let mut daemon = CentralRandom::new(0xD1E);
+        let (mut evaluations, mut steps, mut executed) = (0u64, 0u64, Vec::new());
+        for half in 0..2 {
+            if half == 1 {
+                sim.corrupt_many(&corruption);
+            }
+            for _ in 0..10_000 {
+                let before = sim.protocol().evaluations.get();
+                steps += sim.step(&mut daemon).unwrap().executed as u64;
+                evaluations += sim.protocol().evaluations.get() - before;
+                executed.extend_from_slice(sim.last_executed());
+            }
+        }
+        (evaluations as f64 / steps as f64, executed, sim.states().to_vec())
+    };
+    let (full, full_moves, full_end) = run(false);
+    let (narrowed, narrowed_moves, narrowed_end) = run(true);
+    assert_eq!(narrowed_moves, full_moves, "the executions diverge");
+    assert_eq!(narrowed_end, full_end);
+    eprintln!("guard evaluations per torus:32x32 step: {full:.2} -> {narrowed:.2}");
+    assert!((full - 5.0).abs() < 1e-9, "a central step on a torus evaluates 1 + 4 guards");
+    assert!(narrowed < 4.5, "narrowed readers evaluated {narrowed:.2} guards a step");
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// `PifProtocol::readers` names every neighbor a move can disable or
+    /// enable: executing any enabled action of any processor leaves the
+    /// enabled set of every other neighbor unchanged, on chain, ring,
+    /// torus, complete and random graphs, under all sixteen ablation
+    /// [`Features`] combinations, from wild and broadcast-shaped
+    /// configurations.
+    #[test]
+    fn narrowed_readers_cover_every_guard_a_move_changes(
+        n in 3usize..10,
+        root in 0usize..10,
+        gseed in any::<u64>(),
+        cseed in any::<u64>(),
+    ) {
+        let res = readers_sweep(n, root, gseed, cseed, 2);
+        prop_assert!(res.is_ok(), "{}", res.unwrap_err());
+    }
 
     /// The fused one-pass `enabled_actions` equals the literal
     /// composition of the per-guard functions and the SoA kernel's mask,
@@ -338,7 +551,7 @@ proptest! {
         // Naive reference for Dolev-Israeli-Moran rounds: full enabled
         // scan per step, no sparse changes.
         let mut ref_pending: std::collections::HashSet<ProcId> =
-            sim.enabled_procs().iter().copied().collect();
+            sim.enabled_procs().collect();
         let mut ref_rounds = 0u64;
 
         for _ in 0..steps {
@@ -349,7 +562,10 @@ proptest! {
 
             // Enabled-set equivalence against a from-scratch simulator.
             let fresh = Simulator::new(g.clone(), protocol.clone(), sim.states().to_vec());
-            prop_assert_eq!(sim.enabled_procs(), fresh.enabled_procs());
+            prop_assert_eq!(
+                sim.enabled_procs().collect::<Vec<_>>(),
+                fresh.enabled_procs().collect::<Vec<_>>()
+            );
             for q in g.procs() {
                 prop_assert_eq!(
                     sim.enabled_actions(q),
@@ -362,7 +578,7 @@ proptest! {
             // Round equivalence: a processor leaves the pending set by
             // executing or by becoming disabled (the disable action).
             let now_enabled: std::collections::HashSet<ProcId> =
-                sim.enabled_procs().iter().copied().collect();
+                sim.enabled_procs().collect();
             for &(q, _) in sim.last_executed() {
                 ref_pending.remove(&q);
             }
@@ -427,7 +643,10 @@ proptest! {
             prop_assert_eq!(ra, rs);
         }
         prop_assert_eq!(aos.states(), soa.states());
-        prop_assert_eq!(aos.enabled_procs(), soa.enabled_procs());
+        prop_assert_eq!(
+            aos.enabled_procs().collect::<Vec<_>>(),
+            soa.enabled_procs().collect::<Vec<_>>()
+        );
         for q in g.procs() {
             prop_assert_eq!(aos.enabled_actions(q), soa.enabled_actions(q));
         }
@@ -465,7 +684,10 @@ proptest! {
             prop_assert_eq!(fast.step_sync(), want);
             prop_assert_eq!(fast.last_executed(), by_daemon.last_executed());
             prop_assert_eq!(fast.states(), by_daemon.states());
-            prop_assert_eq!(fast.enabled_procs(), by_daemon.enabled_procs());
+            prop_assert_eq!(
+                fast.enabled_procs().collect::<Vec<_>>(),
+                by_daemon.enabled_procs().collect::<Vec<_>>()
+            );
             prop_assert_eq!(fast.rounds(), by_daemon.rounds());
         }
     }

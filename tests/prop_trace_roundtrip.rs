@@ -155,6 +155,17 @@ fn out_of_range_edge_endpoint_is_a_parse_error() {
     assert!(err.to_string().contains("edges"), "{err}");
 }
 
+/// A header field whose number breaks the JSON grammar is a parse error,
+/// though no reader asks for the field.
+#[test]
+fn malformed_number_in_an_unread_field_is_a_parse_error() {
+    let junk = PINNED_TRACE.replacen("\"daemon\"", "\"junk\":--1.2.3e,\"daemon\"", 1);
+    assert_ne!(junk, PINNED_TRACE);
+    let err = RecordedTrace::from_jsonl(&junk).unwrap_err();
+    assert!(matches!(err, TraceError::Parse { line: 1, .. }), "{err:?}");
+    assert!(err.to_string().contains("number"), "{err}");
+}
+
 #[test]
 fn version_mismatch_is_a_typed_error() {
     let trace = record(4, 0.3, 1, 2, DaemonKind::Synchronous, 3);
