@@ -22,6 +22,7 @@ use pif_baselines::echo::EchoProtocol;
 use pif_baselines::ss_pif::SsPifProtocol;
 use pif_baselines::tree_pif::TreePifProtocol;
 use pif_core::PifProtocol;
+use pif_daemon::cli::{ArgError, Args};
 use pif_graph::{generators, Graph, ProcId};
 
 const USAGE: &str = "usage: pif-analyze [--protocol pif|echo|ss|tree|all] [--mutants] [--list]
@@ -34,23 +35,18 @@ struct Opts {
     protocol: String,
     mutants: bool,
     list: bool,
+    help: bool,
 }
 
-fn parse_args() -> Result<Opts, String> {
-    let mut opts = Opts { protocol: "all".to_string(), mutants: false, list: false };
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--protocol" => {
-                opts.protocol = args.next().ok_or("--protocol needs a value")?;
-            }
-            "--mutants" => opts.mutants = true,
-            "--list" => opts.list = true,
-            "--help" | "-h" => return Err(String::new()),
-            other => return Err(format!("unknown argument `{other}`")),
-        }
-    }
-    Ok(opts)
+fn parse_args() -> Result<Opts, ArgError> {
+    let switches = ["--mutants", "--list", "--help", "-h"];
+    let args = Args::parse(std::env::args_os().skip(1), &["--protocol"], &switches, &[])?;
+    Ok(Opts {
+        protocol: args.get_or("--protocol", "all".to_string())?,
+        mutants: args.switch("--mutants"),
+        list: args.switch("--list"),
+        help: args.switch("--help") || args.switch("-h"),
+    })
 }
 
 fn topology(name: &str) -> Graph {
@@ -146,15 +142,15 @@ fn run_mutants() -> Vec<(Analysis, Code)> {
 fn main() -> ExitCode {
     let opts = match parse_args() {
         Ok(o) => o,
-        Err(msg) => {
-            if msg.is_empty() {
-                println!("{USAGE}");
-                return ExitCode::SUCCESS;
-            }
-            eprintln!("pif-analyze: {msg}\n{USAGE}");
+        Err(e) => {
+            eprintln!("pif-analyze: {e}\n{USAGE}");
             return ExitCode::from(1);
         }
     };
+    if opts.help {
+        println!("{USAGE}");
+        return ExitCode::SUCCESS;
+    }
 
     if opts.list {
         for (p, t) in clean_suite(&opts.protocol) {

@@ -119,11 +119,6 @@ impl ResetCoordinator {
         &self.app_states
     }
 
-    /// Scrambles one processor's application state (fault injection).
-    pub fn corrupt_app(&mut self, p: ProcId, state: u32) {
-        self.app_states[p.index()] = state;
-    }
-
     /// Issues one reset wave distributing `fresh_state`.
     ///
     /// # Errors

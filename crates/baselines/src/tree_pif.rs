@@ -81,11 +81,6 @@ impl TreePifProtocol {
         TreePifProtocol { root, parent, broadcast_val }
     }
 
-    /// The static parent of `p` (itself for the root).
-    pub fn parent_of(&self, p: ProcId) -> ProcId {
-        self.parent[p.index()]
-    }
-
     /// The root processor.
     #[inline]
     pub fn root(&self) -> ProcId {

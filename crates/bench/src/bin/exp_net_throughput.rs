@@ -28,15 +28,12 @@ use std::time::Instant;
 
 use pif_bench::experiments::e13_message_passing::{cells, trial, CellOutcome, FaultCell};
 use pif_core::{initial, PifProtocol};
+use pif_daemon::cli::{ArgError, Args};
 use pif_daemon::daemons::Synchronous;
 use pif_daemon::json::{self, Json};
 use pif_daemon::{ActionId, ActionSet, Protocol, RunLimits, Simulator, View};
 use pif_graph::{generators, Graph, ProcId, Topology};
 use pif_net::{NetBuilder, NetSim, Transport};
-
-fn opt<'a>(args: &'a [String], flag: &str) -> Option<&'a str> {
-    args.windows(2).rev().find(|w| w[0] == flag).map(|w| w[1].as_str())
-}
 
 /// The measured grid: three topology families × the lossless and
 /// adversarial ends of the fault-cell spectrum.
@@ -106,14 +103,23 @@ fn measure_point(t: &Topology, c: &FaultCell, duration: f64) -> (f64, f64, f64) 
 }
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.iter().any(|a| a == "--check") {
-        return check(opt(&args, "--bench").unwrap_or("BENCH_net_throughput.json"));
+    run().unwrap_or_else(|e| {
+        eprintln!("exp_net_throughput: {e}");
+        ExitCode::from(2)
+    })
+}
+
+fn run() -> Result<ExitCode, ArgError> {
+    let (valued, switches) = (["--duration", "--bench"], ["--check", "--differential"]);
+    let args = Args::parse(std::env::args_os().skip(1), &valued, &switches, &[])?;
+    let duration: f64 = args.get_or("--duration", 1.0)?;
+    let bench: String = args.get_or("--bench", "BENCH_net_throughput.json".into())?;
+    if args.switch("--check") {
+        return Ok(check(&bench));
     }
-    if args.iter().any(|a| a == "--differential") {
-        return differential();
+    if args.switch("--differential") {
+        return Ok(differential());
     }
-    let duration: f64 = opt(&args, "--duration").and_then(|d| d.parse().ok()).unwrap_or(1.0);
 
     let mut rows = Vec::new();
     for (t, c) in points() {
@@ -156,7 +162,7 @@ fn main() -> ExitCode {
         ),
     ];
     print!("{}", json::write_envelope(&header, rows));
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
 /// The deterministic fields of one point, as `(name, value)` pairs in

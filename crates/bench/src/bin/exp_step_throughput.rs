@@ -26,34 +26,33 @@ use std::process::ExitCode;
 
 use pif_bench::step_measure::{measure, measure_sync, Topology, EXT_SIZES, SIZES};
 use pif_core::{initial, PifProtocol};
+use pif_daemon::cli::{ArgError, Args};
 use pif_daemon::daemons::{CentralRandom, DistributedRandom, Synchronous};
 use pif_daemon::json::{self, Json};
 use pif_daemon::Daemon;
 use pif_graph::ProcId;
 use pif_soa::{Engine, EngineSim};
 
-fn opt<'a>(args: &'a [String], flag: &str) -> Option<&'a str> {
-    args.windows(2).rev().find(|w| w[0] == flag).map(|w| w[1].as_str())
+fn main() -> ExitCode {
+    run().unwrap_or_else(|e| {
+        eprintln!("exp_step_throughput: {e}");
+        ExitCode::from(2)
+    })
 }
 
-fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.iter().any(|a| a == "--check") {
-        return check();
-    }
-    let duration: f64 = opt(&args, "--duration").and_then(|d| d.parse().ok()).unwrap_or(1.0);
-    let spec = opt(&args, "--engine").unwrap_or("both");
-    let engines: Vec<Engine> = match spec {
+fn run() -> Result<ExitCode, ArgError> {
+    let (valued, switches) = (["--engine", "--duration"], ["--extended", "--check"]);
+    let args = Args::parse(std::env::args_os().skip(1), &valued, &switches, &[])?;
+    let duration: f64 = args.get_or("--duration", 1.0)?;
+    let engines: Vec<Engine> = match args.get_or::<String>("--engine", "both".into())?.as_str() {
         "both" => Engine::ALL.to_vec(),
-        other => {
-            let Some(e) = Engine::parse(other) else {
-                eprintln!("exp_step_throughput: bad value for --engine: {other:?}");
-                return ExitCode::from(2);
-            };
-            vec![e]
-        }
+        other => vec![Engine::parse(other)
+            .ok_or(ArgError::BadValue { flag: "--engine".into(), value: other.into() })?],
     };
-    let extended = args.iter().any(|a| a == "--extended");
+    if args.switch("--check") {
+        return Ok(check());
+    }
+    let extended = args.switch("--extended");
     let soa = engines.contains(&Engine::Soa);
 
     let mut sizes: Vec<usize> = SIZES.to_vec();
@@ -121,7 +120,7 @@ fn main() -> ExitCode {
         ),
     ];
     print!("{}", json::write_envelope(&header, rows));
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
 /// Constructor for one of the daemon families exercised by `check`.

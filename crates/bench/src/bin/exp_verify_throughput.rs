@@ -35,7 +35,11 @@
 //! tracks what the allocation-lean search alone bought on one core;
 //! rows added later carry `null`.
 
+use std::error::Error;
+use std::process::ExitCode;
+
 use pif_core::PifProtocol;
+use pif_daemon::cli::Args;
 use pif_daemon::json::{self, Json};
 use pif_graph::{generators, Graph, ProcId};
 use pif_verify::{Checker, Reduction, StateSpace};
@@ -113,26 +117,24 @@ fn measure(graph: &Graph, root: ProcId, checker: Checker, check: &str) -> (Summa
     (summary, rate)
 }
 
-fn main() {
-    // A benchmark run under a misread PIF_WORKERS pin would report the
-    // wrong engine configuration — refuse rather than fall back.
-    let mut workers = match pif_par::workers_override() {
-        Ok(Some(n)) => n,
-        Ok(None) => pif_par::host_parallelism(),
-        Err(e) => panic!("invalid worker pin: {e}"),
-    };
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--workers" => {
-                workers = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--workers requires a number");
-            }
-            other => panic!("unknown argument {other}"),
+/// The N-worker count: `--workers N`, else the `PIF_WORKERS` pin, else
+/// the host parallelism. A benchmark run under a misread pin would report
+/// the wrong engine configuration, so an invalid pin is refused rather
+/// than ignored.
+fn workers() -> Result<usize, Box<dyn Error>> {
+    let args = Args::parse(std::env::args_os().skip(1), &["--workers"], &[], &[])?;
+    let pinned = pif_par::workers_override()?;
+    Ok(args.get("--workers")?.or(pinned).unwrap_or_else(pif_par::host_parallelism))
+}
+
+fn main() -> ExitCode {
+    let workers = match workers() {
+        Ok(workers) => workers,
+        Err(e) => {
+            eprintln!("exp_verify_throughput: {e}");
+            return ExitCode::from(2);
         }
-    }
+    };
 
     // (row name, graph, root, check)
     let rows: Vec<(&str, Graph, ProcId, &str)> = {
@@ -211,4 +213,5 @@ fn main() {
         ("host_parallelism", pif_par::host_parallelism().into()),
     ];
     print!("{}", json::write_envelope(&header, results));
+    ExitCode::SUCCESS
 }

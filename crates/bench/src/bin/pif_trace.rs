@@ -17,13 +17,16 @@
 //!
 //! Exit status: `0` on success (and identical traces), `1` when `replay`
 //! diverges-free but re-records a different trace or `diff` finds
-//! differences, `2` on any [`BenchError`].
+//! differences, `2` on any [`BenchError`], a malformed command line
+//! included.
 
+use std::ffi::OsString;
 use std::process::ExitCode;
 
 use pif_bench::error::BenchError;
 use pif_bench::workloads::DaemonKind;
 use pif_core::{initial, PifProtocol};
+use pif_daemon::cli::{ArgError, Args};
 use pif_daemon::trace_io::{diff, replay};
 use pif_daemon::{
     Fanout, MetricsObserver, PhaseTag, RecordedTrace, RunLimits, Simulator, StopPolicy,
@@ -40,8 +43,7 @@ topologies: chain:N ring:N torus:WxH random:N:P:SEED ... (see pif-graph)
 daemons:    sync central-seq central-rand dist-0.5 adversarial";
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    match run(&args) {
+    match run(std::env::args_os().skip(1)) {
         Ok(true) => ExitCode::SUCCESS,
         Ok(false) => ExitCode::from(1),
         Err(e) => {
@@ -55,37 +57,26 @@ fn main() -> ExitCode {
 }
 
 /// Dispatches one invocation; `Ok(true)` means "success and identical".
-fn run(args: &[String]) -> Result<bool, BenchError> {
-    match args.first().map(String::as_str) {
-        Some("record") => record(&args[1..]).map(|()| true),
-        Some("replay") => replay_cmd(&args[1..]),
-        Some("diff") => diff_cmd(&args[1..]),
+fn run(mut argv: impl Iterator<Item = OsString>) -> Result<bool, BenchError> {
+    match argv.next().map(|c| c.to_string_lossy().into_owned()).as_deref() {
+        Some("record") => record(argv).map(|()| true),
+        Some("replay") => replay_cmd(argv),
+        Some("diff") => diff_cmd(argv),
         Some(other) => Err(BenchError::Usage(format!("unknown subcommand {other:?}"))),
         None => Err(BenchError::Usage("missing subcommand".into())),
     }
 }
 
-fn arg<'a>(args: &'a [String], i: usize, what: &str) -> Result<&'a str, BenchError> {
-    args.get(i).map(String::as_str).ok_or_else(|| BenchError::Usage(format!("missing {what}")))
-}
-
-fn num(args: &[String], i: usize, default: u64, what: &str) -> Result<u64, BenchError> {
-    match args.get(i) {
-        None => Ok(default),
-        Some(s) => {
-            s.parse().map_err(|_| BenchError::Usage(format!("{what} {s:?} is not a number")))
-        }
-    }
-}
-
-fn record(args: &[String]) -> Result<(), BenchError> {
-    let topology: Topology = arg(args, 0, "topology spec")?.parse()?;
-    let out = arg(args, 1, "output path")?;
-    let daemon_name = args.get(2).map_or("central-rand", String::as_str);
-    let kind = DaemonKind::parse(daemon_name)
-        .ok_or_else(|| BenchError::Usage(format!("unknown daemon {daemon_name:?}")))?;
-    let seed = num(args, 3, 42, "seed")?;
-    let max_steps = num(args, 4, 20_000, "max-steps")?;
+fn record(argv: impl Iterator<Item = OsString>) -> Result<(), BenchError> {
+    let words = ["topology spec", "output path", "daemon", "seed", "max-steps"];
+    let args = Args::parse(argv, &[], &[], &words)?;
+    let topology: Topology = args.positional(0)?;
+    let out: String = args.positional(1)?;
+    let daemon_name: String = args.positional_or(2, "central-rand".into())?;
+    let kind = DaemonKind::parse(&daemon_name)
+        .ok_or(ArgError::BadValue { flag: "daemon".into(), value: daemon_name })?;
+    let seed: u64 = args.positional_or(3, 42)?;
+    let max_steps: u64 = args.positional_or(4, 20_000)?;
 
     if let Some(procs) = topology.processors() {
         PifProtocol::check_size(procs).map_err(BenchError::NetworkTooLarge)?;
@@ -104,19 +95,20 @@ fn record(args: &[String]) -> Result<(), BenchError> {
     let mut observers = Fanout::new(&mut metrics, &mut recorder);
     sim.run(daemon.as_mut(), &mut observers, StopPolicy::Limits(limits))?;
     let trace = recorder.finish(&sim, metrics.report());
-    trace.write_file(out)?;
+    trace.write_file(&out)?;
     print_summary("recorded", &trace);
     Ok(())
 }
 
-fn replay_cmd(args: &[String]) -> Result<bool, BenchError> {
-    let input = arg(args, 0, "input path")?;
-    let trace = RecordedTrace::read_file(input)?;
+fn replay_cmd(argv: impl Iterator<Item = OsString>) -> Result<bool, BenchError> {
+    let args = Args::parse(argv, &[], &[], &["input path", "output path"])?;
+    let trace = RecordedTrace::read_file(args.positional::<String>(0)?)?;
     let g = trace.graph()?;
     PifProtocol::check_size(g.len()).map_err(BenchError::NetworkTooLarge)?;
     let protocol = PifProtocol::new(ProcId(0), &g);
     let replayed = replay(&trace, protocol)?;
-    if let Some(out) = args.get(1) {
+    // A `String` word always parses, so only its absence is an error.
+    if let Ok(out) = args.positional::<String>(1) {
         replayed.write_file(out)?;
     }
     print_summary("replayed", &replayed);
@@ -124,9 +116,10 @@ fn replay_cmd(args: &[String]) -> Result<bool, BenchError> {
     Ok(report_diff(&lines, "replay matches the recording"))
 }
 
-fn diff_cmd(args: &[String]) -> Result<bool, BenchError> {
-    let a = RecordedTrace::read_file(arg(args, 0, "first path")?)?;
-    let b = RecordedTrace::read_file(arg(args, 1, "second path")?)?;
+fn diff_cmd(argv: impl Iterator<Item = OsString>) -> Result<bool, BenchError> {
+    let args = Args::parse(argv, &[], &[], &["first path", "second path"])?;
+    let a = RecordedTrace::read_file(args.positional::<String>(0)?)?;
+    let b = RecordedTrace::read_file(args.positional::<String>(1)?)?;
     let lines = diff(&a, &b);
     Ok(report_diff(&lines, "traces are identical"))
 }

@@ -8,6 +8,7 @@
 use std::fmt;
 
 use pif_core::NetworkTooLarge;
+use pif_daemon::cli::ArgError;
 use pif_daemon::{SimError, TraceError};
 use pif_graph::GraphError;
 
@@ -50,6 +51,12 @@ impl std::error::Error for BenchError {
             BenchError::Sim(e) => Some(e),
             BenchError::Trace(e) => Some(e),
         }
+    }
+}
+
+impl From<ArgError> for BenchError {
+    fn from(e: ArgError) -> Self {
+        BenchError::Usage(e.to_string())
     }
 }
 

@@ -24,6 +24,8 @@
 //!   and tabulates the worst schedules found against the fixed-daemon
 //!   panel and the theorem windows.
 
+use std::error::Error;
+use std::ffi::{OsStr, OsString};
 use std::process::ExitCode;
 
 use pif_chaos::{
@@ -31,16 +33,18 @@ use pif_chaos::{
     SearchConfig,
 };
 use pif_core::PifProtocol;
+use pif_daemon::cli::{ArgError, Args};
 use pif_graph::{ProcId, Topology};
 use pif_serve::{Engine, ServeDaemon};
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let result = match args.first().map(String::as_str) {
-        Some("soak") => soak(&args[1..]),
-        Some("bench") => bench(&args[1..]),
-        Some("check") => check(&args[1..]),
-        Some("search") => search_cmd(&args[1..]),
+    let mut argv = std::env::args_os().skip(1);
+    let command = argv.next();
+    let result = match command.as_deref().and_then(OsStr::to_str) {
+        Some("soak") => soak(argv),
+        Some("bench") => bench(argv),
+        Some("check") => check(argv),
+        Some("search") => search_cmd(argv),
         _ => {
             eprintln!("usage: pif-chaos <soak|bench|check|search> [options]");
             return ExitCode::from(2);
@@ -55,47 +59,27 @@ fn main() -> ExitCode {
     }
 }
 
-/// Pulls `--flag value` out of an option list (last occurrence wins).
-fn opt<'a>(args: &'a [String], flag: &str) -> Option<&'a str> {
-    args.windows(2).rev().find(|w| w[0] == flag).map(|w| w[1].as_str())
-}
-
-fn parse_num<T: std::str::FromStr>(
-    args: &[String],
-    flag: &str,
-    default: T,
-) -> Result<T, ChaosError> {
-    match opt(args, flag) {
-        None => Ok(default),
-        Some(v) => {
-            v.parse().map_err(|_| ChaosError::Report(format!("bad value for {flag}: {v:?}")))
-        }
-    }
-}
-
-fn campaign_from_args(args: &[String]) -> Result<CampaignConfig, ChaosError> {
-    let spec = opt(args, "--topology").unwrap_or("ring:8");
+fn campaign_from_args(args: &Args) -> Result<CampaignConfig, Box<dyn Error>> {
+    let spec: String = args.get_or("--topology", "ring:8".into())?;
     let topology =
-        Topology::parse(spec).map_err(|e| ChaosError::Report(format!("bad topology: {e}")))?;
-    let seed: u64 = parse_num(args, "--seed", 1)?;
+        Topology::parse(&spec).map_err(|e| ChaosError::Report(format!("bad topology: {e}")))?;
+    let seed: u64 = args.get_or("--seed", 1)?;
     let mut cfg = CampaignConfig::new(topology, seed);
-    cfg.epochs = parse_num(args, "--epochs", cfg.epochs)?;
-    cfg.requests_per_epoch = parse_num(args, "--requests", cfg.requests_per_epoch)?;
-    cfg.initiators = parse_num(args, "--initiators", cfg.initiators)?;
-    cfg.shards = parse_num(args, "--shards", cfg.shards)?;
-    cfg.slo_k = parse_num(args, "--slo-k", cfg.slo_k)?;
-    cfg.corrupt_registers = parse_num(args, "--corrupt-registers", 0)?;
-    cfg.daemon = ServeDaemon::parse(opt(args, "--daemon").unwrap_or("synchronous"))?;
-    let engine_spec = opt(args, "--engine").unwrap_or(Engine::default().name());
-    cfg.engine = Engine::parse(engine_spec)
-        .ok_or_else(|| ChaosError::Report(format!("bad value for --engine: {engine_spec:?}")))?;
-    let churn_epochs: u32 = parse_num(args, "--churn-epochs", 0)?;
+    cfg.epochs = args.get_or("--epochs", cfg.epochs)?;
+    cfg.requests_per_epoch = args.get_or("--requests", cfg.requests_per_epoch)?;
+    cfg.initiators = args.get_or("--initiators", cfg.initiators)?;
+    cfg.shards = args.get_or("--shards", cfg.shards)?;
+    cfg.slo_k = args.get_or("--slo-k", cfg.slo_k)?;
+    cfg.corrupt_registers = args.get_or("--corrupt-registers", 0)?;
+    cfg.daemon = ServeDaemon::parse(&args.get_or::<String>("--daemon", "synchronous".into())?)?;
+    let engine_spec: String = args.get_or("--engine", Engine::default().name().into())?;
+    cfg.engine = Engine::parse(&engine_spec)
+        .ok_or(ArgError::BadValue { flag: "--engine".into(), value: engine_spec })?;
+    let churn_epochs: u32 = args.get_or("--churn-epochs", 0)?;
+    let per_epoch = args.get_or("--churn-per-epoch", 2)?;
+    let churn_seed = args.get_or("--churn-seed", seed ^ 0xC0D9)?;
     if churn_epochs > 0 {
-        cfg.churn = Some(ChurnSpec {
-            epochs: churn_epochs,
-            per_epoch: parse_num(args, "--churn-per-epoch", 2)?,
-            seed: parse_num(args, "--churn-seed", seed ^ 0xC0D9)?,
-        });
+        cfg.churn = Some(ChurnSpec { epochs: churn_epochs, per_epoch, seed: churn_seed });
     }
     Ok(cfg)
 }
@@ -142,16 +126,23 @@ fn grade(cell: &pif_chaos::ChaosCell) -> Result<(), ChaosError> {
     Ok(())
 }
 
-fn soak(args: &[String]) -> Result<(), ChaosError> {
-    let cfg = campaign_from_args(args)?;
+fn soak(argv: impl Iterator<Item = OsString>) -> Result<(), Box<dyn Error>> {
+    let valued = [
+        "--topology", "--seed", "--epochs", "--requests", "--initiators", "--shards", "--slo-k",
+        "--corrupt-registers", "--daemon", "--engine", "--churn-epochs", "--churn-per-epoch",
+        "--churn-seed", "--json",
+    ];
+    let args = Args::parse(argv, &valued, &[], &[])?;
+    let cfg = campaign_from_args(&args)?;
+    let json: Option<String> = args.get("--json")?;
     let cell = run_campaign(&cfg)?;
     print_cell(&cell);
-    if let Some(path) = opt(args, "--json") {
-        std::fs::write(path, envelope(cfg.seed, std::slice::from_ref(&cell)))
+    if let Some(path) = json {
+        std::fs::write(&path, envelope(cfg.seed, std::slice::from_ref(&cell)))
             .map_err(|e| ChaosError::Report(format!("cannot write {path}: {e}")))?;
         println!("[json written to {path}]");
     }
-    grade(&cell)
+    Ok(grade(&cell)?)
 }
 
 /// The benchmark matrix: three families × {clean, churn, churn+corrupt};
@@ -175,9 +166,10 @@ fn bench_suite(seed: u64) -> Vec<CampaignConfig> {
     cells
 }
 
-fn bench(args: &[String]) -> Result<(), ChaosError> {
-    let seed: u64 = parse_num(args, "--seed", 2026)?;
-    let out = opt(args, "--out").unwrap_or("BENCH_chaos_slo.json");
+fn bench(argv: impl Iterator<Item = OsString>) -> Result<(), Box<dyn Error>> {
+    let args = Args::parse(argv, &["--seed", "--out"], &[], &[])?;
+    let seed: u64 = args.get_or("--seed", 2026)?;
+    let out: String = args.get_or("--out", "BENCH_chaos_slo.json".into())?;
     let mut cells = Vec::new();
     for cfg in bench_suite(seed) {
         let cell = run_campaign(&cfg)?;
@@ -185,16 +177,15 @@ fn bench(args: &[String]) -> Result<(), ChaosError> {
         grade(&cell)?;
         cells.push(cell);
     }
-    std::fs::write(out, envelope(seed, &cells))
+    std::fs::write(&out, envelope(seed, &cells))
         .map_err(|e| ChaosError::Report(format!("cannot write {out}: {e}")))?;
     println!("[json written to {out}]");
     Ok(())
 }
 
-fn check(args: &[String]) -> Result<(), ChaosError> {
-    let path =
-        args.first().ok_or_else(|| ChaosError::Report("usage: pif-chaos check FILE".into()))?;
-    let text = std::fs::read_to_string(path)
+fn check(argv: impl Iterator<Item = OsString>) -> Result<(), Box<dyn Error>> {
+    let path: String = Args::parse(argv, &[], &[], &["FILE"])?.positional(0)?;
+    let text = std::fs::read_to_string(&path)
         .map_err(|e| ChaosError::Report(format!("cannot read {path}: {e}")))?;
     let (_, recorded) = parse_envelope(&text)?;
     let mut failures = 0usize;
@@ -220,30 +211,33 @@ fn check(args: &[String]) -> Result<(), ChaosError> {
         return Err(ChaosError::Report(format!(
             "{failures} of {} cells failed replay",
             recorded.len()
-        )));
+        ))
+        .into());
     }
     println!("all {} cells replayed deterministically", recorded.len());
     Ok(())
 }
 
-fn search_cmd(args: &[String]) -> Result<(), ChaosError> {
-    let spec = opt(args, "--topology").unwrap_or("chain:6");
+fn search_cmd(argv: impl Iterator<Item = OsString>) -> Result<(), Box<dyn Error>> {
+    let valued = ["--topology", "--root", "--seed", "--generations", "--population", "--beam"];
+    let args = Args::parse(argv, &valued, &[], &[])?;
+    let spec: String = args.get_or("--topology", "chain:6".into())?;
+    let root_ix: usize = args.get_or("--root", 0)?;
+    let seed: u64 = args.get_or("--seed", 7)?;
+    let mut config = SearchConfig::default();
+    config.generations = args.get_or("--generations", config.generations)?;
+    config.population = args.get_or("--population", config.population)?;
+    config.beam = args.get_or("--beam", config.beam)?;
     let topology =
-        Topology::parse(spec).map_err(|e| ChaosError::Report(format!("bad topology: {e}")))?;
+        Topology::parse(&spec).map_err(|e| ChaosError::Report(format!("bad topology: {e}")))?;
     if let Some(procs) = topology.processors() {
         PifProtocol::check_size(procs).map_err(ChaosError::NetworkTooLarge)?;
     }
     let g = topology.build()?;
-    let root_ix: usize = parse_num(args, "--root", 0)?;
     if root_ix >= g.len() {
-        return Err(ChaosError::Report(format!("--root {root_ix} outside {spec}")));
+        return Err(ChaosError::Report(format!("--root {root_ix} outside {spec}")).into());
     }
     let root = ProcId::from_index(root_ix);
-    let seed: u64 = parse_num(args, "--seed", 7)?;
-    let mut config = SearchConfig::default();
-    config.generations = parse_num(args, "--generations", config.generations)?;
-    config.population = parse_num(args, "--population", config.population)?;
-    config.beam = parse_num(args, "--beam", config.beam)?;
     let mut broke_a_bound = false;
     for goal in Goal::ALL {
         let r = search(goal, &g, root, seed, &config);
@@ -266,7 +260,7 @@ fn search_cmd(args: &[String]) -> Result<(), ChaosError> {
         }
     }
     if broke_a_bound {
-        return Err(ChaosError::Report("a searched schedule broke a theorem bound".into()));
+        return Err(ChaosError::Report("a searched schedule broke a theorem bound".into()).into());
     }
     Ok(())
 }

@@ -181,11 +181,6 @@ impl DynGraph {
         self.base.procs().filter(|&p| self.active[p.index()]).collect()
     }
 
-    /// Currently failed links, normalized and ascending.
-    pub fn failed_links(&self) -> Vec<(ProcId, ProcId)> {
-        self.down.iter().copied().collect()
-    }
-
     /// Whether the link `{u, v}` is currently usable: a base link, both
     /// endpoints active, not failed.
     pub fn link_up(&self, u: ProcId, v: ProcId) -> bool {

@@ -31,7 +31,6 @@ use pif_core::{initial, PifProtocol, PifState};
 use pif_daemon::json::{self, Json};
 use pif_daemon::splitmix64;
 use pif_graph::{metrics, ProcId, Topology};
-use pif_serve::report::topology_spec;
 use pif_serve::{
     AggregateKind, Engine, FaultSpec, Request, RequestOutcome, ServeConfig, ServeDaemon,
     ShedCause, WaveService,
@@ -559,7 +558,7 @@ pub fn run_campaign(cfg: &CampaignConfig) -> Result<ChaosCell, ChaosError> {
     turnarounds.sort_unstable();
 
     Ok(ChaosCell {
-        topology: topology_spec(&cfg.topology),
+        topology: cfg.topology.spec(),
         n_base: base.len(),
         initiators: cfg.initiators,
         shards: cfg.shards,

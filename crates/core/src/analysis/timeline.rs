@@ -2,26 +2,41 @@
 //! recorded step, showing how the `B`/`F`/`C` phases sweep across the
 //! network — the visual intuition behind the paper's wave terminology.
 
-use pif_daemon::trace::Trace;
-use pif_graph::ProcId;
+use pif_daemon::{Observer, StepDelta};
+use pif_graph::{Graph, ProcId};
 
 use crate::protocol::PifProtocol;
-use crate::state::PifState;
+use crate::state::{Phase, PifState};
 
-/// Renders a recorded execution as a phase timeline.
-///
-/// Requires a trace recorded with
-/// [`Trace::with_configurations`](pif_daemon::trace::Trace::with_configurations);
-/// each column shows every processor's phase after one computation step,
-/// with `*` marking processors that executed in that step.
+/// A phase timeline under construction: an [`Observer`] that appends one
+/// column per computation step, holding every processor's phase after
+/// the step, uppercase where the processor executed in it.
+#[derive(Clone, Debug, Default)]
+pub struct Timeline {
+    rows: Vec<String>,
+    steps: usize,
+}
+
+impl Observer<PifProtocol> for Timeline {
+    fn step(&mut self, _graph: &Graph, delta: &StepDelta<'_, PifProtocol>, after: &[PifState]) {
+        self.rows.resize(after.len(), String::new());
+        for (i, (row, s)) in self.rows.iter_mut().zip(after).enumerate() {
+            let executed = delta.executed().iter().any(|&(q, _)| q.index() == i);
+            row.push(phase_char(s, executed));
+        }
+        self.steps += 1;
+    }
+}
+
+/// Renders an observed execution as a phase timeline, the root's row
+/// marked `r`.
 ///
 /// # Examples
 ///
 /// ```
-/// use pif_core::analysis::timeline::render;
+/// use pif_core::analysis::timeline::{render, Timeline};
 /// use pif_core::{initial, PifProtocol};
 /// use pif_daemon::daemons::Synchronous;
-/// use pif_daemon::trace::Trace;
 /// use pif_daemon::{RunLimits, Simulator, StopPolicy};
 /// use pif_graph::{generators, ProcId};
 ///
@@ -30,42 +45,31 @@ use crate::state::PifState;
 /// let proto = PifProtocol::new(ProcId(0), &g);
 /// let mut sim = Simulator::new(g, proto.clone(), initial::normal_starting(&g2()));
 /// # fn g2() -> pif_graph::Graph { generators::chain(3).unwrap() }
-/// let mut trace = Trace::with_configurations();
+/// let mut timeline = Timeline::default();
 /// let mut stop = |s: &Simulator<PifProtocol>| {
 ///     s.steps() > 0 && initial::is_normal_starting(s.states())
 /// };
 /// sim.run(
-///     &mut Synchronous::first_action(), &mut trace,
+///     &mut Synchronous::first_action(), &mut timeline,
 ///     StopPolicy::Predicate(RunLimits::default(), &mut stop))?;
-/// let chart = render(&proto, &trace);
+/// let chart = render(&proto, &timeline);
 /// assert!(chart.contains("p0"));
 /// # Ok(())
 /// # }
 /// ```
-pub fn render(protocol: &PifProtocol, trace: &Trace<PifProtocol>) -> String {
+pub fn render(protocol: &PifProtocol, timeline: &Timeline) -> String {
     use std::fmt::Write as _;
-    let Some(configs) = trace.configurations() else {
-        return String::from("(no configurations recorded; use Trace::with_configurations)");
-    };
     let mut out = String::new();
-    let n = configs.first().map_or(0, Vec::len);
-    let _ = writeln!(out, "phase timeline ({} steps, root {}):", trace.len(), protocol.root());
-    for i in 0..n {
+    let _ = writeln!(out, "phase timeline ({} steps, root {}):", timeline.steps, protocol.root());
+    for (i, row) in timeline.rows.iter().enumerate() {
         let p = ProcId::from_index(i);
         let marker = if p == protocol.root() { "r" } else { " " };
-        let _ = write!(out, "{p:>4}{marker} ");
-        for (step, cfg) in configs.iter().enumerate() {
-            let executed = trace.steps()[step].executed.iter().any(|&(q, _)| q == p);
-            let c = phase_char(&cfg[i], executed);
-            out.push(c);
-        }
-        out.push('\n');
+        let _ = writeln!(out, "{p:>4}{marker} {row}");
     }
     out
 }
 
 fn phase_char(s: &PifState, executed: bool) -> char {
-    use crate::state::Phase;
     match (s.phase, executed) {
         (Phase::B, true) => 'B',
         (Phase::B, false) => 'b',
@@ -84,28 +88,28 @@ mod tests {
     use pif_daemon::{RunLimits, Simulator};
     use pif_graph::generators;
 
-    fn traced_cycle(n: usize) -> (PifProtocol, Trace<PifProtocol>) {
+    fn observed_cycle(n: usize) -> (PifProtocol, Timeline) {
         let g = generators::chain(n).unwrap();
         let proto = PifProtocol::new(ProcId(0), &g);
         let init = initial::normal_starting(&g);
         let mut sim = Simulator::new(g, proto.clone(), init);
-        let mut trace = Trace::with_configurations();
+        let mut timeline = Timeline::default();
         let mut stop = |s: &Simulator<PifProtocol>| {
             s.steps() > 0 && initial::is_normal_starting(s.states())
         };
         sim.run(
             &mut Synchronous::first_action(),
-            &mut trace,
+            &mut timeline,
             pif_daemon::StopPolicy::Predicate(RunLimits::default(), &mut stop),
         )
         .unwrap();
-        (proto, trace)
+        (proto, timeline)
     }
 
     #[test]
     fn timeline_shows_the_wave_sweep() {
-        let (proto, trace) = traced_cycle(4);
-        let chart = render(&proto, &trace);
+        let (proto, timeline) = observed_cycle(4);
+        let chart = render(&proto, &timeline);
         // One row per processor plus a header.
         assert_eq!(chart.lines().count(), 5);
         // The root's row starts with its B-action.
@@ -119,10 +123,10 @@ mod tests {
 
     #[test]
     fn timeline_without_configs_degrades_gracefully() {
-        let trace: Trace<PifProtocol> = Trace::new();
+        // A timeline that observed no configuration renders its header.
         let g = generators::chain(2).unwrap();
         let proto = PifProtocol::new(ProcId(0), &g);
-        let chart = render(&proto, &trace);
-        assert!(chart.contains("no configurations"));
+        let chart = render(&proto, &Timeline::default());
+        assert_eq!(chart, "phase timeline (0 steps, root p0):\n");
     }
 }

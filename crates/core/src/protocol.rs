@@ -272,16 +272,6 @@ impl PifProtocol {
         }
     }
 
-    /// Overrides `L_max`. The paper requires `L_max ≥ N − 1`; smaller
-    /// values are accepted for experimentation but void the correctness
-    /// guarantees.
-    #[must_use]
-    pub fn with_l_max(mut self, l_max: u16) -> Self {
-        assert!(l_max >= 1, "L_max must be at least 1");
-        self.l_max = l_max;
-        self
-    }
-
     /// Overrides the counter bound `N'` (an upper bound of `N`).
     ///
     /// # Panics

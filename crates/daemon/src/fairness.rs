@@ -9,7 +9,7 @@
 //! in which it was continuously enabled without being selected — an
 //! execution is weakly fair in practice iff those streaks stay bounded.
 
-use pif_graph::{Graph, ProcId};
+use pif_graph::Graph;
 
 use crate::{Observer, Protocol, StepDelta, View};
 
@@ -64,11 +64,6 @@ impl<P: Protocol> FairnessAuditor<P> {
     /// The longest starvation streak observed for any processor.
     pub fn max_streak(&self) -> u64 {
         self.max_streak.iter().copied().max().unwrap_or(0)
-    }
-
-    /// The longest starvation streak observed for processor `p`.
-    pub fn streak_of(&self, p: ProcId) -> u64 {
-        self.max_streak.get(p.index()).copied().unwrap_or(0)
     }
 
     /// Steps audited.

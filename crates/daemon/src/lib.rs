@@ -31,8 +31,9 @@
 //!   composite-atomic application, dirty-set walk and round settlement;
 //! * [`daemons`] — synchronous, central, randomized-distributed and
 //!   adversarial (but weakly fair) daemon strategies;
-//! * [`trace`] — step-by-step execution recording for debugging and for the
-//!   invariant monitors in `pif-core`.
+//! * [`trace_io`] — versioned JSONL recording and replay of executions;
+//! * [`cli`] and [`json`] — the command-line and JSON parsers every tool
+//!   reads its input through.
 //!
 //! # Examples
 //!
@@ -79,6 +80,7 @@
 #![warn(missing_docs)]
 
 pub mod bits;
+pub mod cli;
 pub mod daemons;
 mod enabled;
 mod error;
@@ -89,7 +91,6 @@ pub mod metrics;
 mod protocol;
 pub mod rounds;
 mod sim;
-pub mod trace;
 pub mod trace_io;
 
 pub use enabled::{EnabledIndex, EnabledProcs};

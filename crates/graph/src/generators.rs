@@ -707,6 +707,29 @@ impl Topology {
         Ok(topo)
     }
 
+    /// The instance in the [`Topology::parse`] spec format, which parses
+    /// back to an equal value. Reports record topologies this way.
+    pub fn spec(&self) -> String {
+        match *self {
+            Topology::Chain { n } => format!("chain:{n}"),
+            Topology::Ring { n } => format!("ring:{n}"),
+            Topology::Star { n } => format!("star:{n}"),
+            Topology::Complete { n } => format!("complete:{n}"),
+            Topology::KaryTree { n, k } => format!("tree:{n}:{k}"),
+            Topology::RandomTree { n, seed } => format!("randtree:{n}:{seed}"),
+            Topology::Grid { w, h } => format!("grid:{w}x{h}"),
+            Topology::Torus { w, h } => format!("torus:{w}x{h}"),
+            Topology::Hypercube { d } => format!("hypercube:{d}"),
+            Topology::Lollipop { clique, tail } => format!("lollipop:{clique}:{tail}"),
+            Topology::Caterpillar { spine, legs } => format!("caterpillar:{spine}:{legs}"),
+            Topology::Wheel { n } => format!("wheel:{n}"),
+            Topology::Bipartite { a, b } => format!("bipartite:{a}x{b}"),
+            Topology::Petersen => "petersen".to_string(),
+            Topology::Barbell { clique, bridge } => format!("barbell:{clique}:{bridge}"),
+            Topology::Random { n, p, seed } => format!("random:{n}:{p}:{seed}"),
+        }
+    }
+
     /// A representative mixed suite of small-to-medium topologies covering
     /// trees, sparse cyclic graphs, dense graphs, and random graphs — the
     /// default workload of the experiment harness.
@@ -996,6 +1019,17 @@ mod tests {
         assert_eq!(q20, (Some(MAX_NODES), Some(MAX_EDGES)));
         assert_eq!(check_size(q20), Ok(()));
         assert_eq!(check_size(Topology::Chain { n: 65_537 }.size()), Ok(()));
+    }
+
+    #[test]
+    fn topology_specs_round_trip_through_parse() {
+        // The standard suite holds one instance of every family.
+        for t in Topology::standard_suite() {
+            let spec = t.spec();
+            assert_eq!(Topology::parse(&spec).unwrap(), t, "{spec}");
+        }
+        let fractional = Topology::Random { n: 16, p: 0.1, seed: 3 };
+        assert_eq!(Topology::parse(&fractional.spec()).unwrap(), fractional);
     }
 
     #[test]

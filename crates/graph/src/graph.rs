@@ -151,11 +151,6 @@ impl Graph {
     pub fn procs(&self) -> impl DoubleEndedIterator<Item = ProcId> + ExactSizeIterator + Clone {
         (0..self.len() as u32).map(ProcId)
     }
-
-    /// Maximum degree over all processors.
-    pub fn max_degree(&self) -> usize {
-        self.procs().map(|p| self.degree(p)).max().unwrap_or(0)
-    }
 }
 
 impl fmt::Debug for Graph {

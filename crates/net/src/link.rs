@@ -90,15 +90,6 @@ impl FaultPlan {
         self
     }
 
-    /// Whether the plan is the identity (no faults, no campaign).
-    pub fn is_fault_free(&self) -> bool {
-        self.drop == 0.0
-            && self.duplicate == 0.0
-            && self.reorder == 0.0
-            && self.corrupt == 0.0
-            && self.scramble_seed.is_none()
-    }
-
     /// Checks every rate is in `[0, 1)`.
     ///
     /// # Errors

@@ -63,13 +63,6 @@ pub enum TickOutcome {
     Idle,
 }
 
-impl TickOutcome {
-    /// Whether the event moved the system (execution or delivery).
-    pub fn is_progress(self) -> bool {
-        matches!(self, TickOutcome::Executed { .. } | TickOutcome::Delivered { .. })
-    }
-}
-
 /// The engine-agnostic surface of a message-passing transport.
 ///
 /// This is the typed replacement for the legacy `NetSimulator` API:

@@ -23,8 +23,11 @@
 //! * `check` replays every result in a recorded envelope from its seed
 //!   and verifies the deterministic fields are bit-identical.
 
+use std::error::Error;
+use std::ffi::{OsStr, OsString};
 use std::process::ExitCode;
 
+use pif_daemon::cli::{ArgError, Args};
 use pif_graph::Topology;
 use pif_net::FaultPlan;
 use pif_serve::report::{envelope, parse_envelope};
@@ -34,11 +37,12 @@ use pif_serve::{
 };
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let result = match args.first().map(String::as_str) {
-        Some("soak") => soak(&args[1..]),
-        Some("bench") => bench(&args[1..]),
-        Some("check") => check(&args[1..]),
+    let mut argv = std::env::args_os().skip(1);
+    let command = argv.next();
+    let result = match command.as_deref().and_then(OsStr::to_str) {
+        Some("soak") => soak(argv),
+        Some("bench") => bench(argv),
+        Some("check") => check(argv),
         _ => {
             eprintln!("usage: pif-serve <soak|bench|check> [options]");
             return ExitCode::from(2);
@@ -53,62 +57,45 @@ fn main() -> ExitCode {
     }
 }
 
-/// Pulls `--flag value` out of an option list (last occurrence wins).
-fn opt<'a>(args: &'a [String], flag: &str) -> Option<&'a str> {
-    args.windows(2)
-        .rev()
-        .find(|w| w[0] == flag)
-        .map(|w| w[1].as_str())
-}
-
-fn parse_num<T: std::str::FromStr>(args: &[String], flag: &str, default: T) -> Result<T, ServeError> {
-    match opt(args, flag) {
-        None => Ok(default),
-        Some(v) => v
-            .parse()
-            .map_err(|_| ServeError::Report(format!("bad value for {flag}: {v:?}"))),
-    }
-}
-
-fn soak(args: &[String]) -> Result<(), ServeError> {
-    let requests: u64 = parse_num(args, "--requests", 1000)?;
-    let initiators: usize = parse_num(args, "--initiators", 4)?;
-    let shards: usize = parse_num(args, "--shards", 2)?;
-    let seed: u64 = parse_num(args, "--seed", 1)?;
-    let spec = opt(args, "--topology").unwrap_or("torus:4x4");
+fn soak(argv: impl Iterator<Item = OsString>) -> Result<(), Box<dyn Error>> {
+    let valued = [
+        "--requests", "--initiators", "--shards", "--topology", "--seed", "--daemon", "--engine",
+        "--transport", "--net-drop", "--net-dup", "--net-reorder", "--net-corrupt",
+        "--corrupt-after", "--corrupt-registers", "--json",
+    ];
+    let args = Args::parse(argv, &valued, &[], &[])?;
+    let requests: u64 = args.get_or("--requests", 1000)?;
+    let initiators: usize = args.get_or("--initiators", 4)?;
+    let shards: usize = args.get_or("--shards", 2)?;
+    let seed: u64 = args.get_or("--seed", 1)?;
+    let spec: String = args.get_or("--topology", "torus:4x4".into())?;
     let topology =
-        Topology::parse(spec).map_err(|e| ServeError::Report(format!("bad topology: {e}")))?;
-    let daemon = ServeDaemon::parse(opt(args, "--daemon").unwrap_or("synchronous"))?;
-    let engine_spec = opt(args, "--engine").unwrap_or(Engine::default().name());
-    let engine = Engine::parse(engine_spec)
-        .ok_or_else(|| ServeError::Report(format!("bad value for --engine: {engine_spec:?}")))?;
-    let corrupt_after: Option<u64> = match opt(args, "--corrupt-after") {
-        Some(v) => Some(
-            v.parse()
-                .map_err(|_| ServeError::Report(format!("bad value for --corrupt-after: {v:?}")))?,
-        ),
-        None => None,
-    };
-    let corrupt_registers: usize = parse_num(args, "--corrupt-registers", 8)?;
-    let transport = opt(args, "--transport").unwrap_or("mem");
-    let net = match transport {
+        Topology::parse(&spec).map_err(|e| ServeError::Report(format!("bad topology: {e}")))?;
+    let daemon = ServeDaemon::parse(&args.get_or::<String>("--daemon", "synchronous".into())?)?;
+    let engine_spec: String = args.get_or("--engine", Engine::default().name().into())?;
+    let engine = Engine::parse(&engine_spec)
+        .ok_or(ArgError::BadValue { flag: "--engine".into(), value: engine_spec })?;
+    let corrupt_after: Option<u64> = args.get("--corrupt-after")?;
+    let corrupt_registers: usize = args.get_or("--corrupt-registers", 8)?;
+    let json: Option<String> = args.get("--json")?;
+    let plan = FaultPlan::fault_free()
+        .drop_rate(args.get_or("--net-drop", 0.0)?)
+        .duplicate_rate(args.get_or("--net-dup", 0.0)?)
+        .reorder_rate(args.get_or("--net-reorder", 0.0)?)
+        .corrupt_rate(args.get_or("--net-corrupt", 0.0)?);
+    let net = match args.get_or::<String>("--transport", "mem".into())?.as_str() {
         "mem" => None,
-        "net" => Some(NetLaneConfig {
-            plan: FaultPlan::fault_free()
-                .drop_rate(parse_num(args, "--net-drop", 0.0)?)
-                .duplicate_rate(parse_num(args, "--net-dup", 0.0)?)
-                .reorder_rate(parse_num(args, "--net-reorder", 0.0)?)
-                .corrupt_rate(parse_num(args, "--net-corrupt", 0.0)?),
-            ..NetLaneConfig::default()
-        }),
+        "net" => Some(NetLaneConfig { plan, ..NetLaneConfig::default() }),
         other => {
-            return Err(ServeError::Report(format!("bad value for --transport: {other:?}")))
+            let value = other.to_string();
+            return Err(ArgError::BadValue { flag: "--transport".into(), value }.into());
         }
     };
-    if net.is_some() && opt(args, "--json").is_some() {
+    if net.is_some() && json.is_some() {
         return Err(ServeError::Report(
             "--json replay recording is mem-transport only; drop --transport net".into(),
-        ));
+        )
+        .into());
     }
 
     // Counted from the spec rather than built, so `WaveService::new` can
@@ -147,8 +134,8 @@ fn soak(args: &[String]) -> Result<(), ServeError> {
         report.elapsed_seconds,
         report.requests_per_sec,
     );
-    if let Some(path) = opt(args, "--json") {
-        std::fs::write(path, envelope(seed, std::slice::from_ref(&report)))
+    if let Some(path) = json {
+        std::fs::write(&path, envelope(seed, std::slice::from_ref(&report)))
             .map_err(|e| ServeError::Report(format!("cannot write {path}: {e}")))?;
         println!("[json written to {path}]");
     }
@@ -157,7 +144,8 @@ fn soak(args: &[String]) -> Result<(), ServeError> {
         return Err(ServeError::Report(format!(
             "fault-free soak is not clean: {} bad, {} timed out",
             s.completed_bad, s.timed_out
-        )));
+        ))
+        .into());
     }
     Ok(())
 }
@@ -177,10 +165,11 @@ fn bench_suite(seed: u64) -> Vec<Topology> {
     ]
 }
 
-fn bench(args: &[String]) -> Result<(), ServeError> {
-    let seed: u64 = parse_num(args, "--seed", 2026)?;
-    let requests: u64 = parse_num(args, "--requests", 64)?;
-    let out = opt(args, "--out").unwrap_or("BENCH_service_throughput.json");
+fn bench(argv: impl Iterator<Item = OsString>) -> Result<(), Box<dyn Error>> {
+    let args = Args::parse(argv, &["--seed", "--requests", "--out"], &[], &[])?;
+    let seed: u64 = args.get_or("--seed", 2026)?;
+    let requests: u64 = args.get_or("--requests", 64)?;
+    let out: String = args.get_or("--out", "BENCH_service_throughput.json".into())?;
     let mut results = Vec::new();
     for topology in bench_suite(seed) {
         let n = topology.build()?.len();
@@ -208,21 +197,20 @@ fn bench(args: &[String]) -> Result<(), ServeError> {
             return Err(ServeError::Report(format!(
                 "bench scenario {} not clean",
                 report.topology
-            )));
+            ))
+            .into());
         }
         results.push(report);
     }
-    std::fs::write(out, envelope(seed, &results))
+    std::fs::write(&out, envelope(seed, &results))
         .map_err(|e| ServeError::Report(format!("cannot write {out}: {e}")))?;
     println!("[json written to {out}]");
     Ok(())
 }
 
-fn check(args: &[String]) -> Result<(), ServeError> {
-    let path = args
-        .first()
-        .ok_or_else(|| ServeError::Report("usage: pif-serve check FILE".into()))?;
-    let text = std::fs::read_to_string(path)
+fn check(argv: impl Iterator<Item = OsString>) -> Result<(), Box<dyn Error>> {
+    let path: String = Args::parse(argv, &[], &[], &["FILE"])?.positional(0)?;
+    let text = std::fs::read_to_string(&path)
         .map_err(|e| ServeError::Report(format!("cannot read {path}: {e}")))?;
     let (_, recorded) = parse_envelope(&text)?;
     let mut failures = 0usize;
@@ -246,7 +234,8 @@ fn check(args: &[String]) -> Result<(), ServeError> {
         return Err(ServeError::Report(format!(
             "{failures} of {} results failed replay",
             recorded.len()
-        )));
+        ))
+        .into());
     }
     println!("all {} results replayed deterministically", recorded.len());
     Ok(())

@@ -222,11 +222,6 @@ impl<M: Clone + PartialEq + fmt::Debug> Lane<M> {
         self.sim.states()
     }
 
-    /// The lane's current fault epoch (corruption campaigns applied).
-    pub(crate) fn fault_epoch(&self) -> u32 {
-        self.fault_epoch
-    }
-
     pub(crate) fn queue_len(&self) -> usize {
         self.queue.len()
     }

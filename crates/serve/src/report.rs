@@ -85,29 +85,6 @@ pub struct ServiceReport {
     pub requests_per_sec: f64,
 }
 
-/// Renders `t` in the [`Topology::parse`] spec format.
-pub fn topology_spec(t: &Topology) -> String {
-    match *t {
-        Topology::Chain { n } => format!("chain:{n}"),
-        Topology::Ring { n } => format!("ring:{n}"),
-        Topology::Star { n } => format!("star:{n}"),
-        Topology::Complete { n } => format!("complete:{n}"),
-        Topology::KaryTree { n, k } => format!("tree:{n}:{k}"),
-        Topology::RandomTree { n, seed } => format!("randtree:{n}:{seed}"),
-        Topology::Grid { w, h } => format!("grid:{w}x{h}"),
-        Topology::Torus { w, h } => format!("torus:{w}x{h}"),
-        Topology::Hypercube { d } => format!("hypercube:{d}"),
-        Topology::Lollipop { clique, tail } => format!("lollipop:{clique}:{tail}"),
-        Topology::Caterpillar { spine, legs } => format!("caterpillar:{spine}:{legs}"),
-        Topology::Wheel { n } => format!("wheel:{n}"),
-        Topology::Bipartite { a, b } => format!("bipartite:{a}x{b}"),
-        Topology::Petersen => "petersen".to_string(),
-        Topology::Barbell { clique, bridge } => format!("barbell:{clique}:{bridge}"),
-        Topology::Random { n, p, seed } => format!("random:{n}:{p}:{seed}"),
-        _ => t.to_string(),
-    }
-}
-
 impl ServiceReport {
     /// Captures the current state of a service (call after
     /// [`WaveService::run`]).
@@ -126,7 +103,7 @@ impl ServiceReport {
         let elapsed = service.run_seconds();
         let served = summary.completed_ok + summary.completed_bad;
         ServiceReport {
-            topology: topology_spec(&service.config().topology),
+            topology: service.config().topology.spec(),
             n: service.graph().len(),
             initiators: service.config().initiators.iter().map(|p| p.0).collect(),
             shards: service.config().shards,
@@ -327,19 +304,6 @@ mod tests {
         // 0 and 1 → bucket 0; 2 → bucket 1; 3, 4 → bucket 2; 1024 → bucket 10.
         assert_eq!(h, vec![(0, 2), (1, 1), (2, 2), (10, 1)]);
         assert!(sparse_pow2_hist(std::iter::empty()).is_empty());
-    }
-
-    #[test]
-    fn topology_specs_round_trip_through_parse() {
-        for t in [
-            Topology::Chain { n: 16 },
-            Topology::Torus { w: 4, h: 4 },
-            Topology::Random { n: 16, p: 0.1, seed: 3 },
-            Topology::Grid { w: 2, h: 5 },
-        ] {
-            let spec = topology_spec(&t);
-            assert_eq!(Topology::parse(&spec).unwrap(), t, "{spec}");
-        }
     }
 
     fn sample_report() -> ServiceReport {

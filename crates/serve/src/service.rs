@@ -142,8 +142,6 @@ pub struct ServeConfig {
     /// Per-request step budget before the lane gives up
     /// ([`crate::RequestOutcome::TimedOut`]).
     pub step_limit: u64,
-    /// Per-processor feedback contributions (defaults to `index + 1`).
-    pub contributions: Option<Vec<i64>>,
     /// Step backend every lane runs on (the engines are observably
     /// equivalent, so this changes throughput, never outcomes; defaults
     /// to [`Engine::default`]).
@@ -178,7 +176,6 @@ impl ServeConfig {
             shed_policy: ShedPolicy::Reject,
             daemon: ServeDaemon::Synchronous,
             step_limit: 100_000,
-            contributions: None,
             engine: Engine::default(),
             net: None,
             graph: None,
@@ -232,14 +229,6 @@ impl ServeConfig {
     #[must_use]
     pub fn step_limit(mut self, limit: u64) -> Self {
         self.step_limit = limit.max(1);
-        self
-    }
-
-    /// Sets explicit per-processor contributions (length must equal the
-    /// network size).
-    #[must_use]
-    pub fn contributions(mut self, contributions: Vec<i64>) -> Self {
-        self.contributions = Some(contributions);
         self
     }
 
@@ -306,8 +295,8 @@ impl<M: Clone + PartialEq + fmt::Debug + Send> WaveService<M> {
     ///
     /// # Panics
     ///
-    /// Panics if explicit contributions were configured with a length
-    /// different from the network size.
+    /// Panics if an entry of [`ServeConfig::lane_states`] does not cover
+    /// the whole network.
     pub fn new(config: ServeConfig) -> Result<Self, ServeError> {
         if config.initiators.is_empty() {
             return Err(ServeError::NoInitiators);
@@ -346,13 +335,8 @@ impl<M: Clone + PartialEq + fmt::Debug + Send> WaveService<M> {
             }
             seen[p.index()] = true;
         }
-        let contributions = match &config.contributions {
-            Some(c) => {
-                assert_eq!(c.len(), n, "contributions length must equal the network size");
-                c.clone()
-            }
-            None => (0..n).map(|i| (i + 1) as i64).collect(),
-        };
+        // Every processor contributes `index + 1` to the feedback fold.
+        let contributions: Vec<i64> = (0..n).map(|i| (i + 1) as i64).collect();
 
         // The deal below places initiator `pos` on shard `pos % shards`,
         // so shards past the initiator count would only ever stay empty:
@@ -526,14 +510,6 @@ impl<M: Clone + PartialEq + fmt::Debug + Send> WaveService<M> {
         self.route
             .iter()
             .map(|&(p, s, l)| (p, self.shards[s].lanes()[l].states().to_vec()))
-            .collect()
-    }
-
-    /// The fault epoch of each live lane, keyed by initiator.
-    pub fn lane_fault_epochs(&self) -> Vec<(ProcId, u32)> {
-        self.route
-            .iter()
-            .map(|&(p, s, l)| (p, self.shards[s].lanes()[l].fault_epoch()))
             .collect()
     }
 

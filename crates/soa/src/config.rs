@@ -3,10 +3,11 @@
 //! A [`SoaConfig`] holds the same five registers as a `[PifState]` slice,
 //! but transposed: the three-valued phase register becomes two bitset
 //! planes (`B` and `F` membership; `C` is the implied complement), `Fok`
-//! becomes one plane, and `Par`/`L`/`Count` become flat arrays indexed by
-//! processor. Word `w` of a plane covers processors `64·w .. 64·w + 63`,
-//! bit `i % 64` within it, so whole-network phase tests reduce to word
-//! algebra (`b | f` = participating, `!(b | f)` = clean, ...).
+//! lives only in the per-processor tag byte, and `Par`/`L`/`Count` become
+//! flat arrays indexed by processor. Word `w` of a plane covers processors
+//! `64·w .. 64·w + 63`, bit `i % 64` within it, so whole-network phase
+//! tests reduce to word algebra (`b | f` = participating, `!(b | f)` =
+//! clean, ...).
 
 use pif_core::{Phase, PifState};
 use pif_graph::ProcId;
@@ -30,17 +31,15 @@ pub struct SoaConfig {
     b: Vec<u64>,
     /// Feedback-phase membership plane (`Pif_p = F`).
     f: Vec<u64>,
-    /// `Fok_p` plane.
-    fok: Vec<u64>,
     /// Parent pointers `Par_p`, flat.
     par: Vec<u32>,
     /// Levels `L_p`, flat.
     level: Vec<u16>,
     /// Counters `Count_p`, flat.
     count: Vec<u32>,
-    /// Per-processor tag bytes ([`TAG_B`] | [`TAG_F`] | [`TAG_FOK`]),
-    /// redundant with the planes: the scalar kernel reads all three flags
-    /// of a neighbor in one load, the word algebra reads the planes.
+    /// Per-processor tag bytes ([`TAG_B`] | [`TAG_F`] | [`TAG_FOK`]): the
+    /// scalar kernel reads all three flags of a neighbor in one load, the
+    /// word algebra reads the phase planes, which repeat the phase bits.
     tags: Vec<u8>,
     /// Whether the bit planes lag behind `tags` (hot-path writes go
     /// through [`SoaConfig::set_state_tags`], which defers plane
@@ -63,7 +62,6 @@ impl SoaConfig {
             n,
             b: vec![0; words],
             f: vec![0; words],
-            fok: vec![0; words],
             par: vec![0; n],
             level: vec![0; n],
             count: vec![0; n],
@@ -103,9 +101,6 @@ impl SoaConfig {
         for w in &mut self.f {
             *w = 0;
         }
-        for w in &mut self.fok {
-            *w = 0;
-        }
         for (i, s) in states.iter().enumerate() {
             self.set_state(i, s);
         }
@@ -135,10 +130,7 @@ impl SoaConfig {
             }
         }
         if s.fok {
-            self.fok[w] |= bit;
             tag |= TAG_FOK;
-        } else {
-            self.fok[w] &= !bit;
         }
         self.tags[i] = tag;
         self.par[i] = s.par.0;
@@ -147,7 +139,7 @@ impl SoaConfig {
     }
 
     /// Hot-path state write: updates the tag byte and flat registers only,
-    /// deferring the three plane read-modify-writes. The planes lag until
+    /// deferring the two plane read-modify-writes. The planes lag until
     /// the next [`SoaConfig::sync_planes`]; every scalar read
     /// ([`SoaConfig::tag`], [`SoaConfig::is_b`], ..., [`SoaConfig::state`])
     /// stays exact throughout.
@@ -178,15 +170,12 @@ impl SoaConfig {
         for (wi, chunk) in self.tags.chunks(64).enumerate() {
             let mut b = 0u64;
             let mut f = 0u64;
-            let mut fok = 0u64;
             for (bit, &tag) in chunk.iter().enumerate() {
                 b |= u64::from(tag & TAG_B) << bit;
                 f |= (u64::from(tag & TAG_F) >> 1) << bit;
-                fok |= (u64::from(tag & TAG_FOK) >> 2) << bit;
             }
             self.b[wi] = b;
             self.f[wi] = f;
-            self.fok[wi] = fok;
         }
         self.planes_dirty = false;
     }
@@ -285,13 +274,6 @@ impl SoaConfig {
     pub fn f_words(&self) -> &[u64] {
         debug_assert!(!self.planes_dirty, "sync_planes before reading planes");
         &self.f
-    }
-
-    /// The `Fok` plane.
-    #[inline]
-    pub fn fok_words(&self) -> &[u64] {
-        debug_assert!(!self.planes_dirty, "sync_planes before reading planes");
-        &self.fok
     }
 }
 

@@ -27,13 +27,46 @@
 //!   budget for the visited table and reports the process RSS
 //!   high-water mark (`VmHWM`), asserting it stays under the ceiling.
 
+use std::process::ExitCode;
+
 use pif_core::{Features, PifProtocol};
+use pif_daemon::cli::{ArgError, Args};
 use pif_graph::{generators, Graph, ProcId};
 use pif_verify::{Checker, Reduction, StateSpace};
 
 struct Opts {
     checker: Checker,
     tier2: bool,
+    differential: bool,
+    spill: bool,
+    rss_ceiling_mb: Option<u64>,
+}
+
+/// Reads the command line (see the crate docs above).
+fn parse_args() -> Result<Opts, ArgError> {
+    let valued = ["--workers", "--reduction", "--rss-ceiling-mb"];
+    let switches = ["--tier2", "--differential-reductions", "--spill-demo"];
+    let args = Args::parse(std::env::args_os().skip(1), &valued, &switches, &[])?;
+    let reduction = match args.get::<String>("--reduction")?.as_deref() {
+        None | Some("none") => Reduction::None,
+        Some("por") => Reduction::Por,
+        Some("symmetry") => Reduction::Symmetry,
+        Some("full") => Reduction::Full,
+        Some(other) => {
+            return Err(ArgError::BadValue { flag: "--reduction".into(), value: other.into() })
+        }
+    };
+    let checker = match args.get("--workers")? {
+        Some(workers) => Checker::with_workers(workers),
+        None => Checker::auto(),
+    };
+    Ok(Opts {
+        checker: checker.with_reduction(reduction),
+        tier2: args.switch("--tier2"),
+        differential: args.switch("--differential-reductions"),
+        spill: args.switch("--spill-demo"),
+        rss_ceiling_mb: args.get("--rss-ceiling-mb")?,
+    })
 }
 
 fn verify(name: &str, graph: Graph, root: ProcId, product: bool, scans: bool, opts: &Opts) {
@@ -231,7 +264,7 @@ fn vm_hwm_mb() -> u64 {
 /// The spill-tier demonstration: chain(4) correction-bound product
 /// search with a small visited-table budget, asserting the RSS
 /// high-water mark stays under the ceiling.
-fn spill_demo(opts: &Opts, ceiling_mb: Option<u64>) {
+fn spill_demo(opts: &Opts) {
     /// Per-set visited budget: small enough to force frozen runs on
     /// chain(4)'s ~10^8-state search, large enough to keep probe traffic
     /// reasonable.
@@ -251,7 +284,7 @@ fn spill_demo(opts: &Opts, ceiling_mb: Option<u64>) {
         r.states_explored,
         t0.elapsed().as_secs_f64()
     );
-    if let Some(ceiling) = ceiling_mb {
+    if let Some(ceiling) = opts.rss_ceiling_mb {
         assert!(
             hwm <= ceiling,
             "RSS high-water mark {hwm} MiB exceeds the {ceiling} MiB ceiling"
@@ -260,53 +293,21 @@ fn spill_demo(opts: &Opts, ceiling_mb: Option<u64>) {
     }
 }
 
-fn main() {
-    let mut opts = Opts { checker: Checker::auto(), tier2: false };
-    let mut differential = false;
-    let mut spill = false;
-    let mut rss_ceiling_mb: Option<u64> = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--tier2" => opts.tier2 = true,
-            "--differential-reductions" => differential = true,
-            "--spill-demo" => spill = true,
-            "--rss-ceiling-mb" => {
-                rss_ceiling_mb = Some(
-                    args.next()
-                        .and_then(|v| v.parse().ok())
-                        .expect("--rss-ceiling-mb requires a number"),
-                );
-            }
-            "--workers" => {
-                let w: usize = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--workers requires a number");
-                opts.checker = Checker::with_workers(w).with_reduction(opts.checker.reduction());
-            }
-            "--reduction" => {
-                let red = match args.next().as_deref() {
-                    Some("none") => Reduction::None,
-                    Some("por") => Reduction::Por,
-                    Some("symmetry") => Reduction::Symmetry,
-                    Some("full") => Reduction::Full,
-                    other => panic!("--reduction requires none|por|symmetry|full, got {other:?}"),
-                };
-                opts.checker = opts.checker.with_reduction(red);
-            }
-            other => panic!(
-                "unknown argument {other}; expected --tier2, --workers N, --reduction R, --differential-reductions, or --spill-demo [--rss-ceiling-mb N]"
-            ),
+fn main() -> ExitCode {
+    let opts = match parse_args() {
+        Ok(opts) => opts,
+        Err(e) => {
+            eprintln!("verify_exhaustive: {e}");
+            return ExitCode::from(2);
         }
-    }
-    if differential {
+    };
+    if opts.differential {
         differential_reductions(&opts);
-        return;
+        return ExitCode::SUCCESS;
     }
-    if spill {
-        spill_demo(&opts, rss_ceiling_mb);
-        return;
+    if opts.spill {
+        spill_demo(&opts);
+        return ExitCode::SUCCESS;
     }
     println!(
         "exhaustive snap-stabilization verification (every configuration, every daemon choice; {} worker(s))\n",
@@ -336,4 +337,5 @@ fn main() {
         verify_tier2(&opts);
     }
     println!("\nall instances verified");
+    ExitCode::SUCCESS
 }

@@ -71,15 +71,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // And the wave itself, as a phase timeline (B/b broadcast, F/f
     // feedback, C/. clean; uppercase = the processor executed that step).
     let mut sim2 = Simulator::new(g2, p2.clone(), clean);
-    let mut trace = pif_daemon::trace::Trace::with_configurations();
+    let mut timeline = analysis::timeline::Timeline::default();
     let mut stop = |s: &Simulator<PifProtocol>| {
         s.steps() > 0 && initial::is_normal_starting(s.states())
     };
     sim2.run(
         &mut Synchronous::first_action(),
-        &mut trace,
+        &mut timeline,
         pif_daemon::StopPolicy::Predicate(pif_daemon::RunLimits::default(), &mut stop),
     )?;
-    println!("\n{}", analysis::timeline::render(&p2, &trace));
+    println!("\n{}", analysis::timeline::render(&p2, &timeline));
     Ok(())
 }

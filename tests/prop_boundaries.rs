@@ -1,10 +1,13 @@
-//! Byte-boundary properties: every reader that takes a file or a spec
-//! answers any input with a value or a typed error, never a panic. Each
-//! reader gets arbitrary bytes and single-byte mutations of a valid
-//! document, and each parsed row goes on to `scenario()`, as
-//! `pif-serve check` and `pif_chaos check` do before they replay it.
+//! Byte-boundary properties: every reader that takes a file, a spec or a
+//! command line answers any input with a value or a typed error, never a
+//! panic. Each file and spec reader gets arbitrary bytes and single-byte
+//! mutations of a valid document, and each parsed row goes on to
+//! `scenario()`, as `pif-serve check` and `pif_chaos check` do before they
+//! replay it; the command-line parser gets word sequences drawn from a
+//! pool of flags, values and junk.
 
 use pif_suite::chaos;
+use pif_suite::daemon::cli::{ArgError, Args};
 use pif_suite::graph::Topology;
 use pif_suite::serve::report as serve;
 use proptest::prelude::*;
@@ -125,5 +128,44 @@ proptest! {
         byte in any::<u8>(),
     ) {
         check_topology(&mutate(SPECS[pick % SPECS.len()], pos, byte));
+    }
+}
+
+/// The words the command-line property draws argument vectors from:
+/// declared flags, numbers, junk, `--`, `-h`, `--seed=1` and the empty
+/// string.
+const ARGV_POOL: &[&str] = &[
+    "--seed", "--duration", "--out", "--check", "7", "-3", "0.25", "1e999", "abc", "FILE", "",
+    "--", "-h", "--seed=1", "--bogus", "\u{0}",
+];
+const VALUED: &[&str] = &["--seed", "--duration", "--out"];
+const SWITCHES: &[&str] = &["--check", "-h"];
+
+/// Parses `words` as a command taking [`VALUED`], [`SWITCHES`] and two
+/// positional words, then reads every flag and word back as a typed
+/// value.
+fn check_argv(words: &[&str]) -> Result<(), ArgError> {
+    let args = Args::parse(words.iter().copied(), VALUED, SWITCHES, &["FILE", "OUT"])?;
+    // An accepted command line holds no undeclared flag.
+    let declared = |w: &&str| VALUED.contains(w) || SWITCHES.contains(w);
+    assert!(words.iter().all(|w| !w.starts_with("--") || declared(w)), "{words:?}");
+    args.get::<u64>("--seed")?;
+    args.get_or::<f64>("--duration", 1.0)?;
+    args.get::<String>("--out")?;
+    args.switch("--check");
+    args.positional_or::<String>(1, String::new())?;
+    args.positional::<u32>(0)?;
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(2048))]
+
+    #[test]
+    fn command_lines_answer_any_word_sequence(
+        picks in prop::collection::vec(any::<usize>(), 0..10),
+    ) {
+        let words: Vec<&str> = picks.iter().map(|&i| ARGV_POOL[i % ARGV_POOL.len()]).collect();
+        let _ = check_argv(&words);
     }
 }
